@@ -10,9 +10,16 @@ S_lambda = sum over mu of K(lambda, mu) * m_mu.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .lattice import LiftError, Partition, Weight, partitions_below, weight_to_partition
+from .lattice import (
+    LiftError,
+    Partition,
+    Weight,
+    dominance_leq,
+    walk_below,
+    weight_to_partition,
+)
 from .weyl import LeviDatum, dot_normalize
 
 BASIS_WEYL = "weyl"
@@ -120,54 +127,33 @@ class FormalCharacter:
         return f"FormalCharacter({self.basis}, {len(self.terms)} terms)"
 
 
-# Process-wide Kostka memo.  All writers compute identical values, so plain
-# dict assignment (atomic under CPython) is enough for concurrent use.
-_KOSTKA_MEMO: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-
-
 def kostka(shape: Partition, content: Partition) -> int:
     """The Kostka number: semistandard tableaux of this shape and content.
 
-    The count is invariant under permuting the content, so the content is
-    kept sorted and its largest entry peeled first: relabel values so the
-    most frequent one is largest, then its cells form a horizontal strip at
-    the rim, and each way of removing such a strip recurses on the rest.
-    Vanishes unless content <= shape in dominance order, which prunes the
-    recursion hard.  Results are memoized process-wide.
+    The count is invariant under permuting the content, so its parts are
+    peeled largest first: relabel values so that each part in turn is the
+    largest entry, whose cells form a horizontal strip at the rim.  The
+    state after a prefix of the content is the signed set of shapes left,
+    so the cost follows the number of shapes inside `shape`, not the
+    number of tableaux.
     """
     if shape.size != content.size:
         raise ValueError(f"size mismatch: |{shape}| != |{content}|")
-    return _kostka(shape.parts, content.parts)
+    state = {shape.parts: 1}
+    for part in content.parts:
+        state = _peel(state, part)
+    return state.get((), 0)
 
 
-def _kostka(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
-    if not content:
-        return 1 if not shape else 0
-    if not _dominated(content, shape):
-        return 0
-    key = (shape, content)
-    value = _KOSTKA_MEMO.get(key)
-    if value is None:
-        rest = content[1:]
-        value = sum(
-            _kostka(inner, rest) for inner in _horizontal_strips(shape, content[0])
-        )
-        _KOSTKA_MEMO[key] = value
-    return value
-
-
-def _dominated(content: tuple[int, ...], shape: tuple[int, ...]) -> int:
-    # prefix-sum comparison; both tuples sorted decreasing with equal totals
-    sc = 0
-    ss = 0
-    nshape = len(shape)
-    for t, c in enumerate(content):
-        sc += c
-        if t < nshape:
-            ss += shape[t]
-        if sc > ss:
-            return False
-    return True
+def _peel(state: dict[tuple[int, ...], int], size: int) -> dict[tuple[int, ...], int]:
+    """The state {shape: coeff} after peeling a horizontal strip of the
+    given size from every shape in every possible way (the branching rule
+    s_lam = sum over strips lam/nu of x_k^|lam/nu| s_nu); zeros dropped."""
+    out: dict[tuple[int, ...], int] = {}
+    for shape, coeff in state.items():
+        for inner in _horizontal_strips(shape, size):
+            out[inner] = out.get(inner, 0) + coeff
+    return {inner: coeff for inner, coeff in out.items() if coeff}
 
 
 def _horizontal_strips(shape: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
@@ -196,56 +182,25 @@ def _horizontal_strips(shape: tuple[int, ...], size: int) -> list[tuple[int, ...
     return found
 
 
-def kostka_memo_export() -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """Snapshot of the memo as sorted (shape, content, value) triples."""
-    return sorted((s, c, v) for (s, c), v in _KOSTKA_MEMO.items())
+def schur_sum_to_monomial(coeffs: Mapping[Partition, int], top: Partition) -> FormalCharacter:
+    """Expand sum of coeff * S_shape in the monomial basis.
 
-
-def kostka_memo_import(entries: Iterable) -> int:
-    """Seed the memo from (shape, content, value) triples; returns count kept.
-
-    Entries are advisory and re-derivable; anything structurally off is
-    dropped silently.
+    `top` must dominate every shape.  One walk of the dominance ideal below
+    top carries the state {shape: coeff}, peeling a horizontal strip for
+    each part, so every mu gets sum of coeff * K(shape, mu) in one pass; a
+    branch whose state has cancelled to zero is cut.
     """
-    kept = 0
-    for entry in entries:
-        try:
-            shape, content, value = entry
-            shape = tuple(shape)
-            content = tuple(content)
-            if not all(isinstance(a, int) for a in shape + content):
-                continue
-            if not isinstance(value, int) or value < 0:
-                continue
-            if any(a < b for a, b in zip(shape, shape[1:])) or (shape and shape[-1] < 1):
-                continue
-            if any(a < b for a, b in zip(content, content[1:])) or (content and content[-1] < 1):
-                continue
-            if sum(shape) != sum(content):
-                continue
-        except (TypeError, ValueError):
-            continue
-        _KOSTKA_MEMO[(shape, content)] = value
-        kept += 1
-    return kept
-
-
-def kostka_memo_clear() -> None:
-    _KOSTKA_MEMO.clear()
-
-
-def kostka_memo_size() -> int:
-    return len(_KOSTKA_MEMO)
+    for shape in coeffs:
+        if not dominance_leq(shape, top):
+            raise ValueError(f"{shape} is not below {top} in dominance order")
+    state = {shape.parts: c for shape, c in coeffs.items() if c}
+    terms = {mu: leaf[()] for mu, leaf in walk_below(top, state, _peel)}
+    return FormalCharacter(BASIS_MONOMIAL, None, terms)
 
 
 def schur_to_monomial(lam: Partition) -> FormalCharacter:
     """Expand the Schur function of lam in the monomial basis via Kostka numbers."""
-    terms = {}
-    for mu in partitions_below(lam):
-        k = kostka(lam, mu)
-        if k:
-            terms[mu] = k
-    return FormalCharacter(BASIS_MONOMIAL, None, terms)
+    return schur_sum_to_monomial({lam: 1}, lam)
 
 
 def weyl_chi(mu: Weight, levi: LeviDatum) -> FormalCharacter:

@@ -2,35 +2,28 @@
 
 Exit codes are a stable contract: 0 success (all checks equal/passed),
 2 usage error, 3 verification failure, 4 internal oracle mismatch.
-Kostka numbers computed along the way are persisted to a small JSON cache
-(path from the JANSUM_CACHE environment variable, default under the user
-cache directory); the cache is advisory and rebuilt when missing, stale or
-corrupt, and --no-cache bypasses it entirely with identical results.
+No command reads or writes a file.  `sweep` prints each report as soon as
+it and every earlier n are done.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
-from pathlib import Path
+from typing import Iterator
 
 from .charring import (
     FormalCharacter,
     BASIS_MONOMIAL,
     kostka,
-    kostka_memo_export,
-    kostka_memo_import,
-    kostka_memo_size,
     schur_to_monomial,
 )
 from .identities import (
     FIRST,
     SECOND,
     IdentityReport,
-    conjecture_sweep,
     first_identity_shapes,
     multiplicity_one_report,
     second_identity_shapes,
@@ -58,9 +51,6 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_INTERNAL = 4
 
-CACHE_ENV = "JANSUM_CACHE"
-CACHE_VERSION = 1
-
 
 # ---------------------------------------------------------------------------
 # parsing and formatting helpers
@@ -81,6 +71,15 @@ def _parse_partition(text: str, what: str) -> Partition:
         return Partition(_parse_int_list(text, what))
     except (ValueError, TypeError) as exc:
         raise _UsageError(f"bad {what}: {exc}")
+
+
+def _require_prime(p: int) -> None:
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:
+        raise _UsageError(f"--p: {exc}")
+    if not prime:
+        raise _UsageError(f"--p must be prime, got {p}")
 
 
 def _parse_levi(text: str | None, d: int) -> LeviDatum:
@@ -129,43 +128,6 @@ def _identity_line(report: IdentityReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Kostka cache
-
-def _cache_path() -> Path:
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    return Path(base) / "jansum" / "kostka.json"
-
-
-def _load_cache(path: Path) -> None:
-    try:
-        data = json.loads(path.read_text())
-        if data.get("version") != CACHE_VERSION:
-            return
-        kostka_memo_import(data.get("entries", []))
-    except Exception:
-        # missing or corrupt cache: values are re-derivable, just rebuild
-        return
-
-
-def _save_cache(path: Path) -> None:
-    if kostka_memo_size() == 0:
-        return
-    entries = [[list(s), list(c), v] for s, c, v in kostka_memo_export()]
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps({"version": CACHE_VERSION, "entries": entries}))
-        os.replace(tmp, path)
-    except OSError:
-        pass  # best effort only
-
-
-# ---------------------------------------------------------------------------
 # command handlers
 
 def _cmd_identity(args) -> int:
@@ -188,17 +150,22 @@ def _sweep_one(task: tuple[int, str]) -> IdentityReport:
     return check(n)
 
 
-def _run_sweep(n_min: int, n_max: int, which: str, jobs: int) -> list[IdentityReport]:
+def _run_sweep(n_min: int, n_max: int, which: str, jobs: int) -> Iterator[IdentityReport]:
+    """Reports in n order, each as soon as it and every earlier n are done."""
     tasks = [(n, which) for n in range(n_min, n_max + 1)]
+    done = 0
     if jobs > 1 and len(tasks) > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-                return list(pool.map(_sweep_one, tasks))
+                for report in pool.map(_sweep_one, tasks):
+                    done += 1
+                    yield report
         except (OSError, PermissionError, NotImplementedError, ImportError):
-            pass  # restricted environments: fall back to in-process
-    return conjecture_sweep(n_min, n_max, which)
+            pass  # restricted environments: finish in-process
+    for task in tasks[done:]:
+        yield _sweep_one(task)
 
 
 def _cmd_sweep(args) -> int:
@@ -209,18 +176,18 @@ def _cmd_sweep(args) -> int:
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     if jobs < 1:
         raise _UsageError(f"--jobs must be positive, got {jobs}")
-    reports = _run_sweep(args.n_min, args.n_max, args.which, jobs)
-    for report in reports:
+    all_equal = True
+    for report in _run_sweep(args.n_min, args.n_max, args.which, jobs):
         if args.jsonl:
-            print(canonical_dumps(identity_report_to_json(report)))
+            print(canonical_dumps(identity_report_to_json(report)), flush=True)
         else:
-            print(_identity_line(report))
-    return EXIT_OK if all(r.equal for r in reports) else EXIT_VERIFY
+            print(_identity_line(report), flush=True)
+        all_equal = all_equal and report.equal
+    return EXIT_OK if all_equal else EXIT_VERIFY
 
 
 def _cmd_jantzen(args) -> int:
-    if not is_prime(args.p):
-        raise _UsageError(f"--p must be prime, got {args.p}")
+    _require_prime(args.p)
     if args.d < 2:
         raise _UsageError(f"--d must be at least 2, got {args.d}")
     coords = _parse_int_list(args.lam, "--lambda")
@@ -243,8 +210,7 @@ def _cmd_jantzen(args) -> int:
 
 
 def _cmd_prop_char(args) -> int:
-    if not is_prime(args.p):
-        raise _UsageError(f"--p must be prime, got {args.p}")
+    _require_prime(args.p)
     if args.d < 3:
         raise _UsageError(f"--d must be at least 3, got {args.d}")
     report = verify_prop_char(args.p, args.d)
@@ -329,8 +295,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_multiplicity(args) -> int:
-    if not is_prime(args.p):
-        raise _UsageError(f"--p must be prime, got {args.p}")
+    _require_prime(args.p)
     try:
         report = multiplicity_one_report(args.p, args.d)
     except ValueError as exc:
@@ -465,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--no-cache",
         action="store_true",
-        help="do not read or write the Kostka cache",
+        help="accepted for compatibility; has no effect",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -568,18 +533,11 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_dash_values(list(argv)))
-    use_cache = not args.no_cache
-    if use_cache:
-        _load_cache(_cache_path())
     try:
-        code = args.handler(args)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        if use_cache:
-            _save_cache(_cache_path())
-    return code
 
 
 def entry() -> None:

@@ -17,7 +17,7 @@ from .charring import (
     BASIS_MONOMIAL,
     FormalCharacter,
     convert_weyl_to_monomial,
-    schur_to_monomial,
+    schur_sum_to_monomial,
 )
 from .jantzen import derived_simple_chars, is_prime
 from .lattice import Partition, partitions_below
@@ -48,12 +48,9 @@ def _monomial_ideal_sum(top: Partition) -> FormalCharacter:
 
 
 def _alternating_schur_sum(shapes: list[Partition]) -> FormalCharacter:
-    total: dict[Partition, int] = {}
-    for i, shape in enumerate(shapes):
-        sign = 1 if i % 2 == 0 else -1
-        for mu, k in schur_to_monomial(shape).terms.items():
-            total[mu] = total.get(mu, 0) + sign * k
-    return FormalCharacter(BASIS_MONOMIAL, None, total)
+    # in both families shapes[0] dominates the rest
+    signed = {shape: (-1) ** i for i, shape in enumerate(shapes)}
+    return schur_sum_to_monomial(signed, shapes[0])
 
 
 def _report(n: int, which: str, lhs: FormalCharacter, rhs: FormalCharacter) -> IdentityReport:

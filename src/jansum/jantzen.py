@@ -21,14 +21,39 @@ from .lattice import Root, Weight, lambda_i_weight, pairing, rho
 from .weyl import LeviDatum, SignedDominant, affine_dot_reflect, dot_normalize
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least composite that is a strong probable prime to every base above
+# (Sorenson and Webster, Math. Comp. 86 (2017)); below it the test is exact
+_PRIMALITY_BOUND = 318665857834031151167461
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin over the first 12 prime bases.
+
+    Exact for p < _PRIMALITY_BOUND; larger p is refused with ValueError
+    rather than answered with a guess.
+    """
+    if p >= _PRIMALITY_BOUND:
+        raise ValueError(f"primality is decided exactly only below {_PRIMALITY_BOUND}, got {p}")
     if p < 2:
         return False
-    q = 2
-    while q * q <= p:
+    for q in _WITNESSES:
         if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        q += 1
     return True
 
 

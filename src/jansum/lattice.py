@@ -189,29 +189,40 @@ def partitions_below(b: Partition) -> list[Partition]:
     filtering all partitions of |b|), largest-first, so the output is in
     reverse-lexicographic order and starts with b itself.
     """
+    return [mu for mu, _ in walk_below(b, True, lambda state, part: True)]
+
+
+def walk_below(b: Partition, state, step) -> list[tuple[Partition, object]]:
+    """Depth-first walk of the partitions below b, carrying a state.
+
+    The walk of partitions_below: each partition is built one part at a
+    time, largest first, and `step(state, part)` gives the state after that
+    part.  A falsy state cuts the branch.  Returns (partition, state) for
+    every partition reached, in reverse-lexicographic order.
+    """
     n = b.size
-    if n == 0:
-        return [Partition()]
     prefix = []
     acc = 0
     for part in b.parts:
         acc += part
         prefix.append(acc)
 
-    out: list[Partition] = []
+    out: list[tuple[Partition, object]] = []
     stack: list[int] = []
 
-    def extend(total: int, max_part: int, idx: int) -> None:
+    def extend(state, total: int, max_part: int, idx: int) -> None:
+        if not state:
+            return
         if total == n:
-            out.append(Partition(stack))
+            out.append((Partition(stack), state))
             return
         bound = prefix[idx] if idx < len(prefix) else n
         for a in range(min(max_part, bound - total, n - total), 0, -1):
             stack.append(a)
-            extend(total + a, a, idx + 1)
+            extend(step(state, a), total + a, a, idx + 1)
             stack.pop()
 
-    extend(0, n, 0)
+    extend(state, 0, n, 0)
     return out
 
 

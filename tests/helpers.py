@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import io
 import random
+from math import factorial
 
 from jansum.lattice import Weight
 
@@ -34,6 +35,16 @@ def prefix_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
         if sa > sb:
             return False
     return True
+
+
+def hook_length_count(shape: tuple[int, ...]) -> int:
+    """Standard Young tableaux of the shape, by the hook length formula."""
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            below = sum(1 for r in shape[i + 1:] if r > j)
+            hooks *= row - j + below
+    return factorial(sum(shape)) // hooks
 
 
 def random_weight(rng: random.Random, d: int, lo: int = -6, hi: int = 6) -> Weight:

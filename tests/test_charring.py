@@ -2,17 +2,14 @@ import random
 
 import pytest
 
-from helpers import brute_partitions, prefix_leq, random_dominant
+from helpers import brute_partitions, hook_length_count, prefix_leq, random_dominant
 from jansum.charring import (
     BASIS_MONOMIAL,
     BASIS_WEYL,
     FormalCharacter,
     convert_weyl_to_monomial,
     kostka,
-    kostka_memo_clear,
-    kostka_memo_export,
-    kostka_memo_import,
-    kostka_memo_size,
+    schur_sum_to_monomial,
     schur_to_monomial,
     weyl_chi,
 )
@@ -106,28 +103,11 @@ class TestKostka:
                     assert value == enumerate_ssyt(lam, mu)
                     assert (value > 0) == dominance_leq(mu, lam)
 
-    def test_memo_round_trip(self):
-        kostka(Partition((3, 2, 1)), Partition((2, 2, 1, 1)))
-        exported = kostka_memo_export()
-        assert exported
-        kostka_memo_clear()
-        assert kostka_memo_size() == 0
-        assert kostka_memo_import(exported) == len(exported)
-        assert kostka_memo_size() == len(exported)
-
-    def test_memo_import_drops_garbage(self):
-        before = kostka_memo_size()
-        dropped = kostka_memo_import(
-            [
-                "nonsense",
-                [[2, 1], [1, 1, 1]],  # missing value
-                [[1, 2], [1, 1, 1], 2],  # increasing shape
-                [[2, 1], [1, 1], 2],  # size mismatch
-                [[2, 1], [1, 1, 1], -1],  # negative count
-            ]
-        )
-        assert dropped == 0
-        assert kostka_memo_size() == before
+    @pytest.mark.parametrize("shape", [(6, 4, 2), (5, 5, 5), (8, 6, 4, 2), (10, 10, 10)])
+    def test_standard_content_matches_hook_length_formula(self, shape):
+        # beyond the SSYT oracle's reach: K(shape, 1^n) counts standard tableaux
+        n = sum(shape)
+        assert kostka(Partition(shape), Partition((1,) * n)) == hook_length_count(shape)
 
 
 class TestSchurToMonomial:
@@ -143,6 +123,18 @@ class TestSchurToMonomial:
     def test_complete_homogeneous_h2(self):
         ch = schur_to_monomial(Partition((2,)))
         assert ch.terms == {Partition((2,)): 1, Partition((1, 1)): 1}
+
+    def test_signed_sum_is_linear(self):
+        shapes = [Partition((3, 1, 1)), Partition((2, 2, 1)), Partition((2, 1, 1, 1))]
+        coeffs = {shapes[0]: 2, shapes[1]: -1, shapes[2]: 3}
+        expected = FormalCharacter.zero(BASIS_MONOMIAL)
+        for shape, c in coeffs.items():
+            expected = expected + schur_to_monomial(shape).scale(c)
+        assert schur_sum_to_monomial(coeffs, Partition((3, 2))) == expected
+
+    def test_signed_sum_needs_a_dominating_top(self):
+        with pytest.raises(ValueError):
+            schur_sum_to_monomial({Partition((3, 1)): 1}, Partition((2, 2)))
 
     def test_support_matches_dominance_ideal(self):
         lam = Partition((3, 2))

@@ -7,16 +7,8 @@ from pathlib import Path
 import pytest
 
 from helpers import run_cli
-from jansum.charring import kostka_memo_clear
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-
-@pytest.fixture(autouse=True)
-def _fresh_memo():
-    kostka_memo_clear()
-    yield
-    kostka_memo_clear()
 
 
 class TestIdentityCommand:
@@ -78,7 +70,6 @@ class TestSweepCommand:
 
     def test_parallel_matches_serial(self):
         code1, out1, _ = run_cli(["sweep", "2", "7", "--which", "first", "--jobs", "1"])
-        kostka_memo_clear()
         code2, out2, _ = run_cli(["sweep", "2", "7", "--which", "first", "--jobs", "3"])
         assert code1 == code2 == 0
         assert out1 == out2
@@ -91,6 +82,26 @@ class TestSweepCommand:
         reports = [json.loads(line) for line in out.strip().splitlines()]
         assert [r["n"] for r in reports] == [3, 4, 5]
         assert all(r["equal"] for r in reports)
+
+    @pytest.mark.parametrize("jsonl", [False, True])
+    def test_reports_stream_before_the_last_n(self, monkeypatch, jsonl):
+        # every earlier report must be in stdout when the last n starts
+        from jansum import identities
+
+        printed_before_last = []
+
+        def spy(n):
+            if n == 6:
+                printed_before_last.append(sys.stdout.getvalue())
+            return identities.verify_second_identity(n)
+
+        monkeypatch.setattr("jansum.cli.verify_second_identity", spy)
+        argv = ["sweep", "2", "6", "--which", "second", "--jobs", "1"]
+        code, out, _ = run_cli(argv + ["--jsonl"] if jsonl else argv)
+        assert code == 0
+        lines = out.splitlines(keepends=True)
+        assert len(lines) == 5
+        assert printed_before_last == ["".join(lines[:4])]
 
     def test_reversed_range_is_usage_error(self):
         code, _, err = run_cli(["sweep", "5", "4", "--which", "first"])
@@ -127,6 +138,20 @@ class TestJantzenCommand:
         assert code == 0
         assert "+χ(2,1,0,0,1)" in out
         assert "-χ(3,0,0,0,0)" in out
+
+    def test_eighteen_digit_prime_p(self):
+        code, out, _ = run_cli(
+            ["jantzen", "--p", "1000000000000000003", "--d", "2", "--lambda", "1,1"]
+        )
+        assert code == 0
+        assert "total: 0" in out
+
+    def test_p_beyond_the_primality_bound_exit_2(self):
+        for command in (["jantzen", "--d", "2", "--lambda", "1,1"],
+                        ["prop-char", "--d", "3"], ["multiplicity", "--d", "4"]):
+            code, _, err = run_cli(command + ["--p", str(10**24)])
+            assert code == 2
+            assert "--p" in err
 
     def test_composite_p_exit_2(self):
         code, _, err = run_cli(["jantzen", "--p", "4", "--d", "2", "--lambda", "2,0"])
@@ -233,60 +258,43 @@ class TestSimpleCommands:
         assert "MISMATCH" in out
 
 
+LEFTOVER_CACHES = {
+    "garbage": "{ this is not json",
+    "version-0": json.dumps({"version": 0, "entries": [[[2, 1], [1, 1, 1], 99]]}),
+    "version-1": json.dumps({"version": 1, "entries": [[[2, 1], [1, 1, 1], 7]]}),
+}
+
+
 class TestCache:
-    def test_cache_file_created_and_reused(self, tmp_path, monkeypatch):
-        path = tmp_path / "cache.json"
-        monkeypatch.setenv("JANSUM_CACHE", str(path))
-        code, out1, _ = run_cli(["schur", "--lambda", "3,2,1"])
-        assert code == 0
-        assert path.exists()
-        blob = json.loads(path.read_text())
-        assert blob["version"] == 1
-        assert blob["entries"]
-        kostka_memo_clear()
-        code, out2, _ = run_cli(["schur", "--lambda", "3,2,1"])
-        assert out1 == out2
-
-    def test_corrupt_cache_ignored(self, tmp_path, monkeypatch):
-        path = tmp_path / "cache.json"
-        path.write_text("{ this is not json")
-        monkeypatch.setenv("JANSUM_CACHE", str(path))
-        code, out, _ = run_cli(["kostka", "--lambda", "2,2", "--mu", "1,1,1,1"])
-        assert code == 0
-        assert out.strip() == "2"
-
-    def test_stale_version_ignored(self, tmp_path, monkeypatch):
-        path = tmp_path / "cache.json"
-        # a poisoned entry under an old version must not be believed
-        path.write_text(json.dumps({"version": 0, "entries": [[[2, 1], [1, 1, 1], 99]]}))
-        monkeypatch.setenv("JANSUM_CACHE", str(path))
+    # Earlier releases kept Kostka numbers in a JSON file under the user
+    # cache directory and fed them back into results.  Nothing reads or
+    # writes such a file now, whatever it holds.
+    @pytest.mark.parametrize("name", sorted(LEFTOVER_CACHES))
+    def test_leftover_file_cannot_change_a_result(self, tmp_path, monkeypatch, name):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("HOME", str(tmp_path))
+        path = tmp_path / "jansum" / "kostka.json"
+        path.parent.mkdir()
+        path.write_text(LEFTOVER_CACHES[name])
+        before = path.read_bytes()
+        code, out, _ = run_cli(["identity", "--n", "3", "--which", "second"])
+        assert (code, out) == (0, "n=3 second EQUAL (prime, theorem)\n")
         code, out, _ = run_cli(["kostka", "--lambda", "2,1", "--mu", "1,1,1"])
-        assert code == 0
-        assert out.strip() == "2"
+        assert (code, out) == (0, "2\n")
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.rglob("*")) == [path.parent, path]
 
-    def test_no_cache_flag_gives_identical_output(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("JANSUM_CACHE", str(tmp_path / "cache.json"))
+    def test_no_cache_flag_gives_identical_output(self):
         code1, out1, _ = run_cli(["schur", "--lambda", "3,1,1"])
-        kostka_memo_clear()
         code2, out2, _ = run_cli(["schur", "--lambda", "3,1,1", "--no-cache"])
         assert code1 == code2 == 0
         assert out1 == out2
-
-    def test_no_cache_writes_nothing(self, tmp_path, monkeypatch):
-        path = tmp_path / "cache.json"
-        monkeypatch.setenv("JANSUM_CACHE", str(path))
-        code, _, _ = run_cli(["schur", "--lambda", "2,2", "--no-cache"])
-        assert code == 0
-        assert not path.exists()
 
 
 class TestSubprocessEntry:
     def test_module_invocation(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-        env["JANSUM_CACHE"] = os.path.join(
-            env.get("TMPDIR", "/tmp"), "jansum-test-cache.json"
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "jansum", "identity", "--n", "3", "--which", "first"],
             capture_output=True,

@@ -30,6 +30,26 @@ class TestHelpers:
         assert not is_prime(1)
         assert not is_prime(0)
 
+    def test_is_prime_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+        assert all(is_prime(n) == trial(n) for n in range(-3, 10**5))
+
+    def test_is_prime_large(self):
+        assert is_prime(10**18 + 3)
+        # a strong pseudoprime to every prime base up to 31; 37 exposes it
+        assert not is_prime(3825123056546413051)
+
+    def test_is_prime_refuses_at_the_bound(self):
+        # 399165290221 * 798330580441 passes all 12 bases 2..37
+        bound = 318665857834031151167461
+        assert is_prime(bound - 1) is False  # even, and still answered
+        with pytest.raises(ValueError):
+            is_prime(bound)
+        with pytest.raises(ValueError):
+            is_prime(bound + 1)
+
     def test_valuation(self):
         assert p_adic_valuation(2, 8) == 3
         assert p_adic_valuation(3, 9) == 2
