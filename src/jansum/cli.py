@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 success (all checks equal/passed),
 2 usage error, 3 verification failure, 4 internal oracle mismatch.
-No command reads or writes a file.  `sweep` prints each report as soon as
-it and every earlier n are done.
+A usage error is reported by argparse, or is the library's own ValueError;
+the CLI repeats none of the library's checks.  No command reads or writes a
+file.  `sweep` prints each report as soon as it and every earlier n are done.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import os
 import random
 import sys
-from typing import Iterator
 
 from .charring import (
     FormalCharacter,
@@ -24,6 +24,7 @@ from .identities import (
     FIRST,
     SECOND,
     IdentityReport,
+    conjecture_sweep,
     first_identity_shapes,
     multiplicity_one_report,
     second_identity_shapes,
@@ -53,43 +54,25 @@ EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
-# parsing and formatting helpers
+# argument types: argparse reports what they reject
 
-class _UsageError(Exception):
-    pass
-
-
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(piece) for piece in text.split(",")]
-    except ValueError:
-        raise _UsageError(f"{what} must be a comma-separated integer list, got {text!r}")
+def _int_list(text: str) -> list[int]:
+    return [int(piece) for piece in text.split(",")]
 
 
-def _parse_partition(text: str, what: str) -> Partition:
-    try:
-        return Partition(_parse_int_list(text, what))
-    except (ValueError, TypeError) as exc:
-        raise _UsageError(f"bad {what}: {exc}")
-
-
-def _require_prime(p: int) -> None:
+def _prime(text: str) -> int:
+    p = int(text)
     try:
         prime = is_prime(p)
     except ValueError as exc:
-        raise _UsageError(f"--p: {exc}")
+        raise argparse.ArgumentTypeError(str(exc))
     if not prime:
-        raise _UsageError(f"--p must be prime, got {p}")
+        raise argparse.ArgumentTypeError(f"must be prime, got {p}")
+    return p
 
 
-def _parse_levi(text: str | None, d: int) -> LeviDatum:
-    if text is None:
-        return LeviDatum.full(d)
-    try:
-        return LeviDatum(d, _parse_int_list(text, "--levi"))
-    except ValueError as exc:
-        raise _UsageError(f"bad --levi: {exc}")
-
+# ---------------------------------------------------------------------------
+# text forms
 
 def format_character(ch: FormalCharacter) -> str:
     """Human form: 'm[2,1] + 2·m[1,1,1]' or '+χ(0,1) -χ(1,0)'."""
@@ -127,194 +110,138 @@ def _identity_line(report: IdentityReport) -> str:
     return f"n={report.n} {report.which} {verdict} ({kind}, {report.label})"
 
 
+def _identity_text(report, args):
+    yield _identity_line(report)
+    if not report.equal:
+        yield f"diff: {format_character(report.diff)}"
+
+
+def _jantzen_text(report, args):
+    yield f"lambda={report.lam} p={report.p} levi={report.levi.describe()}"
+    if args.trace:
+        for term in report.terms:
+            yield "  " + _format_term(term)
+    yield f"total: {format_character(report.total)}"
+
+
+def _prop_char_text(report, args):
+    for check in report.checks:
+        status = "PASS" if check.passed else "FAIL"
+        yield f"p={report.p} d={report.d} i={check.i} {check.levi.describe()} {status}"
+        if not check.passed:
+            yield f"  expected: {format_character(check.expected)}"
+            yield f"  got:      {format_character(check.total)}"
+            for term in check.report.terms:
+                yield "  " + _format_term(term)
+    verdict = "PASS" if report.passed else "FAIL"
+    yield f"{verdict} ({len(report.checks)} checks)"
+
+
+def _multiplicity_text(report, args):
+    for family in report.families:
+        status = "PASS" if family.passed else "FAIL"
+        yield f"below {family.target}: {len(family.character.terms)} terms {status}"
+        for mu in family.missing:
+            yield f"  missing {mu}"
+        for mu in family.unexpected:
+            yield f"  unexpected {mu}"
+        for mu, coeff in family.wrong_multiplicity:
+            yield f"  coefficient {coeff} at {mu}"
+
+
 # ---------------------------------------------------------------------------
-# command handlers
+# the command table
 
-def _cmd_identity(args) -> int:
-    if args.n < 2:
-        raise _UsageError(f"--n must be at least 2, got {args.n}")
-    check = verify_first_identity if args.which == FIRST else verify_second_identity
-    report = check(args.n)
+def _levi(args) -> LeviDatum:
+    return LeviDatum.full(args.d) if args.levi is None else LeviDatum(args.d, args.levi)
+
+
+def _always(report) -> bool:
+    return True
+
+
+# name -> (the report from the args, its text lines from (report, args), its
+# JSON form from (report, args), whether the report passed)
+_COMMANDS = {
+    "identity": (
+        lambda a: next(conjecture_sweep(a.n, a.n, a.which)),
+        _identity_text,
+        lambda report, a: identity_report_to_json(report),
+        lambda report: report.equal,
+    ),
+    "jantzen": (
+        lambda a: jantzen_sum(Weight(a.lam), a.p, _levi(a)),
+        _jantzen_text,
+        lambda report, a: sum_report_to_json(report, include_terms=a.trace),
+        _always,
+    ),
+    "prop-char": (
+        lambda a: verify_prop_char(a.p, a.d),
+        _prop_char_text,
+        lambda report, a: prop_char_report_to_json(report),
+        lambda report: report.passed,
+    ),
+    "sequence": (
+        lambda a: lambda_sequence(a.p, a.d),
+        lambda weights, a: (f"lambda_{i} = {w}" for i, w in enumerate(weights)),
+        lambda weights, a: {"p": a.p, "d": a.d, "weights": [weight_to_json(w) for w in weights]},
+        _always,
+    ),
+    "schur": (
+        lambda a: schur_to_monomial(Partition(a.lam)),
+        lambda ch, a: [f"S{Partition(a.lam)} = {format_character(ch)}"],
+        lambda ch, a: character_to_json(ch),
+        _always,
+    ),
+    "kostka": (
+        lambda a: kostka(Partition(a.lam), Partition(a.mu)),
+        lambda value, a: [value],
+        lambda value, a: {
+            "shape": partition_to_json(Partition(a.lam)),
+            "content": partition_to_json(Partition(a.mu)),
+            "value": value,
+        },
+        _always,
+    ),
+    "normalize": (
+        lambda a: dot_normalize(Weight(a.coords), _levi(a)),
+        lambda sd, a: [
+            "singular" if sd.is_singular else f"sign={sd.sign:+d} dominant={sd.dominant}"
+        ],
+        lambda sd, a: signed_dominant_to_json(sd),
+        _always,
+    ),
+    "multiplicity": (
+        lambda a: multiplicity_one_report(a.p, a.d),
+        _multiplicity_text,
+        lambda report, a: multiplicity_report_to_json(report),
+        lambda report: report.passed,
+    ),
+}
+
+
+def _run(args) -> int:
+    """Print the report of a table command, in the one form asked for."""
+    build, text, to_json, passed = _COMMANDS[args.command]
+    report = build(args)
     if args.json:
-        print(canonical_dumps(identity_report_to_json(report)))
+        print(canonical_dumps(to_json(report, args)))
     else:
-        print(_identity_line(report))
-        if not report.equal:
-            print(f"diff: {format_character(report.diff)}")
-    return EXIT_OK if report.equal else EXIT_VERIFY
-
-
-def _sweep_one(task: tuple[int, str]) -> IdentityReport:
-    n, which = task
-    check = verify_first_identity if which == FIRST else verify_second_identity
-    return check(n)
-
-
-def _run_sweep(n_min: int, n_max: int, which: str, jobs: int) -> Iterator[IdentityReport]:
-    """Reports in n order, each as soon as it and every earlier n are done."""
-    tasks = [(n, which) for n in range(n_min, n_max + 1)]
-    done = 0
-    if jobs > 1 and len(tasks) > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-                for report in pool.map(_sweep_one, tasks):
-                    done += 1
-                    yield report
-        except (OSError, PermissionError, NotImplementedError, ImportError):
-            pass  # restricted environments: finish in-process
-    for task in tasks[done:]:
-        yield _sweep_one(task)
+        for line in text(report, args):
+            print(line)
+    return EXIT_OK if passed(report) else EXIT_VERIFY
 
 
 def _cmd_sweep(args) -> int:
-    if not 2 <= args.n_min <= args.n_max:
-        raise _UsageError(
-            f"need 2 <= n_min <= n_max, got ({args.n_min}, {args.n_max})"
-        )
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    if jobs < 1:
-        raise _UsageError(f"--jobs must be positive, got {jobs}")
+    jobs = args.jobs or os.cpu_count() or 1
     all_equal = True
-    for report in _run_sweep(args.n_min, args.n_max, args.which, jobs):
+    for report in conjecture_sweep(args.n_min, args.n_max, args.which, jobs):
         if args.jsonl:
             print(canonical_dumps(identity_report_to_json(report)), flush=True)
         else:
             print(_identity_line(report), flush=True)
         all_equal = all_equal and report.equal
     return EXIT_OK if all_equal else EXIT_VERIFY
-
-
-def _cmd_jantzen(args) -> int:
-    _require_prime(args.p)
-    if args.d < 2:
-        raise _UsageError(f"--d must be at least 2, got {args.d}")
-    coords = _parse_int_list(args.lam, "--lambda")
-    if len(coords) != args.d:
-        raise _UsageError(f"--lambda needs {args.d} coordinates, got {len(coords)}")
-    lam = Weight(coords)
-    levi = _parse_levi(args.levi, args.d)
-    if not levi.is_dominant(lam):
-        raise _UsageError(f"{lam} is not dominant for {levi.describe()}")
-    report = jantzen_sum(lam, args.p, levi)
-    if args.json:
-        print(canonical_dumps(sum_report_to_json(report, include_terms=args.trace)))
-        return EXIT_OK
-    print(f"lambda={lam} p={args.p} levi={levi.describe()}")
-    if args.trace:
-        for term in report.terms:
-            print("  " + _format_term(term))
-    print(f"total: {format_character(report.total)}")
-    return EXIT_OK
-
-
-def _cmd_prop_char(args) -> int:
-    _require_prime(args.p)
-    if args.d < 3:
-        raise _UsageError(f"--d must be at least 3, got {args.d}")
-    report = verify_prop_char(args.p, args.d)
-    if args.json:
-        print(canonical_dumps(prop_char_report_to_json(report)))
-        return EXIT_OK if report.passed else EXIT_VERIFY
-    for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        print(f"p={report.p} d={report.d} i={check.i} {check.levi.describe()} {status}")
-        if not check.passed:
-            print(f"  expected: {format_character(check.expected)}")
-            print(f"  got:      {format_character(check.total)}")
-            for term in check.report.terms:
-                print("  " + _format_term(term))
-    verdict = "PASS" if report.passed else "FAIL"
-    print(f"{verdict} ({len(report.checks)} checks)")
-    return EXIT_OK if report.passed else EXIT_VERIFY
-
-
-def _cmd_sequence(args) -> int:
-    if args.p < 2:
-        raise _UsageError(f"--p must be at least 2, got {args.p}")
-    if args.d < 3:
-        raise _UsageError(f"--d must be at least 3, got {args.d}")
-    weights = lambda_sequence(args.p, args.d)
-    if args.json:
-        payload = {
-            "p": args.p,
-            "d": args.d,
-            "weights": [weight_to_json(w) for w in weights],
-        }
-        print(canonical_dumps(payload))
-    else:
-        for i, w in enumerate(weights):
-            print(f"lambda_{i} = {w}")
-    return EXIT_OK
-
-
-def _cmd_schur(args) -> int:
-    lam = _parse_partition(args.lam, "--lambda")
-    ch = schur_to_monomial(lam)
-    if args.json:
-        print(canonical_dumps(character_to_json(ch)))
-    else:
-        print(f"S{lam} = {format_character(ch)}")
-    return EXIT_OK
-
-
-def _cmd_kostka(args) -> int:
-    lam = _parse_partition(args.lam, "--lambda")
-    mu = _parse_partition(args.mu, "--mu")
-    if lam.size != mu.size:
-        raise _UsageError(f"sizes differ: |{lam}| = {lam.size}, |{mu}| = {mu.size}")
-    value = kostka(lam, mu)
-    if args.json:
-        payload = {
-            "shape": partition_to_json(lam),
-            "content": partition_to_json(mu),
-            "value": value,
-        }
-        print(canonical_dumps(payload))
-    else:
-        print(value)
-    return EXIT_OK
-
-
-def _cmd_normalize(args) -> int:
-    if args.d < 2:
-        raise _UsageError(f"--d must be at least 2, got {args.d}")
-    coords = _parse_int_list(args.coords, "--coords")
-    if len(coords) != args.d:
-        raise _UsageError(f"--coords needs {args.d} entries, got {len(coords)}")
-    levi = _parse_levi(args.levi, args.d)
-    outcome = dot_normalize(Weight(coords), levi)
-    if args.json:
-        print(canonical_dumps(signed_dominant_to_json(outcome)))
-    elif outcome.is_singular:
-        print("singular")
-    else:
-        print(f"sign={outcome.sign:+d} dominant={outcome.dominant}")
-    return EXIT_OK
-
-
-def _cmd_multiplicity(args) -> int:
-    _require_prime(args.p)
-    try:
-        report = multiplicity_one_report(args.p, args.d)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    if args.json:
-        print(canonical_dumps(multiplicity_report_to_json(report)))
-        return EXIT_OK if report.passed else EXIT_VERIFY
-    for family in report.families:
-        status = "PASS" if family.passed else "FAIL"
-        print(
-            f"below {family.target}: {len(family.character.terms)} terms {status}"
-        )
-        for mu in family.missing:
-            print(f"  missing {mu}")
-        for mu in family.unexpected:
-            print(f"  unexpected {mu}")
-        for mu, coeff in family.wrong_multiplicity:
-            print(f"  coefficient {coeff} at {mu}")
-    return EXIT_OK if report.passed else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------
@@ -434,77 +361,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("identity", parents=[common], help="check one identity at one n")
+    def command(name: str, help: str, handler=_run) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("identity", "check one identity at one n")
     p.add_argument("--n", type=int, required=True, help="identity parameter, n >= 2")
     p.add_argument("--which", choices=(FIRST, SECOND), required=True)
-    p.add_argument("--json", action="store_true", help="canonical JSON report")
-    p.set_defaults(handler=_cmd_identity)
 
-    p = sub.add_parser("sweep", parents=[common], help="check an identity over a range of n")
+    p = command("sweep", "check an identity over a range of n", _cmd_sweep)
     p.add_argument("n_min", type=int)
     p.add_argument("n_max", type=int)
     p.add_argument("--which", choices=(FIRST, SECOND), required=True)
     p.add_argument("--jobs", type=int, default=0, help="worker processes (default: all cores)")
     p.add_argument("--jsonl", action="store_true", help="one JSON report per line")
-    p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("jantzen", parents=[common], help="evaluate one Jantzen sum")
-    p.add_argument("--p", type=int, required=True, help="prime characteristic")
+    p = command("jantzen", "evaluate one Jantzen sum")
+    p.add_argument("--p", type=_prime, required=True, help="prime characteristic")
     p.add_argument("--d", type=int, required=True, help="rank: the group is SL(d+1)")
-    p.add_argument("--lambda", dest="lam", required=True, metavar="COORDS",
+    p.add_argument("--lambda", dest="lam", type=_int_list, required=True, metavar="COORDS",
                    help="dominant weight, comma-separated fundamental coordinates")
-    p.add_argument("--levi", metavar="SIMPLES", help="comma list of simple roots (default: all)")
+    p.add_argument("--levi", type=_int_list, metavar="SIMPLES",
+                   help="comma list of simple roots (default: all)")
     p.add_argument("--trace", action="store_true", help="list every (root, m) term")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_jantzen)
 
-    p = sub.add_parser(
-        "prop-char",
-        parents=[common],
-        help="verify the Jantzen-sum telescope over the whole lambda sequence",
-    )
-    p.add_argument("--p", type=int, required=True, help="prime characteristic")
+    p = command("prop-char", "verify the Jantzen-sum telescope over the whole lambda sequence")
+    p.add_argument("--p", type=_prime, required=True, help="prime characteristic")
     p.add_argument("--d", type=int, required=True, help="rank: the group is SL(d+1)")
-    p.add_argument("--json", action="store_true", help="canonical JSON report")
-    p.set_defaults(handler=_cmd_prop_char)
 
-    p = sub.add_parser("sequence", parents=[common], help="print the lambda sequence")
+    p = command("sequence", "print the lambda sequence")
     p.add_argument("--p", type=int, required=True, help="characteristic parameter, p >= 2")
     p.add_argument("--d", type=int, required=True, help="rank: the group is SL(d+1)")
-    p.add_argument("--json", action="store_true", help="canonical JSON report")
-    p.set_defaults(handler=_cmd_sequence)
 
-    p = sub.add_parser("schur", parents=[common], help="expand a Schur function in monomials")
-    p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS", help="partition")
-    p.add_argument("--json", action="store_true", help="canonical JSON report")
-    p.set_defaults(handler=_cmd_schur)
+    p = command("schur", "expand a Schur function in monomials")
+    p.add_argument("--lambda", dest="lam", type=_int_list, required=True, metavar="PARTS",
+                   help="partition")
 
-    p = sub.add_parser("kostka", parents=[common], help="one Kostka number")
-    p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS", help="shape")
-    p.add_argument("--mu", required=True, metavar="PARTS", help="content")
-    p.add_argument("--json", action="store_true", help="canonical JSON report")
-    p.set_defaults(handler=_cmd_kostka)
+    p = command("kostka", "one Kostka number")
+    p.add_argument("--lambda", dest="lam", type=_int_list, required=True, metavar="PARTS",
+                   help="shape")
+    p.add_argument("--mu", type=_int_list, required=True, metavar="PARTS", help="content")
 
-    p = sub.add_parser("normalize", parents=[common], help="dot-normalize a weight")
+    p = command("normalize", "dot-normalize a weight")
     p.add_argument("--d", type=int, required=True, help="rank: the group is SL(d+1)")
-    p.add_argument("--coords", required=True, metavar="COORDS", help="weight coordinates")
-    p.add_argument("--levi", metavar="SIMPLES", help="comma list of simple roots (default: all)")
-    p.add_argument("--json", action="store_true", help="canonical JSON report")
-    p.set_defaults(handler=_cmd_normalize)
+    p.add_argument("--coords", type=_int_list, required=True, metavar="COORDS",
+                   help="weight coordinates")
+    p.add_argument("--levi", type=_int_list, metavar="SIMPLES",
+                   help="comma list of simple roots (default: all)")
 
-    p = sub.add_parser(
-        "multiplicity",
-        parents=[common],
-        help="check multiplicity-one support of the derived simple characters",
-    )
-    p.add_argument("--p", type=int, required=True, help="prime characteristic")
+    p = command("multiplicity", "check multiplicity-one support of the derived simple characters")
+    p.add_argument("--p", type=_prime, required=True, help="prime characteristic")
     p.add_argument("--d", type=int, required=True, help="rank: the group is SL(d+1)")
-    p.add_argument("--json", action="store_true", help="canonical JSON report")
-    p.set_defaults(handler=_cmd_multiplicity)
 
-    p = sub.add_parser("selftest", parents=[common], help="cross-check against the slow oracles")
-    p.set_defaults(handler=_cmd_selftest)
+    command("selftest", "cross-check against the slow oracles", _cmd_selftest)
 
+    for name in _COMMANDS:
+        sub.choices[name].add_argument("--json", action="store_true", help="canonical JSON report")
     return parser
 
 
@@ -535,7 +448,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_dash_values(list(argv)))
     try:
         return args.handler(args)
-    except _UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,7 +20,7 @@ from .charring import (
     schur_sum_to_monomial,
 )
 from .jantzen import derived_simple_chars, is_prime
-from .lattice import Partition, partitions_below
+from .lattice import Partition, check_ideal_size, partitions_below
 
 FIRST = "first"
 SECOND = "second"
@@ -94,14 +94,47 @@ def verify_second_identity(n: int) -> IdentityReport:
     return _report(n, SECOND, lhs, _alternating_schur_sum(shapes))
 
 
-def conjecture_sweep(n_min: int, n_max: int, which: str) -> list[IdentityReport]:
-    """Run one identity over a range of n; reports only, never asserts."""
+def _family(which: str) -> tuple:
+    """The top of the ideal at n, and the check, of one identity family."""
+    if which == FIRST:
+        return (lambda n: Partition((n - 1, n - 1, 1))), verify_first_identity
+    if which == SECOND:
+        return (lambda n: Partition((n - 1, 1))), verify_second_identity
+    raise ValueError(f"which must be {FIRST!r} or {SECOND!r}, got {which!r}")
+
+
+def conjecture_sweep(n_min: int, n_max: int, which: str, jobs: int = 1):
+    """Run one identity over a range of n; reports only, never asserts.
+
+    Returns an iterator of IdentityReport in n order, each yielded as soon
+    as it and every earlier n are done; with jobs > 1 they are computed in
+    a process pool.  The arguments are checked before anything runs, the
+    largest ideal of the range included (lattice.check_ideal_size), so a
+    refused range raises ValueError here and yields nothing.
+    """
+    top, check = _family(which)
     if not 2 <= n_min <= n_max:
         raise ValueError(f"need 2 <= n_min <= n_max, got ({n_min}, {n_max})")
-    check = {FIRST: verify_first_identity, SECOND: verify_second_identity}.get(which)
-    if check is None:
-        raise ValueError(f"which must be {FIRST!r} or {SECOND!r}, got {which!r}")
-    return [check(n) for n in range(n_min, n_max + 1)]
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
+    check_ideal_size(top(n_max))
+    return _reports(check, list(range(n_min, n_max + 1)), jobs)
+
+
+def _reports(check, ns: list[int], jobs: int):
+    done = 0
+    if jobs > 1 and len(ns) > 1:
+        try:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=min(jobs, len(ns))) as pool:
+                for report in pool.map(check, ns):
+                    done += 1
+                    yield report
+        except (OSError, NotImplementedError, ImportError):
+            pass  # restricted environments: finish in-process
+    for n in ns[done:]:
+        yield check(n)
 
 
 @dataclass

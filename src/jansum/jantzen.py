@@ -105,7 +105,7 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
     if lam.rank != levi.rank:
         raise ValueError(f"rank mismatch: weight {lam.rank}, Levi {levi.rank}")
     if not levi.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant for {levi!r}")
+        raise ValueError(f"{lam} is not dominant for {levi.describe()}")
     shifted = lam + rho(lam.rank)
     terms: list[JantzenTerm] = []
     total: dict[Weight, int] = {}

@@ -25,27 +25,12 @@ def partition_to_json(p: Partition) -> list[int]:
     return list(p.parts)
 
 
-def partition_from_json(obj) -> Partition:
-    return Partition(obj)
-
-
 def weight_to_json(w: Weight) -> dict:
     return {"d": w.rank, "coords": list(w.coords)}
 
 
-def weight_from_json(obj) -> Weight:
-    w = Weight(obj["coords"])
-    if w.rank != obj["d"]:
-        raise ValueError(f"rank {obj['d']} does not match coords {obj['coords']}")
-    return w
-
-
 def levi_to_json(levi: LeviDatum) -> dict:
     return {"d": levi.rank, "simples": sorted(levi.simples)}
-
-
-def levi_from_json(obj) -> LeviDatum:
-    return LeviDatum(obj["d"], obj["simples"])
 
 
 def signed_dominant_to_json(sd: SignedDominant) -> dict:
@@ -66,16 +51,6 @@ def character_to_json(ch: FormalCharacter) -> dict:
         for key, coeff in ch.items_sorted()
     ]
     return {"basis": BASIS_WEYL, "levi": levi_to_json(ch.levi), "terms": terms}
-
-
-def character_from_json(obj) -> FormalCharacter:
-    basis = obj["basis"]
-    if basis == BASIS_MONOMIAL:
-        terms = {Partition(t["key"]): int(t["coeff"]) for t in obj["terms"]}
-        return FormalCharacter(BASIS_MONOMIAL, None, terms)
-    levi = levi_from_json(obj["levi"])
-    terms = {weight_from_json(t["key"]): int(t["coeff"]) for t in obj["terms"]}
-    return FormalCharacter(BASIS_WEYL, levi, terms)
 
 
 def jantzen_term_to_json(term: JantzenTerm) -> dict:

@@ -162,7 +162,7 @@ def dot_normalize(mu: Weight, levi: LeviDatum) -> SignedDominant:
 
     Works on the epsilon coordinates of mu + rho: a repeated entry inside a
     block means mu is singular for the Levi; otherwise each block is sorted
-    strictly decreasing, the sign is the parity of inversions removed, and
+    strictly decreasing, the sign is the parity of that permutation, and
     rho is subtracted back off.  Uses the full rho even for a proper Levi
     (the difference from the Levi's own rho is invariant under its Weyl
     group, so the normalized pair is unchanged).
@@ -170,42 +170,31 @@ def dot_normalize(mu: Weight, levi: LeviDatum) -> SignedDominant:
     if mu.rank != levi.rank:
         raise ValueError(f"rank mismatch: weight {mu.rank}, Levi {levi.rank}")
     eps = list(to_epsilon(mu + rho(mu.rank)))
-    inversions = 0
+    transpositions = 0
     for block in levi.blocks:
         vals = [eps[pos - 1] for pos in block]
         if len(set(vals)) < len(vals):
             return SignedDominant.singular()
-        sorted_vals, inv = _sort_desc_counting(vals)
-        inversions += inv
-        for pos, v in zip(block, sorted_vals):
-            eps[pos - 1] = v
-    sign = -1 if inversions % 2 else 1
+        order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
+        transpositions += len(order) - _cycle_count(order)
+        for pos, i in zip(block, order):
+            eps[pos - 1] = vals[i]
+    sign = -1 if transpositions % 2 else 1
     return SignedDominant(sign, from_epsilon(eps) - rho(mu.rank))
 
 
-def _sort_desc_counting(vals: list[int]) -> tuple[list[int], int]:
-    """Merge sort into descending order, counting pairs i < j with v[i] < v[j]."""
-    n = len(vals)
-    if n <= 1:
-        return list(vals), 0
-    mid = n // 2
-    left, inv_l = _sort_desc_counting(vals[:mid])
-    right, inv_r = _sort_desc_counting(vals[mid:])
-    merged: list[int] = []
-    inv = inv_l + inv_r
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] >= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            # right[j] jumps over every remaining left entry
-            merged.append(right[j])
-            j += 1
-            inv += len(left) - i
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return merged, inv
+def _cycle_count(perm: list[int]) -> int:
+    """Cycles of a permutation of range(len(perm)); k - cycles has its parity."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return cycles
 
 
 def dot_orbit_oracle(mu: Weight) -> SignedDominant:

@@ -47,6 +47,13 @@ def hook_length_count(shape: tuple[int, ...]) -> int:
     return factorial(sum(shape)) // hooks
 
 
+def inversions(vals) -> int:
+    """Pairs i < j with vals[i] < vals[j], counted one pair at a time."""
+    return sum(
+        1 for i in range(len(vals)) for j in range(i + 1, len(vals)) if vals[i] < vals[j]
+    )
+
+
 def random_weight(rng: random.Random, d: int, lo: int = -6, hi: int = 6) -> Weight:
     return Weight([rng.randint(lo, hi) for _ in range(d)])
 

@@ -54,7 +54,7 @@ class TestIdentityCommand:
             )
             return report
 
-        monkeypatch.setattr("jansum.cli.verify_first_identity", broken)
+        monkeypatch.setattr("jansum.identities.verify_first_identity", broken)
         code, out, _ = run_cli(["identity", "--n", "3", "--which", "first"])
         assert code == 3
         assert "DIFFER" in out
@@ -88,14 +88,15 @@ class TestSweepCommand:
         # every earlier report must be in stdout when the last n starts
         from jansum import identities
 
+        real = identities.verify_second_identity
         printed_before_last = []
 
         def spy(n):
             if n == 6:
                 printed_before_last.append(sys.stdout.getvalue())
-            return identities.verify_second_identity(n)
+            return real(n)
 
-        monkeypatch.setattr("jansum.cli.verify_second_identity", spy)
+        monkeypatch.setattr("jansum.identities.verify_second_identity", spy)
         argv = ["sweep", "2", "6", "--which", "second", "--jobs", "1"]
         code, out, _ = run_cli(argv + ["--jsonl"] if jsonl else argv)
         assert code == 0
@@ -258,6 +259,30 @@ class TestSimpleCommands:
         assert "MISMATCH" in out
 
 
+# one bad input per subcommand: the library refuses all but the last, which
+# argparse refuses
+USAGE_ERRORS = {
+    "identity": ["identity", "--n", "1", "--which", "first"],
+    "sweep": ["sweep", "5", "4", "--which", "first"],
+    "jantzen": ["jantzen", "--p", "2", "--d", "2", "--lambda", "-1,0"],
+    "prop-char": ["prop-char", "--p", "3", "--d", "2"],
+    "sequence": ["sequence", "--p", "1", "--d", "5"],
+    "schur": ["schur", "--lambda", "1,2"],
+    "kostka": ["kostka", "--lambda", "2,1", "--mu", "1,1"],
+    "normalize": ["normalize", "--d", "2", "--coords", "1,2,3"],
+    "multiplicity": ["multiplicity", "--p", "5", "--d", "7"],
+    "selftest": ["selftest", "--bogus"],
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+    def test_exit_2_with_nothing_on_stdout(self, name):
+        code, out, err = run_cli(USAGE_ERRORS[name])
+        assert (code, out) == (2, "")
+        assert "error" in err
+
+
 LEFTOVER_CACHES = {
     "garbage": "{ this is not json",
     "version-0": json.dumps({"version": 0, "entries": [[[2, 1], [1, 1, 1], 99]]}),
@@ -303,6 +328,27 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0
         assert "EQUAL" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["identity", "--n", "150", "--which", "second"],
+        ["sweep", "2", "150", "--which", "second", "--jobs", "1"],
+        ["schur", "--lambda", "150"],
+    ])
+    def test_huge_ideal_refused(self, argv):
+        # about 4e10 partitions: refused up front.  In a subprocess, so that
+        # a missing refusal fails on the timeout instead of hanging the
+        # suite; --jobs 1, so that no pool worker outlives that timeout.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "jansum", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "refused" in proc.stderr
 
     def test_usage_error_exit_code(self):
         env = dict(os.environ)

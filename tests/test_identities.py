@@ -91,7 +91,7 @@ class TestHomogeneity:
 
 class TestSweep:
     def test_range_of_second(self):
-        reports = conjecture_sweep(2, 6, "second")
+        reports = list(conjecture_sweep(2, 6, "second"))
         assert [r.n for r in reports] == [2, 3, 4, 5, 6]
         assert all(r.equal for r in reports)
 
@@ -109,6 +109,13 @@ class TestSweep:
             conjecture_sweep(5, 4, "first")
         with pytest.raises(ValueError):
             conjecture_sweep(1, 4, "first")
+        with pytest.raises(ValueError):
+            conjecture_sweep(2, 4, "first", jobs=0)
+
+    def test_huge_ideal_refused_before_the_first_report(self):
+        # n = 150 would need about 4e10 partitions
+        with pytest.raises(ValueError, match="refused"):
+            conjecture_sweep(2, 150, "second")
 
     def test_bad_which(self):
         with pytest.raises(ValueError):

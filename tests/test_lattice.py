@@ -3,11 +3,13 @@ import random
 import pytest
 
 from helpers import brute_partitions, prefix_leq, random_weight
+from jansum import lattice
 from jansum.lattice import (
     LiftError,
     Partition,
     Root,
     Weight,
+    check_ideal_size,
     dominance_leq,
     fundamental_weight,
     lambda_f_weight,
@@ -174,6 +176,37 @@ class TestPartitionsBelow:
 
     def test_empty_partition(self):
         assert partitions_below(Partition()) == [Partition()]
+
+
+class TestIdealGuard:
+    @pytest.mark.parametrize("top", [(5, 1), (11, 1), (4, 4, 1), (7, 7, 1)])
+    def test_bound_is_exact_for_both_identity_families(self, monkeypatch, top):
+        size = len(partitions_below(Partition(top)))
+        monkeypatch.setattr(lattice, "IDEAL_LIMIT", size)
+        check_ideal_size(Partition(top))
+        monkeypatch.setattr(lattice, "IDEAL_LIMIT", size - 1)
+        with pytest.raises(ValueError):
+            check_ideal_size(Partition(top))
+
+    def test_admits_the_largest_sizes_checked(self):
+        # second identity at n = 32, 40 and 45, first at n = 16 and 23
+        for top in [(31, 1), (39, 1), (44, 1), (15, 15, 1), (22, 22, 1)]:
+            check_ideal_size(Partition(top))
+
+    def test_refuses_before_walking(self):
+        # just past the limit, and a walk deeper than the interpreter's stack;
+        # without the guard both still end, so a missing guard fails here
+        for top in [(45, 1), (2,) * 200_001]:
+            with pytest.raises(ValueError, match="refused"):
+                partitions_below(Partition(top))
+
+    def test_refuses_far_past_the_limit(self):
+        for top in [(23, 23, 1), (149, 1), (10**9,)]:
+            with pytest.raises(ValueError, match="refused"):
+                check_ideal_size(Partition(top))
+
+    def test_single_column_is_one_partition(self):
+        assert partitions_below(Partition((1,) * 500)) == [Partition((1,) * 500)]
 
 
 class TestWeightPartitionConversion:

@@ -6,35 +6,36 @@ from jansum.jantzen import jantzen_sum
 from jansum.lattice import Partition, Weight
 from jansum.serialize import (
     canonical_dumps,
-    character_from_json,
     character_to_json,
     identity_report_to_json,
-    levi_from_json,
     levi_to_json,
-    partition_from_json,
     partition_to_json,
     signed_dominant_to_json,
     sum_report_to_json,
-    weight_from_json,
     weight_to_json,
 )
 from jansum.weyl import LeviDatum, SignedDominant, dot_normalize
 
 
+def parsed_terms(blob: dict) -> dict:
+    """{key: coefficient} rebuilt from the JSON form of a character."""
+    def key(k):
+        return Partition(k) if blob["basis"] == "monomial" else Weight(k["coords"])
+
+    return {key(t["key"]): int(t["coeff"]) for t in blob["terms"]}
+
+
 class TestScalarForms:
     def test_partition(self):
         assert partition_to_json(Partition((2, 2, 1))) == [2, 2, 1]
-        assert partition_from_json([2, 2, 1]) == Partition((2, 2, 1))
 
     def test_weight(self):
         w = Weight((0, 1, 1, 0))
         assert weight_to_json(w) == {"d": 4, "coords": [0, 1, 1, 0]}
-        assert weight_from_json({"d": 4, "coords": [0, 1, 1, 0]}) == w
 
     def test_levi(self):
         levi = LeviDatum(4, (2, 3))
         assert levi_to_json(levi) == {"d": 4, "simples": [2, 3]}
-        assert levi_from_json({"d": 4, "simples": [2, 3]}) == levi
 
     def test_signed_dominant(self):
         assert signed_dominant_to_json(SignedDominant.singular()) == {"singular": True}
@@ -70,7 +71,9 @@ class TestCharacterForm:
             schur_to_monomial(Partition((3, 2))),
             jantzen_sum(Weight((4, 3, 2)), 2, LeviDatum.full(3)).total,
         ):
-            assert character_from_json(character_to_json(ch)) == ch
+            blob = character_to_json(ch)
+            assert parsed_terms(blob) == ch.terms
+            assert blob.get("levi") == (ch.levi and levi_to_json(ch.levi))
 
     def test_coefficients_are_decimal_strings(self):
         blob = character_to_json(schur_to_monomial(Partition((2, 2, 1))))
@@ -91,7 +94,7 @@ class TestReportForms:
         parsed = json.loads(canonical_dumps(blob))
         assert parsed["equal"] is True
         assert parsed["n"] == 4
-        assert character_from_json(parsed["lhs"]) == verify_second_identity(4).lhs
+        assert parsed_terms(parsed["lhs"]) == verify_second_identity(4).lhs.terms
 
     def test_canonical_dumps_round_trips_byte_identical(self):
         samples = [

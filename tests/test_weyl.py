@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import random_dominant, random_weight
+from helpers import inversions, random_dominant, random_weight
 from jansum.lattice import Root, Weight, fundamental_weight, pairing, rho, zero_weight
 from jansum.weyl import (
     LeviDatum,
@@ -199,6 +199,27 @@ class TestDotNormalize:
             if not out.is_singular:
                 for s in levi.simples:
                     assert pairing(out.dominant + rho(d), Root(s, s)) >= 1
+
+    def test_large_blocks_match_brute_inversion_count(self):
+        # dot_orbit_oracle stops at rank 6; here blocks reach 31 entries
+        rng = random.Random(30)
+        d = 30
+        for trial in range(100):
+            eps = rng.sample(range(-80, 80), d + 1)
+            mu = from_epsilon(eps) - rho(d)
+            simples = range(1, d + 1) if trial % 4 == 0 else [
+                j for j in range(1, d + 1) if rng.random() < 0.9
+            ]
+            levi = LeviDatum(d, simples)
+            arranged = list(eps)
+            inv = 0
+            for block in levi.blocks:
+                vals = [eps[pos - 1] for pos in block]
+                inv += inversions(vals)
+                for pos, v in zip(block, sorted(vals, reverse=True)):
+                    arranged[pos - 1] = v
+            expected = SignedDominant(-1 if inv % 2 else 1, from_epsilon(arranged) - rho(d))
+            assert dot_normalize(mu, levi) == expected
 
     def test_normalizing_twice_is_stable(self):
         rng = random.Random(19)
