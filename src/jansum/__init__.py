@@ -2,7 +2,7 @@
 
 Partitions and dominance order, the weight lattice in fundamental
 coordinates, the Weyl-group dot action (full group and standard Levi
-subgroups), the Jantzen sum formula with full term traces, Kostka numbers
+subgroups), the Jantzen sum formula with per-term traces, Kostka numbers
 and Schur-to-monomial expansion, and machine verification of a family of
 alternating Schur-function identities over dominance ideals.
 """

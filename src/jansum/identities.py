@@ -80,26 +80,41 @@ def second_identity_shapes(n: int) -> list[Partition]:
     return [Partition([n - 1 - i] + [1] * (i + 1)) for i in range(n - 1)]
 
 
+def _first_top(n: int) -> Partition:
+    return Partition((n - 1, n - 1, 1))
+
+
+def _second_top(n: int) -> Partition:
+    return Partition((n - 1, 1))
+
+
+def _checked_top(top, n: int) -> Partition:
+    """top(n), once n >= 2 and the ideal below it passes check_ideal_size."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    b = top(n)
+    check_ideal_size(b)
+    return b
+
+
 def verify_first_identity(n: int) -> IdentityReport:
     """Compare both sides of the degree-(2n-1) identity below (n-1, n-1, 1)."""
-    shapes = first_identity_shapes(n)
-    lhs = _monomial_ideal_sum(Partition((n - 1, n - 1, 1)))
-    return _report(n, FIRST, lhs, _alternating_schur_sum(shapes))
+    lhs = _monomial_ideal_sum(_checked_top(_first_top, n))
+    return _report(n, FIRST, lhs, _alternating_schur_sum(first_identity_shapes(n)))
 
 
 def verify_second_identity(n: int) -> IdentityReport:
     """Compare both sides of the degree-n identity below (n-1, 1)."""
-    shapes = second_identity_shapes(n)
-    lhs = _monomial_ideal_sum(Partition((n - 1, 1)))
-    return _report(n, SECOND, lhs, _alternating_schur_sum(shapes))
+    lhs = _monomial_ideal_sum(_checked_top(_second_top, n))
+    return _report(n, SECOND, lhs, _alternating_schur_sum(second_identity_shapes(n)))
 
 
 def _family(which: str) -> tuple:
     """The top of the ideal at n, and the check, of one identity family."""
     if which == FIRST:
-        return (lambda n: Partition((n - 1, n - 1, 1))), verify_first_identity
+        return _first_top, verify_first_identity
     if which == SECOND:
-        return (lambda n: Partition((n - 1, 1))), verify_second_identity
+        return _second_top, verify_second_identity
     raise ValueError(f"which must be {FIRST!r} or {SECOND!r}, got {which!r}")
 
 

@@ -11,7 +11,9 @@ import io
 import random
 from math import factorial
 
-from jansum.lattice import Weight
+from jansum.jantzen import JantzenTerm, p_adic_valuation
+from jansum.lattice import Weight, pairing, rho
+from jansum.weyl import affine_dot_reflect, dot_normalize
 
 
 def brute_partitions(n: int, max_part: int | None = None):
@@ -60,6 +62,28 @@ def random_weight(rng: random.Random, d: int, lo: int = -6, hi: int = 6) -> Weig
 
 def random_dominant(rng: random.Random, d: int, hi: int = 5) -> Weight:
     return Weight([rng.randint(0, hi) for _ in range(d)])
+
+
+def reference_jantzen(lam: Weight, p: int, levi) -> tuple[tuple[JantzenTerm, ...], dict]:
+    """The Jantzen sum the generic way: (trace, {dominant weight: coefficient}).
+
+    Every (root, level) pair is dot-reflected and normalized in full, with
+    no closed form: the slow reference for jantzen_sum and its trace.
+    """
+    shifted = lam + rho(lam.rank)
+    terms = []
+    total: dict = {}
+    for root in levi.positive_roots():
+        c = pairing(shifted, root)
+        for level in range(p, c, p):
+            image = affine_dot_reflect(lam, root, level)
+            outcome = dot_normalize(image, levi)
+            valuation = p_adic_valuation(p, level)
+            terms.append(JantzenTerm(root, level // p, level, c - level, valuation, image, outcome))
+            if not outcome.is_singular:
+                key = outcome.dominant
+                total[key] = total.get(key, 0) + outcome.sign * valuation
+    return tuple(terms), {k: c for k, c in total.items() if c}
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from helpers import run_cli
+from helpers import reference_jantzen, run_cli
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -170,6 +171,75 @@ class TestJantzenCommand:
         assert code == 0
         text = out.strip()
         assert json.dumps(json.loads(text), separators=(",", ":")) == text
+
+    @pytest.mark.parametrize("trace", [[], ["--trace"]])
+    def test_term_budget_exit_2_at_once(self, trace):
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            ["jantzen", "--p", "2", "--d", "2", "--lambda", "100000000,0"] + trace
+        )
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (2, "")
+        assert "terms; refused" in err
+
+
+class _Refused(Exception):
+    pass
+
+
+def _refuse(*args, **kwargs):
+    raise _Refused
+
+
+class TestTraceOnlyWhenRead:
+    # no JantzenTerm is built unless an output lists the terms
+    def test_untraced_commands_build_no_term(self, monkeypatch):
+        import jansum.jantzen as jantzen_mod
+
+        monkeypatch.setattr(jantzen_mod, "JantzenTerm", _refuse)
+        argv = ["jantzen", "--p", "5", "--d", "5", "--lambda", "1,2,0,1,0"]
+        assert run_cli(argv)[0] == 0
+        assert run_cli(argv + ["--json"])[0] == 0
+        assert run_cli(["prop-char", "--p", "3", "--d", "4"])[0] == 0
+        assert run_cli(["prop-char", "--p", "3", "--d", "4", "--json"])[0] == 0
+        for extra in (["--trace"], ["--trace", "--json"]):
+            with pytest.raises(_Refused):
+                run_cli(argv + extra)
+
+    def test_failing_prop_char_lists_every_term(self, monkeypatch):
+        import jansum.jantzen as jantzen_mod
+        from jansum.charring import FormalCharacter
+        from jansum.cli import _format_term
+        from jansum.lattice import Weight
+        from jansum.serialize import jantzen_term_to_json
+        from jansum.weyl import LeviDatum
+
+        p, d = 5, 5
+        monkeypatch.setattr(
+            jantzen_mod,
+            "expected_sum",
+            lambda i, p, d, levi: FormalCharacter.weyl_term(Weight((0,) * d), levi, 7),
+        )
+        levis = (LeviDatum.full(d), LeviDatum(d, range(2, d + 1)))
+        slow = [
+            reference_jantzen(lam, p, levi)[0]
+            for lam in jantzen_mod.lambda_sequence(p, d)
+            for levi in levis
+        ]
+        assert sum(len(terms) for terms in slow) > 20
+
+        code, out, _ = run_cli(["prop-char", "--p", str(p), "--d", str(d)])
+        assert code == 3
+        listed = [line[2:] for line in out.splitlines() if line.startswith("  a[")]
+        assert listed == [_format_term(t) for terms in slow for t in terms]
+
+        code, out, _ = run_cli(["prop-char", "--p", str(p), "--d", str(d), "--json"])
+        assert code == 3
+        checks = json.loads(out)["checks"]
+        assert len(checks) == len(slow)
+        for check, terms in zip(checks, slow):
+            assert not check["passed"]
+            assert check["terms"] == [jantzen_term_to_json(t) for t in terms]
 
 
 class TestPropCharCommand:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from jansum.charring import BASIS_MONOMIAL, FormalCharacter, schur_to_monomial
@@ -120,6 +122,14 @@ class TestSweep:
     def test_bad_which(self):
         with pytest.raises(ValueError):
             conjecture_sweep(2, 3, "third")
+
+    @pytest.mark.parametrize("check", [verify_first_identity, verify_second_identity])
+    def test_huge_ideal_refused_before_the_shapes(self, check):
+        # the n - 1 shapes of n = 4000 hold about 8e6 parts
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="refused"):
+            check(4000)
+        assert time.perf_counter() - started < 0.1
 
 
 class TestNegativeControl:

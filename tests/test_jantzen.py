@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 
-from helpers import random_dominant
+from helpers import random_dominant, reference_jantzen
 from jansum.charring import BASIS_WEYL, FormalCharacter
 from jansum.jantzen import (
+    TERM_LIMIT,
     derived_simple_chars,
     expected_sum,
     is_prime,
@@ -185,6 +187,80 @@ class TestJantzenSum:
             for term in sub_report.terms:
                 assert sub.contains_root(term.root)
                 assert full_index[(term.root, term.m)] == (term.valuation, term.image)
+
+
+def _fast_path_cases():
+    """Seeded (lam, p, levi): full and random Levis at d <= 8, coordinates
+    off the Levi's simple roots negative as often as not, and a few at d = 30."""
+    rng = random.Random(56)
+    cases = []
+    for k in range(160):
+        d = rng.randint(2, 8)
+        p = (2, 3, 5, 7)[k % 4]
+        if k % 3 == 0:
+            simples = set(range(1, d + 1))
+        else:
+            simples = {s for s in range(1, d + 1) if rng.random() < 0.6}
+        lam = Weight(
+            [rng.randint(0, 4) if s in simples else rng.randint(-6, 6) for s in range(1, d + 1)]
+        )
+        cases.append((lam, p, LeviDatum(d, simples)))
+    for p, simples in ((3, range(1, 31)), (5, range(2, 31)), (7, [s for s in range(1, 31) if s % 7])):
+        simples = set(simples)
+        lam = Weight([rng.randint(0, 3) if s in simples else -rng.randint(0, 3) for s in range(1, 31)])
+        cases.append((lam, p, LeviDatum(30, simples)))
+    return cases
+
+
+class TestFastPath:
+    # jantzen_sum evaluates each term in closed form; the slow reference
+    # dot-reflects and normalizes every term in full
+    def test_matches_slow_reference(self):
+        negative_off_levi = 0
+        for lam, p, levi in _fast_path_cases():
+            report = jantzen_sum(lam, p, levi)
+            terms, total = reference_jantzen(lam, p, levi)
+            assert len(report.terms) == len(terms)
+            for fast, slow in zip(report.terms, terms):
+                assert fast == slow, (lam, p, levi)
+            assert report.total.terms == total, (lam, p, levi)
+            negative_off_levi += min(lam.coords) < 0
+        assert negative_off_levi >= 40
+
+    def test_outcomes_match_orbit_oracle(self):
+        checked = 0
+        for lam, p, levi in _fast_path_cases():
+            if levi.is_full and lam.rank <= 6:
+                for term in jantzen_sum(lam, p, levi).terms:
+                    assert term.outcome == dot_orbit_oracle(term.image), (lam, p, term)
+                    checked += 1
+        assert checked >= 500
+
+    def test_trace_is_built_once(self):
+        report = jantzen_sum(Weight((3, 1, 2)), 2, LeviDatum.full(3))
+        assert report.terms is report.terms
+
+    def test_term_budget(self, monkeypatch):
+        import jansum.jantzen as jantzen_mod
+
+        # (2,2) at p = 2: roots a[1,1], a[2,2], a[1,2] pair to 3, 3, 6, so
+        # 1 + 1 + 2 = 4 terms
+        lam, full = Weight((2, 2)), LeviDatum.full(2)
+        monkeypatch.setattr(jantzen_mod, "TERM_LIMIT", 4)
+        assert len(jantzen_sum(lam, 2, full).terms) == 4
+        monkeypatch.setattr(jantzen_mod, "TERM_LIMIT", 3)
+        with pytest.raises(ValueError, match="more than 3 terms"):
+            jantzen_sum(lam, 2, full)
+        with pytest.raises(ValueError, match="more than 3 terms"):
+            jantzen_mod.SumReport(lam, 2, full, FormalCharacter.zero(BASIS_WEYL, full)).terms
+
+    def test_huge_term_count_refused_at_once(self):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"more than {TERM_LIMIT} terms"):
+            jantzen_sum(Weight((10**8, 0)), 2, LeviDatum.full(2))
+        with pytest.raises(ValueError, match=f"more than {TERM_LIMIT} terms"):
+            jantzen_sum(Weight((10**6,) * 40), 7, LeviDatum(40, range(2, 41)))
+        assert time.perf_counter() - started < 0.5
 
 
 class TestLambdaSequence:
