@@ -4,7 +4,11 @@ Partitions and dominance order, the weight lattice in fundamental
 coordinates, the Weyl-group dot action (full group and standard Levi
 subgroups), the Jantzen sum formula with per-term traces, Kostka numbers
 and Schur-to-monomial expansion, and machine verification of a family of
-alternating Schur-function identities over dominance ideals.
+alternating Schur-function identities over dominance ideals.  Of the
+paper's named weights only the lambda_i of the Jantzen-sum telescope are
+built (lambda_sequence); its lambda_f for f > 0 concern line-bundle
+cohomology, which this package does not compute.  The names imported below
+are the public API.
 """
 
 from .charring import (
@@ -14,7 +18,6 @@ from .charring import (
     convert_weyl_to_monomial,
     kostka,
     schur_to_monomial,
-    weyl_chi,
 )
 from .identities import (
     IdentityReport,
@@ -42,7 +45,6 @@ from .lattice import (
     dominance_leq,
     fundamental_weight,
     pairing,
-    partition_to_weight,
     partitions_below,
     rho,
     weight_to_partition,

@@ -13,14 +13,13 @@ from __future__ import annotations
 from typing import Mapping
 
 from .lattice import (
-    LiftError,
     Partition,
     Weight,
     dominance_leq,
     walk_below,
     weight_to_partition,
 )
-from .weyl import LeviDatum, dot_normalize
+from .weyl import LeviDatum
 
 BASIS_WEYL = "weyl"
 BASIS_MONOMIAL = "monomial"
@@ -61,18 +60,6 @@ class FormalCharacter:
         self.levi = levi
         self.terms = kept
 
-    @classmethod
-    def zero(cls, basis: str, levi: LeviDatum | None = None) -> "FormalCharacter":
-        return cls(basis, levi, {})
-
-    @classmethod
-    def weyl_term(cls, w: Weight, levi: LeviDatum, coeff: int = 1) -> "FormalCharacter":
-        return cls(BASIS_WEYL, levi, {w: coeff})
-
-    @classmethod
-    def monomial_term(cls, p: Partition, coeff: int = 1) -> "FormalCharacter":
-        return cls(BASIS_MONOMIAL, None, {p: coeff})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -101,13 +88,6 @@ class FormalCharacter:
         if not isinstance(other, FormalCharacter):
             return NotImplemented
         return self + (-other)
-
-    def scale(self, k: int) -> "FormalCharacter":
-        if not isinstance(k, int):
-            raise TypeError(f"scale factor must be an integer: {k!r}")
-        return FormalCharacter(
-            self.basis, self.levi, {key: k * c for key, c in self.terms.items()}
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalCharacter):
@@ -157,29 +137,40 @@ def _peel(state: dict[tuple[int, ...], int], size: int) -> dict[tuple[int, ...],
 
 
 def _horizontal_strips(shape: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
-    """Inner shapes nu with shape/nu a horizontal strip of the given size."""
-    n = len(shape)
-    found: list[tuple[int, ...]] = []
-    prefix: list[int] = []
+    """Inner shapes nu with shape/nu a horizontal strip of the given size.
 
-    def peel(i: int, remaining: int) -> None:
-        if remaining == 0:
-            inner = tuple(prefix) + shape[i:]
-            while inner and inner[-1] == 0:
-                inner = inner[:-1]
-            found.append(inner)
-            return
-        # rows i.. can shed at most shape[i] cells in total (telescoping)
-        if i == n or remaining > shape[i]:
-            return
-        floor = shape[i + 1] if i + 1 < n else 0
-        for r in range(min(remaining, shape[i] - floor), -1, -1):
-            prefix.append(shape[i] - r)
-            peel(i + 1, remaining - r)
-            prefix.pop()
-
-    peel(0, size)
-    return found
+    Only a corner, a row longer than the next, can shed cells, at most the
+    difference.  The cells shed at each corner are counted down like an
+    odometer, the first corner most significant, so the strips come in the
+    order of a depth-first search that sheds as much as it can first.
+    """
+    if not shape or size > shape[0]:
+        return [] if size else [shape]
+    below = shape[1:] + (0,)
+    rows = [i for i, row in enumerate(shape) if row > below[i]]
+    shed = [0] * len(rows)
+    found = []
+    left, start = size, 0
+    while True:
+        # shed as much as possible at each corner from start on
+        for k in range(start, len(rows)):
+            shed[k] = min(left, shape[rows[k]] - below[rows[k]])
+            left -= shed[k]
+        inner = list(shape)
+        for i, r in zip(rows, shed):
+            inner[i] -= r
+        found.append(tuple(inner if inner[-1] else inner[:-1]))
+        # the last corner that can pass a cell on to the corners after it,
+        # which can shed at most the length of the row below it in all
+        k = len(rows) - 1
+        while k >= 0 and not (shed[k] and left < below[rows[k]]):
+            left += shed[k]
+            k -= 1
+        if k < 0:
+            return found
+        shed[k] -= 1
+        left += 1
+        start = k + 1
 
 
 def schur_sum_to_monomial(coeffs: Mapping[Partition, int], top: Partition) -> FormalCharacter:
@@ -203,15 +194,6 @@ def schur_to_monomial(lam: Partition) -> FormalCharacter:
     return schur_sum_to_monomial({lam: 1}, lam)
 
 
-def weyl_chi(mu: Weight, levi: LeviDatum) -> FormalCharacter:
-    """The Weyl character of mu: zero if singular, else sign times the
-    dominant normalization, as a one-term character."""
-    outcome = dot_normalize(mu, levi)
-    if outcome.is_singular:
-        return FormalCharacter.zero(BASIS_WEYL, levi)
-    return FormalCharacter(BASIS_WEYL, levi, {outcome.dominant: outcome.sign})
-
-
 def convert_weyl_to_monomial(x: FormalCharacter) -> FormalCharacter:
     """Rewrite a full-Levi Weyl-basis character in the monomial basis.
 
@@ -224,10 +206,6 @@ def convert_weyl_to_monomial(x: FormalCharacter) -> FormalCharacter:
         raise ValueError("only full-Levi characters convert to the monomial basis")
     total: dict[Partition, int] = {}
     for key, coeff in x.terms.items():
-        try:
-            lam = weight_to_partition(key)
-        except LiftError as exc:
-            raise LiftError(f"key {key} has no nonnegative lift") from exc
-        for mu, k in schur_to_monomial(lam).terms.items():
+        for mu, k in schur_to_monomial(weight_to_partition(key)).terms.items():
             total[mu] = total.get(mu, 0) + coeff * k
     return FormalCharacter(BASIS_MONOMIAL, None, total)

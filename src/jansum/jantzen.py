@@ -147,8 +147,6 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if lam.rank != levi.rank:
-        raise ValueError(f"rank mismatch: weight {lam.rank}, Levi {levi.rank}")
     if not levi.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant for {levi.describe()}")
     total: dict[tuple[int, ...], int] = {}
@@ -247,10 +245,7 @@ def expected_sum(i: int, p: int, d: int, levi: LeviDatum) -> FormalCharacter:
     seq = lambda_sequence(p, d)
     if not 0 <= i <= len(seq) - 1:
         raise ValueError(f"need 0 <= i <= {len(seq) - 1}, got {i}")
-    terms: dict[Weight, int] = {}
-    for j in range(i + 1, len(seq)):
-        terms[seq[j]] = 1 if (j - i - 1) % 2 == 0 else -1
-    return FormalCharacter(BASIS_WEYL, levi, terms)
+    return _alternating_tail(seq, i + 1, levi)
 
 
 def derived_simple_chars(p: int, d: int) -> list[FormalCharacter]:
@@ -260,12 +255,12 @@ def derived_simple_chars(p: int, d: int) -> list[FormalCharacter]:
     ch V(lambda_i) = ch L_i + ch L_{i+1} with ch L_{r-1} = 0.
     """
     seq = lambda_sequence(p, d)
-    levi = LeviDatum.full(d)
-    out = []
-    for i in range(len(seq)):
-        terms = {seq[j]: (1 if (j - i) % 2 == 0 else -1) for j in range(i, len(seq))}
-        out.append(FormalCharacter(BASIS_WEYL, levi, terms))
-    return out
+    return [_alternating_tail(seq, i, LeviDatum.full(d)) for i in range(len(seq))]
+
+
+def _alternating_tail(seq: list[Weight], i: int, levi: LeviDatum) -> FormalCharacter:
+    """[seq_i] - [seq_{i+1}] + [seq_{i+2}] - ... in the Weyl basis of the Levi."""
+    return FormalCharacter(BASIS_WEYL, levi, {seq[j]: (-1) ** (j - i) for j in range(i, len(seq))})
 
 
 @dataclass
@@ -298,9 +293,8 @@ def verify_prop_char(p: int, d: int) -> PropCharReport:
     the alternating tail of Weyl symbols, and the same must hold over the
     Levi generated by the simple roots 2..d.  Failures are recorded, not
     raised; each check keeps its sum's report, and with it the term trace.
+    The first jantzen_sum refuses a p that is not prime.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     seq = lambda_sequence(p, d)
     full = LeviDatum.full(d)
     sub = LeviDatum(d, range(2, d + 1))

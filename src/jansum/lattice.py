@@ -8,6 +8,7 @@ partitions (their minimal nonnegative GL(d+1) lift) via suffix sums.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 
@@ -40,9 +41,6 @@ class Partition:
     @property
     def length(self) -> int:
         return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.parts == other.parts
@@ -125,17 +123,13 @@ class Root:
         self.lo = lo
         self.hi = hi
 
-    def simple_indices(self) -> range:
-        return range(self.lo, self.hi + 1)
-
     def to_weight(self, d: int) -> Weight:
         """The root as a weight of SL(d+1), in fundamental coordinates.
 
         In epsilon coordinates the root is +1 at position lo and -1 at
         position hi+1; fundamental coordinates are successive differences.
+        Needs hi <= d, which pairing checks first in affine_dot_reflect.
         """
-        if self.hi > d:
-            raise ValueError(f"root {self} does not fit rank {d}")
         delta = [0] * (d + 2)
         delta[self.lo] = 1
         delta[self.hi + 1] = -1
@@ -235,32 +229,58 @@ def walk_below(b: Partition, state, step) -> list[tuple[Partition, object]]:
     part.  A falsy state cuts the branch.  Returns (partition, state) for
     every partition reached, in reverse-lexicographic order.  Raises
     ValueError, before walking, when check_ideal_size refuses b.
+
+    The walk keeps its own stack, so no partition is too long for it.
     """
     check_ideal_size(b)
+    if not state:
+        return []
     n = b.size
-    prefix = []
-    acc = 0
-    for part in b.parts:
-        acc += part
-        prefix.append(acc)
-
+    # the first k+1 parts add up to at most bounds[min(k, b.length)]
+    bounds = list(accumulate(b.parts)) + [n]
     out: list[tuple[Partition, object]] = []
-    stack: list[int] = []
+    parts: list[int] = []  # the partition so far
+    states = [state]  # states[k]: the state after parts[:k]
+    total = 0
+    a = bounds[0]  # the next part to try after parts
+    if n == 0:
+        out.append((b, state))
+    while True:
+        if a == 1:
+            # every part from here on is 1
+            new = states[-1]
+            for _ in range(n - total):
+                new = step(new, 1)
+                if not new:
+                    break
+            if new:
+                out.append((_walked(parts + [1] * (n - total)), new))
+            a = 0
+        elif a:
+            new = step(states[-1], a)
+            if new and total + a < n:
+                parts.append(a)
+                states.append(new)
+                total += a
+                a = min(a, bounds[min(len(parts), b.length)] - total)
+            else:
+                if new:
+                    out.append((_walked(parts + [a]), new))
+                a -= 1
+        elif parts:
+            a = parts.pop()
+            states.pop()
+            total -= a
+            a -= 1
+        else:
+            return out
 
-    def extend(state, total: int, max_part: int, idx: int) -> None:
-        if not state:
-            return
-        if total == n:
-            out.append((Partition(stack), state))
-            return
-        bound = prefix[idx] if idx < len(prefix) else n
-        for a in range(min(max_part, bound - total, n - total), 0, -1):
-            stack.append(a)
-            extend(step(state, a), total + a, a, idx + 1)
-            stack.pop()
 
-    extend(state, 0, n, 0)
-    return out
+def _walked(parts: list[int]) -> Partition:
+    """The Partition of parts that walk_below built, so valid by construction."""
+    mu = Partition.__new__(Partition)
+    mu.parts = tuple(parts)
+    return mu
 
 
 def weight_to_partition(w: Weight) -> Partition:
@@ -269,25 +289,12 @@ def weight_to_partition(w: Weight) -> Partition:
     The i-th entry is the suffix sum coords[i] + ... + coords[d]; the implied
     (d+1)-th entry is 0 and trailing zeros are stripped.
     """
-    suffix = []
-    acc = 0
-    for c in reversed(w.coords):
-        acc += c
-        suffix.append(acc)
-    suffix.reverse()
+    suffix = list(accumulate(reversed(w.coords)))[::-1]
     if any(s < 0 for s in suffix):
         raise LiftError(f"{w} has no nonnegative lift (suffix sums {suffix})")
     if not w.is_dominant():
         raise ValueError(f"{w} is not dominant")
     return Partition(suffix)
-
-
-def partition_to_weight(a: Partition, d: int) -> Weight:
-    """The SL(d+1) weight whose minimal lift is a; needs at most d+1 parts."""
-    if a.length > d + 1:
-        raise ValueError(f"{a} has more than {d + 1} parts")
-    padded = a.parts + (0,) * (d + 1 - a.length)
-    return Weight(padded[i] - padded[i + 1] for i in range(d))
 
 
 def fundamental_weight(i: int, d: int) -> Weight:
@@ -302,51 +309,13 @@ def rho(d: int) -> Weight:
     return Weight((1,) * d)
 
 
-def zero_weight(d: int) -> Weight:
-    return Weight((0,) * d)
-
-
-def mu_weight(d: int, m: int, n: int) -> Weight:
-    """The weight m*omega_1 - (n+d)*omega_d, for m, n >= 0."""
-    if m < 0 or n < 0:
-        raise ValueError(f"need m, n >= 0, got ({m}, {n})")
-    return m * fundamental_weight(1, d) - (n + d) * fundamental_weight(d, d)
-
-
-def pi_weight(d: int, m: int, n: int) -> Weight:
-    """The weight (m-n-1)*omega_1 + n*omega_2, for m, n >= 0."""
-    if m < 0 or n < 0:
-        raise ValueError(f"need m, n >= 0, got ({m}, {n})")
-    return (m - n - 1) * fundamental_weight(1, d) + n * fundamental_weight(2, d)
-
-
-def lambda_f_weight(p: int, d: int, f: int) -> Weight:
-    """f*omega_1 + (p-2-f)*omega_2 + (f+1)*omega_3 for f <= p-2, and the
-    boundary weight (p-1)*omega_1 + (p-2)*omega_3 + omega_4 for f = p-1
-    (omega_4 = 0 when d = 3)."""
-    _check_pd(p, d)
-    if not 0 <= f <= p - 1:
-        raise ValueError(f"need 0 <= f <= p-1 = {p - 1}, got f = {f}")
-    if f <= p - 2:
-        return (
-            f * fundamental_weight(1, d)
-            + (p - 2 - f) * fundamental_weight(2, d)
-            + (f + 1) * fundamental_weight(3, d)
-        )
-    return (
-        (p - 1) * fundamental_weight(1, d)
-        + (p - 2) * fundamental_weight(3, d)
-        + fundamental_weight(4, d)
-    )
-
-
 def lambda_i_weight(p: int, d: int, i: int) -> Weight:
     """i*omega_1 + (p-2-i)*omega_2 + omega_{3+i}, with omega_{d+1} = 0.
 
     Defined for 0 <= i <= r-2 where r = min(d, p); these are the weights
-    whose Jantzen sums telescope into each other.
+    whose Jantzen sums telescope into each other.  lambda_sequence, which
+    builds them all, checks p >= 2 and d >= 3.
     """
-    _check_pd(p, d)
     r = min(d, p)
     if not 0 <= i <= r - 2:
         raise ValueError(f"need 0 <= i <= r-2 = {r - 2}, got i = {i}")
@@ -355,10 +324,3 @@ def lambda_i_weight(p: int, d: int, i: int) -> Weight:
         + (p - 2 - i) * fundamental_weight(2, d)
         + fundamental_weight(3 + i, d)
     )
-
-
-def _check_pd(p: int, d: int) -> None:
-    if p < 2:
-        raise ValueError(f"need p >= 2, got {p}")
-    if d < 3:
-        raise ValueError(f"need d >= 3, got {d}")

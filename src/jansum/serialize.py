@@ -90,7 +90,8 @@ def identity_report_to_json(report: IdentityReport) -> dict:
     }
 
 
-def prop_char_report_to_json(report: PropCharReport, include_terms: bool = False) -> dict:
+def prop_char_report_to_json(report: PropCharReport) -> dict:
+    """A failing check lists its terms; a passing one does not."""
     checks = []
     for check in report.checks:
         entry = {
@@ -100,7 +101,7 @@ def prop_char_report_to_json(report: PropCharReport, include_terms: bool = False
             "total": character_to_json(check.total),
             "expected": character_to_json(check.expected),
         }
-        if include_terms or not check.passed:
+        if not check.passed:
             entry["terms"] = [jantzen_term_to_json(t) for t in check.report.terms]
         checks.append(entry)
     return {"p": report.p, "d": report.d, "passed": report.passed, "checks": checks}

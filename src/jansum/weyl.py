@@ -10,7 +10,7 @@ invariant under adding a constant to every epsilon entry.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .lattice import Root, Weight, pairing, rho
@@ -61,9 +61,6 @@ class LeviDatum:
             for j in range(a, b):
                 for k in range(j, b):
                     yield Root(j, k)
-
-    def contains_root(self, r: Root) -> bool:
-        return all(j in self.simples for j in r.simple_indices())
 
     def is_dominant(self, w: Weight) -> bool:
         if w.rank != self.rank:
@@ -133,11 +130,7 @@ class SignedDominant:
 
 def to_epsilon(w: Weight) -> tuple[int, ...]:
     """Epsilon coordinates (e_1, ..., e_{d+1}): e_i - e_{i+1} = coords[i], e_{d+1} = 0."""
-    eps = [0]
-    for c in reversed(w.coords):
-        eps.append(eps[-1] + c)
-    eps.reverse()
-    return tuple(eps)
+    return tuple(accumulate(reversed(w.coords), initial=0))[::-1]
 
 
 def from_epsilon(eps: Sequence[int]) -> Weight:

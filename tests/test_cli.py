@@ -43,15 +43,15 @@ class TestIdentityCommand:
     def test_verification_failure_maps_to_exit_3(self, monkeypatch):
         # no true instance fails, so force one to pin the exit-code contract
         from jansum import identities
-        from jansum.charring import FormalCharacter
+        from jansum.charring import BASIS_MONOMIAL, FormalCharacter
 
         real = identities.verify_first_identity
 
         def broken(n):
             report = real(n)
             report.equal = False
-            report.diff = FormalCharacter.monomial_term(
-                identities.Partition((n,)), 1
+            report.diff = FormalCharacter(
+                BASIS_MONOMIAL, None, {identities.Partition((n,)): 1}
             )
             return report
 
@@ -208,7 +208,7 @@ class TestTraceOnlyWhenRead:
 
     def test_failing_prop_char_lists_every_term(self, monkeypatch):
         import jansum.jantzen as jantzen_mod
-        from jansum.charring import FormalCharacter
+        from jansum.charring import BASIS_WEYL, FormalCharacter
         from jansum.cli import _format_term
         from jansum.lattice import Weight
         from jansum.serialize import jantzen_term_to_json
@@ -218,7 +218,7 @@ class TestTraceOnlyWhenRead:
         monkeypatch.setattr(
             jantzen_mod,
             "expected_sum",
-            lambda i, p, d, levi: FormalCharacter.weyl_term(Weight((0,) * d), levi, 7),
+            lambda i, p, d, levi: FormalCharacter(BASIS_WEYL, levi, {Weight((0,) * d): 7}),
         )
         levis = (LeviDatum.full(d), LeviDatum(d, range(2, d + 1)))
         slow = [
@@ -282,6 +282,13 @@ class TestSimpleCommands:
         code, out, _ = run_cli(["kostka", "--lambda", "2,1", "--mu", "1,1,1"])
         assert code == 0
         assert out.strip() == "2"
+
+    def test_a_column_of_1200_boxes(self):
+        ones = ",".join(["1"] * 1200)
+        code, out, _ = run_cli(["schur", "--lambda", ones])
+        assert (code, out) == (0, f"S[{ones}] = m[{ones}]\n")
+        code, out, _ = run_cli(["kostka", "--lambda", ones, "--mu", ones])
+        assert (code, out) == (0, "1\n")
 
     def test_kostka_size_mismatch(self):
         code, _, _ = run_cli(["kostka", "--lambda", "2,1", "--mu", "1,1"])

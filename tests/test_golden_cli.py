@@ -1,0 +1,25 @@
+"""Stdout and exit code of a fixed set of command lines, byte for byte.
+
+golden_cli.json holds [argv, exit code, sha256 of stdout] for each line: the
+README's commands, the prop-char matrix, identities at n = 2, 5, 6 and 11,
+a first-identity sweep, Jantzen sums at d <= 6 (traced, JSON, on Levis that
+leave negative coordinates off their simple roots), the small commands and
+one refused input per command.  Stderr is not pinned.  A change meant to
+alter an output replaces that entry's digest.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from helpers import run_cli
+
+CORPUS = json.loads((Path(__file__).resolve().parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("argv, code, digest", CORPUS, ids=[" ".join(e[0]) for e in CORPUS])
+def test_output_unchanged(argv, code, digest):
+    got_code, out, _ = run_cli(argv)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

@@ -137,7 +137,7 @@ class TestNegativeControl:
         report = verify_first_identity(5)
         assert report.equal and report.diff.is_zero
         shapes = first_identity_shapes(5)
-        truncated = FormalCharacter.zero(BASIS_MONOMIAL)
+        truncated = FormalCharacter(BASIS_MONOMIAL, None, {})
         for i, shape in enumerate(shapes[:-1]):  # drop the last alternating term
             term = schur_to_monomial(shape)
             truncated = truncated + (term if i % 2 == 0 else -term)

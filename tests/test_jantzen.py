@@ -64,7 +64,7 @@ class TestHelpers:
 class TestJantzenSum:
     def test_sl3_hand_derived_instance(self):
         report = jantzen_sum(Weight((2, 0)), 2, LeviDatum.full(2))
-        assert report.total == FormalCharacter.weyl_term(Weight((0, 1)), LeviDatum.full(2))
+        assert report.total == FormalCharacter(BASIS_WEYL, LeviDatum.full(2), {Weight((0, 1)): 1})
         nonsingular = [t for t in report.terms if not t.outcome.is_singular]
         assert len(nonsingular) == 1
         assert nonsingular[0].root == Root(1, 1)
@@ -125,12 +125,12 @@ class TestJantzenSum:
             lam = random_dominant(rng, d, hi=5)
             levi = LeviDatum.full(d)
             report = jantzen_sum(lam, rng.choice([2, 3]), levi)
-            rebuilt = FormalCharacter.zero(BASIS_WEYL, levi)
+            rebuilt = FormalCharacter(BASIS_WEYL, levi, {})
             for term in report.terms:
-                if not term.outcome.is_singular:
-                    rebuilt = rebuilt + FormalCharacter.weyl_term(
-                        term.outcome.dominant, levi, term.outcome.sign * term.valuation
-                    )
+                outcome = term.outcome
+                if not outcome.is_singular:
+                    coeff = outcome.sign * term.valuation
+                    rebuilt += FormalCharacter(BASIS_WEYL, levi, {outcome.dominant: coeff})
             assert report.total == rebuilt
 
     def test_vanishing_on_small_weights(self):
@@ -185,7 +185,7 @@ class TestJantzenSum:
                 (t.root, t.m): (t.valuation, t.image) for t in full_report.terms
             }
             for term in sub_report.terms:
-                assert sub.contains_root(term.root)
+                assert all(j in sub.simples for j in range(term.root.lo, term.root.hi + 1))
                 assert full_index[(term.root, term.m)] == (term.valuation, term.image)
 
 
@@ -252,7 +252,7 @@ class TestFastPath:
         with pytest.raises(ValueError, match="more than 3 terms"):
             jantzen_sum(lam, 2, full)
         with pytest.raises(ValueError, match="more than 3 terms"):
-            jantzen_mod.SumReport(lam, 2, full, FormalCharacter.zero(BASIS_WEYL, full)).terms
+            jantzen_mod.SumReport(lam, 2, full, FormalCharacter(BASIS_WEYL, full, {})).terms
 
     def test_huge_term_count_refused_at_once(self):
         started = time.perf_counter()
@@ -363,7 +363,7 @@ class TestDerivedSimpleChars:
         for p, d in [(3, 4), (5, 5), (7, 6)]:
             chars = derived_simple_chars(p, d)
             seq = lambda_sequence(p, d)
-            assert chars[-1] == FormalCharacter.weyl_term(seq[-1], LeviDatum.full(d))
+            assert chars[-1] == FormalCharacter(BASIS_WEYL, LeviDatum.full(d), {seq[-1]: 1})
 
     def test_head_at_p3_d4(self):
         chars = derived_simple_chars(3, 4)
@@ -379,7 +379,5 @@ class TestDerivedSimpleChars:
             seq = lambda_sequence(p, d)
             full = LeviDatum.full(d)
             for i in range(len(seq)):
-                nxt = chars[i + 1] if i + 1 < len(chars) else FormalCharacter.zero(
-                    BASIS_WEYL, full
-                )
-                assert chars[i] + nxt == FormalCharacter.weyl_term(seq[i], full)
+                nxt = chars[i + 1] if i + 1 < len(chars) else FormalCharacter(BASIS_WEYL, full, {})
+                assert chars[i] + nxt == FormalCharacter(BASIS_WEYL, full, {seq[i]: 1})

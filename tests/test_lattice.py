@@ -12,13 +12,9 @@ from jansum.lattice import (
     check_ideal_size,
     dominance_leq,
     fundamental_weight,
-    lambda_f_weight,
     lambda_i_weight,
-    mu_weight,
     pairing,
-    partition_to_weight,
     partitions_below,
-    pi_weight,
     positive_roots,
     rho,
     weight_to_partition,
@@ -165,6 +161,12 @@ class TestPartitionsBelow:
             expected = [t for t in brute_partitions(b.size) if prefix_leq(t, top)]
             assert [p.parts for p in partitions_below(b)] == expected
 
+    def test_parts_past_the_recursion_limit(self):
+        # partitions of 1020 into parts <= 3 have up to 1020 parts
+        below = partitions_below(Partition((3,) * 340))
+        assert len(below) == 87211
+        assert (below[0], below[-1]) == (Partition((3,) * 340), Partition((1,) * 1020))
+
     def test_contains_extremes_and_all_dominated(self):
         for top in [(3, 1), (4, 2, 1), (2, 2, 2)]:
             b = Partition(top)
@@ -237,51 +239,17 @@ class TestWeightPartitionConversion:
                 expected = Partition([p - 1, p - 1 - i] + [1] * (i + 1))
                 assert weight_to_partition(lambda_i_weight(p, d, i)) == expected
 
-    def test_partition_to_weight_examples(self):
-        assert partition_to_weight(Partition((2, 2, 1)), 4).coords == (0, 1, 1, 0)
-        assert partition_to_weight(Partition((4, 1)), 5).coords == (3, 1, 0, 0, 0)
-        assert partition_to_weight(Partition(), 3).coords == (0, 0, 0)
-
-    def test_partition_to_weight_too_long(self):
-        with pytest.raises(ValueError):
-            partition_to_weight(Partition((1, 1, 1, 1)), 2)
-
     def test_round_trip(self):
         rng = random.Random(7)
         for _ in range(100):
             d = rng.randint(2, 7)
             parts = sorted((rng.randint(1, 6) for _ in range(rng.randint(0, d))), reverse=True)
-            a = Partition(parts)
-            assert weight_to_partition(partition_to_weight(a, d)) == a
+            padded = parts + [0] * (d + 1 - len(parts))
+            w = Weight(padded[i] - padded[i + 1] for i in range(d))
+            assert weight_to_partition(w) == Partition(parts)
 
 
 class TestNamedWeights:
-    def test_mu(self):
-        assert mu_weight(4, 5, 5).coords == (5, 0, 0, -9)
-
-    def test_pi(self):
-        assert pi_weight(4, 7, 2).coords == (4, 2, 0, 0)
-
-    def test_mu_pi_reject_negative(self):
-        with pytest.raises(ValueError):
-            mu_weight(4, -1, 0)
-        with pytest.raises(ValueError):
-            pi_weight(4, 0, -2)
-
-    def test_lambda_f_generic(self):
-        assert lambda_f_weight(5, 4, 0).coords == (0, 3, 1, 0)
-
-    def test_lambda_f_boundary_case(self):
-        # f = p-1 uses omega_4, which vanishes at d = 3
-        assert lambda_f_weight(5, 5, 4).coords == (4, 0, 3, 1, 0)
-        assert lambda_f_weight(5, 3, 4).coords == (4, 0, 3)
-
-    def test_lambda_f_range(self):
-        with pytest.raises(ValueError):
-            lambda_f_weight(5, 4, 5)
-        with pytest.raises(ValueError):
-            lambda_f_weight(5, 4, -1)
-
     def test_lambda_i_omega_convention(self):
         assert lambda_i_weight(5, 5, 3).coords == (3, 0, 0, 0, 0)  # omega_6 = 0
 
