@@ -10,6 +10,8 @@ S_lambda = sum over mu of K(lambda, mu) * m_mu.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import accumulate
 from typing import Mapping
 
 from .lattice import (
@@ -181,12 +183,74 @@ def schur_sum_to_monomial(coeffs: Mapping[Partition, int], top: Partition) -> Fo
     each part, so every mu gets sum of coeff * K(shape, mu) in one pass; a
     branch whose state has cancelled to zero is cut.
     """
+    state = _state_below(coeffs, top)
+    terms = {mu: leaf[()] for mu, leaf in walk_below(top, state, _peel)}
+    return FormalCharacter(BASIS_MONOMIAL, None, terms)
+
+
+def _state_below(coeffs: Mapping[Partition, int], top: Partition) -> dict[tuple[int, ...], int]:
+    """The first state {shape: coeff} of a walk below top, which must
+    dominate every shape."""
     for shape in coeffs:
         if not dominance_leq(shape, top):
             raise ValueError(f"{shape} is not below {top} in dominance order")
-    state = {shape.parts: c for shape, c in coeffs.items() if c}
-    terms = {mu: leaf[()] for mu, leaf in walk_below(top, state, _peel)}
-    return FormalCharacter(BASIS_MONOMIAL, None, terms)
+    return {shape.parts: c for shape, c in coeffs.items() if c}
+
+
+def schur_sum_coefficient_counts(coeffs: Mapping[Partition, int], top: Partition) -> Counter:
+    """How often each coefficient occurs in sum of coeff * S_shape, over
+    every partition mu below top: Counter{coefficient: number of mu}, zeros
+    included.  `top` must dominate every shape; the size of the ideal is
+    not checked here.
+
+    The walk of schur_sum_to_monomial, memoized.  Below a node, the walk
+    depends only on the state {shape: coeff}, the size left, the largest
+    part allowed and, while a prefix sum of top still binds, the depth.
+    Each such key is counted once, not once per partition below it, as the
+    partitions whose next part is the largest allowed plus those below the
+    same key with a largest part one less.  So each (state, part, depth) is
+    peeled once.  A branch whose state has cancelled is walked on, its
+    partitions counted with coefficient 0.  The walk keeps its own stack.
+    """
+    state = _state_below(coeffs, top)
+    n = top.size
+    # the first k+1 parts add up to at most bounds[min(k, top.length)]
+    bounds = list(accumulate(top.parts)) + [n]
+    free = max(top.length - 1, 0)  # from this depth on, no prefix bound binds
+    # a key: (state, size left, largest part allowed, depth up to free)
+    root = (frozenset(state.items()), n, bounds[0], 0)
+    counts: dict[tuple, Counter] = {}
+    below: dict[tuple, list] = {}  # key -> the (key, state)s it is counted from
+    stack = [(root, state)]
+    while stack:
+        key, state = stack[-1]
+        if key in below:
+            # every key below it is counted
+            stack.pop()
+            total = Counter()
+            for child, _ in below.pop(key):
+                total.update(counts[child])
+            counts[key] = total
+        elif key in counts:
+            stack.pop()
+        elif not key[1]:
+            stack.pop()
+            counts[key] = Counter({state.get((), 0): 1})
+        else:
+            whole, left, largest, depth = key
+            new = _peel(state, largest)
+            done = n - left + largest
+            taken = (
+                frozenset(new.items()),
+                left - largest,
+                min(largest, bounds[min(depth + 1, top.length)] - done),
+                min(depth + 1, free),
+            )
+            below[key] = [(taken, new)]
+            if largest > 1:
+                below[key].append(((whole, left, largest - 1, depth), state))
+            stack.extend(c for c in below[key] if c[0] not in counts)
+    return counts[root]
 
 
 def schur_to_monomial(lam: Partition) -> FormalCharacter:

@@ -10,7 +10,6 @@ file.  `sweep` prints each report as soon as it and every earlier n are done.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 
@@ -233,9 +232,8 @@ def _run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    jobs = args.jobs or os.cpu_count() or 1
     all_equal = True
-    for report in conjecture_sweep(args.n_min, args.n_max, args.which, jobs):
+    for report in conjecture_sweep(args.n_min, args.n_max, args.which):
         if args.jsonl:
             print(canonical_dumps(identity_report_to_json(report)), flush=True)
         else:
@@ -374,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n_min", type=int)
     p.add_argument("n_max", type=int)
     p.add_argument("--which", choices=(FIRST, SECOND), required=True)
-    p.add_argument("--jobs", type=int, default=0, help="worker processes (default: all cores)")
+    p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
     p.add_argument("--jsonl", action="store_true", help="one JSON report per line")
 
     p = command("jantzen", "evaluate one Jantzen sum")

@@ -186,12 +186,16 @@ def partitions_below(b: Partition) -> list[Partition]:
     return [mu for mu, _ in walk_below(b, True, lambda state, part: True)]
 
 
-# Largest dominance ideal a walk accepts.  Time and memory grow with the
-# ideal: on a 2-CPU machine (Python 3.11) the second identity at n=45
-# (89 133 partitions) takes 4.1 s and 99 MB, the first at n=23 (84 626)
-# 6.8 s and 85 MB, and those are the largest n this limit admits.  It keeps
-# every size checked so far (second n=40, first n=16) and refuses n=150,
-# about 4e10 partitions, at once instead of running until killed.
+# Largest dominance ideal a walk accepts.  It bounds two paths.  The
+# enumeration of terms (partitions_below, schur_sum_to_monomial, and so the
+# sides of an identity report that --json prints) grows with the ideal: on
+# a 2-CPU machine (Python 3.11) the sides of the second identity at n=45
+# (89 133 partitions) take 3.3 s and 98 MB, those of the first at n=23
+# (84 626) 4.8 s and 83 MB, and those are the largest n this limit admits.
+# The identity verdict (identities._verify) checks it too, so that a verdict
+# is given exactly where its terms can be listed; its memoized walk takes
+# 0.02 s and 0.17 s at those n, in 16 MB.  n=150, about 4e10 partitions, is
+# refused at once instead of running until killed.
 IDEAL_LIMIT = 100_000
 
 

@@ -28,6 +28,15 @@ def brute_partitions(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
+def partition_count(n: int, max_part: int) -> int:
+    """Partitions of n with parts <= max_part, by the coin-change recurrence."""
+    counts = [1] + [0] * n
+    for part in range(1, max_part + 1):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
+    return counts[n]
+
+
 def prefix_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """Dominance by raw prefix sums (equal totals assumed)."""
     sa = sb = 0

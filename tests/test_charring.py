@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from jansum.charring import (
     FormalCharacter,
     convert_weyl_to_monomial,
     kostka,
+    schur_sum_coefficient_counts,
     schur_sum_to_monomial,
     schur_to_monomial,
 )
@@ -133,6 +135,29 @@ class TestSchurToMonomial:
     def test_signed_sum_needs_a_dominating_top(self):
         with pytest.raises(ValueError):
             schur_sum_to_monomial({Partition((3, 1)): 1}, Partition((2, 2)))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_coefficient_counts_match_the_expansion(self, seed):
+        # any top, so that prefix bounds bind at any depth; any signed shapes
+        rng = random.Random(seed)
+        top = rng.choice(list(brute_partitions(rng.randint(1, 10))))
+        below = [t for t in brute_partitions(sum(top)) if prefix_leq(t, top)]
+        coeffs = {Partition(t): rng.randint(-3, 3) for t in rng.sample(below, min(4, len(below)))}
+        terms = schur_sum_to_monomial(coeffs, Partition(top)).terms
+        expected = Counter(terms.get(Partition(t), 0) for t in below)
+        assert schur_sum_coefficient_counts(coeffs, Partition(top)) == expected
+
+    def test_coefficient_counts_keep_cancelled_branches(self):
+        # S(2,1) - 2 S(1,1,1) = m(2,1): below the part 1 the state cancels,
+        # and its one partition (1,1,1) still counts, with coefficient 0
+        top = Partition((2, 1))
+        counts = schur_sum_coefficient_counts({top: 1, Partition((1, 1, 1)): -2}, top)
+        assert counts == {1: 1, 0: 1}
+        assert schur_sum_coefficient_counts({}, top) == {0: 2}
+
+    def test_coefficient_counts_need_a_dominating_top(self):
+        with pytest.raises(ValueError, match="not below"):
+            schur_sum_coefficient_counts({Partition((3,)): 1}, Partition((2, 1)))
 
     def test_support_matches_dominance_ideal(self):
         lam = Partition((3, 2))

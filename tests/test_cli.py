@@ -61,6 +61,30 @@ class TestIdentityCommand:
         assert "DIFFER" in out
 
 
+class TestVerdictsWithoutTheSides:
+    """Text verdicts come from the memoized walk; only JSON builds the sides."""
+
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("enumerated")
+
+        for name in ("partitions_below", "schur_sum_to_monomial"):
+            monkeypatch.setattr(f"jansum.identities.{name}", refuse)
+
+    def test_text_identity_and_sweep(self, no_enumeration):
+        code, out, _ = run_cli(["identity", "--n", "32", "--which", "second"])
+        assert (code, out) == (0, "n=32 second EQUAL (composite, conjecture instance)\n")
+        code, out, _ = run_cli(["sweep", "2", "30", "--which", "second"])
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 29 and all(" EQUAL " in line for line in lines)
+
+    def test_json_reads_the_sides(self, no_enumeration):
+        with pytest.raises(RuntimeError, match="enumerated"):
+            run_cli(["identity", "--n", "32", "--which", "second", "--json"])
+
+
 class TestSweepCommand:
     def test_small_sweep(self):
         code, out, _ = run_cli(["sweep", "2", "6", "--which", "second", "--jobs", "1"])
@@ -70,6 +94,7 @@ class TestSweepCommand:
         assert all("EQUAL" in line for line in lines)
 
     def test_parallel_matches_serial(self):
+        # --jobs is still accepted, and changes nothing
         code1, out1, _ = run_cli(["sweep", "2", "7", "--which", "first", "--jobs", "1"])
         code2, out2, _ = run_cli(["sweep", "2", "7", "--which", "first", "--jobs", "3"])
         assert code1 == code2 == 0
@@ -414,7 +439,7 @@ class TestSubprocessEntry:
     def test_huge_ideal_refused(self, argv):
         # about 4e10 partitions: refused up front.  In a subprocess, so that
         # a missing refusal fails on the timeout instead of hanging the
-        # suite; --jobs 1, so that no pool worker outlives that timeout.
+        # suite.
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(

@@ -1,8 +1,17 @@
+import random
 import time
+from collections import Counter
 
 import pytest
 
-from jansum.charring import BASIS_MONOMIAL, FormalCharacter, schur_to_monomial
+from helpers import partition_count, run_cli
+from jansum.charring import (
+    BASIS_MONOMIAL,
+    FormalCharacter,
+    schur_sum_coefficient_counts,
+    schur_sum_to_monomial,
+    schur_to_monomial,
+)
 from jansum.identities import (
     conjecture_sweep,
     first_identity_shapes,
@@ -11,7 +20,16 @@ from jansum.identities import (
     verify_first_identity,
     verify_second_identity,
 )
-from jansum.lattice import Partition, partitions_below
+from jansum.lattice import Partition, check_ideal_size, partitions_below
+
+FAMILIES = {
+    "first": (lambda n: Partition((n - 1, n - 1, 1)), first_identity_shapes),
+    "second": (lambda n: Partition((n - 1, 1)), second_identity_shapes),
+}
+
+
+def alternating(shapes):
+    return {shape: (-1) ** i for i, shape in enumerate(shapes)}
 
 
 class TestShapes:
@@ -111,8 +129,6 @@ class TestSweep:
             conjecture_sweep(5, 4, "first")
         with pytest.raises(ValueError):
             conjecture_sweep(1, 4, "first")
-        with pytest.raises(ValueError):
-            conjecture_sweep(2, 4, "first", jobs=0)
 
     def test_huge_ideal_refused_before_the_first_report(self):
         # n = 150 would need about 4e10 partitions
@@ -143,6 +159,89 @@ class TestNegativeControl:
             truncated = truncated + (term if i % 2 == 0 else -term)
         diff = report.lhs - truncated
         assert not diff.is_zero
+
+    @pytest.mark.parametrize("n, coeff", [(6, 1), (7, -1)])
+    def test_a_broken_right_side_is_reported(self, monkeypatch, n, coeff):
+        # without the last hook (1^n), of sign (-1)^n, the sides differ at
+        # (1^n) only, and the verdict and the diff both say so
+        monkeypatch.setattr(
+            "jansum.identities.second_identity_shapes", lambda n: second_identity_shapes(n)[:-1]
+        )
+        report = verify_second_identity(n)
+        assert not report.equal
+        assert report.diff.terms == {Partition((1,) * n): coeff}
+        code, out, _ = run_cli(["identity", "--n", str(n), "--which", "second"])
+        assert code == 3
+        assert out.splitlines()[1] == f"diff: {'-' if coeff < 0 else ''}m[{','.join('1' * n)}]"
+
+
+class TestCoefficientCounts:
+    """The memoized walk that gives the verdicts, against enumeration and
+    against closed forms beyond what enumeration can reach."""
+
+    @staticmethod
+    def variants(which, n):
+        # the right side, the same with its last shape dropped, and with
+        # the sign of one shape (drawn from a seeded generator) flipped
+        shapes = FAMILIES[which][1](n)
+        flipped = alternating(shapes)
+        shape = random.Random(f"{which}:{n}").choice(shapes)
+        flipped[shape] = -flipped[shape]
+        return [alternating(shapes), alternating(shapes[:-1]), flipped]
+
+    @pytest.mark.parametrize(
+        "which, n",
+        [("second", n) for n in range(2, 31)] + [("first", n) for n in range(2, 15)],
+    )
+    def test_equals_the_enumerated_counts(self, which, n):
+        top = FAMILIES[which][0](n)
+        ideal = partitions_below(top)
+        true, dropped, flipped = self.variants(which, n)
+        for coeffs in (true, dropped, flipped):
+            counts = schur_sum_coefficient_counts(coeffs, top)
+            rhs = schur_sum_to_monomial(coeffs, top).terms
+            assert counts == Counter(rhs.get(mu, 0) for mu in ideal)
+            # a broken right side is told apart from the true one
+            assert (counts.keys() == {1}) == (coeffs is true)
+
+    @pytest.mark.parametrize(
+        "n", [45] + sorted(random.Random(45).sample(range(46, 91), 3))
+    )
+    def test_second_family_in_closed_form(self, n):
+        # the ideal is every partition of n but (n); dropping the last hook
+        # (1^n), with sign (-1)^n, changes only the coefficient at (1^n)
+        p = partition_count(n, n)
+        if n == 45:
+            assert p == 89_134
+        top, shapes = FAMILIES["second"][0](n), second_identity_shapes(n)
+        assert schur_sum_coefficient_counts(alternating(shapes), top) == {1: p - 1}
+        assert schur_sum_coefficient_counts(alternating(shapes[:-1]), top) == Counter(
+            {1: p - 2, 1 - (-1) ** n: 1}
+        )
+
+    @pytest.mark.parametrize("which, n", [("second", 45), ("first", 23)])
+    def test_largest_admitted_n(self, which, n):
+        top, shapes = FAMILIES[which]
+        check_ideal_size(top(n))
+        with pytest.raises(ValueError, match="refused"):
+            check_ideal_size(top(n + 1))
+        leaves = partition_count(top(n).size, top(n).parts[0])
+        assert schur_sum_coefficient_counts(alternating(shapes(n)), top(n)) == {1: leaves}
+
+
+class TestLazySides:
+    def test_verdict_builds_no_side(self):
+        report = verify_first_identity(9)
+        assert report.equal
+        assert not {"lhs", "rhs", "diff"} & set(vars(report))
+
+    def test_sides_built_on_first_read_and_kept(self):
+        report = verify_second_identity(9)
+        rhs = report.rhs
+        assert report.rhs is rhs
+        assert rhs == schur_sum_to_monomial(alternating(second_identity_shapes(9)), report.top)
+        assert report.lhs.terms == dict.fromkeys(partitions_below(report.top), 1)
+        assert report.diff.is_zero
 
 
 class TestMultiplicityOne:
