@@ -109,6 +109,16 @@ class FormalCharacter:
         return f"FormalCharacter({self.basis}, {len(self.terms)} terms)"
 
 
+def _trusted_character(basis: str, levi: LeviDatum | None, terms: dict) -> FormalCharacter:
+    """The character of terms that the library built: every key valid for
+    the basis and Levi, no coefficient zero.  The dict is kept, not copied."""
+    ch = FormalCharacter.__new__(FormalCharacter)
+    ch.basis = basis
+    ch.levi = levi
+    ch.terms = terms
+    return ch
+
+
 def kostka(shape: Partition, content: Partition) -> int:
     """The Kostka number: semistandard tableaux of this shape and content.
 

@@ -30,12 +30,13 @@ read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .charring import (
     BASIS_MONOMIAL,
     FormalCharacter,
+    _trusted_character,
     convert_weyl_to_monomial,
     schur_sum_coefficient_counts,
     schur_sum_to_monomial,
@@ -47,17 +48,19 @@ FIRST = "first"
 SECOND = "second"
 
 
-@dataclass
 class IdentityReport:
     """The verdict on one identity at n; the two sides, and their
     difference, are built the first time they are read, and kept."""
 
-    n: int
-    which: str
-    top: Partition
-    shapes: list[Partition]
-    equal: bool
-    prime: bool
+    def __init__(
+        self, n: int, which: str, top: Partition, shapes: list[Partition], equal: bool, prime: bool
+    ):
+        self.n = n
+        self.which = which
+        self.top = top
+        self.shapes = shapes
+        self.equal = equal
+        self.prime = prime
 
     @property
     def label(self) -> str:
@@ -65,7 +68,8 @@ class IdentityReport:
 
     @cached_property
     def lhs(self) -> FormalCharacter:
-        return FormalCharacter(BASIS_MONOMIAL, None, dict.fromkeys(partitions_below(self.top), 1))
+        # every key is a partition that the walk built
+        return _trusted_character(BASIS_MONOMIAL, None, dict.fromkeys(partitions_below(self.top), 1))
 
     @cached_property
     def rhs(self) -> FormalCharacter:
@@ -161,8 +165,7 @@ def conjecture_sweep(n_min: int, n_max: int, which: str):
     return map(check, range(n_min, n_max + 1))
 
 
-@dataclass
-class SupportCheck:
+class SupportCheck(NamedTuple):
     """Support and multiplicity comparison of one character against a
     dominance ideal: every partition below the target must appear with
     coefficient exactly 1, and nothing else may appear."""
@@ -178,8 +181,7 @@ class SupportCheck:
         return not (self.missing or self.unexpected or self.wrong_multiplicity)
 
 
-@dataclass
-class MultiplicityOneReport:
+class MultiplicityOneReport(NamedTuple):
     p: int
     d: int
     families: list[SupportCheck]

@@ -17,12 +17,12 @@ its trace of terms, singular ones included, is built when first read.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from .charring import BASIS_WEYL, FormalCharacter
-from .lattice import Root, Weight, lambda_i_weight, rho
-from .weyl import LeviDatum, SignedDominant, to_epsilon
+from .charring import BASIS_WEYL, FormalCharacter, _trusted_character
+from .lattice import Root, Weight, _trusted_root, _trusted_weight, lambda_i_weight, rho
+from .weyl import LeviDatum, SignedDominant, _trusted_signed, to_epsilon
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -32,8 +32,8 @@ _PRIMALITY_BOUND = 318665857834031151167461
 
 # Most (root, m) terms one Jantzen sum may have.  Time and memory grow with
 # the count: on a 2-CPU machine (Python 3.11) `jantzen --p 2 --d 2 --lambda
-# 100000,0`, the largest such call admitted (100 000 terms), takes 0.65 s and
-# 48 MB, 2.1 s and 109 MB with --trace, 3.1 s and 278 MB with --trace --json.
+# 100000,0`, the largest such call admitted (100 000 terms), takes 0.71 s and
+# 47 MB, 2.5 s and 105 MB with --trace, 3.8 s and 273 MB with --trace --json.
 # The largest benchmark call has 20 000 terms; at d = 30 with every
 # coordinate 15 there are about 40 000 at p = 2.
 TERM_LIMIT = 100_000
@@ -81,8 +81,7 @@ def p_adic_valuation(p: int, x: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class JantzenTerm:
+class JantzenTerm(NamedTuple):
     """One (root, m) contribution, kept even when singular for traceability."""
 
     root: Root
@@ -94,14 +93,14 @@ class JantzenTerm:
     outcome: SignedDominant
 
 
-@dataclass
 class SumReport:
     """Evaluation record of one Jantzen sum: the total, and the trace on demand."""
 
-    lam: Weight
-    p: int
-    levi: LeviDatum
-    total: FormalCharacter
+    def __init__(self, lam: Weight, p: int, levi: LeviDatum, total: FormalCharacter):
+        self.lam = lam
+        self.p = p
+        self.levi = levi
+        self.total = total
 
     @cached_property
     def terms(self) -> tuple[JantzenTerm, ...]:
@@ -127,12 +126,11 @@ class SumReport:
             if sign:
                 if key not in dominant:
                     dominant[key] = _weight(key)
-                outcome = SignedDominant(sign, dominant[key])
+                outcome = _trusted_signed(sign, dominant[key])
             else:
                 outcome = singular
-            terms.append(
-                JantzenTerm(root, level // self.p, level, t, valuation, Weight(coords), outcome)
-            )
+            image = _trusted_weight(tuple(coords))
+            terms.append(JantzenTerm(root, level // self.p, level, t, valuation, image, outcome))
         return tuple(terms)
 
 
@@ -153,12 +151,9 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
     for _, _, _, valuation, sign, key in _walk(lam, p, levi):
         if sign:
             total[key] = total.get(key, 0) + sign * valuation
-    return SumReport(
-        lam=lam,
-        p=p,
-        levi=levi,
-        total=FormalCharacter(BASIS_WEYL, levi, {_weight(k): c for k, c in total.items()}),
-    )
+    # every key is dominant for the Levi, and distinct keys give distinct weights
+    terms = {_weight(k): c for k, c in total.items() if c}
+    return SumReport(lam, p, levi, _trusted_character(BASIS_WEYL, levi, terms))
 
 
 def _walk(lam: Weight, p: int, levi: LeviDatum):
@@ -200,7 +195,7 @@ def _walk(lam: Weight, p: int, levi: LeviDatum):
                 )
     p_squared = p * p
     for lo, hi, c, values in roots:
-        root = Root(lo, hi)
+        root = _trusted_root(lo, hi)
         xl, xh = x[lo - 1], x[hi]
         head, tail = x[: lo - 1], x[hi + 1 :]
         for level in range(p, c, p):
@@ -221,8 +216,11 @@ def _walk(lam: Weight, p: int, levi: LeviDatum):
 
 
 def _weight(key: tuple[int, ...]) -> Weight:
-    """The weight mu with epsilon(mu + rho) = key, up to adding a constant."""
-    return Weight(key[i] - key[i + 1] - 1 for i in range(len(key) - 1))
+    """The weight mu with epsilon(mu + rho) = key, up to adding a constant.
+
+    key comes from _walk, so mu is a weight by construction and is not checked.
+    """
+    return _trusted_weight(tuple([a - b - 1 for a, b in zip(key, key[1:])]))
 
 
 def lambda_sequence(p: int, d: int) -> list[Weight]:
@@ -263,8 +261,7 @@ def _alternating_tail(seq: list[Weight], i: int, levi: LeviDatum) -> FormalChara
     return FormalCharacter(BASIS_WEYL, levi, {seq[j]: (-1) ** (j - i) for j in range(i, len(seq))})
 
 
-@dataclass
-class PropCharCheck:
+class PropCharCheck(NamedTuple):
     """One (i, Levi) comparison of a Jantzen sum against its alternating tail."""
 
     i: int
@@ -275,8 +272,7 @@ class PropCharCheck:
     report: SumReport
 
 
-@dataclass
-class PropCharReport:
+class PropCharReport(NamedTuple):
     p: int
     d: int
     checks: list[PropCharCheck]

@@ -148,6 +148,21 @@ class Root:
         return f"a[{self.lo},{self.hi}]"
 
 
+def _trusted_weight(coords: tuple[int, ...]) -> Weight:
+    """The Weight of coords that the library built: at least two integers."""
+    w = Weight.__new__(Weight)
+    w.coords = coords
+    return w
+
+
+def _trusted_root(lo: int, hi: int) -> Root:
+    """The Root of integers 1 <= lo <= hi that the library built."""
+    r = Root.__new__(Root)
+    r.lo = lo
+    r.hi = hi
+    return r
+
+
 def pairing(w: Weight, r: Root) -> int:
     """Pairing of w with the coroot of alpha_{lo,hi}: sum of coords lo..hi."""
     if r.hi > w.rank:

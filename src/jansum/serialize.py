@@ -8,8 +8,6 @@ identity on the text.
 
 from __future__ import annotations
 
-import json
-
 from .charring import BASIS_MONOMIAL, BASIS_WEYL, FormalCharacter
 from .identities import IdentityReport, MultiplicityOneReport
 from .jantzen import JantzenTerm, PropCharReport, SumReport
@@ -18,6 +16,8 @@ from .weyl import LeviDatum, SignedDominant
 
 
 def canonical_dumps(obj) -> str:
+    import json  # here, not at the top: a command that prints no JSON never loads it
+
     return json.dumps(obj, separators=(",", ":"))
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -462,3 +463,41 @@ class TestSubprocessEntry:
             env=env,
         )
         assert proc.returncode == 2
+
+
+_START_UP = """
+import sys
+before = set(sys.modules)
+import jansum.cli
+print(sorted(set(sys.modules) - before))
+jansum.cli.main(sys.argv[1:])
+print("json" in sys.modules)
+jansum.cli.main(sys.argv[1:] + ["--trace", "--json"])
+"""
+
+
+class TestStartUp:
+    # Every command is a process of its own and pays for what importing the
+    # CLI loads.  run_cli is in-process, so only a fresh interpreter sees it.
+    def test_cli_import_loads_no_heavy_module(self):
+        argv = ["jantzen", "--p", "5", "--d", "5", "--lambda", "1,2,0,1,0"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _START_UP, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        loaded = set(ast.literal_eval(lines[0]))
+        assert "jansum.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "json"}
+        # a text report loads no json; a JSON one loads it and prints the
+        # same canonical bytes as in-process
+        assert lines[-2] == "False"
+        text = lines[-1]
+        assert json.dumps(json.loads(text), separators=(",", ":")) == text
+        assert run_cli(argv + ["--trace", "--json"]) == (0, text + "\n", "")

@@ -3,8 +3,10 @@
 golden_cli.json holds [argv, exit code, sha256 of stdout] for each line: the
 README's commands, the prop-char matrix, identities at n = 2, 5, 6 and 11,
 a first-identity sweep, Jantzen sums at d <= 6 (traced, JSON, on Levis that
-leave negative coordinates off their simple roots), the small commands and
-one refused input per command.  Stderr is not pinned.  A change meant to
+leave negative coordinates off their simple roots) and at the sizes the
+benchmark runs (d = 30 at p = 3, full and Levi 2..30, JSON with and without
+--trace; 20 000 levels at d = 2), the small commands and one refused input
+per command.  Stderr is not pinned.  A change meant to
 alter an output replaces that entry's digest.
 """
 

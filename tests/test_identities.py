@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from collections import Counter
@@ -8,6 +9,7 @@ from helpers import partition_count, run_cli
 from jansum.charring import (
     BASIS_MONOMIAL,
     FormalCharacter,
+    kostka,
     schur_sum_coefficient_counts,
     schur_sum_to_monomial,
     schur_to_monomial,
@@ -227,6 +229,42 @@ class TestCoefficientCounts:
             check_ideal_size(top(n + 1))
         leaves = partition_count(top(n).size, top(n).parts[0])
         assert schur_sum_coefficient_counts(alternating(shapes(n)), top(n)) == {1: leaves}
+
+
+class TestHookKostkaInClosedForm:
+    """K((n-1-i, 1^(i+1)), mu) = C(l(mu) - 1, i + 1), with no enumeration: a
+    semistandard hook tableau is fixed by which i + 1 of the values
+    2..l(mu) go down its leg.  So the second family's right side has the
+    coefficient sum over i of (-1)^i C(l(mu) - 1, i + 1) = 1 at every mu
+    with l(mu) >= 2, the left side's coefficient there."""
+
+    N = 150
+
+    @staticmethod
+    def seeded_content(rng, n, largest):
+        parts, left = [], n
+        while left:
+            parts.append(rng.randint(1, min(largest, left)))
+            left -= parts[-1]
+        return Partition(sorted(parts, reverse=True))
+
+    def test_hook_kostka_is_a_binomial(self):
+        n, rng = self.N, random.Random(self.N)
+        # parts up to 40, 12 and 4: lengths from about ten to about sixty
+        contents = [self.seeded_content(rng, n, largest) for largest in (40, 12, 4)]
+        pairs = 0
+        for mu in contents:
+            assert mu.size == n and mu.length >= 2
+            for i in range(0, n - 1, 7):
+                hook = Partition([n - 1 - i] + [1] * (i + 1))
+                assert kostka(hook, mu) == math.comb(mu.length - 1, i + 1), (mu, i)
+                pairs += 1
+        assert pairs == 66
+
+    def test_second_right_side_coefficient_is_one(self):
+        n = self.N
+        for length in range(2, n + 1):
+            assert sum((-1) ** i * math.comb(length - 1, i + 1) for i in range(n - 1)) == 1
 
 
 class TestLazySides:
