@@ -5,20 +5,25 @@ Two bases are supported.  The Weyl basis is keyed by Levi-dominant weights
 partitions (one symbol per orbit sum of monomial symmetric functions, i.e.
 the GL picture with unboundedly many variables).  Conversion from the full
 Weyl basis to the monomial basis goes through Kostka numbers:
-S_lambda = sum over mu of K(lambda, mu) * m_mu.
+S_lambda = sum over mu of K(lambda, mu) * m_mu.  A signed sum of Schur
+functions is expanded by one memoized walk of the dominance ideal below a
+top shape (schur_sum_dag), which peels a horizontal strip for each part:
+the expansion lists the walk's leaves, and the coefficient counts that
+decide an identity are one fold over its keys.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate
 from typing import Mapping
 
 from .lattice import (
     Partition,
     Weight,
+    check_ideal_size,
     dominance_leq,
-    walk_below,
+    ideal_dag,
+    ideal_leaves,
     weight_to_partition,
 )
 from .weyl import LeviDatum
@@ -131,21 +136,28 @@ def kostka(shape: Partition, content: Partition) -> int:
     """
     if shape.size != content.size:
         raise ValueError(f"size mismatch: |{shape}| != |{content}|")
-    state = {shape.parts: 1}
+    state = frozenset({(shape.parts, 1)})
     for part in content.parts:
         state = _peel(state, part)
-    return state.get((), 0)
+    return _coefficient(state)
 
 
-def _peel(state: dict[tuple[int, ...], int], size: int) -> dict[tuple[int, ...], int]:
-    """The state {shape: coeff} after peeling a horizontal strip of the
-    given size from every shape in every possible way (the branching rule
-    s_lam = sum over strips lam/nu of x_k^|lam/nu| s_nu); zeros dropped."""
+def _peel(state: frozenset, size: int) -> frozenset:
+    """The state, a set of (shape, coeff), after peeling a horizontal strip
+    of the given size from every shape in every possible way (the branching
+    rule s_lam = sum over strips lam/nu of x_k^|lam/nu| s_nu); zeros
+    dropped."""
     out: dict[tuple[int, ...], int] = {}
-    for shape, coeff in state.items():
+    for shape, coeff in state:
         for inner in _horizontal_strips(shape, size):
             out[inner] = out.get(inner, 0) + coeff
-    return {inner: coeff for inner, coeff in out.items() if coeff}
+    return frozenset((inner, coeff) for inner, coeff in out.items() if coeff)
+
+
+def _coefficient(state: frozenset) -> int:
+    """The coefficient of the empty shape in a state: at the end of a walk,
+    where every cell is peeled, the coefficient of its partition."""
+    return dict(state).get((), 0)
 
 
 def _horizontal_strips(shape: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
@@ -186,81 +198,50 @@ def _horizontal_strips(shape: tuple[int, ...], size: int) -> list[tuple[int, ...
 
 
 def schur_sum_to_monomial(coeffs: Mapping[Partition, int], top: Partition) -> FormalCharacter:
-    """Expand sum of coeff * S_shape in the monomial basis.
-
-    `top` must dominate every shape.  One walk of the dominance ideal below
-    top carries the state {shape: coeff}, peeling a horizontal strip for
-    each part, so every mu gets sum of coeff * K(shape, mu) in one pass; a
-    branch whose state has cancelled to zero is cut.
-    """
-    state = _state_below(coeffs, top)
-    terms = {mu: leaf[()] for mu, leaf in walk_below(top, state, _peel)}
-    return FormalCharacter(BASIS_MONOMIAL, None, terms)
+    """Expand sum of coeff * S_shape in the monomial basis: the leaves of
+    schur_sum_dag, listed, each mu below top with sum of coeff * K(shape,
+    mu).  Raises ValueError, before walking, if check_ideal_size refuses."""
+    check_ideal_size(top)
+    return dag_to_monomial(schur_sum_dag(coeffs, top))
 
 
-def _state_below(coeffs: Mapping[Partition, int], top: Partition) -> dict[tuple[int, ...], int]:
-    """The first state {shape: coeff} of a walk below top, which must
-    dominate every shape."""
+def schur_sum_dag(coeffs: Mapping[Partition, int], top: Partition) -> dict[tuple, tuple]:
+    """The lattice.ideal_dag below top whose state is the signed set of
+    shapes of sum of coeff * S_shape left after peeling a horizontal strip
+    for each part, so a leaf's state holds the coefficient of its
+    partition.  `top` must dominate every shape; the size of the ideal is
+    not checked here.  A branch whose state has cancelled is walked on."""
     for shape in coeffs:
         if not dominance_leq(shape, top):
             raise ValueError(f"{shape} is not below {top} in dominance order")
-    return {shape.parts: c for shape, c in coeffs.items() if c}
+    return ideal_dag(top, frozenset((shape.parts, c) for shape, c in coeffs.items() if c), _peel)
+
+
+def dag_to_monomial(dag: dict[tuple, tuple]) -> FormalCharacter:
+    """The expansion that a schur_sum_dag holds: its leaves, listed, with
+    their nonzero coefficients."""
+    # every key is a partition that the walk built
+    terms = {mu: c for mu, state in ideal_leaves(dag) if (c := _coefficient(state))}
+    return _trusted_character(BASIS_MONOMIAL, None, terms)
+
+
+def coefficient_counts(dag: dict[tuple, tuple]) -> Counter:
+    """Counter{coefficient: number of leaves} of a schur_sum_dag, zeros
+    included, in one pass over its keys, children first: each key's Counter
+    is the sum of its children's, so the work follows the keys."""
+    counts: dict[tuple, Counter] = {}
+    for key, children in dag.items():
+        total = Counter() if children else Counter({_coefficient(key[0]): 1})
+        for child in children:
+            total.update(counts[child])
+        counts[key] = total
+    return total
 
 
 def schur_sum_coefficient_counts(coeffs: Mapping[Partition, int], top: Partition) -> Counter:
-    """How often each coefficient occurs in sum of coeff * S_shape, over
-    every partition mu below top: Counter{coefficient: number of mu}, zeros
-    included.  `top` must dominate every shape; the size of the ideal is
-    not checked here.
-
-    The walk of schur_sum_to_monomial, memoized.  Below a node, the walk
-    depends only on the state {shape: coeff}, the size left, the largest
-    part allowed and, while a prefix sum of top still binds, the depth.
-    Each such key is counted once, not once per partition below it, as the
-    partitions whose next part is the largest allowed plus those below the
-    same key with a largest part one less.  So each (state, part, depth) is
-    peeled once.  A branch whose state has cancelled is walked on, its
-    partitions counted with coefficient 0.  The walk keeps its own stack.
-    """
-    state = _state_below(coeffs, top)
-    n = top.size
-    # the first k+1 parts add up to at most bounds[min(k, top.length)]
-    bounds = list(accumulate(top.parts)) + [n]
-    free = max(top.length - 1, 0)  # from this depth on, no prefix bound binds
-    # a key: (state, size left, largest part allowed, depth up to free)
-    root = (frozenset(state.items()), n, bounds[0], 0)
-    counts: dict[tuple, Counter] = {}
-    below: dict[tuple, list] = {}  # key -> the (key, state)s it is counted from
-    stack = [(root, state)]
-    while stack:
-        key, state = stack[-1]
-        if key in below:
-            # every key below it is counted
-            stack.pop()
-            total = Counter()
-            for child, _ in below.pop(key):
-                total.update(counts[child])
-            counts[key] = total
-        elif key in counts:
-            stack.pop()
-        elif not key[1]:
-            stack.pop()
-            counts[key] = Counter({state.get((), 0): 1})
-        else:
-            whole, left, largest, depth = key
-            new = _peel(state, largest)
-            done = n - left + largest
-            taken = (
-                frozenset(new.items()),
-                left - largest,
-                min(largest, bounds[min(depth + 1, top.length)] - done),
-                min(depth + 1, free),
-            )
-            below[key] = [(taken, new)]
-            if largest > 1:
-                below[key].append(((whole, left, largest - 1, depth), state))
-            stack.extend(c for c in below[key] if c[0] not in counts)
-    return counts[root]
+    """How often each coefficient of sum of coeff * S_shape occurs over the
+    partitions below top, zeros included; unchecked, as schur_sum_dag."""
+    return coefficient_counts(schur_sum_dag(coeffs, top))
 
 
 def schur_to_monomial(lam: Partition) -> FormalCharacter:

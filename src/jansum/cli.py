@@ -351,16 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
             "partitions are comma-separated parts (e.g. 2,2,1)."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="accepted for compatibility; has no effect",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, help: str, handler=_run) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=help)
+        p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         return p
 

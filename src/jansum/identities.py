@@ -21,11 +21,11 @@ I.3 Example 11; Stanley, Enumerative Combinatorics 2, 7.17.)  Reports still
 label composite n a "conjecture instance": that text is part of the output
 contract, and changing it is a change of its own.
 
-A verdict does not expand either side: the memoized walk of
-charring.schur_sum_coefficient_counts counts how often each coefficient of
-the right side occurs over the ideal, and the two sides are equal when every
-coefficient is 1.  The sides themselves are built the first time they are
-read.
+A verdict does not expand either side: it builds the memoized walk of the
+right side over the ideal (charring.schur_sum_dag) and counts how often each
+coefficient occurs at its leaves, and the two sides are equal when every
+coefficient is 1.  The report keeps that walk; the sides are listed from it
+the first time they are read, with no strip peeled again.
 """
 
 from __future__ import annotations
@@ -37,23 +37,27 @@ from .charring import (
     BASIS_MONOMIAL,
     FormalCharacter,
     _trusted_character,
+    coefficient_counts,
     convert_weyl_to_monomial,
-    schur_sum_coefficient_counts,
+    dag_to_monomial,
+    schur_sum_dag,
     schur_sum_to_monomial,
 )
 from .jantzen import derived_simple_chars, is_prime
-from .lattice import Partition, check_ideal_size, partitions_below
+from .lattice import Partition, check_ideal_size, ideal_leaves, partitions_below
 
 FIRST = "first"
 SECOND = "second"
 
 
 class IdentityReport:
-    """The verdict on one identity at n; the two sides, and their
-    difference, are built the first time they are read, and kept."""
+    """The verdict on one identity at n and the walk that gave it
+    (charring.schur_sum_dag); the two sides, and their difference, are
+    listed from that walk the first time they are read, and kept."""
 
     def __init__(
-        self, n: int, which: str, top: Partition, shapes: list[Partition], equal: bool, prime: bool
+        self, n: int, which: str, top: Partition, shapes: list[Partition], equal: bool,
+        prime: bool, dag: dict,
     ):
         self.n = n
         self.which = which
@@ -61,6 +65,7 @@ class IdentityReport:
         self.shapes = shapes
         self.equal = equal
         self.prime = prime
+        self.dag = dag
 
     @property
     def label(self) -> str:
@@ -68,12 +73,13 @@ class IdentityReport:
 
     @cached_property
     def lhs(self) -> FormalCharacter:
-        # every key is a partition that the walk built
-        return _trusted_character(BASIS_MONOMIAL, None, dict.fromkeys(partitions_below(self.top), 1))
+        # every leaf of the walk is a partition below the top, built by it
+        leaves = ideal_leaves(self.dag)
+        return _trusted_character(BASIS_MONOMIAL, None, dict.fromkeys((mu for mu, _ in leaves), 1))
 
     @cached_property
     def rhs(self) -> FormalCharacter:
-        return _alternating_schur_sum(self.shapes)
+        return dag_to_monomial(self.dag)
 
     @cached_property
     def diff(self) -> FormalCharacter:
@@ -82,11 +88,6 @@ class IdentityReport:
 
 def _alternating(shapes: list[Partition]) -> dict[Partition, int]:
     return {shape: (-1) ** i for i, shape in enumerate(shapes)}
-
-
-def _alternating_schur_sum(shapes: list[Partition]) -> FormalCharacter:
-    # in both families shapes[0] dominates the rest
-    return schur_sum_to_monomial(_alternating(shapes), shapes[0])
 
 
 def first_identity_shapes(n: int) -> list[Partition]:
@@ -120,14 +121,15 @@ def _verify(n: int, which: str, top, shapes) -> IdentityReport:
     ideal_top = top(n)
     check_ideal_size(ideal_top)
     built = shapes(n)
-    counts = schur_sum_coefficient_counts(_alternating(built), ideal_top)
+    dag = schur_sum_dag(_alternating(built), ideal_top)
     return IdentityReport(
         n=n,
         which=which,
         top=ideal_top,
         shapes=built,
-        equal=counts.keys() == {1},
+        equal=coefficient_counts(dag).keys() == {1},
         prime=is_prime(n),
+        dag=dag,
     )
 
 
@@ -231,6 +233,6 @@ def multiplicity_one_report(p: int, d: int) -> MultiplicityOneReport:
         )
     head = convert_weyl_to_monomial(derived_simple_chars(p, d)[0])
     first = _support_check(head, Partition((p - 1, p - 1, 1)))
-    hook_sum = _alternating_schur_sum(second_identity_shapes(p))
+    hook_sum = schur_sum_to_monomial(_alternating(second_identity_shapes(p)), Partition((p - 1, 1)))
     second = _support_check(hook_sum, Partition((p - 1, 1)))
     return MultiplicityOneReport(p=p, d=d, families=[first, second])

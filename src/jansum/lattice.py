@@ -194,23 +194,22 @@ def dominance_leq(a: Partition, b: Partition) -> bool:
 def partitions_below(b: Partition) -> list[Partition]:
     """All partitions of |b| that are <= b in dominance order.
 
-    Generated by bounded-part recursion with prefix-sum pruning (never by
-    filtering all partitions of |b|), largest-first, so the output is in
-    reverse-lexicographic order and starts with b itself.
+    The leaves of the walk of ideal_dag (never a filter over all partitions
+    of |b|), in reverse-lexicographic order, so b itself comes first.
+    Raises ValueError, before walking, when check_ideal_size refuses b.
     """
-    return [mu for mu, _ in walk_below(b, True, lambda state, part: True)]
+    check_ideal_size(b)
+    return [mu for mu, _ in ideal_leaves(ideal_dag(b, None, lambda state, part: None))]
 
 
-# Largest dominance ideal a walk accepts.  It bounds two paths.  The
-# enumeration of terms (partitions_below, schur_sum_to_monomial, and so the
-# sides of an identity report that --json prints) grows with the ideal: on
-# a 2-CPU machine (Python 3.11) the sides of the second identity at n=45
-# (89 133 partitions) take 3.3 s and 98 MB, those of the first at n=23
-# (84 626) 4.8 s and 83 MB, and those are the largest n this limit admits.
-# The identity verdict (identities._verify) checks it too, so that a verdict
-# is given exactly where its terms can be listed; its memoized walk takes
-# 0.02 s and 0.17 s at those n, in 16 MB.  n=150, about 4e10 partitions, is
-# refused at once instead of running until killed.
+# Largest dominance ideal a walk accepts.  It bounds the listing of terms
+# (partitions_below, schur_sum_to_monomial and the sides of an identity
+# report that --json prints), which grows with the ideal: on a 2-CPU machine
+# (Python 3.11) the sides of the second identity at n=45 (89 133 partitions)
+# take 1.0 s and 77 MB, those of the first at n=23 (84 626) 1.0 s and 64 MB,
+# the largest n this limit admits.  identities._verify checks it too, so a
+# verdict (0.02 s and 0.16 s at those n) is given exactly where its terms
+# can be listed.  n=150, about 4e10 partitions, is refused at once.
 IDEAL_LIMIT = 100_000
 
 
@@ -240,63 +239,87 @@ def check_ideal_size(b: Partition) -> None:
         )
 
 
-def walk_below(b: Partition, state, step) -> list[tuple[Partition, object]]:
-    """Depth-first walk of the partitions below b, carrying a state.
+def ideal_dag(b: Partition, state, step) -> dict[tuple, tuple]:
+    """The memoized walk of the partitions below b, carrying a state.
 
-    The walk of partitions_below: each partition is built one part at a
-    time, largest first, and `step(state, part)` gives the state after that
-    part.  A falsy state cuts the branch.  Returns (partition, state) for
-    every partition reached, in reverse-lexicographic order.  Raises
-    ValueError, before walking, when check_ideal_size refuses b.
-
-    The walk keeps its own stack, so no partition is too long for it.
+    Each partition is built one part at a time, largest first, and
+    `step(state, part)` gives the hashable state after that part.  What lies
+    below a node depends only on its key: (state, size left, largest part
+    allowed, depth while a prefix sum of b still binds), so each key is
+    stepped once, however many partitions pass through it.  Returns each
+    key's children: the key after taking the largest part allowed, then the
+    same key with a largest part one less.  Once that part is 1, all parts
+    left are 1 and no prefix sum binds, so such a key has the last depth and
+    one child, its leaf; a leaf has none.  Keys are stored children first,
+    so the root is the last.  The ideal's size is not checked here.  The
+    walk keeps its own stack, so no partition is too long for it.
     """
-    check_ideal_size(b)
-    if not state:
-        return []
     n = b.size
     # the first k+1 parts add up to at most bounds[min(k, b.length)]
     bounds = list(accumulate(b.parts)) + [n]
+    free = max(b.length - 1, 0)  # from this depth on, no prefix bound binds
+    dag: dict[tuple, tuple] = {}
+    waiting: dict[tuple, tuple] = {}  # key -> its children, not all stored yet
+    stack = [(state, n, bounds[0], 0)]
+    while stack:
+        key = stack.pop()
+        if key in waiting:
+            # there is no cycle, so the children pushed above it are stored
+            dag[key] = waiting.pop(key)
+        if key in dag:
+            continue
+        state, left, largest, depth = key
+        if not left:
+            dag[key] = ()
+        elif largest == 1:
+            # peel the run of ones once, storing each of its keys with the
+            # leaf as its one child
+            run = []
+            while left and key not in dag:
+                run.append(key)
+                state = step(state, 1)
+                left -= 1
+                key = (state, left, 1 if left else 0, free)
+            leaf = dag[key][0] if left else key
+            dag.setdefault(leaf, ())
+            dag.update(dict.fromkeys(reversed(run), (leaf,)))
+        else:
+            nxt = min(largest, bounds[min(depth + 1, b.length)] - (n - left + largest))
+            deeper = free if nxt == 1 else min(depth + 1, free)
+            waiting[key] = (
+                (step(state, largest), left - largest, nxt, deeper),
+                (state, left, largest - 1, free if largest == 2 else depth),
+            )
+            stack.append(key)
+            stack += waiting[key]
+    return dag
+
+
+def ideal_leaves(dag: dict[tuple, tuple]) -> list[tuple[Partition, object]]:
+    """(partition, state) for every leaf of an ideal_dag, one per path from
+    the root, in reverse-lexicographic order of the partitions."""
     out: list[tuple[Partition, object]] = []
     parts: list[int] = []  # the partition so far
-    states = [state]  # states[k]: the state after parts[:k]
-    total = 0
-    a = bounds[0]  # the next part to try after parts
-    if n == 0:
-        out.append((b, state))
-    while True:
-        if a == 1:
-            # every part from here on is 1
-            new = states[-1]
-            for _ in range(n - total):
-                new = step(new, 1)
-                if not new:
-                    break
-            if new:
-                out.append((_walked(parts + [1] * (n - total)), new))
-            a = 0
-        elif a:
-            new = step(states[-1], a)
-            if new and total + a < n:
-                parts.append(a)
-                states.append(new)
-                total += a
-                a = min(a, bounds[min(len(parts), b.length)] - total)
-            else:
-                if new:
-                    out.append((_walked(parts + [a]), new))
-                a -= 1
-        elif parts:
-            a = parts.pop()
-            states.pop()
-            total -= a
-            a -= 1
+    stack = [(next(reversed(dag)), 0)]  # (key, length of parts above it)
+    while stack:
+        key, length = stack.pop()
+        del parts[length:]
+        children = dag[key]
+        if not children:
+            out.append((_walked(parts), key[0]))
+            continue
+        _, left, largest, _ = key
+        if largest == 1:
+            parts += [1] * left
         else:
-            return out
+            stack.append((children[1], length))
+            parts.append(largest)
+        stack.append((children[0], len(parts)))
+    return out
 
 
 def _walked(parts: list[int]) -> Partition:
-    """The Partition of parts that walk_below built, so valid by construction."""
+    """The Partition of parts that ideal_leaves built, so valid by construction."""
     mu = Partition.__new__(Partition)
     mu.parts = tuple(parts)
     return mu

@@ -9,10 +9,12 @@ from __future__ import annotations
 import contextlib
 import io
 import random
+from functools import lru_cache
 from math import factorial
 
+from jansum.charring import kostka
 from jansum.jantzen import JantzenTerm, p_adic_valuation
-from jansum.lattice import Weight, pairing, rho
+from jansum.lattice import Partition, Weight, pairing, rho
 from jansum.weyl import affine_dot_reflect, dot_normalize
 
 
@@ -46,6 +48,25 @@ def prefix_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
         if sa > sb:
             return False
     return True
+
+
+_kostka = lru_cache(maxsize=None)(kostka)
+
+
+def schur_sum_by_kostka(coeffs, top) -> dict:
+    """{mu: sum of coeff * K(shape, mu)} for every mu below top, zeros
+    included, in reverse-lexicographic order: one Kostka number per (shape,
+    mu), over the ideal that brute_partitions and prefix_leq find, so no
+    walk of the ideal is used.  K(shape, mu) is 0 unless mu <= shape, and
+    each of the others is computed once per test session."""
+    out = {}
+    for parts in brute_partitions(top.size):
+        if prefix_leq(parts, top.parts):
+            mu = Partition(parts)
+            out[mu] = sum(
+                c * _kostka(shape, mu) for shape, c in coeffs.items() if prefix_leq(parts, shape.parts)
+            )
+    return out
 
 
 def hook_length_count(shape: tuple[int, ...]) -> int:

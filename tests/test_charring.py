@@ -3,7 +3,13 @@ from collections import Counter
 
 import pytest
 
-from helpers import brute_partitions, hook_length_count, prefix_leq, random_dominant
+from helpers import (
+    brute_partitions,
+    hook_length_count,
+    prefix_leq,
+    random_dominant,
+    schur_sum_by_kostka,
+)
 from jansum.charring import (
     BASIS_MONOMIAL,
     BASIS_WEYL,
@@ -146,6 +152,19 @@ class TestSchurToMonomial:
         terms = schur_sum_to_monomial(coeffs, Partition(top)).terms
         expected = Counter(terms.get(Partition(t), 0) for t in below)
         assert schur_sum_coefficient_counts(coeffs, Partition(top)) == expected
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_expansion_matches_the_kostka_numbers(self, seed):
+        # the tops and shapes drawn above, against one Kostka number per
+        # (shape, mu): an oracle that walks no ideal
+        rng = random.Random(seed)
+        top = Partition(rng.choice(list(brute_partitions(rng.randint(1, 10)))))
+        below = [t for t in brute_partitions(top.size) if prefix_leq(t, top.parts)]
+        coeffs = {Partition(t): rng.randint(-3, 3) for t in rng.sample(below, min(4, len(below)))}
+        expected = schur_sum_by_kostka(coeffs, top)
+        assert schur_sum_coefficient_counts(coeffs, top) == Counter(expected.values())
+        terms = schur_sum_to_monomial(coeffs, top).terms
+        assert list(terms.items()) == [(mu, c) for mu, c in expected.items() if c]
 
     def test_coefficient_counts_keep_cancelled_branches(self):
         # S(2,1) - 2 S(1,1,1) = m(2,1): below the part 1 the state cancels,

@@ -5,8 +5,11 @@ README's commands, the prop-char matrix, identities at n = 2, 5, 6 and 11,
 a first-identity sweep, Jantzen sums at d <= 6 (traced, JSON, on Levis that
 leave negative coordinates off their simple roots) and at the sizes the
 benchmark runs (d = 30 at p = 3, full and Levi 2..30, JSON with and without
---trace; 20 000 levels at d = 2), the small commands and one refused input
-per command.  Stderr is not pinned.  A change meant to
+--trace; 20 000 levels at d = 2), Schur expansions whose prefix bounds bind
+deep or that end in long runs of ones (12,8,4; ten 3s; thirty 2s), the
+sides of the first identity at n = 16 and a first sweep to 14 in JSON,
+multiplicity at p = 7, the small commands and one refused input per
+command.  Stderr is not pinned.  A change meant to
 alter an output replaces that entry's digest.
 """
 

@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from helpers import partition_count, run_cli
+from helpers import partition_count, run_cli, schur_sum_by_kostka
+from jansum import charring
 from jansum.charring import (
     BASIS_MONOMIAL,
     FormalCharacter,
@@ -207,6 +208,19 @@ class TestCoefficientCounts:
             assert (counts.keys() == {1}) == (coeffs is true)
 
     @pytest.mark.parametrize(
+        "which, n",
+        [("second", n) for n in range(2, 21)] + [("first", n) for n in range(2, 11)],
+    )
+    def test_equals_the_kostka_numbers(self, which, n):
+        # an oracle that walks no ideal: one Kostka number per (shape, mu)
+        top = FAMILIES[which][0](n)
+        for coeffs in self.variants(which, n):
+            expected = schur_sum_by_kostka(coeffs, top)
+            assert schur_sum_coefficient_counts(coeffs, top) == Counter(expected.values())
+            terms = schur_sum_to_monomial(coeffs, top).terms
+            assert list(terms.items()) == [(mu, c) for mu, c in expected.items() if c]
+
+    @pytest.mark.parametrize(
         "n", [45] + sorted(random.Random(45).sample(range(46, 91), 3))
     )
     def test_second_family_in_closed_form(self, n):
@@ -272,6 +286,16 @@ class TestLazySides:
         report = verify_first_identity(9)
         assert report.equal
         assert not {"lhs", "rhs", "diff"} & set(vars(report))
+
+    def test_sides_read_the_walk_of_the_verdict(self, monkeypatch):
+        # the report keeps the walk its verdict built, so no strip is peeled again
+        report = verify_first_identity(12)
+        peeled = []
+        real = charring._peel
+        monkeypatch.setattr(charring, "_peel", lambda *args: peeled.append(args) or real(*args))
+        assert report.rhs.terms == report.lhs.terms
+        assert len(report.lhs.terms) == partition_count(23, 11)
+        assert peeled == []
 
     def test_sides_built_on_first_read_and_kept(self):
         report = verify_second_identity(9)
