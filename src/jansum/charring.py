@@ -238,12 +238,6 @@ def coefficient_counts(dag: dict[tuple, tuple]) -> Counter:
     return total
 
 
-def schur_sum_coefficient_counts(coeffs: Mapping[Partition, int], top: Partition) -> Counter:
-    """How often each coefficient of sum of coeff * S_shape occurs over the
-    partitions below top, zeros included; unchecked, as schur_sum_dag."""
-    return coefficient_counts(schur_sum_dag(coeffs, top))
-
-
 def schur_to_monomial(lam: Partition) -> FormalCharacter:
     """Expand the Schur function of lam in the monomial basis via Kostka numbers."""
     return schur_sum_to_monomial({lam: 1}, lam)

@@ -4,7 +4,9 @@ Exit codes are a stable contract: 0 success (all checks equal/passed),
 2 usage error, 3 verification failure, 4 internal oracle mismatch.
 A usage error is reported by argparse, or is the library's own ValueError;
 the CLI repeats none of the library's checks.  No command reads or writes a
-file.  `sweep` prints each report as soon as it and every earlier n are done.
+file.  Each subcommand is one entry of `_COMMANDS`: its help, its arguments
+and its handler.  Every command but `selftest` prints through `_reports`,
+each report as soon as it is built (so `sweep` streams), in text or JSON.
 """
 
 from __future__ import annotations
@@ -149,100 +151,6 @@ def _multiplicity_text(report, args):
 
 
 # ---------------------------------------------------------------------------
-# the command table
-
-def _levi(args) -> LeviDatum:
-    return LeviDatum.full(args.d) if args.levi is None else LeviDatum(args.d, args.levi)
-
-
-def _always(report) -> bool:
-    return True
-
-
-# name -> (the report from the args, its text lines from (report, args), its
-# JSON form from (report, args), whether the report passed)
-_COMMANDS = {
-    "identity": (
-        lambda a: next(conjecture_sweep(a.n, a.n, a.which)),
-        _identity_text,
-        lambda report, a: identity_report_to_json(report),
-        lambda report: report.equal,
-    ),
-    "jantzen": (
-        lambda a: jantzen_sum(Weight(a.lam), a.p, _levi(a)),
-        _jantzen_text,
-        lambda report, a: sum_report_to_json(report, include_terms=a.trace),
-        _always,
-    ),
-    "prop-char": (
-        lambda a: verify_prop_char(a.p, a.d),
-        _prop_char_text,
-        lambda report, a: prop_char_report_to_json(report),
-        lambda report: report.passed,
-    ),
-    "sequence": (
-        lambda a: lambda_sequence(a.p, a.d),
-        lambda weights, a: (f"lambda_{i} = {w}" for i, w in enumerate(weights)),
-        lambda weights, a: {"p": a.p, "d": a.d, "weights": [weight_to_json(w) for w in weights]},
-        _always,
-    ),
-    "schur": (
-        lambda a: schur_to_monomial(Partition(a.lam)),
-        lambda ch, a: [f"S{Partition(a.lam)} = {format_character(ch)}"],
-        lambda ch, a: character_to_json(ch),
-        _always,
-    ),
-    "kostka": (
-        lambda a: kostka(Partition(a.lam), Partition(a.mu)),
-        lambda value, a: [value],
-        lambda value, a: {
-            "shape": partition_to_json(Partition(a.lam)),
-            "content": partition_to_json(Partition(a.mu)),
-            "value": value,
-        },
-        _always,
-    ),
-    "normalize": (
-        lambda a: dot_normalize(Weight(a.coords), _levi(a)),
-        lambda sd, a: [
-            "singular" if sd.is_singular else f"sign={sd.sign:+d} dominant={sd.dominant}"
-        ],
-        lambda sd, a: signed_dominant_to_json(sd),
-        _always,
-    ),
-    "multiplicity": (
-        lambda a: multiplicity_one_report(a.p, a.d),
-        _multiplicity_text,
-        lambda report, a: multiplicity_report_to_json(report),
-        lambda report: report.passed,
-    ),
-}
-
-
-def _run(args) -> int:
-    """Print the report of a table command, in the one form asked for."""
-    build, text, to_json, passed = _COMMANDS[args.command]
-    report = build(args)
-    if args.json:
-        print(canonical_dumps(to_json(report, args)))
-    else:
-        for line in text(report, args):
-            print(line)
-    return EXIT_OK if passed(report) else EXIT_VERIFY
-
-
-def _cmd_sweep(args) -> int:
-    all_equal = True
-    for report in conjecture_sweep(args.n_min, args.n_max, args.which):
-        if args.jsonl:
-            print(canonical_dumps(identity_report_to_json(report)), flush=True)
-        else:
-            print(_identity_line(report), flush=True)
-        all_equal = all_equal and report.equal
-    return EXIT_OK if all_equal else EXIT_VERIFY
-
-
-# ---------------------------------------------------------------------------
 # selftest: cross-check the fast paths against the oracles at capped sizes
 
 def _selftest_checks():
@@ -339,7 +247,131 @@ def _cmd_selftest(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table
+
+def _levi(args) -> LeviDatum:
+    return LeviDatum.full(args.d) if args.levi is None else LeviDatum(args.d, args.levi)
+
+
+def _reports(build, text, to_json, passed=lambda report: True):
+    """The handler of a report command: print each report that build(args)
+    yields as soon as it is built, as the lines of text(report, args) or as
+    the canonical JSON of to_json(report, args); exit 3 if any failed."""
+
+    def handler(args) -> int:
+        all_passed = True
+        for report in build(args):
+            if args.json:
+                print(canonical_dumps(to_json(report, args)))
+            else:
+                for line in text(report, args):
+                    print(line)
+            sys.stdout.flush()
+            all_passed = passed(report) and all_passed
+        return EXIT_OK if all_passed else EXIT_VERIFY
+
+    return handler
+
+
+# the arguments that several commands share, as (flag, add_argument keywords)
+_P = ("--p", {"type": _prime, "required": True, "help": "prime characteristic"})
+_D = ("--d", {"type": int, "required": True, "help": "rank: the group is SL(d+1)"})
+_LEVI = ("--levi", {"type": _int_list, "metavar": "SIMPLES",
+                    "help": "comma list of simple roots (default: all)"})
+_WHICH = ("--which", {"choices": (FIRST, SECOND), "required": True})
+_JSON = ("--json", {"action": "store_true", "help": "canonical JSON report"})
+_PARTS = {"dest": "lam", "type": _int_list, "required": True, "metavar": "PARTS"}
+
+# name -> (help, arguments, handler)
+_COMMANDS = {
+    "identity": ("check one identity at one n", [
+        ("--n", {"type": int, "required": True, "help": "identity parameter, n >= 2"}),
+        _WHICH, _JSON,
+    ], _reports(
+        lambda a: conjecture_sweep(a.n, a.n, a.which),
+        _identity_text,
+        lambda report, a: identity_report_to_json(report),
+        lambda report: report.equal,
+    )),
+    "sweep": ("check an identity over a range of n", [
+        ("n_min", {"type": int}), ("n_max", {"type": int}), _WHICH,
+        ("--jobs", {"type": int, "help": "accepted for compatibility; has no effect"}),
+        ("--jsonl", {"dest": "json", "action": "store_true", "help": "one JSON report per line"}),
+    ], _reports(
+        lambda a: conjecture_sweep(a.n_min, a.n_max, a.which),
+        lambda report, a: [_identity_line(report)],
+        lambda report, a: identity_report_to_json(report),
+        lambda report: report.equal,
+    )),
+    "jantzen": ("evaluate one Jantzen sum", [
+        _P, _D,
+        ("--lambda", {**_PARTS, "metavar": "COORDS",
+                      "help": "dominant weight, comma-separated fundamental coordinates"}),
+        _LEVI,
+        ("--trace", {"action": "store_true", "help": "list every (root, m) term"}), _JSON,
+    ], _reports(
+        lambda a: [jantzen_sum(Weight(a.lam), a.p, _levi(a))],
+        _jantzen_text,
+        lambda report, a: sum_report_to_json(report, include_terms=a.trace),
+    )),
+    "prop-char": ("verify the Jantzen-sum telescope over the whole lambda sequence", [
+        _P, _D, _JSON,
+    ], _reports(
+        lambda a: [verify_prop_char(a.p, a.d)],
+        _prop_char_text,
+        lambda report, a: prop_char_report_to_json(report),
+        lambda report: report.passed,
+    )),
+    "sequence": ("print the lambda sequence", [
+        ("--p", {"type": int, "required": True, "help": "characteristic parameter, p >= 2"}),
+        _D, _JSON,
+    ], _reports(
+        lambda a: [lambda_sequence(a.p, a.d)],
+        lambda weights, a: (f"lambda_{i} = {w}" for i, w in enumerate(weights)),
+        lambda weights, a: {"p": a.p, "d": a.d, "weights": [weight_to_json(w) for w in weights]},
+    )),
+    "schur": ("expand a Schur function in monomials", [
+        ("--lambda", {**_PARTS, "help": "partition"}), _JSON,
+    ], _reports(
+        lambda a: [schur_to_monomial(Partition(a.lam))],
+        lambda ch, a: [f"S{Partition(a.lam)} = {format_character(ch)}"],
+        lambda ch, a: character_to_json(ch),
+    )),
+    "kostka": ("one Kostka number", [
+        ("--lambda", {**_PARTS, "help": "shape"}),
+        ("--mu", {**_PARTS, "dest": "mu", "help": "content"}), _JSON,
+    ], _reports(
+        lambda a: [kostka(Partition(a.lam), Partition(a.mu))],
+        lambda value, a: [value],
+        lambda value, a: {
+            "shape": partition_to_json(Partition(a.lam)),
+            "content": partition_to_json(Partition(a.mu)),
+            "value": value,
+        },
+    )),
+    "normalize": ("dot-normalize a weight", [
+        _D,
+        ("--coords", {"type": _int_list, "required": True, "metavar": "COORDS",
+                      "help": "weight coordinates"}),
+        _LEVI, _JSON,
+    ], _reports(
+        lambda a: [dot_normalize(Weight(a.coords), _levi(a))],
+        lambda sd, a: [
+            "singular" if sd.is_singular else f"sign={sd.sign:+d} dominant={sd.dominant}"
+        ],
+        lambda sd, a: signed_dominant_to_json(sd),
+    )),
+    "multiplicity": ("check multiplicity-one support of the derived simple characters", [
+        _P, _D, _JSON,
+    ], _reports(
+        lambda a: [multiplicity_one_report(a.p, a.d)],
+        _multiplicity_text,
+        lambda report, a: multiplicity_report_to_json(report),
+        lambda report: report.passed,
+    )),
+    "selftest": ("cross-check against the slow oracles", [], _cmd_selftest),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -352,68 +384,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help: str, handler=_run) -> argparse.ArgumentParser:
+    for name, (help, arguments, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        return p
-
-    p = command("identity", "check one identity at one n")
-    p.add_argument("--n", type=int, required=True, help="identity parameter, n >= 2")
-    p.add_argument("--which", choices=(FIRST, SECOND), required=True)
-
-    p = command("sweep", "check an identity over a range of n", _cmd_sweep)
-    p.add_argument("n_min", type=int)
-    p.add_argument("n_max", type=int)
-    p.add_argument("--which", choices=(FIRST, SECOND), required=True)
-    p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
-    p.add_argument("--jsonl", action="store_true", help="one JSON report per line")
-
-    p = command("jantzen", "evaluate one Jantzen sum")
-    p.add_argument("--p", type=_prime, required=True, help="prime characteristic")
-    p.add_argument("--d", type=int, required=True, help="rank: the group is SL(d+1)")
-    p.add_argument("--lambda", dest="lam", type=_int_list, required=True, metavar="COORDS",
-                   help="dominant weight, comma-separated fundamental coordinates")
-    p.add_argument("--levi", type=_int_list, metavar="SIMPLES",
-                   help="comma list of simple roots (default: all)")
-    p.add_argument("--trace", action="store_true", help="list every (root, m) term")
-
-    p = command("prop-char", "verify the Jantzen-sum telescope over the whole lambda sequence")
-    p.add_argument("--p", type=_prime, required=True, help="prime characteristic")
-    p.add_argument("--d", type=int, required=True, help="rank: the group is SL(d+1)")
-
-    p = command("sequence", "print the lambda sequence")
-    p.add_argument("--p", type=int, required=True, help="characteristic parameter, p >= 2")
-    p.add_argument("--d", type=int, required=True, help="rank: the group is SL(d+1)")
-
-    p = command("schur", "expand a Schur function in monomials")
-    p.add_argument("--lambda", dest="lam", type=_int_list, required=True, metavar="PARTS",
-                   help="partition")
-
-    p = command("kostka", "one Kostka number")
-    p.add_argument("--lambda", dest="lam", type=_int_list, required=True, metavar="PARTS",
-                   help="shape")
-    p.add_argument("--mu", type=_int_list, required=True, metavar="PARTS", help="content")
-
-    p = command("normalize", "dot-normalize a weight")
-    p.add_argument("--d", type=int, required=True, help="rank: the group is SL(d+1)")
-    p.add_argument("--coords", type=_int_list, required=True, metavar="COORDS",
-                   help="weight coordinates")
-    p.add_argument("--levi", type=_int_list, metavar="SIMPLES",
-                   help="comma list of simple roots (default: all)")
-
-    p = command("multiplicity", "check multiplicity-one support of the derived simple characters")
-    p.add_argument("--p", type=_prime, required=True, help="prime characteristic")
-    p.add_argument("--d", type=int, required=True, help="rank: the group is SL(d+1)")
-
-    command("selftest", "cross-check against the slow oracles", _cmd_selftest)
-
-    for name in _COMMANDS:
-        sub.choices[name].add_argument("--json", action="store_true", help="canonical JSON report")
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
     return parser
 
 
-_DASH_VALUE_FLAGS = ("--coords", "--lambda", "--mu", "--levi")
+# the options whose values are integer lists, which may start with a dash
+_DASH_VALUE_FLAGS = {flag for _, arguments, _ in _COMMANDS.values()
+                     for flag, keywords in arguments if keywords.get("type") is _int_list}
 
 
 def _merge_dash_values(argv: list[str]) -> list[str]:

@@ -55,14 +55,10 @@ class IdentityReport:
     (charring.schur_sum_dag); the two sides, and their difference, are
     listed from that walk the first time they are read, and kept."""
 
-    def __init__(
-        self, n: int, which: str, top: Partition, shapes: list[Partition], equal: bool,
-        prime: bool, dag: dict,
-    ):
+    def __init__(self, n: int, which: str, top: Partition, equal: bool, prime: bool, dag: dict):
         self.n = n
         self.which = which
         self.top = top
-        self.shapes = shapes
         self.equal = equal
         self.prime = prime
         self.dag = dag
@@ -120,13 +116,11 @@ def _verify(n: int, which: str, top, shapes) -> IdentityReport:
         raise ValueError(f"need n >= 2, got {n}")
     ideal_top = top(n)
     check_ideal_size(ideal_top)
-    built = shapes(n)
-    dag = schur_sum_dag(_alternating(built), ideal_top)
+    dag = schur_sum_dag(_alternating(shapes(n)), ideal_top)
     return IdentityReport(
         n=n,
         which=which,
         top=ideal_top,
-        shapes=built,
         equal=coefficient_counts(dag).keys() == {1},
         prime=is_prime(n),
         dag=dag,

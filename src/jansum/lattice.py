@@ -9,7 +9,7 @@ partitions (their minimal nonnegative GL(d+1) lift) via suffix sums.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class LiftError(ValueError):
@@ -168,13 +168,6 @@ def pairing(w: Weight, r: Root) -> int:
     if r.hi > w.rank:
         raise ValueError(f"root {r} out of range for rank {w.rank}")
     return sum(w.coords[r.lo - 1 : r.hi])
-
-
-def positive_roots(d: int) -> Iterator[Root]:
-    """All positive roots alpha_{j,k}, 1 <= j <= k <= d, in (j, k) order."""
-    for j in range(1, d + 1):
-        for k in range(j, d + 1):
-            yield Root(j, k)
 
 
 def dominance_leq(a: Partition, b: Partition) -> bool:

@@ -22,33 +22,43 @@ class LeviDatum:
     The chosen simple roots glue the epsilon positions 1..rank+1 into maximal
     consecutive blocks (simple root i joins positions i and i+1); the Levi's
     Weyl group permutes positions within each block.  Choosing all simple
-    roots recovers the full Weyl group.
+    roots recovers the full Weyl group.  All simple roots are kept as a
+    range, and the blocks are built when first read, so a Levi costs nothing
+    of size rank until it meets a weight of its rank.
     """
 
-    __slots__ = ("rank", "simples", "blocks")
+    __slots__ = ("rank", "simples", "_blocks")
 
     def __init__(self, rank: int, simples: Iterable[int]):
         if rank < 2:
             raise ValueError(f"rank must be at least 2, got {rank}")
-        ss = frozenset(simples)
-        if not all(isinstance(s, int) and 1 <= s <= rank for s in ss):
-            raise ValueError(f"simple roots must lie in 1..{rank}: {sorted(ss)}")
+        every = range(1, rank + 1)
+        if simples != every:
+            simples = frozenset(simples)
+            if not all(isinstance(s, int) and 1 <= s <= rank for s in simples):
+                raise ValueError(f"simple roots must lie in 1..{rank}: {sorted(simples)}")
         self.rank = rank
-        self.simples = ss
-        blocks: list[tuple[int, ...]] = []
-        current = [1]
-        for i in range(1, rank + 1):
-            if i in ss:
-                current.append(i + 1)
-            else:
-                blocks.append(tuple(current))
-                current = [i + 1]
-        blocks.append(tuple(current))
-        self.blocks = tuple(blocks)
+        self.simples = every if len(simples) == rank else simples
+        self._blocks = None
 
     @classmethod
     def full(cls, rank: int) -> "LeviDatum":
         return cls(rank, range(1, rank + 1))
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        if self._blocks is None:
+            blocks: list[tuple[int, ...]] = []
+            current = [1]
+            for i in range(1, self.rank + 1):
+                if i in self.simples:
+                    current.append(i + 1)
+                else:
+                    blocks.append(tuple(current))
+                    current = [i + 1]
+            blocks.append(tuple(current))
+            self._blocks = tuple(blocks)
+        return self._blocks
 
     @property
     def is_full(self) -> bool:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -386,6 +387,31 @@ class TestUsageErrors:
         assert "error" in err
 
 
+# [argv, exit code, sha256 of stdout] of the top-level help and of each
+# subcommand's, as argparse lays it out on Python 3.11 at 80 columns
+HELP = [
+    [["--help"], 0, "ef981bbcaecc2f3055090fbf985c5943cf15b0f7c79bde5dc08eb3410124dd24"],
+    [["identity", "--help"], 0, "8cc3546da7e555236df82157c80d30f621d7765667c98e10eb2a6ea7a703a1e2"],
+    [["sweep", "--help"], 0, "0d5597b64b14048cb0ced94098a02c59501e9de530353c5ca88c2eee6e5f9249"],
+    [["jantzen", "--help"], 0, "c7d1043333b625157aa5b2477cb9131a2da35eb4986a1472950811e97874a242"],
+    [["prop-char", "--help"], 0, "932b3283e1b224bcab8f8be80476329e07c3c2697a879b3a5d9c144489efaf12"],
+    [["sequence", "--help"], 0, "1ad38876596406ca289fa4e9ce10c65a440aee0548316185c47b0eae89d295d0"],
+    [["schur", "--help"], 0, "28e7a8ef13f660fd22c7df33b7fe02df273176fd37f9453858e381592abb3737"],
+    [["kostka", "--help"], 0, "e1c86934427f93c27ec4fcf9ab2f9db809602d835ff8f805042cd8d2ed526d76"],
+    [["normalize", "--help"], 0, "f6c7f3662fef6ff19add2ef2912df778f64844c91061e7bddd6be143b8b1f3b9"],
+    [["multiplicity", "--help"], 0, "3664d9629685a73c9e1fa3b8921aac570aef79850afd29c1a3be32ae0277975c"],
+    [["selftest", "--help"], 0, "192c17336336f6aedf3755615aa9d922d5118c63823d36174522d8e9b09b13c4"],
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", HELP, ids=[" ".join(e[0]) for e in HELP])
+def test_help_unchanged(monkeypatch, argv, code, digest):
+    # argparse wraps help to the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    got_code, out, _ = run_cli(argv)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
 LEFTOVER_CACHES = {
     "garbage": "{ this is not json",
     "version-0": json.dumps({"version": 0, "entries": [[[2, 1], [1, 1, 1], 99]]}),
@@ -446,6 +472,30 @@ class TestSubprocessEntry:
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "refused" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["normalize", "--d", "100000000", "--coords", "1,2"],
+        ["jantzen", "--p", "3", "--d", "100000000", "--lambda", "1,2"],
+    ])
+    def test_huge_d_rank_mismatch_refused_at_once(self, argv):
+        # a Levi of rank d is O(d) to build; the rank check must come first.
+        # Under a 1 GB address-space cap, so that building it fails with a
+        # MemoryError instead of taking the host's memory.
+        cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{cap}; from jansum.cli import entry; entry()", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=20,
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "rank mismatch: weight 2, Levi 100000000" in proc.stderr
+        assert elapsed < 2
 
     def test_usage_error_exit_code(self):
         env = dict(os.environ)

@@ -15,7 +15,7 @@ from jansum.jantzen import (
     p_adic_valuation,
     verify_prop_char,
 )
-from jansum.lattice import Root, Weight, pairing, positive_roots, rho
+from jansum.lattice import Root, Weight, pairing, rho
 from jansum.weyl import (
     LeviDatum,
     SignedDominant,
@@ -143,7 +143,7 @@ class TestJantzenSum:
             if pairing(lam + rho(d), Root(1, d)) > p:
                 continue
             assert all(
-                pairing(lam + rho(d), r) <= p for r in positive_roots(d)
+                pairing(lam + rho(d), r) <= p for r in LeviDatum.full(d).positive_roots()
             )
             assert jantzen_sum(lam, p, LeviDatum.full(d)).total.is_zero
             checked += 1
@@ -158,7 +158,7 @@ class TestJantzenSum:
             lam = random_dominant(rng, d, hi=6)
             report = jantzen_sum(lam, p, LeviDatum.full(d))
             rebuilt: dict = {}
-            for root in positive_roots(d):
+            for root in LeviDatum.full(d).positive_roots():
                 c = pairing(lam + rho(d), root)
                 for level in range(p, c, p):
                     out = dot_orbit_oracle(affine_dot_reflect(lam, root, level))

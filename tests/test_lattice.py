@@ -15,7 +15,6 @@ from jansum.lattice import (
     lambda_i_weight,
     pairing,
     partitions_below,
-    positive_roots,
     rho,
     weight_to_partition,
 )
@@ -264,6 +263,3 @@ class TestNamedWeights:
         assert fundamental_weight(4, 3).coords == (0, 0, 0)
         with pytest.raises(ValueError):
             fundamental_weight(5, 3)
-
-    def test_positive_roots_count(self):
-        assert sum(1 for _ in positive_roots(4)) == 10

@@ -33,6 +33,13 @@ def test_readme_command_line(line):
         assert out == comment.strip() + "\n"
 
 
+def test_readme_uses_every_subcommand():
+    from jansum.cli import _COMMANDS
+
+    used = {line.split()[1] for line in command_lines()}
+    assert used == set(_COMMANDS)
+
+
 def test_readme_library_example():
     section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
     block = section.split("```python", 1)[1].split("```", 1)[0]
