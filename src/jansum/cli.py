@@ -36,15 +36,14 @@ from .jantzen import JantzenTerm, is_prime, jantzen_sum, lambda_sequence, verify
 from .lattice import Partition, Weight, dominance_leq, partitions_below
 from .oracle import enumerate_ssyt, eval_monomial, eval_schur_bialternant
 from .serialize import (
-    canonical_dumps,
-    character_to_json,
-    identity_report_to_json,
-    multiplicity_report_to_json,
-    partition_to_json,
-    prop_char_report_to_json,
-    signed_dominant_to_json,
-    sum_report_to_json,
-    weight_to_json,
+    character_json,
+    identity_report_json,
+    multiplicity_report_json,
+    partition_json,
+    prop_char_report_json,
+    signed_dominant_json,
+    sum_report_json,
+    weight_json,
 )
 from .weyl import LeviDatum, dot_normalize, dot_orbit_oracle
 
@@ -256,13 +255,15 @@ def _levi(args) -> LeviDatum:
 def _reports(build, text, to_json, passed=lambda report: True):
     """The handler of a report command: print each report that build(args)
     yields as soon as it is built, as the lines of text(report, args) or as
-    the canonical JSON of to_json(report, args); exit 3 if any failed."""
+    the canonical JSON whose pieces to_json(report, args) yields, each piece
+    written as it comes; exit 3 if any failed."""
 
     def handler(args) -> int:
         all_passed = True
         for report in build(args):
             if args.json:
-                print(canonical_dumps(to_json(report, args)))
+                sys.stdout.writelines(to_json(report, args))
+                sys.stdout.write("\n")
             else:
                 for line in text(report, args):
                     print(line)
@@ -290,7 +291,7 @@ _COMMANDS = {
     ], _reports(
         lambda a: conjecture_sweep(a.n, a.n, a.which),
         _identity_text,
-        lambda report, a: identity_report_to_json(report),
+        lambda report, a: identity_report_json(report),
         lambda report: report.equal,
     )),
     "sweep": ("check an identity over a range of n", [
@@ -300,7 +301,7 @@ _COMMANDS = {
     ], _reports(
         lambda a: conjecture_sweep(a.n_min, a.n_max, a.which),
         lambda report, a: [_identity_line(report)],
-        lambda report, a: identity_report_to_json(report),
+        lambda report, a: identity_report_json(report),
         lambda report: report.equal,
     )),
     "jantzen": ("evaluate one Jantzen sum", [
@@ -312,14 +313,14 @@ _COMMANDS = {
     ], _reports(
         lambda a: [jantzen_sum(Weight(a.lam), a.p, _levi(a))],
         _jantzen_text,
-        lambda report, a: sum_report_to_json(report, include_terms=a.trace),
+        lambda report, a: sum_report_json(report, trace=a.trace),
     )),
     "prop-char": ("verify the Jantzen-sum telescope over the whole lambda sequence", [
         _P, _D, _JSON,
     ], _reports(
         lambda a: [verify_prop_char(a.p, a.d)],
         _prop_char_text,
-        lambda report, a: prop_char_report_to_json(report),
+        lambda report, a: prop_char_report_json(report),
         lambda report: report.passed,
     )),
     "sequence": ("print the lambda sequence", [
@@ -328,14 +329,16 @@ _COMMANDS = {
     ], _reports(
         lambda a: [lambda_sequence(a.p, a.d)],
         lambda weights, a: (f"lambda_{i} = {w}" for i, w in enumerate(weights)),
-        lambda weights, a: {"p": a.p, "d": a.d, "weights": [weight_to_json(w) for w in weights]},
+        lambda weights, a: [
+            f'{{"p":{a.p},"d":{a.d},"weights":[{",".join(map(weight_json, weights))}]}}'
+        ],
     )),
     "schur": ("expand a Schur function in monomials", [
         ("--lambda", {**_PARTS, "help": "partition"}), _JSON,
     ], _reports(
         lambda a: [schur_to_monomial(Partition(a.lam))],
         lambda ch, a: [f"S{Partition(a.lam)} = {format_character(ch)}"],
-        lambda ch, a: character_to_json(ch),
+        lambda ch, a: [character_json(ch)],
     )),
     "kostka": ("one Kostka number", [
         ("--lambda", {**_PARTS, "help": "shape"}),
@@ -343,11 +346,10 @@ _COMMANDS = {
     ], _reports(
         lambda a: [kostka(Partition(a.lam), Partition(a.mu))],
         lambda value, a: [value],
-        lambda value, a: {
-            "shape": partition_to_json(Partition(a.lam)),
-            "content": partition_to_json(Partition(a.mu)),
-            "value": value,
-        },
+        lambda value, a: [
+            f'{{"shape":{partition_json(Partition(a.lam))},'
+            f'"content":{partition_json(Partition(a.mu))},"value":{value}}}'
+        ],
     )),
     "normalize": ("dot-normalize a weight", [
         _D,
@@ -359,14 +361,14 @@ _COMMANDS = {
         lambda sd, a: [
             "singular" if sd.is_singular else f"sign={sd.sign:+d} dominant={sd.dominant}"
         ],
-        lambda sd, a: signed_dominant_to_json(sd),
+        lambda sd, a: [signed_dominant_json(sd)],
     )),
     "multiplicity": ("check multiplicity-one support of the derived simple characters", [
         _P, _D, _JSON,
     ], _reports(
         lambda a: [multiplicity_one_report(a.p, a.d)],
         _multiplicity_text,
-        lambda report, a: multiplicity_report_to_json(report),
+        lambda report, a: multiplicity_report_json(report),
         lambda report: report.passed,
     )),
     "selftest": ("cross-check against the slow oracles", [], _cmd_selftest),

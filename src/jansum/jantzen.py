@@ -11,7 +11,9 @@ singular weights, otherwise a sign times a dominant symbol).  The same
 formula over a Levi's positive roots computes the Levi analogue.  Each term
 is evaluated in closed form on the epsilon coordinates of lambda + rho (see
 _walk), without building the reflected weight.  A report carries the total;
-its trace of terms, singular ones included, is built when first read.
+its trace of terms, singular ones included, is built when first read.  The
+JSON trace (serialize.jantzen_terms_json) reads _walk instead and builds no
+term.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIMALITY_BOUND = 318665857834031151167461
 
 # Most (root, m) terms one Jantzen sum may have.  Time and memory grow with
-# the count: on a 2-CPU machine (Python 3.11) `jantzen --p 2 --d 2 --lambda
-# 100000,0`, the largest such call admitted (100 000 terms), takes 0.71 s and
-# 47 MB, 2.5 s and 105 MB with --trace, 3.8 s and 273 MB with --trace --json.
+# the count: on a 2-CPU machine (Python 3.11, best of 3 on one CPU) `jantzen
+# --p 2 --d 2 --lambda 100000,0`, the largest such call admitted (100 000
+# terms), takes 0.69 s and 47 MB, 0.57 s and 53 MB with --json, 2.3 s and
+# 106 MB with --trace (which keeps every term), 1.1 s and 61 MB with --trace
+# --json (which writes each term as the walk makes it).
 # The largest benchmark call has 20 000 terms; at d = 30 with every
 # coordinate 15 there are about 40 000 at p = 2.
 TERM_LIMIT = 100_000

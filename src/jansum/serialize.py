@@ -1,124 +1,192 @@
-"""Canonical JSON forms for the library's value types.
+"""Canonical JSON text for the library's value types, written directly.
 
-All emitters are deterministic: term lists come out in reverse-lexicographic
-key order and coefficients are rendered as decimal strings, so equal values
-always serialize to identical bytes and parsing-then-reserializing is the
-identity on the text.
+Each writer gives the text that json.dumps(form, separators=(",", ":"))
+gives for the value's JSON form, without building that form: integers,
+booleans and the fixed keys are formatted here, and only free-text strings
+(an identity's `which` and `label`, a Levi's description) go through
+json.dumps, so their escaping is exactly its own.  Term lists come out in
+reverse-lexicographic key order and coefficients are decimal strings, so
+equal values always give identical bytes, and parsing then re-serializing
+is the identity on the text.
+
+Scalars and characters are written as one string, and a report as an
+iterator of pieces, so that a caller can print it as it is made; a Jantzen
+trace comes one term per piece, straight from the sum's walk, and is never
+held whole.
 """
 
 from __future__ import annotations
 
-from .charring import BASIS_MONOMIAL, BASIS_WEYL, FormalCharacter
-from .identities import IdentityReport, MultiplicityOneReport
-from .jantzen import JantzenTerm, PropCharReport, SumReport
-from .lattice import Partition, Weight
-from .weyl import LeviDatum, SignedDominant
+from .charring import BASIS_MONOMIAL
+from .jantzen import _walk
 
 
 def canonical_dumps(obj) -> str:
-    import json  # here, not at the top: a command that prints no JSON never loads it
+    import json  # here, not at the top: a command that prints no free text never loads it
 
     return json.dumps(obj, separators=(",", ":"))
 
 
-def partition_to_json(p: Partition) -> list[int]:
-    return list(p.parts)
+def _ints(values) -> str:
+    return ",".join(map(str, values))
 
 
-def weight_to_json(w: Weight) -> dict:
-    return {"d": w.rank, "coords": list(w.coords)}
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
 
 
-def levi_to_json(levi: LeviDatum) -> dict:
-    return {"d": levi.rank, "simples": sorted(levi.simples)}
+def partition_json(p) -> str:
+    return f"[{_ints(p.parts)}]"
 
 
-def signed_dominant_to_json(sd: SignedDominant) -> dict:
+def weight_json(w) -> str:
+    return f'{{"d":{len(w.coords)},"coords":[{_ints(w.coords)}]}}'
+
+
+def levi_json(levi) -> str:
+    return f'{{"d":{levi.rank},"simples":[{_ints(sorted(levi.simples))}]}}'
+
+
+_SINGULAR = '{"singular":true}'
+
+
+def signed_dominant_json(sd) -> str:
     if sd.is_singular:
-        return {"singular": True}
-    return {"sign": sd.sign, "dominant": weight_to_json(sd.dominant)}
+        return _SINGULAR
+    return f'{{"sign":{sd.sign},"dominant":{weight_json(sd.dominant)}}}'
 
 
-def character_to_json(ch: FormalCharacter) -> dict:
+def character_json(ch) -> str:
     if ch.basis == BASIS_MONOMIAL:
+        head = '{"basis":"monomial","terms":['
+        terms = [f'{{"key":[{_ints(k.parts)}],"coeff":"{c}"}}' for k, c in ch.items_sorted()]
+    else:
+        head = f'{{"basis":"weyl","levi":{levi_json(ch.levi)},"terms":['
+        d = ch.levi.rank  # every key is a weight of the Levi's rank
         terms = [
-            {"key": partition_to_json(key), "coeff": str(coeff)}
-            for key, coeff in ch.items_sorted()
+            f'{{"key":{{"d":{d},"coords":[{_ints(k.coords)}]}},"coeff":"{c}"}}'
+            for k, c in ch.items_sorted()
         ]
-        return {"basis": BASIS_MONOMIAL, "terms": terms}
-    terms = [
-        {"key": weight_to_json(key), "coeff": str(coeff)}
-        for key, coeff in ch.items_sorted()
-    ]
-    return {"basis": BASIS_WEYL, "levi": levi_to_json(ch.levi), "terms": terms}
+    return head + ",".join(terms) + "]}"
 
 
-def jantzen_term_to_json(term: JantzenTerm) -> dict:
-    return {
-        "root": [term.root.lo, term.root.hi],
-        "m": term.m,
-        "level": term.level,
-        "t": term.t,
-        "valuation": term.valuation,
-        "image": weight_to_json(term.image),
-        "outcome": signed_dominant_to_json(term.outcome),
-    }
+def jantzen_terms_json(report):
+    """Yield the JSON array of every term of a Jantzen sum, one term per
+    piece, in the order of jantzen._walk (that of SumReport.terms).
+
+    A term at the root (lo, hi) changes lam only near lo and hi: its image
+    lam - t * root differs from lam at most at coordinates lo-1, lo, hi and
+    hi+1, and its dominant weight at most at lo-1..hi+1, because _walk's key
+    differs from epsilon(lam + rho) only at positions lo..hi+1.  So each root
+    gets one template with lam's other coordinates already written out; a
+    term fills in m, level, t, valuation, the changed image coordinates and
+    its outcome, whose text is made once per distinct sign and key.
+    """
+    lam, p = report.lam, report.p
+    coords, d = lam.coords, lam.rank
+    written = [str(c) for c in coords]
+    outcomes: dict[int, dict[tuple, str]] = {1: {}, -1: {}}  # sign -> key -> text
+    current = None
+    sep = "["
+    for root, level, c, valuation, sign, key in _walk(lam, p, report.levi):
+        if root is not current:
+            current = root
+            template, slots = _term_template(root.lo, root.hi, coords, written)
+            # the dominant coordinates that may differ from lam's, 0-based
+            changed = range(max(root.lo - 2, 0), min(root.hi + 1, d))
+            head = "".join(w + "," for w in written[: changed.start])
+            tail = "".join("," + w for w in written[changed.stop :])
+        t = c - level
+        if sign:
+            known = outcomes[sign]
+            outcome = known.get(key)
+            if outcome is None:
+                # mu with epsilon(mu + rho) = key, as in jantzen._weight
+                mid = ",".join([str(key[i] - key[i + 1] - 1) for i in changed])
+                outcome = known[key] = (
+                    f'{{"sign":{sign},"dominant":{{"d":{d},"coords":[{head}{mid}{tail}]}}}}'
+                )
+        else:
+            outcome = _SINGULAR
+        yield sep + template % (level // p, level, t, valuation, *[b + k * t for b, k in slots], outcome)
+        sep = ","
+    yield "[]" if sep == "[" else "]"
 
 
-def sum_report_to_json(report: SumReport, include_terms: bool = False) -> dict:
-    out = {
-        "lambda": weight_to_json(report.lam),
-        "p": report.p,
-        "levi": levi_to_json(report.levi),
-        "total": character_to_json(report.total),
-    }
-    if include_terms:
-        out["terms"] = [jantzen_term_to_json(t) for t in report.terms]
-    return out
+def _term_template(lo: int, hi: int, coords: tuple[int, ...], written: list[str]) -> tuple[str, list]:
+    """The %-template of a term at the root (lo, hi), and (value, multiple of
+    t) for each coordinate of lam it fills in, written being lam's
+    coordinates as text: the root is -1, +1, +1, -1 at coordinates lo-1,
+    lo, hi, hi+1 (those that exist; lo = hi adds up to +2), and the image is
+    lam - t * root."""
+    change = {}
+    if lo > 1:
+        change[lo - 2] = 1
+    change[lo - 1] = -1
+    change[hi - 1] = change.get(hi - 1, 0) - 1
+    if hi < len(coords):
+        change[hi] = 1
+    pieces = written[:]
+    for i in change:
+        pieces[i] = "%d"
+    template = (
+        f'{{"root":[{lo},{hi}],"m":%d,"level":%d,"t":%d,"valuation":%d,'
+        f'"image":{{"d":{len(coords)},"coords":[{",".join(pieces)}]}},"outcome":%s}}'
+    )
+    return template, [(coords[i], k) for i, k in sorted(change.items())]
 
 
-def identity_report_to_json(report: IdentityReport) -> dict:
-    return {
-        "n": report.n,
-        "which": report.which,
-        "prime": report.prime,
-        "label": report.label,
-        "equal": report.equal,
-        "lhs": character_to_json(report.lhs),
-        "rhs": character_to_json(report.rhs),
-        "diff": character_to_json(report.diff),
-    }
+def sum_report_json(report, trace: bool = False):
+    """Yield the pieces of a Jantzen sum report; with trace, every term too."""
+    yield (
+        f'{{"lambda":{weight_json(report.lam)},"p":{report.p},"levi":{levi_json(report.levi)},'
+        f'"total":{character_json(report.total)}'
+    )
+    if trace:
+        yield ',"terms":'
+        yield from jantzen_terms_json(report)
+    yield "}"
 
 
-def prop_char_report_to_json(report: PropCharReport) -> dict:
+def identity_report_json(report):
+    yield (
+        f'{{"n":{report.n},"which":{canonical_dumps(report.which)},"prime":{_bool(report.prime)},'
+        f'"label":{canonical_dumps(report.label)},"equal":{_bool(report.equal)},'
+        f'"lhs":{character_json(report.lhs)}'
+    )
+    yield f',"rhs":{character_json(report.rhs)}'
+    yield f',"diff":{character_json(report.diff)}}}'
+
+
+def prop_char_report_json(report):
     """A failing check lists its terms; a passing one does not."""
-    checks = []
+    yield f'{{"p":{report.p},"d":{report.d},"passed":{_bool(report.passed)},"checks":['
+    sep = ""
     for check in report.checks:
-        entry = {
-            "i": check.i,
-            "levi": check.levi.describe(),
-            "passed": check.passed,
-            "total": character_to_json(check.total),
-            "expected": character_to_json(check.expected),
-        }
+        yield (
+            f'{sep}{{"i":{check.i},"levi":{canonical_dumps(check.levi.describe())},'
+            f'"passed":{_bool(check.passed)},"total":{character_json(check.total)},'
+            f'"expected":{character_json(check.expected)}'
+        )
         if not check.passed:
-            entry["terms"] = [jantzen_term_to_json(t) for t in check.report.terms]
-        checks.append(entry)
-    return {"p": report.p, "d": report.d, "passed": report.passed, "checks": checks}
+            yield ',"terms":'
+            yield from jantzen_terms_json(check.report)
+        yield "}"
+        sep = ","
+    yield "]}"
 
 
-def multiplicity_report_to_json(report: MultiplicityOneReport) -> dict:
+def multiplicity_report_json(report):
     families = []
     for fam in report.families:
+        wrong = ",".join(f"[{partition_json(m)},{c}]" for m, c in fam.wrong_multiplicity)
         families.append(
-            {
-                "target": partition_to_json(fam.target),
-                "passed": fam.passed,
-                "missing": [partition_to_json(m) for m in fam.missing],
-                "unexpected": [partition_to_json(m) for m in fam.unexpected],
-                "wrong_multiplicity": [
-                    [partition_to_json(m), c] for m, c in fam.wrong_multiplicity
-                ],
-            }
+            f'{{"target":{partition_json(fam.target)},"passed":{_bool(fam.passed)},'
+            f'"missing":[{",".join(map(partition_json, fam.missing))}],'
+            f'"unexpected":[{",".join(map(partition_json, fam.unexpected))}],'
+            f'"wrong_multiplicity":[{wrong}]}}'
         )
-    return {"p": report.p, "d": report.d, "passed": report.passed, "families": families}
+    yield (
+        f'{{"p":{report.p},"d":{report.d},"passed":{_bool(report.passed)},'
+        f'"families":[{",".join(families)}]}}'
+    )

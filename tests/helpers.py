@@ -12,7 +12,7 @@ import random
 from functools import lru_cache
 from math import factorial
 
-from jansum.charring import kostka
+from jansum.charring import BASIS_MONOMIAL, BASIS_WEYL, kostka
 from jansum.jantzen import JantzenTerm, p_adic_valuation
 from jansum.lattice import Partition, Weight, pairing, rho
 from jansum.weyl import affine_dot_reflect, dot_normalize
@@ -114,6 +114,111 @@ def reference_jantzen(lam: Weight, p: int, levi) -> tuple[tuple[JantzenTerm, ...
                 key = outcome.dominant
                 total[key] = total.get(key, 0) + outcome.sign * valuation
     return tuple(terms), {k: c for k, c in total.items() if c}
+
+
+# The JSON forms as dicts and lists: the slow oracle for jansum.serialize,
+# whose writers must give json.dumps(form, separators=(",", ":")) of these.
+
+def partition_to_json(p: Partition) -> list[int]:
+    return list(p.parts)
+
+
+def weight_to_json(w: Weight) -> dict:
+    return {"d": w.rank, "coords": list(w.coords)}
+
+
+def levi_to_json(levi) -> dict:
+    return {"d": levi.rank, "simples": sorted(levi.simples)}
+
+
+def signed_dominant_to_json(sd) -> dict:
+    if sd.is_singular:
+        return {"singular": True}
+    return {"sign": sd.sign, "dominant": weight_to_json(sd.dominant)}
+
+
+def character_to_json(ch) -> dict:
+    if ch.basis == BASIS_MONOMIAL:
+        terms = [
+            {"key": partition_to_json(key), "coeff": str(coeff)}
+            for key, coeff in ch.items_sorted()
+        ]
+        return {"basis": BASIS_MONOMIAL, "terms": terms}
+    terms = [
+        {"key": weight_to_json(key), "coeff": str(coeff)}
+        for key, coeff in ch.items_sorted()
+    ]
+    return {"basis": BASIS_WEYL, "levi": levi_to_json(ch.levi), "terms": terms}
+
+
+def jantzen_term_to_json(term: JantzenTerm) -> dict:
+    return {
+        "root": [term.root.lo, term.root.hi],
+        "m": term.m,
+        "level": term.level,
+        "t": term.t,
+        "valuation": term.valuation,
+        "image": weight_to_json(term.image),
+        "outcome": signed_dominant_to_json(term.outcome),
+    }
+
+
+def sum_report_to_json(report, include_terms: bool = False) -> dict:
+    out = {
+        "lambda": weight_to_json(report.lam),
+        "p": report.p,
+        "levi": levi_to_json(report.levi),
+        "total": character_to_json(report.total),
+    }
+    if include_terms:
+        out["terms"] = [jantzen_term_to_json(t) for t in report.terms]
+    return out
+
+
+def identity_report_to_json(report) -> dict:
+    return {
+        "n": report.n,
+        "which": report.which,
+        "prime": report.prime,
+        "label": report.label,
+        "equal": report.equal,
+        "lhs": character_to_json(report.lhs),
+        "rhs": character_to_json(report.rhs),
+        "diff": character_to_json(report.diff),
+    }
+
+
+def prop_char_report_to_json(report) -> dict:
+    checks = []
+    for check in report.checks:
+        entry = {
+            "i": check.i,
+            "levi": check.levi.describe(),
+            "passed": check.passed,
+            "total": character_to_json(check.total),
+            "expected": character_to_json(check.expected),
+        }
+        if not check.passed:
+            entry["terms"] = [jantzen_term_to_json(t) for t in check.report.terms]
+        checks.append(entry)
+    return {"p": report.p, "d": report.d, "passed": report.passed, "checks": checks}
+
+
+def multiplicity_report_to_json(report) -> dict:
+    families = []
+    for fam in report.families:
+        families.append(
+            {
+                "target": partition_to_json(fam.target),
+                "passed": fam.passed,
+                "missing": [partition_to_json(m) for m in fam.missing],
+                "unexpected": [partition_to_json(m) for m in fam.unexpected],
+                "wrong_multiplicity": [
+                    [partition_to_json(m), c] for m, c in fam.wrong_multiplicity
+                ],
+            }
+        )
+    return {"p": report.p, "d": report.d, "passed": report.passed, "families": families}
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:

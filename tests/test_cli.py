@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import reference_jantzen, run_cli
+from helpers import jantzen_term_to_json, reference_jantzen, run_cli
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -199,7 +199,7 @@ class TestJantzenCommand:
         text = out.strip()
         assert json.dumps(json.loads(text), separators=(",", ":")) == text
 
-    @pytest.mark.parametrize("trace", [[], ["--trace"]])
+    @pytest.mark.parametrize("trace", [[], ["--trace"], ["--trace", "--json"]])
     def test_term_budget_exit_2_at_once(self, trace):
         started = time.perf_counter()
         code, out, err = run_cli(
@@ -219,7 +219,8 @@ def _refuse(*args, **kwargs):
 
 
 class TestTraceOnlyWhenRead:
-    # no JantzenTerm is built unless an output lists the terms
+    # no JantzenTerm is built unless a text trace lists the terms: the JSON
+    # trace is written straight from the sum's walk
     def test_untraced_commands_build_no_term(self, monkeypatch):
         import jansum.jantzen as jantzen_mod
 
@@ -227,18 +228,17 @@ class TestTraceOnlyWhenRead:
         argv = ["jantzen", "--p", "5", "--d", "5", "--lambda", "1,2,0,1,0"]
         assert run_cli(argv)[0] == 0
         assert run_cli(argv + ["--json"])[0] == 0
+        assert run_cli(argv + ["--trace", "--json"])[0] == 0
         assert run_cli(["prop-char", "--p", "3", "--d", "4"])[0] == 0
         assert run_cli(["prop-char", "--p", "3", "--d", "4", "--json"])[0] == 0
-        for extra in (["--trace"], ["--trace", "--json"]):
-            with pytest.raises(_Refused):
-                run_cli(argv + extra)
+        with pytest.raises(_Refused):
+            run_cli(argv + ["--trace"])
 
     def test_failing_prop_char_lists_every_term(self, monkeypatch):
         import jansum.jantzen as jantzen_mod
         from jansum.charring import BASIS_WEYL, FormalCharacter
         from jansum.cli import _format_term
         from jansum.lattice import Weight
-        from jansum.serialize import jantzen_term_to_json
         from jansum.weyl import LeviDatum
 
         p, d = 5, 5
@@ -509,14 +509,47 @@ class TestSubprocessEntry:
         assert proc.returncode == 2
 
 
+_PEAK_RSS = """
+import resource, subprocess, sys
+with open(sys.argv[1], "w") as out:
+    code = subprocess.call([sys.executable, "-m", "jansum", *sys.argv[2:]], stdout=out)
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+class TestStreamedTrace:
+    # The JSON trace is written term by term as the walk makes it, so it
+    # never holds all the terms; the text trace keeps them in report.terms.
+    # Each command runs under a wrapper of its own, whose RUSAGE_CHILDREN
+    # sees that command's peak alone.
+    def test_json_trace_peaks_no_higher_than_text_trace(self, tmp_path):
+        argv = ["jantzen", "--p", "2", "--d", "2", "--lambda", "50000,0", "--trace"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        peaks = {}
+        for name, extra in (("text", []), ("json", ["--json"])):
+            proc = subprocess.run(
+                [sys.executable, "-c", _PEAK_RSS, str(tmp_path / name), *argv, *extra],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            code, peaks[name] = map(int, proc.stdout.split())
+            assert code == 0, proc.stderr
+        blob = json.loads((tmp_path / "json").read_text())
+        assert len(blob["terms"]) == 50000
+        assert peaks["json"] <= peaks["text"]
+
+
 _START_UP = """
 import sys
 before = set(sys.modules)
 import jansum.cli
 print(sorted(set(sys.modules) - before))
-jansum.cli.main(sys.argv[1:])
+for extra in ([], ["--json"], ["--trace", "--json"]):
+    jansum.cli.main(sys.argv[1:] + extra)
 print("json" in sys.modules)
-jansum.cli.main(sys.argv[1:] + ["--trace", "--json"])
 """
 
 
@@ -539,9 +572,10 @@ class TestStartUp:
         loaded = set(ast.literal_eval(lines[0]))
         assert "jansum.cli" in loaded
         assert not loaded & {"dataclasses", "inspect", "json"}
-        # a text report loads no json; a JSON one loads it and prints the
-        # same canonical bytes as in-process
-        assert lines[-2] == "False"
-        text = lines[-1]
-        assert json.dumps(json.loads(text), separators=(",", ":")) == text
-        assert run_cli(argv + ["--trace", "--json"]) == (0, text + "\n", "")
+        # neither the text report nor the JSON ones, traced or not, load
+        # json; they print the same bytes as in-process
+        assert lines[-1] == "False"
+        expected = "".join(run_cli(argv + extra)[1] for extra in ([], ["--json"], ["--trace", "--json"]))
+        assert "\n".join(lines[1:-1]) + "\n" == expected
+        for text in lines[-3:-1]:
+            assert json.dumps(json.loads(text), separators=(",", ":")) == text
