@@ -7,13 +7,19 @@ the CLI repeats none of the library's checks.  No command reads or writes a
 file.  Each subcommand is one entry of `_COMMANDS`: its help, its arguments
 and its handler.  Every command but `selftest` prints through `_reports`,
 each report as soon as it is built (so `sweep` streams), in text or JSON.
+
+`_parse` reads a command line straight from `_COMMANDS` and gives the
+attributes argparse would.  Any command line it cannot map exactly (help,
+an unknown or abbreviated flag, `--flag=value`, a missing, dash-led or
+invalid value, a missing argument) goes untouched to `build_parser()`, which
+alone imports argparse: so only help and usage errors pay for loading it.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import sys
+from types import SimpleNamespace
 
 from .charring import (
     FormalCharacter,
@@ -63,12 +69,14 @@ def _int_list(text: str) -> list[int]:
 def _prime(text: str) -> int:
     p = int(text)
     try:
-        prime = is_prime(p)
+        if is_prime(p):
+            return p
+        reason = f"must be prime, got {p}"
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if not prime:
-        raise argparse.ArgumentTypeError(f"must be prime, got {p}")
-    return p
+        reason = str(exc)
+    import argparse
+
+    raise argparse.ArgumentTypeError(reason)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +383,10 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of `_COMMANDS`, for help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="jansum",
         description=(
@@ -416,11 +427,59 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse(argv: list[str]):
+    """The attributes build_parser().parse_args would give argv, read from
+    `_COMMANDS`; None if argv is not one this maps exactly.  It takes exact
+    long flags with one value each, store_true, type, choices, required,
+    dest and positionals; the last of a repeated flag wins.  A dash-led
+    value is taken only for an integer list, whose type then rejects all but
+    the numbers `_merge_dash_values` lets through."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, arguments, handler = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "handler": handler}
+    options, positionals, missing = {}, [], set()
+    for flag, keywords in arguments:
+        dest = keywords.get("dest", flag.lstrip("-").replace("-", "_"))
+        values[dest] = False if keywords.get("action") == "store_true" else None
+        if flag[0] == "-":
+            options[flag] = dest, keywords
+        else:
+            positionals.insert(0, (dest, keywords))  # popped in order
+        if flag[0] != "-" or keywords.get("required"):
+            missing.add(dest)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            dest, keywords = options[token]
+            if keywords.get("action") == "store_true":
+                values[dest] = True
+                continue
+            token = next(tokens, None)
+            if token is None or token[:1] == "-" and keywords.get("type") is not _int_list:
+                return None
+        elif token[:1] == "-" or not positionals:
+            return None
+        else:
+            dest, keywords = positionals.pop()
+        try:
+            value = keywords.get("type", str)(token)
+        except Exception:  # argparse reports whatever a type function raises
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+        missing.discard(dest)
+    return None if missing else SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_dash_values(list(argv)))
+    argv = list(argv)
+    args = _parse(argv)
+    if args is None:
+        args = build_parser().parse_args(_merge_dash_values(argv))
     try:
         return args.handler(args)
     except ValueError as exc:

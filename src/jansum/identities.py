@@ -215,7 +215,9 @@ def multiplicity_one_report(p: int, d: int) -> MultiplicityOneReport:
     The head character of the lambda sequence must expand to exactly the
     partitions below (p-1, p-1, 1), all with coefficient 1; the alternating
     hook sum must do the same below (p-1, 1).  Needs d >= 2p-2 so that the
-    longest partition in the first ideal still fits in d+1 rows.
+    longest partition in the first ideal still fits in d+1 rows; past that
+    the answer does not depend on d, so the head character is computed at
+    the least rank admitted, and only the report keeps d.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -225,7 +227,7 @@ def multiplicity_one_report(p: int, d: int) -> MultiplicityOneReport:
             f"need d >= 2p-2 = {2 * p - 2}: partitions of {2 * p - 1} below "
             f"{Partition((p - 1, p - 1, 1))} can have up to {2 * p - 1} parts"
         )
-    head = convert_weyl_to_monomial(derived_simple_chars(p, d)[0])
+    head = convert_weyl_to_monomial(derived_simple_chars(p, min(d, max(2 * p - 2, 3)))[0])
     first = _support_check(head, Partition((p - 1, p - 1, 1)))
     hook_sum = schur_sum_to_monomial(_alternating(second_identity_shapes(p)), Partition((p - 1, 1)))
     second = _support_check(hook_sum, Partition((p - 1, 1)))

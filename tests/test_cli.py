@@ -1,7 +1,11 @@
 import ast
+import contextlib
 import hashlib
+import importlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
+import jansum.cli as jansum_cli
 from helpers import jantzen_term_to_json, reference_jantzen, run_cli
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 class TestIdentityCommand:
@@ -387,6 +393,175 @@ class TestUsageErrors:
         assert "error" in err
 
 
+_TOP_USAGE = (
+    "usage: jansum [-h]\n"
+    "              {identity,sweep,jantzen,prop-char,sequence,schur,kostka,normalize,multiplicity,selftest}\n"
+    "              ...\n"
+)
+_IDENTITY_USAGE = "usage: jansum identity [-h] --n N --which {first,second} [--json]\n"
+_JANTZEN_USAGE = (
+    "usage: jansum jantzen [-h] --p P --d D --lambda COORDS [--levi SIMPLES]\n"
+    "                      [--trace] [--json]\n"
+)
+
+# [argv, stderr] of each error argparse reports, as it lays them out on
+# Python 3.11 at 80 columns
+USAGE_STDERR = [
+    [["selftest", "--bogus"], _TOP_USAGE + "jansum: error: unrecognized arguments: --bogus\n"],
+    [["identity", "--n", "3"],
+     _IDENTITY_USAGE + "jansum identity: error: the following arguments are required: --which\n"],
+    [["identity", "--n", "x", "--which", "first"],
+     _IDENTITY_USAGE + "jansum identity: error: argument --n: invalid int value: 'x'\n"],
+    [["identity", "--n", "3", "--which", "third"],
+     _IDENTITY_USAGE + "jansum identity: error: argument --which: invalid choice: 'third' "
+     "(choose from 'first', 'second')\n"],
+    [["jantzen", "--p", "4", "--d", "2", "--lambda", "2,0"],
+     _JANTZEN_USAGE + "jansum jantzen: error: argument --p: must be prime, got 4\n"],
+    [["jantzen", "--p", "x", "--d", "2", "--lambda", "1,1"],
+     _JANTZEN_USAGE + "jansum jantzen: error: argument --p: invalid _prime value: 'x'\n"],
+    [["jantzen", "--p", str(10**24), "--d", "2", "--lambda", "1,1"],
+     _JANTZEN_USAGE + "jansum jantzen: error: argument --p: primality is decided exactly only "
+     f"below 318665857834031151167461, got {10**24}\n"],
+    [["bogus"],
+     _TOP_USAGE + "jansum: error: argument command: invalid choice: 'bogus' (choose from "
+     "'identity', 'sweep', 'jantzen', 'prop-char', 'sequence', 'schur', 'kostka', "
+     "'normalize', 'multiplicity', 'selftest')\n"],
+    [[], _TOP_USAGE + "jansum: error: the following arguments are required: command\n"],
+    [["normalize", "--d", "2", "--coords"],
+     "usage: jansum normalize [-h] --d D --coords COORDS [--levi SIMPLES] [--json]\n"
+     "jansum normalize: error: argument --coords: expected one argument\n"],
+]
+
+
+@pytest.mark.parametrize("argv, stderr", USAGE_STDERR, ids=[" ".join(e[0]) or "(none)" for e in USAGE_STDERR])
+def test_usage_error_stderr_unchanged(monkeypatch, argv, stderr):
+    # argparse wraps usage to the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(argv) == (2, "", stderr)
+
+
+# the add_argument keywords that cli._parse reads; of actions it reads only
+# store_true
+HANDLED_KEYWORDS = {"type", "required", "choices", "dest", "action", "help", "metavar"}
+
+# values an argument takes in a well-formed command line, by its type
+GOOD_VALUES = {"int": ["2", "7", "30"], "_prime": ["2", "3", "7"],
+               "_int_list": ["1,2", "-3,3", "0", "2,-1", "-5"]}
+# values that are negative, dash-led, empty or otherwise not what a type takes
+ODD_VALUES = ["-3", "-x", "-", "--", "-1,x", "", "x", "4", "1,,2", " 3", "+3", "third", "-h",
+              "--json", "-3,3", "3.0", "-1_0", "1_0"]
+
+
+def _value(rng, keywords):
+    if "choices" in keywords:
+        return rng.choice(keywords["choices"])
+    return rng.choice(GOOD_VALUES[keywords["type"].__name__])
+
+
+def _well_formed(rng, name):
+    """A random well-formed argv of one command: every required argument
+    and some optional ones, options in random order, and the positionals
+    before, between or after them."""
+    _, arguments, _ = jansum_cli._COMMANDS[name]
+    groups, positionals = [], []
+    for flag, keywords in arguments:
+        if flag[0] != "-":
+            positionals.append([_value(rng, keywords)])
+        elif keywords.get("required") or rng.random() < 0.5:
+            store_true = keywords.get("action") == "store_true"
+            groups.append([flag] if store_true else [flag, _value(rng, keywords)])
+    rng.shuffle(groups)
+    for group in positionals:
+        groups.insert(rng.randint(0, len(groups)), group)
+    return [name] + [token for group in groups for token in group]
+
+
+def _mutants(rng, argv):
+    """Command lines near argv: one token dropped, a flag abbreviated or
+    unknown, a flag and its value joined by '=', a flag repeated, a value
+    made odd, -h or --help inserted, the command name changed."""
+    name = argv[0]
+    _, arguments, _ = jansum_cli._COMMANDS[name]
+    flags = [i for i, token in enumerate(argv) if token.startswith("--")]
+    at = rng.randint(1, len(argv))
+    yield argv[:at - 1] + argv[at:]
+    if flags:
+        i = rng.choice(flags)
+        yield argv[:i] + [argv[i][:rng.randint(2, len(argv[i]) - 1)]] + argv[i + 1:]
+        yield argv[:i] + ["--bogus"] + argv[i + 1:]
+        if i + 1 < len(argv) and not argv[i + 1].startswith("--"):
+            yield argv[:i] + [f"{argv[i]}={argv[i + 1]}"] + argv[i + 2:]
+    for flag, keywords in arguments:
+        if flag[0] == "-":
+            extra = [flag] if keywords.get("action") == "store_true" else [flag, _value(rng, keywords)]
+            yield argv + extra
+            yield extra + argv[1:] if rng.random() < 0.5 else argv[:1] + extra + argv[1:]
+            if keywords.get("action") != "store_true":
+                yield argv + [flag, rng.choice(ODD_VALUES)]
+                yield argv + [flag]
+    for i in range(1, len(argv)):
+        if not argv[i].startswith("--"):
+            yield argv[:i] + [rng.choice(ODD_VALUES)] + argv[i + 1:]
+    yield argv + [rng.choice(ODD_VALUES)]
+    yield argv[:at] + [rng.choice(["-h", "--help"])] + argv[at:]
+    yield [rng.choice(["Identity", "sweeps", "-h", "--help", "", "prop_char"])] + argv[1:]
+
+
+class TestTableParser:
+    """cli._parse against argparse: whatever _parse accepts, argparse parses
+    to the same attributes; whatever it declines goes to argparse."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        parser = jansum_cli.build_parser()
+
+        def parse(argv):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    return vars(parser.parse_args(jansum_cli._merge_dash_values(argv)))
+                except SystemExit:
+                    return None
+
+        return parse
+
+    def test_every_keyword_is_one_it_reads(self):
+        for name, (_, arguments, _) in jansum_cli._COMMANDS.items():
+            for flag, keywords in arguments:
+                assert set(keywords) <= HANDLED_KEYWORDS, (name, flag)
+                assert keywords.get("action", "store_true") == "store_true", (name, flag)
+
+    def test_agrees_with_argparse(self, oracle):
+        rng = random.Random(1109)
+        accepted = declined = 0
+        for name in jansum_cli._COMMANDS:
+            for _ in range(25):
+                argv = _well_formed(rng, name)
+                parsed = jansum_cli._parse(argv)
+                assert parsed is not None, argv
+                assert vars(parsed) == oracle(argv), argv
+                for mutant in _mutants(rng, argv):
+                    parsed = jansum_cli._parse(mutant)
+                    if parsed is None:
+                        declined += 1
+                    else:
+                        accepted += 1
+                        assert vars(parsed) == oracle(mutant), mutant
+        for argv in ([], ["-h"], ["--help"], ["--", "selftest"]):
+            assert jansum_cli._parse(argv) is None
+        assert accepted > 500 and declined > 1000
+
+    def test_reads_every_workload_command(self, oracle, monkeypatch):
+        # the benchmark's command lines are all well formed: none needs argparse
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        for workload in workloads.WORKLOADS:
+            for seed in range(1, 4):
+                for command in workloads.build(workload, seed):
+                    argv = list(command.argv)
+                    parsed = jansum_cli._parse(argv)
+                    assert parsed is not None and vars(parsed) == oracle(argv), argv
+
+
 # [argv, exit code, sha256 of stdout] of the top-level help and of each
 # subcommand's, as argparse lays it out on Python 3.11 at 80 columns
 HELP = [
@@ -579,3 +754,41 @@ class TestStartUp:
         assert "\n".join(lines[1:-1]) + "\n" == expected
         for text in lines[-3:-1]:
             assert json.dumps(json.loads(text), separators=(",", ":")) == text
+
+    def _argparse_loaded(self, argvs):
+        """Whether running argvs one after another in a fresh interpreter
+        loads argparse."""
+        script = (
+            "import sys, jansum.cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    try:\n"
+            "        jansum.cli.main(argv)\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "print('argparse' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1] == "True"
+
+    def test_well_formed_commands_load_no_argparse(self):
+        # one command line of each kind the benchmark's session runs
+        assert not self._argparse_loaded([
+            ["kostka", "--lambda", "3,2,1", "--mu", "2,2,1,1"],
+            ["schur", "--lambda", "3,1"],
+            ["normalize", "--coords", "-5,-1,-6", "--levi", "2,3", "--d", "3"],
+            ["identity", "--n", "7", "--which", "first"],
+            ["jantzen", "--p", "3", "--d", "4", "--lambda", "1,0,2,1", "--trace"],
+            ["sequence", "--p", "5", "--d", "5"],
+            ["multiplicity", "--p", "3", "--d", "5"],
+            ["selftest"],
+            ["sweep", "2", "8", "--which", "second", "--jsonl", "--jobs", "1"],
+        ])
+
+    @pytest.mark.parametrize("argv", [["--help"], ["identity", "--n", "3"]])
+    def test_help_and_usage_errors_load_argparse(self, argv):
+        assert self._argparse_loaded([argv])

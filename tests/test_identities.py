@@ -11,6 +11,7 @@ from jansum.charring import (
     BASIS_MONOMIAL,
     FormalCharacter,
     coefficient_counts,
+    convert_weyl_to_monomial,
     kostka,
     schur_sum_dag,
     schur_sum_to_monomial,
@@ -24,6 +25,7 @@ from jansum.identities import (
     verify_first_identity,
     verify_second_identity,
 )
+from jansum.jantzen import derived_simple_chars
 from jansum.lattice import Partition, check_ideal_size, partitions_below
 
 FAMILIES = {
@@ -336,9 +338,34 @@ class TestMultiplicityOne:
             assert verify_first_identity(p).equal
             assert multiplicity_one_report(p, d).passed
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_computed_at_the_least_rank_as_at_the_given_one(self, p):
+        # past d = 2p-2 the answer does not depend on d, so it is computed at
+        # the least rank admitted; the head character at the given rank,
+        # and the command's output with d masked, must not change
+        least = max(2 * p - 2, 3)
+        outputs = set()
+        for d in sorted({least, least + 1, 2 * p + 3, 13, 40}):
+            report = multiplicity_one_report(p, d)
+            assert report.d == d
+            head = convert_weyl_to_monomial(derived_simple_chars(p, d)[0])
+            assert report.families[0].character == head
+            text = run_cli(["multiplicity", "--p", str(p), "--d", str(d)])
+            code, out, _ = run_cli(["multiplicity", "--p", str(p), "--d", str(d), "--json"])
+            outputs.add((text, code, out.replace(f'"d":{d},', '"d":D,')))
+        assert len(outputs) == 1
+
+    def test_huge_d_at_once(self):
+        started = time.perf_counter()
+        code, out, _ = run_cli(["multiplicity", "--p", "3", "--d", "3000000"])
+        assert time.perf_counter() - started < 2
+        assert (code, out) == (0, "below [2,2,1]: 3 terms PASS\nbelow [2,1]: 2 terms PASS\n")
+
     def test_refuses_small_d(self):
         with pytest.raises(ValueError):
             multiplicity_one_report(5, 7)
+        with pytest.raises(ValueError, match="d >= 3"):
+            multiplicity_one_report(2, 2)
 
     def test_refuses_composite_p(self):
         with pytest.raises(ValueError):
