@@ -38,7 +38,7 @@ from .identities import (
     verify_first_identity,
     verify_second_identity,
 )
-from .jantzen import JantzenTerm, is_prime, jantzen_sum, lambda_sequence, verify_prop_char
+from .jantzen import _trace, is_prime, jantzen_sum, lambda_sequence, verify_prop_char
 from .lattice import Partition, Weight, dominance_leq, partitions_below
 from .oracle import enumerate_ssyt, eval_monomial, eval_schur_bialternant
 from .serialize import (
@@ -101,15 +101,9 @@ def format_character(ch: FormalCharacter) -> str:
     return " ".join(pieces)
 
 
-def _format_term(term: JantzenTerm) -> str:
-    if term.outcome.is_singular:
-        result = "singular"
-    else:
-        result = f"{term.outcome.sign:+d}·{term.outcome.dominant}"
-    return (
-        f"{term.root} m={term.m} level={term.level} v={term.valuation} "
-        f"t={term.t} image={term.image} -> {result}"
-    )
+# the text forms of a trace line, a weight and the two outcomes (see jantzen._trace)
+_TRACE = ("  %(root)s m=%%d level=%%d v=%(valuation)d t=%%d image=%(image)s -> %%s",
+          "(%s)", "%+d·%s", "singular")
 
 
 def _identity_line(report: IdentityReport) -> str:
@@ -127,8 +121,7 @@ def _identity_text(report, args):
 def _jantzen_text(report, args):
     yield f"lambda={report.lam} p={report.p} levi={report.levi.describe()}"
     if args.trace:
-        for term in report.terms:
-            yield "  " + _format_term(term)
+        yield from _trace(report, *_TRACE)
     yield f"total: {format_character(report.total)}"
 
 
@@ -139,8 +132,7 @@ def _prop_char_text(report, args):
         if not check.passed:
             yield f"  expected: {format_character(check.expected)}"
             yield f"  got:      {format_character(check.total)}"
-            for term in check.report.terms:
-                yield "  " + _format_term(term)
+            yield from _trace(check.report, *_TRACE)
     verdict = "PASS" if report.passed else "FAIL"
     yield f"{verdict} ({len(report.checks)} checks)"
 

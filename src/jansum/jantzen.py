@@ -10,10 +10,10 @@ where v_p is the p-adic valuation and chi the Weyl character (zero on
 singular weights, otherwise a sign times a dominant symbol).  The same
 formula over a Levi's positive roots computes the Levi analogue.  Each term
 is evaluated in closed form on the epsilon coordinates of lambda + rho (see
-_walk), without building the reflected weight.  A report carries the total;
-its trace of terms, singular ones included, is built when first read.  The
-JSON trace (serialize.jantzen_terms_json) reads _walk instead and builds no
-term.
+_walk), without building the reflected weight.  A report carries the total.
+The trace of its terms, singular ones included, is written as text, one term
+at a time, by _trace, which the CLI's text and JSON traces share; the
+JantzenTerm records of SumReport.terms are built only when read.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIMALITY_BOUND = 318665857834031151167461
 
 # Most (root, m) terms one Jantzen sum may have.  Time and memory grow with
-# the count: on a 2-CPU machine (Python 3.11, best of 3 on one CPU) `jantzen
+# the count: on a 2-CPU machine (Python 3.11, best of 5 on one CPU) `jantzen
 # --p 2 --d 2 --lambda 100000,0`, the largest such call admitted (100 000
-# terms), takes 0.69 s and 47 MB, 0.57 s and 53 MB with --json, 2.3 s and
-# 106 MB with --trace (which keeps every term), 1.1 s and 61 MB with --trace
-# --json (which writes each term as the walk makes it).
+# terms), takes 0.71 s and 47 MB, 0.55 s and 53 MB with --json, 1.41 s and
+# 60 MB with --trace, 1.33 s and 61 MB with --trace --json (either trace
+# writes each term as the walk makes it).
 # The largest benchmark call has 20 000 terms; at d = 30 with every
 # coordinate 15 there are about 40 000 at p = 2.
 TERM_LIMIT = 100_000
@@ -110,7 +110,9 @@ class SumReport:
     def terms(self) -> tuple[JantzenTerm, ...]:
         """Every (root, m) term, singular ones included, in root then m order.
 
-        Built on first read by walking the sum again, and kept.
+        Built on first read by walking the sum again, and kept.  The CLI's
+        traces stream from _trace instead; only perfbench/tracer.py (which
+        counts terms) and the tests read it.
         """
         lam, d = self.lam, self.lam.rank
         singular = SignedDominant.singular()
@@ -118,18 +120,12 @@ class SumReport:
         terms = []
         for root, level, c, valuation, sign, key in _walk(lam, self.p, self.levi):
             t = c - level
-            # lam - t * root: the root is -1, +1, +1, -1 at coordinates
-            # lo-1, lo, hi, hi+1 (those that exist; lo = hi adds up to +2)
             coords = list(lam.coords)
-            if root.lo > 1:
-                coords[root.lo - 2] += t
-            coords[root.lo - 1] -= t
-            coords[root.hi - 1] -= t
-            if root.hi < d:
-                coords[root.hi] += t
+            for i, k in _image_change(root, d).items():
+                coords[i] += k * t
             if sign:
                 if key not in dominant:
-                    dominant[key] = _weight(key)
+                    dominant[key] = _trusted_weight(_dominant(key))
                 outcome = _trusted_signed(sign, dominant[key])
             else:
                 outcome = singular
@@ -156,7 +152,7 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
         if sign:
             total[key] = total.get(key, 0) + sign * valuation
     # every key is dominant for the Levi, and distinct keys give distinct weights
-    terms = {_weight(k): c for k, c in total.items() if c}
+    terms = {_trusted_weight(_dominant(k)): c for k, c in total.items() if c}
     return SumReport(lam, p, levi, _trusted_character(BASIS_WEYL, levi, terms))
 
 
@@ -194,8 +190,8 @@ def _walk(lam: Weight, p: int, levi: LeviDatum):
                 count += (c - 1) // p
             if count > TERM_LIMIT:
                 raise ValueError(
-                    f"the Jantzen sum of {lam} at p={p} for {levi.describe()} has "
-                    f"more than {TERM_LIMIT} terms; refused"
+                    f"the Jantzen sum at rank d={lam.rank}, p={p}, levi={levi.describe()} "
+                    f"has more than {TERM_LIMIT} terms; refused"
                 )
     p_squared = p * p
     for lo, hi, c, values in roots:
@@ -219,12 +215,69 @@ def _walk(lam: Weight, p: int, levi: LeviDatum):
             yield root, level, c, valuation, sign, key
 
 
-def _weight(key: tuple[int, ...]) -> Weight:
-    """The weight mu with epsilon(mu + rho) = key, up to adding a constant.
+def _image_change(root: Root, d: int) -> dict[int, int]:
+    """{i: k}, in increasing i: the image lam - t * root of a term at the root
+    is lam plus k * t at each 0-based coordinate i and lam elsewhere, as the
+    root is -1, +1, +1, -1 at lo-1, lo, hi, hi+1 (lo = hi adds up to +2)."""
+    lo, hi = root.lo, root.hi
+    change = {lo - 2: 1} if lo > 1 else {}
+    change[lo - 1] = -1
+    change[hi - 1] = change.get(hi - 1, 0) - 1
+    if hi < d:
+        change[hi] = 1
+    return change
 
-    key comes from _walk, so mu is a weight by construction and is not checked.
+
+def _dominant(key: tuple[int, ...], indices: range | None = None) -> tuple[int, ...]:
+    """The coordinates at the 0-based indices (all by default) of the weight
+    mu with epsilon(mu + rho) = key, up to adding a constant.  key comes from
+    _walk, so mu is a weight by construction and is not checked."""
+    return tuple([key[i] - key[i + 1] - 1 for i in indices or range(len(key) - 1)])
+
+
+def _trace(report: SumReport, term: str, weight: str, regular: str, singular: str):
+    """Yield the text of every term of the report's sum, one per piece, in
+    _walk order (that of SumReport.terms), in the %-template forms given:
+    weight takes comma-separated coordinates, regular a sign and a weight,
+    and singular is the singular outcome; term is filled once per root and
+    valuation from the named fields root, lo, hi, valuation and image, and
+    then takes m, level, t, the image coordinates _image_change names, and
+    the outcome.  Image and dominant weight differ from lam only at
+    coordinates lo-1..hi+1 (_walk's key from epsilon(lam + rho) only at
+    lo..hi+1), so each root writes the rest once.
     """
-    return _trusted_weight(tuple([a - b - 1 for a, b in zip(key, key[1:])]))
+    lam, p = report.lam, report.p
+    coords, d = lam.coords, lam.rank
+    written = [str(c) for c in coords]
+    outcomes: dict[int, dict[tuple, str]] = {1: {}, -1: {}}  # sign -> key -> text
+    current = None
+    for root, level, c, valuation, sign, key in _walk(lam, p, report.levi):
+        if root is not current:
+            current, change = root, _image_change(root, d)
+            slots = [(coords[i], k) for i, k in change.items()]
+            # the coordinates that may differ from lam's, 0-based
+            changed = range(max(root.lo - 2, 0), min(root.hi + 1, d))
+            head, tail = written[: changed.start], written[changed.stop :]
+            image = head + ["%d" if i in change else written[i] for i in changed] + tail
+            fields = {"root": root, "lo": root.lo, "hi": root.hi, "image": weight % ",".join(image)}
+            # by valuation (at most 1 + log_p(TERM_LIMIT)), which the template
+            # holds so that a form may place it anywhere among m, level and t
+            templates = [None] * 64
+            dominant = weight % ",".join(head + ["%d"] * len(changed) + tail)
+            forms = {1: regular % (1, dominant), -1: regular % (-1, dominant)}
+        template = templates[valuation]
+        if template is None:
+            fields["valuation"] = valuation
+            template = templates[valuation] = term % fields
+        t = c - level
+        if sign:
+            known = outcomes[sign]
+            outcome = known.get(key)
+            if outcome is None:
+                outcome = known[key] = forms[sign] % _dominant(key, changed)
+        else:
+            outcome = singular
+        yield template % (level // p, level, t, *[b + k * t for b, k in slots], outcome)
 
 
 def lambda_sequence(p: int, d: int) -> list[Weight]:

@@ -10,15 +10,18 @@ equal values always give identical bytes, and parsing then re-serializing
 is the identity on the text.
 
 Scalars and characters are written as one string, and a report as an
-iterator of pieces, so that a caller can print it as it is made; a Jantzen
-trace comes one term per piece, straight from the sum's walk, and is never
-held whole.
+iterator of pieces, so that a caller can print it as it is made.  A Jantzen
+trace comes one term per piece from jantzen._trace, the writer the text
+trace shares, given this module's forms of a term, a weight and an outcome;
+it is never held whole.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .charring import BASIS_MONOMIAL
-from .jantzen import _walk
+from .jantzen import _trace
 
 
 def canonical_dumps(obj) -> str:
@@ -39,21 +42,23 @@ def partition_json(p) -> str:
     return f"[{_ints(p.parts)}]"
 
 
+# the forms of a weight (rank, coordinates) and of the two outcomes, which
+# the Jantzen trace shares (see jantzen._trace)
+_WEIGHT = '{"d":%d,"coords":[%s]}'
+_REGULAR = '{"sign":%d,"dominant":%s}'
+_SINGULAR = '{"singular":true}'
+
+
 def weight_json(w) -> str:
-    return f'{{"d":{len(w.coords)},"coords":[{_ints(w.coords)}]}}'
+    return _WEIGHT % (len(w.coords), _ints(w.coords))
 
 
 def levi_json(levi) -> str:
     return f'{{"d":{levi.rank},"simples":[{_ints(sorted(levi.simples))}]}}'
 
 
-_SINGULAR = '{"singular":true}'
-
-
 def signed_dominant_json(sd) -> str:
-    if sd.is_singular:
-        return _SINGULAR
-    return f'{{"sign":{sd.sign},"dominant":{weight_json(sd.dominant)}}}'
+    return _SINGULAR if sd.is_singular else _REGULAR % (sd.sign, weight_json(sd.dominant))
 
 
 def character_json(ch) -> str:
@@ -70,70 +75,19 @@ def character_json(ch) -> str:
     return head + ",".join(terms) + "]}"
 
 
+# a term of a Jantzen trace, after a comma (see jantzen._trace)
+_TERM = (
+    ',{"root":[%(lo)d,%(hi)d],"m":%%d,"level":%%d,"t":%%d,"valuation":%(valuation)d,'
+    '"image":%(image)s,"outcome":%%s}'
+)
+
+
 def jantzen_terms_json(report):
-    """Yield the JSON array of every term of a Jantzen sum, one term per
-    piece, in the order of jantzen._walk (that of SumReport.terms).
-
-    A term at the root (lo, hi) changes lam only near lo and hi: its image
-    lam - t * root differs from lam at most at coordinates lo-1, lo, hi and
-    hi+1, and its dominant weight at most at lo-1..hi+1, because _walk's key
-    differs from epsilon(lam + rho) only at positions lo..hi+1.  So each root
-    gets one template with lam's other coordinates already written out; a
-    term fills in m, level, t, valuation, the changed image coordinates and
-    its outcome, whose text is made once per distinct sign and key.
-    """
-    lam, p = report.lam, report.p
-    coords, d = lam.coords, lam.rank
-    written = [str(c) for c in coords]
-    outcomes: dict[int, dict[tuple, str]] = {1: {}, -1: {}}  # sign -> key -> text
-    current = None
-    sep = "["
-    for root, level, c, valuation, sign, key in _walk(lam, p, report.levi):
-        if root is not current:
-            current = root
-            template, slots = _term_template(root.lo, root.hi, coords, written)
-            # the dominant coordinates that may differ from lam's, 0-based
-            changed = range(max(root.lo - 2, 0), min(root.hi + 1, d))
-            head = "".join(w + "," for w in written[: changed.start])
-            tail = "".join("," + w for w in written[changed.stop :])
-        t = c - level
-        if sign:
-            known = outcomes[sign]
-            outcome = known.get(key)
-            if outcome is None:
-                # mu with epsilon(mu + rho) = key, as in jantzen._weight
-                mid = ",".join([str(key[i] - key[i + 1] - 1) for i in changed])
-                outcome = known[key] = (
-                    f'{{"sign":{sign},"dominant":{{"d":{d},"coords":[{head}{mid}{tail}]}}}}'
-                )
-        else:
-            outcome = _SINGULAR
-        yield sep + template % (level // p, level, t, valuation, *[b + k * t for b, k in slots], outcome)
-        sep = ","
-    yield "[]" if sep == "[" else "]"
-
-
-def _term_template(lo: int, hi: int, coords: tuple[int, ...], written: list[str]) -> tuple[str, list]:
-    """The %-template of a term at the root (lo, hi), and (value, multiple of
-    t) for each coordinate of lam it fills in, written being lam's
-    coordinates as text: the root is -1, +1, +1, -1 at coordinates lo-1,
-    lo, hi, hi+1 (those that exist; lo = hi adds up to +2), and the image is
-    lam - t * root."""
-    change = {}
-    if lo > 1:
-        change[lo - 2] = 1
-    change[lo - 1] = -1
-    change[hi - 1] = change.get(hi - 1, 0) - 1
-    if hi < len(coords):
-        change[hi] = 1
-    pieces = written[:]
-    for i in change:
-        pieces[i] = "%d"
-    template = (
-        f'{{"root":[{lo},{hi}],"m":%d,"level":%d,"t":%d,"valuation":%d,'
-        f'"image":{{"d":{len(coords)},"coords":[{",".join(pieces)}]}},"outcome":%s}}'
-    )
-    return template, [(coords[i], k) for i, k in sorted(change.items())]
+    """The JSON array of every term of a Jantzen sum, in pieces, one term per
+    piece as the sum's walk makes it: each term comes after a comma, so that
+    no separator is joined per term, and the first one's is dropped."""
+    terms = _trace(report, _TERM, _WEIGHT % (report.lam.rank, "%s"), _REGULAR, _SINGULAR)
+    return chain(["[" + next(terms, ",")[1:]], terms, ["]"])
 
 
 def sum_report_json(report, trace: bool = False):

@@ -15,7 +15,7 @@ from math import factorial
 from jansum.charring import BASIS_MONOMIAL, BASIS_WEYL, kostka
 from jansum.jantzen import JantzenTerm, p_adic_valuation
 from jansum.lattice import Partition, Weight, pairing, rho
-from jansum.weyl import affine_dot_reflect, dot_normalize
+from jansum.weyl import LeviDatum, affine_dot_reflect, dot_normalize
 
 
 def brute_partitions(n: int, max_part: int | None = None):
@@ -94,6 +94,18 @@ def random_dominant(rng: random.Random, d: int, hi: int = 5) -> Weight:
     return Weight([rng.randint(0, hi) for _ in range(d)])
 
 
+def random_levi(rng: random.Random, d: int) -> LeviDatum:
+    return LeviDatum(d, [s for s in range(1, d + 1) if rng.random() < 0.6])
+
+
+def random_levi_dominant(rng: random.Random, levi: LeviDatum, hi: int = 5) -> Weight:
+    """Dominant for the Levi: nonnegative on its simple roots, any sign off them."""
+    return Weight([
+        rng.randint(0, hi) if s in levi.simples else rng.randint(-hi, hi)
+        for s in range(1, levi.rank + 1)
+    ])
+
+
 def reference_jantzen(lam: Weight, p: int, levi) -> tuple[tuple[JantzenTerm, ...], dict]:
     """The Jantzen sum the generic way: (trace, {dominant weight: coefficient}).
 
@@ -114,6 +126,20 @@ def reference_jantzen(lam: Weight, p: int, levi) -> tuple[tuple[JantzenTerm, ...
                 key = outcome.dominant
                 total[key] = total.get(key, 0) + outcome.sign * valuation
     return tuple(terms), {k: c for k, c in total.items() if c}
+
+
+def jantzen_term_text(term: JantzenTerm) -> str:
+    """A term's line of the text `jantzen --trace`, without its two-space
+    indent: formatted field by field from the term, the slow oracle for the
+    CLI's template writer (jantzen._trace)."""
+    if term.outcome.is_singular:
+        result = "singular"
+    else:
+        result = f"{term.outcome.sign:+d}·{term.outcome.dominant}"
+    return (
+        f"{term.root} m={term.m} level={term.level} v={term.valuation} "
+        f"t={term.t} image={term.image} -> {result}"
+    )
 
 
 # The JSON forms as dicts and lists: the slow oracle for jansum.serialize,

@@ -14,7 +14,14 @@ from pathlib import Path
 import pytest
 
 import jansum.cli as jansum_cli
-from helpers import jantzen_term_to_json, reference_jantzen, run_cli
+from helpers import (
+    jantzen_term_text,
+    jantzen_term_to_json,
+    random_levi,
+    random_levi_dominant,
+    reference_jantzen,
+    run_cli,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -215,6 +222,17 @@ class TestJantzenCommand:
         assert (code, out) == (2, "")
         assert "terms; refused" in err
 
+    def test_term_budget_refusal_is_one_short_line(self):
+        # the sum refused is that of lambda_0 at rank 300 000, which the user
+        # did not type: the message names the rank, p, Levi and limit
+        code, out, err = run_cli(["prop-char", "--p", "3", "--d", "300000"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the Jantzen sum at rank d=300000, p=3, levi=full has more than 100000 "
+            "terms; refused\n"
+        )
+        assert len(err.encode()) < 1024
+
 
 class _Refused(Exception):
     pass
@@ -224,35 +242,49 @@ def _refuse(*args, **kwargs):
     raise _Refused
 
 
+def _fail_every_check(monkeypatch):
+    """Make every prop-char check fail, so that each lists its terms."""
+    import jansum.jantzen as jantzen_mod
+    from jansum.charring import BASIS_WEYL, FormalCharacter
+    from jansum.lattice import Weight
+
+    monkeypatch.setattr(
+        jantzen_mod,
+        "expected_sum",
+        lambda i, p, d, levi: FormalCharacter(BASIS_WEYL, levi, {Weight((0,) * d): 7}),
+    )
+
+
 class TestTraceOnlyWhenRead:
-    # no JantzenTerm is built unless a text trace lists the terms: the JSON
-    # trace is written straight from the sum's walk
-    def test_untraced_commands_build_no_term(self, monkeypatch):
+    # no command builds a JantzenTerm: the text and the JSON trace, and the
+    # terms of a failing prop-char check, are written straight from the
+    # sum's walk; only reading SumReport.terms builds them
+    def test_no_command_builds_a_term(self, monkeypatch):
         import jansum.jantzen as jantzen_mod
-
-        monkeypatch.setattr(jantzen_mod, "JantzenTerm", _refuse)
-        argv = ["jantzen", "--p", "5", "--d", "5", "--lambda", "1,2,0,1,0"]
-        assert run_cli(argv)[0] == 0
-        assert run_cli(argv + ["--json"])[0] == 0
-        assert run_cli(argv + ["--trace", "--json"])[0] == 0
-        assert run_cli(["prop-char", "--p", "3", "--d", "4"])[0] == 0
-        assert run_cli(["prop-char", "--p", "3", "--d", "4", "--json"])[0] == 0
-        with pytest.raises(_Refused):
-            run_cli(argv + ["--trace"])
-
-    def test_failing_prop_char_lists_every_term(self, monkeypatch):
-        import jansum.jantzen as jantzen_mod
-        from jansum.charring import BASIS_WEYL, FormalCharacter
-        from jansum.cli import _format_term
         from jansum.lattice import Weight
         from jansum.weyl import LeviDatum
 
+        monkeypatch.setattr(jantzen_mod, "JantzenTerm", _refuse)
+        argv = ["jantzen", "--p", "5", "--d", "5", "--lambda", "1,2,0,1,0"]
+        for extra in ([], ["--json"], ["--trace"], ["--trace", "--json"]):
+            assert run_cli(argv + extra)[0] == 0
+        prop_char = ["prop-char", "--p", "3", "--d", "4"]
+        assert run_cli(prop_char)[0] == 0
+        assert run_cli(prop_char + ["--json"])[0] == 0
+        _fail_every_check(monkeypatch)
+        code, out, _ = run_cli(prop_char)
+        assert code == 3 and "\n  a[" in out
+        code, out, _ = run_cli(prop_char + ["--json"])
+        assert code == 3 and '"terms":[{' in out
+        with pytest.raises(_Refused):
+            jantzen_mod.jantzen_sum(Weight((1, 2, 0, 1, 0)), 5, LeviDatum.full(5)).terms
+
+    def test_failing_prop_char_lists_every_term(self, monkeypatch):
+        import jansum.jantzen as jantzen_mod
+        from jansum.weyl import LeviDatum
+
         p, d = 5, 5
-        monkeypatch.setattr(
-            jantzen_mod,
-            "expected_sum",
-            lambda i, p, d, levi: FormalCharacter(BASIS_WEYL, levi, {Weight((0,) * d): 7}),
-        )
+        _fail_every_check(monkeypatch)
         levis = (LeviDatum.full(d), LeviDatum(d, range(2, d + 1)))
         slow = [
             reference_jantzen(lam, p, levi)[0]
@@ -263,8 +295,8 @@ class TestTraceOnlyWhenRead:
 
         code, out, _ = run_cli(["prop-char", "--p", str(p), "--d", str(d)])
         assert code == 3
-        listed = [line[2:] for line in out.splitlines() if line.startswith("  a[")]
-        assert listed == [_format_term(t) for terms in slow for t in terms]
+        listed = [line for line in out.splitlines() if line.startswith("  a[")]
+        assert listed == ["  " + jantzen_term_text(t) for terms in slow for t in terms]
 
         code, out, _ = run_cli(["prop-char", "--p", str(p), "--d", str(d), "--json"])
         assert code == 3
@@ -273,6 +305,33 @@ class TestTraceOnlyWhenRead:
         for check, terms in zip(checks, slow):
             assert not check["passed"]
             assert check["terms"] == [jantzen_term_to_json(t) for t in terms]
+
+
+class TestTextTrace:
+    # each line of the text trace, byte for byte, against the slow reference
+    # sum formatted field by field (helpers.jantzen_term_text)
+    def test_every_line_matches_the_reference_term(self):
+        rng = random.Random(1912)
+        lines = singular = negative = 0
+        for _ in range(80):
+            d = rng.randint(2, 6)
+            levi = random_levi(rng, d)
+            while not levi.simples:
+                levi = random_levi(rng, d)
+            lam = random_levi_dominant(rng, levi, hi=9)
+            p = rng.choice((2, 3, 5, 7))
+            code, out, _ = run_cli([
+                "jantzen", "--p", str(p), "--d", str(d), "--lambda", ",".join(map(str, lam.coords)),
+                "--levi", ",".join(map(str, sorted(levi.simples))), "--trace",
+            ])
+            assert code == 0
+            listed = [line for line in out.splitlines() if line.startswith("  a[")]
+            expected = ["  " + jantzen_term_text(t) for t in reference_jantzen(lam, p, levi)[0]]
+            assert listed == expected, (lam, p, levi)
+            lines += len(listed)
+            singular += sum(line.endswith("-> singular") for line in listed)
+            negative += min(lam.coords) < 0
+        assert lines > 500 and 0 < singular < lines and negative > 20
 
 
 class TestPropCharCommand:
@@ -693,11 +752,11 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 
 class TestStreamedTrace:
-    # The JSON trace is written term by term as the walk makes it, so it
-    # never holds all the terms; the text trace keeps them in report.terms.
-    # Each command runs under a wrapper of its own, whose RUSAGE_CHILDREN
-    # sees that command's peak alone.
-    def test_json_trace_peaks_no_higher_than_text_trace(self, tmp_path):
+    # Both traces are written term by term as the walk makes them, so
+    # neither holds all the terms, and the text trace costs no more memory
+    # than the JSON one.  Each command runs under a wrapper of its own, whose
+    # RUSAGE_CHILDREN sees that command's peak alone.
+    def test_text_trace_peaks_no_higher_than_json_trace(self, tmp_path):
         argv = ["jantzen", "--p", "2", "--d", "2", "--lambda", "50000,0", "--trace"]
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -714,7 +773,9 @@ class TestStreamedTrace:
             assert code == 0, proc.stderr
         blob = json.loads((tmp_path / "json").read_text())
         assert len(blob["terms"]) == 50000
-        assert peaks["json"] <= peaks["text"]
+        text = (tmp_path / "text").read_text().splitlines()
+        assert sum(line.startswith("  a[") for line in text) == 50000
+        assert peaks["text"] <= peaks["json"] * 1.05
 
 
 _START_UP = """

@@ -10,6 +10,8 @@ from helpers import (
     multiplicity_report_to_json,
     partition_to_json,
     prop_char_report_to_json,
+    random_levi,
+    random_levi_dominant,
     random_weight,
     run_cli,
     signed_dominant_to_json,
@@ -49,18 +51,6 @@ def parsed_terms(blob: dict) -> dict:
 
 def oracle_text(form) -> str:
     return json.dumps(form, separators=(",", ":"))
-
-
-def random_levi(rng: random.Random, d: int) -> LeviDatum:
-    return LeviDatum(d, [s for s in range(1, d + 1) if rng.random() < 0.6])
-
-
-def random_levi_dominant(rng: random.Random, levi: LeviDatum, hi: int = 5) -> Weight:
-    """Dominant for the Levi: nonnegative on its simple roots, any sign off them."""
-    return Weight([
-        rng.randint(0, hi) if s in levi.simples else rng.randint(-hi, hi)
-        for s in range(1, levi.rank + 1)
-    ])
 
 
 class TestScalarForms:
