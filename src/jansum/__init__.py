@@ -15,7 +15,6 @@ from .charring import (
     BASIS_MONOMIAL,
     BASIS_WEYL,
     FormalCharacter,
-    convert_weyl_to_monomial,
     kostka,
     schur_to_monomial,
 )

@@ -3,13 +3,14 @@
 Two bases are supported.  The Weyl basis is keyed by Levi-dominant weights
 (one symbol per Weyl module of the Levi); the monomial basis is keyed by
 partitions (one symbol per orbit sum of monomial symmetric functions, i.e.
-the GL picture with unboundedly many variables).  Conversion from the full
-Weyl basis to the monomial basis goes through Kostka numbers:
-S_lambda = sum over mu of K(lambda, mu) * m_mu.  A signed sum of Schur
-functions is expanded by one memoized walk of the dominance ideal below a
-top shape (schur_sum_dag), which peels a horizontal strip for each part:
-the expansion lists the walk's leaves, and the coefficient counts that
-decide an identity are one fold over its keys.
+the GL picture with unboundedly many variables).  A signed sum of Schur
+functions, S_lambda = sum over mu of K(lambda, mu) * m_mu, is expanded by
+one memoized walk of the dominance ideal below a top shape (schur_sum_dag),
+which peels a horizontal strip for each part: the expansion lists the
+walk's leaves, and the coefficient counts that decide an identity or a
+multiplicity-one family are one fold over its keys.  A Weyl-basis
+character of the full group enters such a walk through the partitions of
+its keys (lattice.weight_to_partition).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .lattice import (
     dominance_leq,
     ideal_dag,
     ideal_leaves,
-    weight_to_partition,
 )
 from .weyl import LeviDatum
 
@@ -217,12 +217,17 @@ def schur_sum_dag(coeffs: Mapping[Partition, int], top: Partition) -> dict[tuple
     return ideal_dag(top, frozenset((shape.parts, c) for shape, c in coeffs.items() if c), _peel)
 
 
+def dag_leaves(dag: dict[tuple, tuple]) -> list[tuple[Partition, int]]:
+    """(mu, coefficient) for every leaf of a schur_sum_dag, zeros included,
+    in reverse-lexicographic order of mu."""
+    return [(mu, _coefficient(state)) for mu, state in ideal_leaves(dag)]
+
+
 def dag_to_monomial(dag: dict[tuple, tuple]) -> FormalCharacter:
     """The expansion that a schur_sum_dag holds: its leaves, listed, with
     their nonzero coefficients."""
     # every key is a partition that the walk built
-    terms = {mu: c for mu, state in ideal_leaves(dag) if (c := _coefficient(state))}
-    return _trusted_character(BASIS_MONOMIAL, None, terms)
+    return _trusted_character(BASIS_MONOMIAL, None, {mu: c for mu, c in dag_leaves(dag) if c})
 
 
 def coefficient_counts(dag: dict[tuple, tuple]) -> Counter:
@@ -241,20 +246,3 @@ def coefficient_counts(dag: dict[tuple, tuple]) -> Counter:
 def schur_to_monomial(lam: Partition) -> FormalCharacter:
     """Expand the Schur function of lam in the monomial basis via Kostka numbers."""
     return schur_sum_to_monomial({lam: 1}, lam)
-
-
-def convert_weyl_to_monomial(x: FormalCharacter) -> FormalCharacter:
-    """Rewrite a full-Levi Weyl-basis character in the monomial basis.
-
-    Each key is lifted to its partition and expanded through Kostka numbers;
-    coefficients are combined exactly.
-    """
-    if x.basis != BASIS_WEYL:
-        raise ValueError(f"expected a Weyl-basis character, got {x.basis}")
-    if not x.levi.is_full:
-        raise ValueError("only full-Levi characters convert to the monomial basis")
-    total: dict[Partition, int] = {}
-    for key, coeff in x.terms.items():
-        for mu, k in schur_to_monomial(weight_to_partition(key)).terms.items():
-            total[mu] = total.get(mu, 0) + coeff * k
-    return FormalCharacter(BASIS_MONOMIAL, None, total)

@@ -21,11 +21,19 @@ I.3 Example 11; Stanley, Enumerative Combinatorics 2, 7.17.)  Reports still
 label composite n a "conjecture instance": that text is part of the output
 contract, and changing it is a change of its own.
 
-A verdict does not expand either side: it builds the memoized walk of the
-right side over the ideal (charring.schur_sum_dag) and counts how often each
-coefficient occurs at its leaves, and the two sides are equal when every
-coefficient is 1.  The report keeps that walk; the sides are listed from it
-the first time they are read, with no strip peeled again.
+The paper's f = 0 by-product is the first identity at a prime p read
+against the Jantzen side: the head character of the lambda sequence,
+lifted to partitions, is the same alternating sum of Schur functions, so
+its monomial expansion is multiplicity-free on the ideal below (p-1, p-1,
+1); the second identity gives the same below (p-1, 1).
+
+A verdict, on an identity or on such a family, expands neither side: it
+builds the memoized walk of the Schur sum over the ideal
+(charring.schur_sum_dag) and counts how often each coefficient occurs at
+its leaves (charring.coefficient_counts), and the sum is the sum of m_mu
+over the ideal when every coefficient is 1 (SupportCheck).  The report
+keeps that walk; the sides, and the leaves that break the rule, are listed
+from it the first time they are read, with no strip peeled again.
 """
 
 from __future__ import annotations
@@ -38,13 +46,12 @@ from .charring import (
     FormalCharacter,
     _trusted_character,
     coefficient_counts,
-    convert_weyl_to_monomial,
+    dag_leaves,
     dag_to_monomial,
     schur_sum_dag,
-    schur_sum_to_monomial,
 )
 from .jantzen import derived_simple_chars, is_prime
-from .lattice import Partition, check_ideal_size, ideal_leaves, partitions_below
+from .lattice import Partition, check_ideal_size, weight_to_partition
 
 FIRST = "first"
 SECOND = "second"
@@ -70,7 +77,7 @@ class IdentityReport:
     @cached_property
     def lhs(self) -> FormalCharacter:
         # every leaf of the walk is a partition below the top, built by it
-        leaves = ideal_leaves(self.dag)
+        leaves = dag_leaves(self.dag)
         return _trusted_character(BASIS_MONOMIAL, None, dict.fromkeys((mu for mu, _ in leaves), 1))
 
     @cached_property
@@ -105,25 +112,20 @@ def _second_top(n: int) -> Partition:
 
 
 def _verify(n: int, which: str, top, shapes) -> IdentityReport:
-    """The verdict on one identity at n.  A huge ideal is refused before
-    the shapes of the right side are built.
-
-    Every shape lies below the top, so the right side lives on the ideal,
-    where the left side is 1 everywhere: the sides are equal exactly when
-    every coefficient of the right side over the ideal is 1.
-    """
+    """The verdict on one identity at n: the SupportCheck of its right side.
+    A huge ideal is refused before the shapes of the right side are built."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     ideal_top = top(n)
     check_ideal_size(ideal_top)
-    dag = schur_sum_dag(_alternating(shapes(n)), ideal_top)
+    check = SupportCheck(ideal_top, _alternating(shapes(n)))
     return IdentityReport(
         n=n,
         which=which,
         top=ideal_top,
-        equal=coefficient_counts(dag).keys() == {1},
+        equal=check.passed,
         prime=is_prime(n),
-        dag=dag,
+        dag=check.dag,
     )
 
 
@@ -161,20 +163,40 @@ def conjecture_sweep(n_min: int, n_max: int, which: str):
     return map(check, range(n_min, n_max + 1))
 
 
-class SupportCheck(NamedTuple):
-    """Support and multiplicity comparison of one character against a
-    dominance ideal: every partition below the target must appear with
-    coefficient exactly 1, and nothing else may appear."""
+class SupportCheck:
+    """Whether sum of coeff * S_shape is the sum of m_mu over the dominance
+    ideal below target: one walk (charring.schur_sum_dag), and it is exactly
+    when every leaf coefficient is 1 (charring.coefficient_counts), whose
+    fold also gives `term_count`, the nonzero ones.  The walk refuses a
+    shape not below the target, and S_shape has m_mu only for mu <= shape,
+    so `unexpected` is always empty.  The character and the leaves whose
+    coefficient is not 1 are listed from the walk the first time they are
+    read, in reverse-lexicographic order; a check that passes lists none.
+    """
 
-    target: Partition
-    character: FormalCharacter
-    missing: list[Partition]
-    unexpected: list[Partition]
-    wrong_multiplicity: list[tuple[Partition, int]]
+    def __init__(self, target: Partition, coeffs: dict[Partition, int]):
+        self.target = target
+        self.dag = schur_sum_dag(coeffs, target)
+        counts = coefficient_counts(self.dag)
+        self.passed = counts.keys() == {1}
+        self.term_count = sum(k for c, k in counts.items() if c)
+        self.unexpected: list[Partition] = []
 
-    @property
-    def passed(self) -> bool:
-        return not (self.missing or self.unexpected or self.wrong_multiplicity)
+    @cached_property
+    def character(self) -> FormalCharacter:
+        return dag_to_monomial(self.dag)
+
+    @cached_property
+    def _broken(self) -> list[tuple[Partition, int]]:
+        return [] if self.passed else [(mu, c) for mu, c in dag_leaves(self.dag) if c != 1]
+
+    @cached_property
+    def missing(self) -> list[Partition]:
+        return [mu for mu, c in self._broken if not c]
+
+    @cached_property
+    def wrong_multiplicity(self) -> list[tuple[Partition, int]]:
+        return [(mu, c) for mu, c in self._broken if c]
 
 
 class MultiplicityOneReport(NamedTuple):
@@ -187,37 +209,18 @@ class MultiplicityOneReport(NamedTuple):
         return all(f.passed for f in self.families)
 
 
-def _support_check(char: FormalCharacter, target: Partition) -> SupportCheck:
-    expected = partitions_below(target)
-    expected_set = set(expected)
-    missing = [mu for mu in expected if mu not in char.terms]
-    unexpected = sorted(
-        (mu for mu in char.terms if mu not in expected_set),
-        key=lambda m: m.parts,
-        reverse=True,
-    )
-    wrong = [
-        (mu, c) for mu, c in char.items_sorted() if mu in expected_set and c != 1
-    ]
-    return SupportCheck(
-        target=target,
-        character=char,
-        missing=missing,
-        unexpected=unexpected,
-        wrong_multiplicity=wrong,
-    )
-
-
 def multiplicity_one_report(p: int, d: int) -> MultiplicityOneReport:
     """Check that both derived simple characters are multiplicity-free
     dominance ideals in the monomial basis.
 
-    The head character of the lambda sequence must expand to exactly the
-    partitions below (p-1, p-1, 1), all with coefficient 1; the alternating
-    hook sum must do the same below (p-1, 1).  Needs d >= 2p-2 so that the
-    longest partition in the first ideal still fits in d+1 rows; past that
-    the answer does not depend on d, so the head character is computed at
-    the least rank admitted, and only the report keeps d.
+    The head character of the lambda sequence, its keys lifted to
+    partitions, must expand to exactly the partitions below (p-1, p-1, 1),
+    all with coefficient 1; the alternating hook sum must do the same below
+    (p-1, 1).  Each family is one SupportCheck, as an identity is.  Needs
+    d >= 2p-2 so that the longest partition in the first ideal still fits in
+    d+1 rows; past that the answer does not depend on d, so the head
+    character is computed at the least rank admitted, and only the report
+    keeps d.  A huge ideal is refused before the lambda sequence is built.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -225,10 +228,10 @@ def multiplicity_one_report(p: int, d: int) -> MultiplicityOneReport:
     if d < 2 * p - 2:
         raise ValueError(
             f"need d >= 2p-2 = {2 * p - 2}: partitions of {2 * p - 1} below "
-            f"{Partition((p - 1, p - 1, 1))} can have up to {2 * p - 1} parts"
+            f"{_first_top(p)} can have up to {2 * p - 1} parts"
         )
-    head = convert_weyl_to_monomial(derived_simple_chars(p, min(d, max(2 * p - 2, 3)))[0])
-    first = _support_check(head, Partition((p - 1, p - 1, 1)))
-    hook_sum = schur_sum_to_monomial(_alternating(second_identity_shapes(p)), Partition((p - 1, 1)))
-    second = _support_check(hook_sum, Partition((p - 1, 1)))
+    check_ideal_size(_first_top(p))
+    head = derived_simple_chars(p, min(d, max(2 * p - 2, 3)))[0]
+    first = SupportCheck(_first_top(p), {weight_to_partition(w): c for w, c in head.terms.items()})
+    second = SupportCheck(_second_top(p), _alternating(second_identity_shapes(p)))
     return MultiplicityOneReport(p=p, d=d, families=[first, second])

@@ -196,13 +196,18 @@ def partitions_below(b: Partition) -> list[Partition]:
 
 
 # Largest dominance ideal a walk accepts.  It bounds the listing of terms
-# (partitions_below, schur_sum_to_monomial and the sides of an identity
-# report that --json prints), which grows with the ideal: on a 2-CPU machine
-# (Python 3.11) the sides of the second identity at n=45 (89 133 partitions)
-# take 1.0 s and 77 MB, those of the first at n=23 (84 626) 1.0 s and 64 MB,
-# the largest n this limit admits.  identities._verify checks it too, so a
-# verdict (0.02 s and 0.16 s at those n) is given exactly where its terms
-# can be listed.  n=150, about 4e10 partitions, is refused at once.
+# (partitions_below, schur_sum_to_monomial, the sides of an identity report
+# that --json prints and the lists of a failing multiplicity family), which
+# grows with the ideal: on a 2-CPU machine (Python 3.11) the sides of the
+# second identity at n=45 (89 133 partitions) take 1.0 s and 77 MB, those of
+# the first at n=23 (84 626) 1.0 s and 64 MB, the largest n this limit
+# admits.  identities._verify checks it too, so a verdict (0.02 s and 0.16 s
+# at those n) is given exactly where its terms can be listed, and so does
+# identities.multiplicity_one_report, before it builds the lambda sequence:
+# multiplicity is admitted up to p = 23, where each of its two ideals is
+# walked once, by a SupportCheck, and the command takes 0.25 s and 17 MB,
+# text or JSON (one CPU).  n=150, about 4e10 partitions, is refused at once,
+# and so is multiplicity at p = 1009 (0.1 s).
 IDEAL_LIMIT = 100_000
 
 

@@ -137,7 +137,7 @@ def multiplicity_report_json(report):
         families.append(
             f'{{"target":{partition_json(fam.target)},"passed":{_bool(fam.passed)},'
             f'"missing":[{",".join(map(partition_json, fam.missing))}],'
-            f'"unexpected":[{",".join(map(partition_json, fam.unexpected))}],'
+            '"unexpected":[],'
             f'"wrong_multiplicity":[{wrong}]}}'
         )
     yield (

@@ -7,7 +7,6 @@ from helpers import (
     brute_partitions,
     hook_length_count,
     prefix_leq,
-    random_dominant,
     schur_sum_by_kostka,
 )
 from jansum.charring import (
@@ -15,13 +14,12 @@ from jansum.charring import (
     BASIS_WEYL,
     FormalCharacter,
     coefficient_counts,
-    convert_weyl_to_monomial,
     kostka,
     schur_sum_dag,
     schur_sum_to_monomial,
     schur_to_monomial,
 )
-from jansum.lattice import Partition, Weight, dominance_leq, lambda_i_weight
+from jansum.lattice import Partition, Weight, dominance_leq
 from jansum.oracle import enumerate_ssyt
 from jansum.weyl import LeviDatum
 
@@ -184,52 +182,3 @@ class TestSchurToMonomial:
         assert {k.parts for k in schur_to_monomial(lam).terms} == {
             t for t in brute_partitions(5) if prefix_leq(t, (3, 2))
         }
-
-
-class TestConvertWeylToMonomial:
-    def test_lambda0_expansion(self):
-        lam0 = lambda_i_weight(3, 4, 0)
-        ch = convert_weyl_to_monomial(FormalCharacter(BASIS_WEYL, LeviDatum.full(4), {lam0: 1}))
-        assert ch.terms == {
-            Partition((2, 2, 1)): 1,
-            Partition((2, 1, 1, 1)): 2,
-            Partition((1, 1, 1, 1, 1)): 5,
-        }
-
-    def test_zero_converts_to_zero(self):
-        assert convert_weyl_to_monomial(
-            FormalCharacter(BASIS_WEYL, LeviDatum.full(3), {})
-        ).is_zero
-
-    def test_cancellation_before_conversion(self):
-        levi = LeviDatum.full(3)
-        x = FormalCharacter(BASIS_WEYL, levi, {Weight((1, 0, 1)): 1})
-        assert convert_weyl_to_monomial(x - x).is_zero
-
-    def test_linearity(self):
-        rng = random.Random(41)
-        levi = LeviDatum.full(4)
-        for _ in range(30):
-            x = FormalCharacter(
-                BASIS_WEYL,
-                levi,
-                {random_dominant(rng, 4, hi=2): rng.randint(-3, 3) for _ in range(2)},
-            )
-            y = FormalCharacter(
-                BASIS_WEYL,
-                levi,
-                {random_dominant(rng, 4, hi=2): rng.randint(-3, 3) for _ in range(2)},
-            )
-            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
-            lhs = convert_weyl_to_monomial(scaled(x, a) + scaled(y, b))
-            rhs = scaled(convert_weyl_to_monomial(x), a) + scaled(convert_weyl_to_monomial(y), b)
-            assert lhs == rhs
-
-    def test_rejects_sub_levi_characters(self):
-        ch = FormalCharacter(BASIS_WEYL, LeviDatum(3, (2, 3)), {Weight((-1, 0, 1)): 1})
-        with pytest.raises(ValueError):
-            convert_weyl_to_monomial(ch)
-
-    def test_rejects_monomial_input(self):
-        with pytest.raises(ValueError):
-            convert_weyl_to_monomial(mono({(2,): 1}))

@@ -77,14 +77,15 @@ class TestIdentityCommand:
 
 
 class TestVerdictsWithoutTheSides:
-    """Text verdicts come from the memoized walk; only JSON lists the sides."""
+    """Text verdicts come from the memoized walk; only JSON lists the sides
+    of an identity, and a passing multiplicity family lists nothing."""
 
     @pytest.fixture
     def no_enumeration(self, monkeypatch):
         def refuse(*args):
             raise RuntimeError("enumerated")
 
-        for name in ("partitions_below", "schur_sum_to_monomial", "ideal_leaves", "dag_to_monomial"):
+        for name in ("dag_leaves", "dag_to_monomial"):
             monkeypatch.setattr(f"jansum.identities.{name}", refuse)
 
     def test_text_identity_and_sweep(self, no_enumeration):
@@ -94,6 +95,12 @@ class TestVerdictsWithoutTheSides:
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 29 and all(" EQUAL " in line for line in lines)
+
+    def test_passing_multiplicity_lists_no_leaf(self, no_enumeration):
+        code, out, _ = run_cli(["multiplicity", "--p", "23", "--d", "44"])
+        assert (code, out) == (0, "below [22,22,1]: 84626 terms PASS\nbelow [22,1]: 1254 terms PASS\n")
+        code, out, _ = run_cli(["multiplicity", "--p", "23", "--d", "44", "--json"])
+        assert code == 0 and json.loads(out)["passed"]
 
     def test_json_reads_the_sides(self, no_enumeration):
         with pytest.raises(RuntimeError, match="enumerated"):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -9,9 +10,9 @@ from helpers import partition_count, run_cli, schur_sum_by_kostka
 from jansum import charring
 from jansum.charring import (
     BASIS_MONOMIAL,
+    BASIS_WEYL,
     FormalCharacter,
     coefficient_counts,
-    convert_weyl_to_monomial,
     kostka,
     schur_sum_dag,
     schur_sum_to_monomial,
@@ -26,7 +27,7 @@ from jansum.identities import (
     verify_second_identity,
 )
 from jansum.jantzen import derived_simple_chars
-from jansum.lattice import Partition, check_ideal_size, partitions_below
+from jansum.lattice import Partition, check_ideal_size, partitions_below, weight_to_partition
 
 FAMILIES = {
     "first": (lambda n: Partition((n - 1, n - 1, 1)), first_identity_shapes),
@@ -348,18 +349,86 @@ class TestMultiplicityOne:
         for d in sorted({least, least + 1, 2 * p + 3, 13, 40}):
             report = multiplicity_one_report(p, d)
             assert report.d == d
-            head = convert_weyl_to_monomial(derived_simple_chars(p, d)[0])
-            assert report.families[0].character == head
+            head = derived_simple_chars(p, d)[0]
+            lifted = {weight_to_partition(w): c for w, c in head.terms.items()}
+            oracle = schur_sum_by_kostka(lifted, Partition((p - 1, p - 1, 1)))
+            assert report.families[0].character.terms == {mu: c for mu, c in oracle.items() if c}
             text = run_cli(["multiplicity", "--p", str(p), "--d", str(d)])
             code, out, _ = run_cli(["multiplicity", "--p", str(p), "--d", str(d), "--json"])
             outputs.add((text, code, out.replace(f'"d":{d},', '"d":D,')))
         assert len(outputs) == 1
+
+    def test_by_product_at_every_admitted_prime(self):
+        # the f = 0 by-product at each prime whose ideal the guard admits, with
+        # d = 2p-2 (d = 3 at p = 2, the least that lambda_sequence takes)
+        started = time.perf_counter()
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+            code, out, _ = run_cli(["multiplicity", "--p", str(p), "--d", str(max(2 * p - 2, 3))])
+            assert (code, out) == (0, (
+                f"below [{p - 1},{p - 1},1]: {partition_count(2 * p - 1, p - 1)} terms PASS\n"
+                f"below [{p - 1},1]: {partition_count(p, p) - 1} terms PASS\n"
+            ))
+        assert time.perf_counter() - started < 10
+        assert run_cli(["multiplicity", "--p", "29", "--d", "56"])[0] == 2
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("damage", ["drop the last", "double one"])
+    def test_failing_family_lists_what_kostka_numbers_give(self, monkeypatch, p, damage):
+        # a head character that is not multiplicity-free: its report, text and
+        # JSON must list the zeros and the other wrong coefficients of the
+        # Kostka-number expansion of its lifted keys, in reverse-lex order
+        def damaged(p, d):
+            head, *rest = derived_simple_chars(p, d)
+            terms = dict(head.terms)
+            keys = list(terms)
+            if damage == "drop the last":
+                del terms[keys[-1]]
+            else:
+                terms[keys[len(keys) // 2]] *= 2
+            return [FormalCharacter(BASIS_WEYL, head.levi, terms), *rest]
+
+        monkeypatch.setattr("jansum.identities.derived_simple_chars", damaged)
+        d, top = 2 * p - 2, Partition((p - 1, p - 1, 1))
+        lifted = {weight_to_partition(w): c for w, c in damaged(p, d)[0].terms.items()}
+        oracle = schur_sum_by_kostka(lifted, top)
+        missing = [mu for mu, c in oracle.items() if not c]
+        wrong = [(mu, c) for mu, c in oracle.items() if c not in (0, 1)]
+        assert missing or wrong
+
+        family = multiplicity_one_report(p, d).families[0]
+        assert not family.passed
+        assert (family.missing, family.unexpected, family.wrong_multiplicity) == (missing, [], wrong)
+        code, out, _ = run_cli(["multiplicity", "--p", str(p), "--d", str(d)])
+        assert code == 3
+        assert out.splitlines() == [
+            f"below {top}: {sum(1 for c in oracle.values() if c)} terms FAIL",
+            *(f"  missing {mu}" for mu in missing),
+            *(f"  coefficient {c} at {mu}" for mu, c in wrong),
+            f"below [{p - 1},1]: {partition_count(p, p) - 1} terms PASS",
+        ]
+        code, out, _ = run_cli(["multiplicity", "--p", str(p), "--d", str(d), "--json"])
+        assert code == 3
+        assert json.loads(out)["families"][0] == {
+            "target": list(top.parts),
+            "passed": False,
+            "missing": [list(mu.parts) for mu in missing],
+            "unexpected": [],
+            "wrong_multiplicity": [[list(mu.parts), c] for mu, c in wrong],
+        }
 
     def test_huge_d_at_once(self):
         started = time.perf_counter()
         code, out, _ = run_cli(["multiplicity", "--p", "3", "--d", "3000000"])
         assert time.perf_counter() - started < 2
         assert (code, out) == (0, "below [2,2,1]: 3 terms PASS\nbelow [2,1]: 2 terms PASS\n")
+
+    def test_huge_ideal_refused_at_once(self):
+        # refused before the lambda sequence at rank 2016 is built
+        started = time.perf_counter()
+        code, out, err = run_cli(["multiplicity", "--p", "1009", "--d", "2016"])
+        assert time.perf_counter() - started < 2
+        assert (code, out) == (2, "")
+        assert "the ideal below [1008,1008,1] may hold more than" in err
 
     def test_refuses_small_d(self):
         with pytest.raises(ValueError):

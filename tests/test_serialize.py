@@ -20,6 +20,7 @@ from helpers import (
 )
 from jansum.charring import BASIS_MONOMIAL, BASIS_WEYL, FormalCharacter, schur_to_monomial
 from jansum.identities import (
+    SupportCheck,
     multiplicity_one_report,
     verify_first_identity,
     verify_second_identity,
@@ -222,10 +223,10 @@ class TestWritersMatchTheOracle:
 
     def test_multiplicity_reports(self):
         report = multiplicity_one_report(3, 4)
-        family = report.families[0]._replace(
-            missing=[Partition((2, 1))],
-            unexpected=[Partition((3,)), Partition((1, 1, 1))],
-            wrong_multiplicity=[(Partition((2, 1)), -2)],
+        # S_221 - 2 S_2111 = m_221 + 0 m_2111 - 3 m_11111
+        family = SupportCheck(Partition((2, 2, 1)), {Partition((2, 2, 1)): 1, Partition((2, 1, 1, 1)): -2})
+        assert (family.missing, family.wrong_multiplicity) == (
+            [Partition((2, 1, 1, 1))], [(Partition((1, 1, 1, 1, 1)), -3)]
         )
         failing = report._replace(families=[family, report.families[1]])
         for r in (report, failing):
