@@ -202,7 +202,9 @@ def schur_sum_to_monomial(coeffs: Mapping[Partition, int], top: Partition) -> Fo
     schur_sum_dag, listed, each mu below top with sum of coeff * K(shape,
     mu).  Raises ValueError, before walking, if check_ideal_size refuses."""
     check_ideal_size(top)
-    return dag_to_monomial(schur_sum_dag(coeffs, top))
+    leaves = dag_leaves(schur_sum_dag(coeffs, top))
+    # every key is a partition that the walk built
+    return _trusted_character(BASIS_MONOMIAL, None, {mu: c for mu, c in leaves if c})
 
 
 def schur_sum_dag(coeffs: Mapping[Partition, int], top: Partition) -> dict[tuple, tuple]:
@@ -221,13 +223,6 @@ def dag_leaves(dag: dict[tuple, tuple]) -> list[tuple[Partition, int]]:
     """(mu, coefficient) for every leaf of a schur_sum_dag, zeros included,
     in reverse-lexicographic order of mu."""
     return [(mu, _coefficient(state)) for mu, state in ideal_leaves(dag)]
-
-
-def dag_to_monomial(dag: dict[tuple, tuple]) -> FormalCharacter:
-    """The expansion that a schur_sum_dag holds: its leaves, listed, with
-    their nonzero coefficients."""
-    # every key is a partition that the walk built
-    return _trusted_character(BASIS_MONOMIAL, None, {mu: c for mu, c in dag_leaves(dag) if c})
 
 
 def coefficient_counts(dag: dict[tuple, tuple]) -> Counter:

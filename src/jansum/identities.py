@@ -31,9 +31,10 @@ A verdict, on an identity or on such a family, expands neither side: it
 builds the memoized walk of the Schur sum over the ideal
 (charring.schur_sum_dag) and counts how often each coefficient occurs at
 its leaves (charring.coefficient_counts), and the sum is the sum of m_mu
-over the ideal when every coefficient is 1 (SupportCheck).  The report
-keeps that walk; the sides, and the leaves that break the rule, are listed
-from it the first time they are read, with no strip peeled again.
+over the ideal when every coefficient is 1 (SupportCheck).  The check
+keeps that walk and lists its leaves once, the first time they are read,
+with no strip peeled again; an IdentityReport carries its check, and both
+sides, and their difference, come from that one listing.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .charring import (
     _trusted_character,
     coefficient_counts,
     dag_leaves,
-    dag_to_monomial,
     schur_sum_dag,
 )
 from .jantzen import derived_simple_chars, is_prime
@@ -58,17 +58,19 @@ SECOND = "second"
 
 
 class IdentityReport:
-    """The verdict on one identity at n and the walk that gave it
-    (charring.schur_sum_dag); the two sides, and their difference, are
-    listed from that walk the first time they are read, and kept."""
+    """The verdict on one identity at n, read from the SupportCheck that
+    gave it.  The right side is the check's character, the left side its
+    leaves each with coefficient 1, and the difference sum of (1 - c) * m_mu
+    over the leaves whose coefficient c is not 1: one listing serves all
+    three, and an EQUAL report's difference lists nothing."""
 
-    def __init__(self, n: int, which: str, top: Partition, equal: bool, prime: bool, dag: dict):
+    def __init__(self, n: int, which: str, check: SupportCheck, prime: bool):
         self.n = n
         self.which = which
-        self.top = top
-        self.equal = equal
+        self.check = check
+        self.top = check.target
+        self.equal = check.passed
         self.prime = prime
-        self.dag = dag
 
     @property
     def label(self) -> str:
@@ -77,16 +79,17 @@ class IdentityReport:
     @cached_property
     def lhs(self) -> FormalCharacter:
         # every leaf of the walk is a partition below the top, built by it
-        leaves = dag_leaves(self.dag)
+        leaves = self.check.leaves
         return _trusted_character(BASIS_MONOMIAL, None, dict.fromkeys((mu for mu, _ in leaves), 1))
 
     @cached_property
     def rhs(self) -> FormalCharacter:
-        return dag_to_monomial(self.dag)
+        return self.check.character
 
     @cached_property
     def diff(self) -> FormalCharacter:
-        return self.lhs - self.rhs
+        broken = self.check._broken
+        return _trusted_character(BASIS_MONOMIAL, None, {mu: 1 - c for mu, c in broken})
 
 
 def _alternating(shapes: list[Partition]) -> dict[Partition, int]:
@@ -119,14 +122,7 @@ def _verify(n: int, which: str, top, shapes) -> IdentityReport:
     ideal_top = top(n)
     check_ideal_size(ideal_top)
     check = SupportCheck(ideal_top, _alternating(shapes(n)))
-    return IdentityReport(
-        n=n,
-        which=which,
-        top=ideal_top,
-        equal=check.passed,
-        prime=is_prime(n),
-        dag=check.dag,
-    )
+    return IdentityReport(n, which, check, is_prime(n))
 
 
 def verify_first_identity(n: int) -> IdentityReport:
@@ -169,9 +165,10 @@ class SupportCheck:
     when every leaf coefficient is 1 (charring.coefficient_counts), whose
     fold also gives `term_count`, the nonzero ones.  The walk refuses a
     shape not below the target, and S_shape has m_mu only for mu <= shape,
-    so `unexpected` is always empty.  The character and the leaves whose
-    coefficient is not 1 are listed from the walk the first time they are
-    read, in reverse-lexicographic order; a check that passes lists none.
+    so `unexpected` is always empty.  The walk's leaves are listed once,
+    in reverse-lexicographic order, the first time the character or the
+    leaves whose coefficient is not 1 are read; a check that passes finds
+    none of the latter without listing.
     """
 
     def __init__(self, target: Partition, coeffs: dict[Partition, int]):
@@ -183,12 +180,17 @@ class SupportCheck:
         self.unexpected: list[Partition] = []
 
     @cached_property
+    def leaves(self) -> list[tuple[Partition, int]]:
+        return dag_leaves(self.dag)
+
+    @cached_property
     def character(self) -> FormalCharacter:
-        return dag_to_monomial(self.dag)
+        # every key is a partition that the walk built
+        return _trusted_character(BASIS_MONOMIAL, None, {mu: c for mu, c in self.leaves if c})
 
     @cached_property
     def _broken(self) -> list[tuple[Partition, int]]:
-        return [] if self.passed else [(mu, c) for mu, c in dag_leaves(self.dag) if c != 1]
+        return [] if self.passed else [(mu, c) for mu, c in self.leaves if c != 1]
 
     @cached_property
     def missing(self) -> list[Partition]:

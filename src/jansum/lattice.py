@@ -198,11 +198,12 @@ def partitions_below(b: Partition) -> list[Partition]:
 # Largest dominance ideal a walk accepts.  It bounds the listing of terms
 # (partitions_below, schur_sum_to_monomial, the sides of an identity report
 # that --json prints and the lists of a failing multiplicity family), which
-# grows with the ideal: on a 2-CPU machine (Python 3.11) the sides of the
-# second identity at n=45 (89 133 partitions) take 1.0 s and 77 MB, those of
-# the first at n=23 (84 626) 1.0 s and 64 MB, the largest n this limit
-# admits.  identities._verify checks it too, so a verdict (0.02 s and 0.16 s
-# at those n) is given exactly where its terms can be listed, and so does
+# grows with the ideal: on one CPU (Python 3.11), with one listing of the
+# walk serving both sides, identity --json takes 1.34 s and 75 MB peak RSS
+# for the second identity at n=45 (89 133 partitions) and 1.46 s and 70 MB
+# for the first at n=23 (84 626), the largest n this limit admits.
+# identities._verify checks it too, so a verdict (0.02 s and 0.16 s at
+# those n) is given exactly where its terms can be listed, and so does
 # identities.multiplicity_one_report, before it builds the lambda sequence:
 # multiplicity is admitted up to p = 23, where each of its two ideals is
 # walked once, by a SupportCheck, and the command takes 0.25 s and 17 MB,
@@ -359,8 +360,7 @@ def lambda_i_weight(p: int, d: int, i: int) -> Weight:
     r = min(d, p)
     if not 0 <= i <= r - 2:
         raise ValueError(f"need 0 <= i <= r-2 = {r - 2}, got i = {i}")
-    return (
-        i * fundamental_weight(1, d)
-        + (p - 2 - i) * fundamental_weight(2, d)
-        + fundamental_weight(3 + i, d)
-    )
+    coords = [i, p - 2 - i] + [0] * (d - 2)  # d >= 2, since r - 2 >= i >= 0
+    if 3 + i <= d:
+        coords[2 + i] = 1
+    return Weight(coords)

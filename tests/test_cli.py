@@ -85,8 +85,7 @@ class TestVerdictsWithoutTheSides:
         def refuse(*args):
             raise RuntimeError("enumerated")
 
-        for name in ("dag_leaves", "dag_to_monomial"):
-            monkeypatch.setattr(f"jansum.identities.{name}", refuse)
+        monkeypatch.setattr("jansum.identities.dag_leaves", refuse)
 
     def test_text_identity_and_sweep(self, no_enumeration):
         code, out, _ = run_cli(["identity", "--n", "32", "--which", "second"])

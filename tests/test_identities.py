@@ -28,6 +28,7 @@ from jansum.identities import (
 )
 from jansum.jantzen import derived_simple_chars
 from jansum.lattice import Partition, check_ideal_size, partitions_below, weight_to_partition
+from jansum.serialize import identity_report_json
 
 FAMILIES = {
     "first": (lambda n: Partition((n - 1, n - 1, 1)), first_identity_shapes),
@@ -177,6 +178,13 @@ class TestNegativeControl:
         report = verify_second_identity(n)
         assert not report.equal
         assert report.diff.terms == {Partition((1,) * n): coeff}
+        # each side against its own oracle: the ideal that partitions_below
+        # lists, and Kostka numbers of the shapes left
+        lhs = dict.fromkeys(partitions_below(report.top), 1)
+        rhs = schur_sum_by_kostka(alternating(second_identity_shapes(n)[:-1]), report.top)
+        assert report.lhs.terms == lhs
+        assert report.rhs.terms == {mu: c for mu, c in rhs.items() if c}
+        assert report.diff.terms == {mu: lhs[mu] - rhs[mu] for mu in lhs if lhs[mu] != rhs[mu]}
         code, out, _ = run_cli(["identity", "--n", str(n), "--which", "second"])
         assert code == 3
         assert out.splitlines()[1] == f"diff: {'-' if coeff < 0 else ''}m[{','.join('1' * n)}]"
@@ -300,6 +308,17 @@ class TestLazySides:
         assert report.rhs.terms == report.lhs.terms
         assert len(report.lhs.terms) == partition_count(23, 11)
         assert peeled == []
+
+    def test_one_listing_per_report(self, monkeypatch):
+        # both sides, the difference and the JSON all read one listing of the walk
+        report = verify_first_identity(12)
+        listed = []
+        real = charring.ideal_leaves
+        monkeypatch.setattr(charring, "ideal_leaves", lambda dag: listed.append(1) or real(dag))
+        assert len(report.lhs.terms) == len(report.rhs.terms) == partition_count(23, 11)
+        assert report.diff.is_zero
+        json.loads("".join(identity_report_json(report)))
+        assert len(listed) == 1
 
     def test_sides_built_on_first_read_and_kept(self):
         report = verify_second_identity(9)

@@ -252,6 +252,26 @@ class TestNamedWeights:
     def test_lambda_i_omega_convention(self):
         assert lambda_i_weight(5, 5, 3).coords == (3, 0, 0, 0, 0)  # omega_6 = 0
 
+    def test_lambda_i_is_the_omega_sum(self):
+        # every admitted i at p <= 15, d <= 20, against i*omega_1 +
+        # (p-2-i)*omega_2 + omega_{3+i}; d = 2 and 3+i = d+1 (omega_{d+1} = 0)
+        # are among them
+        edges = set()
+        for p in range(2, 16):
+            for d in range(2, 21):
+                for i in range(min(d, p) - 1):
+                    expected = (
+                        i * fundamental_weight(1, d)
+                        + (p - 2 - i) * fundamental_weight(2, d)
+                        + fundamental_weight(3 + i, d)
+                    )
+                    assert lambda_i_weight(p, d, i).coords == expected.coords, (p, d, i)
+                    if d == 2:
+                        edges.add("d = 2")
+                    if 3 + i == d + 1:
+                        edges.add("omega_{d+1} = 0")
+        assert edges == {"d = 2", "omega_{d+1} = 0"}
+
     def test_lambda_i_range(self):
         with pytest.raises(ValueError):
             lambda_i_weight(5, 5, 4)
