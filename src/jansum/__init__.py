@@ -31,7 +31,6 @@ from .jantzen import (
     PropCharReport,
     SumReport,
     derived_simple_chars,
-    expected_sum,
     jantzen_sum,
     lambda_sequence,
     verify_prop_char,

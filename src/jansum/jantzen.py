@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .charring import BASIS_WEYL, FormalCharacter, _trusted_character
-from .lattice import Root, Weight, _trusted_root, _trusted_weight, lambda_i_weight, rho
+from .lattice import Root, Weight, _trusted_root, _trusted_weight, rho
 from .weyl import LeviDatum, SignedDominant, _trusted_signed, to_epsilon
 
 
@@ -74,7 +74,9 @@ def is_prime(p: int) -> bool:
 
 
 def p_adic_valuation(p: int, x: int) -> int:
-    """Largest e with p^e dividing x; x must be nonzero."""
+    """Largest e with p^e dividing x; p must be at least 2, x nonzero."""
+    if p < 2:
+        raise ValueError(f"need p >= 2, got {p}")
     if x == 0:
         raise ValueError("valuation of 0 is undefined")
     x = abs(x)
@@ -281,26 +283,18 @@ def _trace(report: SumReport, term: str, weight: str, regular: str, singular: st
 
 
 def lambda_sequence(p: int, d: int) -> list[Weight]:
-    """The telescope weights lambda_0, ..., lambda_{r-2}, r = min(d, p)."""
+    """The telescope weights lambda_0, ..., lambda_{r-2}, r = min(d, p):
+    lambda_i = i*omega_1 + (p-2-i)*omega_2 + omega_{3+i}, with omega_{d+1} = 0.
+
+    These are the weights whose Jantzen sums telescope into each other.
+    Raises ValueError for d < 3 or p < 2.
+    """
     if d < 3:
         raise ValueError(f"the sequence needs d >= 3, got {d}")
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
-    r = min(d, p)
-    return [lambda_i_weight(p, d, i) for i in range(r - 1)]
-
-
-def expected_sum(i: int, p: int, d: int, levi: LeviDatum) -> FormalCharacter:
-    """The alternating tail sum over lambda_{i+1}, ..., lambda_{r-2}.
-
-    This is what the Jantzen sum of lambda_i is expected to equal, both for
-    the full group and for a Levi containing the relevant roots; the sum is
-    empty for i = r-2.
-    """
-    seq = lambda_sequence(p, d)
-    if not 0 <= i <= len(seq) - 1:
-        raise ValueError(f"need 0 <= i <= {len(seq) - 1}, got {i}")
-    return _alternating_tail(seq, i + 1, levi)
+    # omega_{3+i} is coordinate 2+i, which the slice to d drops at 3+i = d+1
+    return [Weight(([i, p - 2 - i] + [0] * i + [1] + [0] * d)[:d]) for i in range(min(d, p) - 1)]
 
 
 def derived_simple_chars(p: int, d: int) -> list[FormalCharacter]:
@@ -309,13 +303,19 @@ def derived_simple_chars(p: int, d: int) -> list[FormalCharacter]:
     ch L_i = sum over j >= i of (-1)^(j-i) [lambda_j]: the unique solution of
     ch V(lambda_i) = ch L_i + ch L_{i+1} with ch L_{r-1} = 0.
     """
-    seq = lambda_sequence(p, d)
-    return [_alternating_tail(seq, i, LeviDatum.full(d)) for i in range(len(seq))]
+    return _tails(lambda_sequence(p, d), LeviDatum.full(d))[:-1]
 
 
-def _alternating_tail(seq: list[Weight], i: int, levi: LeviDatum) -> FormalCharacter:
-    """[seq_i] - [seq_{i+1}] + [seq_{i+2}] - ... in the Weyl basis of the Levi."""
-    return FormalCharacter(BASIS_WEYL, levi, {seq[j]: (-1) ** (j - i) for j in range(i, len(seq))})
+def _tails(seq: list[Weight], levi: LeviDatum) -> list[FormalCharacter]:
+    """[seq_i] - [seq_{i+1}] + [seq_{i+2}] - ... for i = 0, ..., len(seq),
+    in the Weyl basis of the Levi, by tail_i = [seq_i] - tail_{i+1}; the
+    last is 0.  The weights of seq are distinct and dominant."""
+    tails = [_trusted_character(BASIS_WEYL, levi, {})]
+    for lam in reversed(seq):
+        terms = {lam: 1}
+        terms.update((key, -c) for key, c in tails[-1].terms.items())
+        tails.append(_trusted_character(BASIS_WEYL, levi, terms))
+    return tails[::-1]
 
 
 class PropCharCheck(NamedTuple):
@@ -349,21 +349,12 @@ def verify_prop_char(p: int, d: int) -> PropCharReport:
     The first jantzen_sum refuses a p that is not prime.
     """
     seq = lambda_sequence(p, d)
-    full = LeviDatum.full(d)
-    sub = LeviDatum(d, range(2, d + 1))
+    levis = (LeviDatum.full(d), LeviDatum(d, range(2, d + 1)))
+    tails = [_tails(seq, levi) for levi in levis]
     checks = []
     for i, lam in enumerate(seq):
-        for levi in (full, sub):
+        for levi, tail in zip(levis, tails):
             report = jantzen_sum(lam, p, levi)
-            expected = expected_sum(i, p, d, levi)
-            checks.append(
-                PropCharCheck(
-                    i=i,
-                    levi=levi,
-                    passed=report.total == expected,
-                    total=report.total,
-                    expected=expected,
-                    report=report,
-                )
-            )
+            total, expected = report.total, tail[i + 1]
+            checks.append(PropCharCheck(i, levi, total == expected, total, expected, report))
     return PropCharReport(p=p, d=d, checks=checks)

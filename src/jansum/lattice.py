@@ -348,19 +348,3 @@ def fundamental_weight(i: int, d: int) -> Weight:
 def rho(d: int) -> Weight:
     """Half-sum of positive roots: the all-ones weight."""
     return Weight((1,) * d)
-
-
-def lambda_i_weight(p: int, d: int, i: int) -> Weight:
-    """i*omega_1 + (p-2-i)*omega_2 + omega_{3+i}, with omega_{d+1} = 0.
-
-    Defined for 0 <= i <= r-2 where r = min(d, p); these are the weights
-    whose Jantzen sums telescope into each other.  lambda_sequence, which
-    builds them all, checks p >= 2 and d >= 3.
-    """
-    r = min(d, p)
-    if not 0 <= i <= r - 2:
-        raise ValueError(f"need 0 <= i <= r-2 = {r - 2}, got i = {i}")
-    coords = [i, p - 2 - i] + [0] * (d - 2)  # d >= 2, since r - 2 >= i >= 0
-    if 3 + i <= d:
-        coords[2 + i] = 1
-    return Weight(coords)

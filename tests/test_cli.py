@@ -254,11 +254,10 @@ def _fail_every_check(monkeypatch):
     from jansum.charring import BASIS_WEYL, FormalCharacter
     from jansum.lattice import Weight
 
-    monkeypatch.setattr(
-        jantzen_mod,
-        "expected_sum",
-        lambda i, p, d, levi: FormalCharacter(BASIS_WEYL, levi, {Weight((0,) * d): 7}),
-    )
+    def failing_tails(seq, levi):
+        return [FormalCharacter(BASIS_WEYL, levi, {Weight((0,) * levi.rank): 7})] * (len(seq) + 1)
+
+    monkeypatch.setattr(jantzen_mod, "_tails", failing_tails)
 
 
 class TestTraceOnlyWhenRead:

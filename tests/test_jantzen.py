@@ -8,7 +8,6 @@ from jansum.charring import BASIS_WEYL, FormalCharacter
 from jansum.jantzen import (
     TERM_LIMIT,
     derived_simple_chars,
-    expected_sum,
     is_prime,
     jantzen_sum,
     lambda_sequence,
@@ -56,6 +55,10 @@ class TestHelpers:
         assert p_adic_valuation(2, 8) == 3
         assert p_adic_valuation(3, 9) == 2
         assert p_adic_valuation(5, 7) == 0
+        # p = 1 and p = -1 divide every x (no end), p = 0 none (x % 0)
+        for p in (1, -1, 0):
+            with pytest.raises(ValueError, match="p >= 2"):
+                p_adic_valuation(p, 12)
         assert p_adic_valuation(2, -4) == 2
         with pytest.raises(ValueError):
             p_adic_valuation(2, 0)
@@ -286,31 +289,36 @@ class TestLambdaSequence:
         with pytest.raises(ValueError):
             lambda_sequence(5, 2)
 
+    def test_p_refused(self):
+        with pytest.raises(ValueError, match="p >= 2"):
+            lambda_sequence(1, 4)
+        with pytest.raises(TypeError):
+            lambda_sequence(5.0, 3)
+
 
 class TestExpectedSum:
+    # what check i of verify_prop_char expects: the tail from lambda_{i+1}
+    @staticmethod
+    def expected(p, d, i, levi):
+        (check,) = [c for c in verify_prop_char(p, d).checks if (c.i, c.levi) == (i, levi)]
+        return check.expected
+
     def test_empty_at_top(self):
-        full = LeviDatum.full(5)
-        assert expected_sum(3, 5, 5, full).is_zero
+        assert self.expected(5, 5, 3, LeviDatum.full(5)).is_zero
 
     def test_alternating_tail(self):
         seq = lambda_sequence(5, 5)
         full = LeviDatum.full(5)
-        assert expected_sum(1, 5, 5, full) == FormalCharacter(
+        assert self.expected(5, 5, 1, full) == FormalCharacter(
             BASIS_WEYL, full, {seq[2]: 1, seq[3]: -1}
         )
 
     def test_levi_single_term(self):
         levi = LeviDatum(4, (2, 3, 4))
         seq = lambda_sequence(3, 4)
-        assert expected_sum(0, 3, 4, levi) == FormalCharacter(
+        assert self.expected(3, 4, 0, levi) == FormalCharacter(
             BASIS_WEYL, levi, {seq[1]: 1}
         )
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            expected_sum(4, 5, 5, LeviDatum.full(5))
-        with pytest.raises(ValueError):
-            expected_sum(-1, 5, 5, LeviDatum.full(5))
 
 
 class TestVerifyPropChar:
@@ -381,3 +389,31 @@ class TestDerivedSimpleChars:
             for i in range(len(seq)):
                 nxt = chars[i + 1] if i + 1 < len(chars) else FormalCharacter(BASIS_WEYL, full, {})
                 assert chars[i] + nxt == FormalCharacter(BASIS_WEYL, full, {seq[i]: 1})
+
+
+def _tail_reference(seq, i, levi):
+    """[seq_i] - [seq_{i+1}] + ..., built by the validating constructor."""
+    return FormalCharacter(BASIS_WEYL, levi, {seq[j]: (-1) ** (j - i) for j in range(i, len(seq))})
+
+
+class TestTailsAgainstTheDefinition:
+    # each alternating tail, made by one recurrence, against its sum written out
+    CASES = [(p, d) for p in (2, 3, 5, 7, 11, 13) for d in sorted({3, p, p + 3}) if d >= 3]
+
+    @pytest.mark.parametrize("p,d", CASES)
+    def test_derived_simple_chars(self, p, d):
+        seq = lambda_sequence(p, d)
+        chars = derived_simple_chars(p, d)
+        assert len(chars) == len(seq)
+        full = LeviDatum.full(d)
+        for i, ch in enumerate(chars):
+            assert ch == _tail_reference(seq, i, full), (p, d, i)
+
+    @pytest.mark.parametrize("p,d", CASES)
+    def test_prop_char_expected(self, p, d):
+        seq = lambda_sequence(p, d)
+        levis = (LeviDatum.full(d), LeviDatum(d, range(2, d + 1)))
+        checks = verify_prop_char(p, d).checks
+        assert [(c.i, c.levi) for c in checks] == [(i, levi) for i in range(len(seq)) for levi in levis]
+        for check in checks:
+            assert check.expected == _tail_reference(seq, check.i + 1, check.levi), (p, d, check.i)

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import brute_partitions, prefix_leq, random_weight
 from jansum import lattice
+from jansum.jantzen import lambda_sequence
 from jansum.lattice import (
     LiftError,
     Partition,
@@ -12,7 +13,6 @@ from jansum.lattice import (
     check_ideal_size,
     dominance_leq,
     fundamental_weight,
-    lambda_i_weight,
     pairing,
     partitions_below,
     rho,
@@ -82,7 +82,7 @@ class TestWeight:
 
 class TestPairing:
     def test_lambda0_shifted_against_alpha22(self):
-        lam0 = lambda_i_weight(3, 4, 0)
+        lam0 = lambda_sequence(3, 4)[0]
         assert (lam0 + rho(4)).coords == (1, 2, 2, 1)
         assert pairing(lam0 + rho(4), Root(2, 2)) == 2  # p - 1 at p = 3
 
@@ -91,7 +91,7 @@ class TestPairing:
         assert pairing(rho(4), Root(1, 4)) == 4
 
     def test_plain_coordinate_sum(self):
-        lam0 = lambda_i_weight(3, 4, 0)
+        lam0 = lambda_sequence(3, 4)[0]
         assert pairing(lam0 + rho(4), Root(1, 3)) == 1 + 2 + 2
 
     def test_root_out_of_range(self):
@@ -212,10 +212,10 @@ class TestIdealGuard:
 
 class TestWeightPartitionConversion:
     def test_lambda0_lift(self):
-        assert weight_to_partition(lambda_i_weight(3, 4, 0)) == Partition((2, 2, 1))
+        assert weight_to_partition(lambda_sequence(3, 4)[0]) == Partition((2, 2, 1))
 
     def test_lambda2_lift(self):
-        assert weight_to_partition(lambda_i_weight(5, 5, 2)) == Partition((4, 2, 1, 1, 1))
+        assert weight_to_partition(lambda_sequence(5, 5)[2]) == Partition((4, 2, 1, 1, 1))
 
     def test_rho_lift(self):
         assert weight_to_partition(rho(2)) == Partition((2, 1))
@@ -236,7 +236,7 @@ class TestWeightPartitionConversion:
             d = max(3, 2 * p - 2)
             for i in range(min(d, p) - 1):
                 expected = Partition([p - 1, p - 1 - i] + [1] * (i + 1))
-                assert weight_to_partition(lambda_i_weight(p, d, i)) == expected
+                assert weight_to_partition(lambda_sequence(p, d)[i]) == expected
 
     def test_round_trip(self):
         rng = random.Random(7)
@@ -250,33 +250,26 @@ class TestWeightPartitionConversion:
 
 class TestNamedWeights:
     def test_lambda_i_omega_convention(self):
-        assert lambda_i_weight(5, 5, 3).coords == (3, 0, 0, 0, 0)  # omega_6 = 0
+        assert lambda_sequence(5, 5)[3].coords == (3, 0, 0, 0, 0)  # omega_6 = 0
 
     def test_lambda_i_is_the_omega_sum(self):
-        # every admitted i at p <= 15, d <= 20, against i*omega_1 +
-        # (p-2-i)*omega_2 + omega_{3+i}; d = 2 and 3+i = d+1 (omega_{d+1} = 0)
-        # are among them
-        edges = set()
+        # every lambda_i at p <= 15, 3 <= d <= 20, against i*omega_1 +
+        # (p-2-i)*omega_2 + omega_{3+i}, with r = min(d, p) of them;
+        # 3+i = d+1 (omega_{d+1} = 0) is among the cases
+        edge = False
         for p in range(2, 16):
-            for d in range(2, 21):
-                for i in range(min(d, p) - 1):
+            for d in range(3, 21):
+                seq = lambda_sequence(p, d)
+                assert len(seq) == min(d, p) - 1, (p, d)
+                for i, lam in enumerate(seq):
                     expected = (
                         i * fundamental_weight(1, d)
                         + (p - 2 - i) * fundamental_weight(2, d)
                         + fundamental_weight(3 + i, d)
                     )
-                    assert lambda_i_weight(p, d, i).coords == expected.coords, (p, d, i)
-                    if d == 2:
-                        edges.add("d = 2")
-                    if 3 + i == d + 1:
-                        edges.add("omega_{d+1} = 0")
-        assert edges == {"d = 2", "omega_{d+1} = 0"}
-
-    def test_lambda_i_range(self):
-        with pytest.raises(ValueError):
-            lambda_i_weight(5, 5, 4)
-        with pytest.raises(ValueError):
-            lambda_i_weight(2, 4, 1)
+                    assert lam.coords == expected.coords, (p, d, i)
+                    edge = edge or 3 + i == d + 1
+        assert edge
 
     def test_fundamental_weight_convention(self):
         assert fundamental_weight(3, 3).coords == (0, 0, 1)

@@ -1,8 +1,14 @@
 """Every command line of the README runs, and prints what its comment shows;
-so does every commented print of its library example."""
+so does every commented print of its library example.  The README's export
+list names exactly the package's public names, and each exported function
+but the slow references has a caller in the package."""
 
+import ast
 import contextlib
+import inspect
 import io
+import re
+import types
 from pathlib import Path
 
 import pytest
@@ -10,6 +16,7 @@ import pytest
 from helpers import run_cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src" / "jansum"
 
 # subcommands whose README comment is their exact output
 SHOWN_OUTPUT = ("schur", "normalize")
@@ -53,3 +60,52 @@ def test_readme_library_example():
     shown = [(line, got) for line, got in zip(prints, printed) if "#" in line]
     assert len(shown) == 4
     assert [line.partition("#")[2].strip() for line, _ in shown] == [got for _, got in shown]
+
+
+def export_list() -> tuple[set[str], set[str]]:
+    """(every name the README's export list gives, those among the slow references)."""
+    text = README.read_text(encoding="utf-8").split("The package exports:", 1)[1]
+    bullets = ("\n" + text.lstrip()).split("\n\n", 1)[0].split("\n- ")[1:]
+    names = [set(re.findall(r"`(\w+)`", bullet)) for bullet in bullets]
+    (references,) = [n for n, b in zip(names, bullets) if b.startswith("the slow references")]
+    return set().union(*names), references
+
+
+def exports() -> dict:
+    """The public names the package binds, submodules aside."""
+    import jansum
+
+    return {
+        name: value
+        for name, value in vars(jansum).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+
+
+def test_readme_lists_the_exports():
+    listed, _ = export_list()
+    assert listed == set(exports())
+
+
+def referenced_names() -> set[str]:
+    """Every name the package's code reads, outside the definition of a
+    function of that name (so recursion is no caller); imports are no read."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        stack = [(ast.parse(path.read_text(encoding="utf-8")), None)]
+        while stack:
+            node, inside = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside = node.name
+            elif isinstance(node, ast.Name) and node.id != inside:
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr != inside:
+                names.add(node.attr)
+            stack.extend((child, inside) for child in ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_exported_function_has_a_caller():
+    _, references = export_list()
+    functions = {name for name, value in exports().items() if inspect.isfunction(value)}
+    assert functions - referenced_names() <= references
