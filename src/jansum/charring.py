@@ -6,11 +6,16 @@ partitions (one symbol per orbit sum of monomial symmetric functions, i.e.
 the GL picture with unboundedly many variables).  A signed sum of Schur
 functions, S_lambda = sum over mu of K(lambda, mu) * m_mu, is expanded by
 one memoized walk of the dominance ideal below a top shape (schur_sum_dag),
-which peels a horizontal strip for each part: the expansion lists the
-walk's leaves, and the coefficient counts that decide an identity or a
-multiplicity-one family are one fold over its keys.  A Weyl-basis
-character of the full group enters such a walk through the partitions of
-its keys (lattice.weight_to_partition).
+which peels a horizontal strip for each part.  One enumerator (_strips)
+lists the strips of a shape for every size up to a cap; the walk's step
+runs it once for each shape of a state, for all the part sizes that the
+state is stepped for in a row, and steps each (state, part) once, while
+kostka asks it for the one size it peels.  The expansion lists the walk's
+leaves, and the coefficient counts that decide an identity or a
+multiplicity-one family are one fold over its keys, of the number of paths
+from the root to each leaf.  A Weyl-basis character of the full group
+enters such a walk through the partitions of its keys
+(lattice.weight_to_partition).
 """
 
 from __future__ import annotations
@@ -130,28 +135,55 @@ def kostka(shape: Partition, content: Partition) -> int:
     The count is invariant under permuting the content, so its parts are
     peeled largest first: relabel values so that each part in turn is the
     largest entry, whose cells form a horizontal strip at the rim.  The
-    state after a prefix of the content is the signed set of shapes left,
-    so the cost follows the number of shapes inside `shape`, not the
-    number of tableaux.
+    state after a prefix of the content is the set of shapes left, each
+    with its number of ways, so the cost follows the number of shapes
+    inside `shape`, not the number of tableaux.  Each state is peeled for
+    one size only, so only strips of that size are enumerated.
     """
     if shape.size != content.size:
         raise ValueError(f"size mismatch: |{shape}| != |{content}|")
-    state = frozenset({(shape.parts, 1)})
+    state = {shape.parts: 1}
     for part in content.parts:
-        state = _peel(state, part)
-    return _coefficient(state)
+        peeled: dict[tuple[int, ...], int] = {}
+        for outer, ways in state.items():
+            for inner in _strips(outer, part, part)[part]:
+                peeled[inner] = peeled.get(inner, 0) + ways
+        state = peeled
+    return state.get((), 0)
 
 
-def _peel(state: frozenset, size: int) -> frozenset:
-    """The state, a set of (shape, coeff), after peeling a horizontal strip
-    of the given size from every shape in every possible way (the branching
-    rule s_lam = sum over strips lam/nu of x_k^|lam/nu| s_nu); zeros
-    dropped."""
-    out: dict[tuple[int, ...], int] = {}
-    for shape, coeff in state:
-        for inner in _horizontal_strips(shape, size):
-            out[inner] = out.get(inner, 0) + coeff
-    return frozenset((inner, coeff) for inner, coeff in out.items() if coeff)
+def _stepper():
+    """The step of one walk: the state, a set of (shape, coeff), after
+    peeling a horizontal strip of the given size from every shape in every
+    possible way (the branching rule s_lam = sum over strips lam/nu of
+    x_k^|lam/nu| s_nu); zeros dropped.
+
+    Each (state, size) is stepped once.  ideal_dag steps a state for the
+    sizes largest, largest - 1, ... back to back, so the strips of each
+    shape of a state are enumerated once, for every size up to the first
+    one asked, and the sums they give are kept only until another state is
+    stepped.
+    """
+    memo: dict[tuple, frozenset] = {}
+    # the state stepped last, and its sums {inner: coeff} by strip size
+    held, by_size = None, []
+
+    def step(state: frozenset, size: int) -> frozenset:
+        nonlocal held, by_size
+        out = memo.get((state, size))
+        if out is None:
+            if state != held or size >= len(by_size):
+                sums: list[dict] = [{} for _ in range(size + 1)]
+                for shape, coeff in state:
+                    for found, total in zip(_strips(shape, size), sums):
+                        for inner in found:
+                            total[inner] = total.get(inner, 0) + coeff
+                held, by_size = state, sums
+            out = frozenset((inner, c) for inner, c in by_size[size].items() if c)
+            memo[state, size] = out
+        return out
+
+    return step
 
 
 def _coefficient(state: frozenset) -> int:
@@ -160,41 +192,44 @@ def _coefficient(state: frozenset) -> int:
     return dict(state).get((), 0)
 
 
-def _horizontal_strips(shape: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
-    """Inner shapes nu with shape/nu a horizontal strip of the given size.
+def _strips(shape: tuple[int, ...], cap: int, least: int = 0) -> list[list[tuple[int, ...]]]:
+    """The inner shapes nu with shape/nu a horizontal strip, grouped by the
+    strip's size: entry k lists those of size k, for k = 0..cap, and is
+    empty for k < least.
 
-    Only a corner, a row longer than the next, can shed cells, at most the
-    difference.  The cells shed at each corner are counted down like an
-    odometer, the first corner most significant, so the strips come in the
-    order of a depth-first search that sheds as much as it can first.
+    shape/nu is a horizontal strip exactly when shape_{i+1} <= nu_i <=
+    shape_i for every row i, so only a corner, a row longer than the next,
+    can shed cells, at most the difference, and the rows below row i can
+    shed shape_{i+1} cells in all.  The cells shed are chosen one corner at
+    a time, and a choice that has shed more than cap cells, or that can no
+    longer reach least, is not extended.
     """
-    if not shape or size > shape[0]:
-        return [] if size else [shape]
     below = shape[1:] + (0,)
-    rows = [i for i, row in enumerate(shape) if row > below[i]]
-    shed = [0] * len(rows)
-    found = []
-    left, start = size, 0
-    while True:
-        # shed as much as possible at each corner from start on
-        for k in range(start, len(rows)):
-            shed[k] = min(left, shape[rows[k]] - below[rows[k]])
-            left -= shed[k]
-        inner = list(shape)
-        for i, r in zip(rows, shed):
-            inner[i] -= r
-        found.append(tuple(inner if inner[-1] else inner[:-1]))
-        # the last corner that can pass a cell on to the corners after it,
-        # which can shed at most the length of the row below it in all
-        k = len(rows) - 1
-        while k >= 0 and not (shed[k] and left < below[rows[k]]):
-            left += shed[k]
-            k -= 1
-        if k < 0:
-            return found
-        shed[k] -= 1
-        left += 1
-        start = k + 1
+    # (the rows so far, the cells shed from them); all rows shed shape_1 at most
+    partial = [((), 0)] if least <= (shape[0] if shape else 0) else []
+    start = 0  # the rows before start are in partial
+    for i, row in enumerate(shape):
+        most = row - below[i]
+        if most:
+            kept = shape[start:i]
+            # the rows below can shed below[i] cells in all, so the rows so
+            # far must shed at least reach; the bounds are written out, as
+            # min and max calls cost the walk a fifth of its enumeration
+            reach = least - below[i]
+            partial = [
+                (rows + kept + (row - shed,), total + shed)
+                for rows, total in partial
+                for shed in range(
+                    reach - total if total < reach else 0,
+                    most + 1 if total + most <= cap else cap - total + 1,
+                )
+            ]
+            start = i + 1
+    strips: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
+    for rows, total in partial:
+        # the last row is a corner, and the only row that can be shed whole
+        strips[total].append(rows if not rows or rows[-1] else rows[:-1])
+    return strips
 
 
 def schur_sum_to_monomial(coeffs: Mapping[Partition, int], top: Partition) -> FormalCharacter:
@@ -216,7 +251,9 @@ def schur_sum_dag(coeffs: Mapping[Partition, int], top: Partition) -> dict[tuple
     for shape in coeffs:
         if not dominance_leq(shape, top):
             raise ValueError(f"{shape} is not below {top} in dominance order")
-    return ideal_dag(top, frozenset((shape.parts, c) for shape, c in coeffs.items() if c), _peel)
+    return ideal_dag(
+        top, frozenset((shape.parts, c) for shape, c in coeffs.items() if c), _stepper()
+    )
 
 
 def dag_leaves(dag: dict[tuple, tuple]) -> list[tuple[Partition, int]]:
@@ -227,15 +264,21 @@ def dag_leaves(dag: dict[tuple, tuple]) -> list[tuple[Partition, int]]:
 
 def coefficient_counts(dag: dict[tuple, tuple]) -> Counter:
     """Counter{coefficient: number of leaves} of a schur_sum_dag, zeros
-    included, in one pass over its keys, children first: each key's Counter
-    is the sum of its children's, so the work follows the keys."""
-    counts: dict[tuple, Counter] = {}
-    for key, children in dag.items():
-        total = Counter() if children else Counter({_coefficient(key[0]): 1})
-        for child in children:
-            total.update(counts[child])
-        counts[key] = total
-    return total
+    included, in one pass over its keys, root first: each key adds its
+    number of paths from the root to its children's, and each leaf its own
+    to the count of its coefficient, so the work is one int per key."""
+    paths = dict.fromkeys(dag, 0)
+    paths[next(reversed(dag))] = 1
+    counts: Counter = Counter()
+    for key in reversed(dag):
+        count = paths[key]
+        children = dag[key]
+        if children:
+            for child in children:
+                paths[child] += count
+        else:
+            counts[_coefficient(key[0])] += count
+    return counts
 
 
 def schur_to_monomial(lam: Partition) -> FormalCharacter:

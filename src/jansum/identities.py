@@ -29,12 +29,15 @@ its monomial expansion is multiplicity-free on the ideal below (p-1, p-1,
 
 A verdict, on an identity or on such a family, expands neither side: it
 builds the memoized walk of the Schur sum over the ideal
-(charring.schur_sum_dag) and counts how often each coefficient occurs at
-its leaves (charring.coefficient_counts), and the sum is the sum of m_mu
-over the ideal when every coefficient is 1 (SupportCheck).  The check
-keeps that walk and lists its leaves once, the first time they are read,
-with no strip peeled again; an IdentityReport carries its check, and both
-sides, and their difference, come from that one listing.
+(charring.schur_sum_dag), each state peeled once for each part size,
+and counts how often each coefficient occurs at its leaves by folding the
+number of paths from the root to each (charring.coefficient_counts), and
+the sum is the sum of m_mu over the ideal when every coefficient is 1
+(SupportCheck).  The check keeps that walk and lists its leaves once, the
+first time they are read, with no strip peeled again; an IdentityReport
+carries its check, and both sides, and their difference, come from that
+one listing (its JSON writes both sides straight from the leaves,
+serialize.identity_report_json).
 """
 
 from __future__ import annotations

@@ -178,43 +178,45 @@ def _walk(lam: Weight, p: int, levi: LeviDatum):
     """
     x = to_epsilon(lam + rho(lam.rank))  # x[i - 1] is x_i
     neg = [-e for e in x]  # ascending within each block, for bisect
-    roots = []  # (lo, hi, c, block values) of every root with a term
+    blocks = []  # (values of a block, [(lo, hi, c) of each of its roots with a term])
     count = 0
     for block in levi.blocks:
         a, b = block[0], block[-1]
-        values = frozenset(x[a - 1 : b])
+        roots = []
         for lo in range(a, b):
             xl = x[lo - 1]
             # c = xl - x[hi] grows with hi, and a root with c <= p has no term
             for hi in range(bisect_right(neg, p - xl, lo, b), b):
                 c = xl - x[hi]
-                roots.append((lo, hi, c, values))
+                roots.append((lo, hi, c))
                 count += (c - 1) // p
-            if count > TERM_LIMIT:
-                raise ValueError(
-                    f"the Jantzen sum at rank d={lam.rank}, p={p}, levi={levi.describe()} "
-                    f"has more than {TERM_LIMIT} terms; refused"
-                )
+                if count > TERM_LIMIT:
+                    raise ValueError(
+                        f"the Jantzen sum at rank d={lam.rank}, p={p}, levi={levi.describe()} "
+                        f"has more than {TERM_LIMIT} terms; refused"
+                    )
+        blocks.append((frozenset(x[a - 1 : b]), roots))
     p_squared = p * p
-    for lo, hi, c, values in roots:
-        root = _trusted_root(lo, hi)
-        xl, xh = x[lo - 1], x[hi]
-        head, tail = x[: lo - 1], x[hi + 1 :]
-        for level in range(p, c, p):
-            valuation = p_adic_valuation(p, level) if level % p_squared == 0 else 1
-            u, v = xh + level, xl - level
-            if u == v or u in values or v in values:
-                yield root, level, c, valuation, 0, None
-                continue
-            # x[lo:iu] are the values of mid above u, x[lo:iv] those above v
-            iu = bisect_left(neg, -u, lo, hi)
-            iv = bisect_left(neg, -v, lo, hi)
-            if u > v:
-                key = head + x[lo:iu] + (u,) + x[iu:iv] + (v,) + x[iv:hi] + tail
-            else:
-                key = head + x[lo:iv] + (v,) + x[iv:iu] + (u,) + x[iu:hi] + tail
-            sign = -1 if (iu - lo + hi - iv + (u < v)) % 2 else 1
-            yield root, level, c, valuation, sign, key
+    for values, roots in blocks:
+        for lo, hi, c in roots:
+            root = _trusted_root(lo, hi)
+            xl, xh = x[lo - 1], x[hi]
+            head, tail = x[: lo - 1], x[hi + 1 :]
+            for level in range(p, c, p):
+                valuation = p_adic_valuation(p, level) if level % p_squared == 0 else 1
+                u, v = xh + level, xl - level
+                if u == v or u in values or v in values:
+                    yield root, level, c, valuation, 0, None
+                    continue
+                # x[lo:iu] are the values of mid above u, x[lo:iv] those above v
+                iu = bisect_left(neg, -u, lo, hi)
+                iv = bisect_left(neg, -v, lo, hi)
+                if u > v:
+                    key = head + x[lo:iu] + (u,) + x[iu:iv] + (v,) + x[iv:hi] + tail
+                else:
+                    key = head + x[lo:iv] + (v,) + x[iv:iu] + (u,) + x[iu:hi] + tail
+                sign = -1 if (iu - lo + hi - iv + (u < v)) % 2 else 1
+                yield root, level, c, valuation, sign, key
 
 
 def _image_change(root: Root, d: int) -> dict[int, int]:

@@ -199,14 +199,14 @@ def partitions_below(b: Partition) -> list[Partition]:
 # (partitions_below, schur_sum_to_monomial, the sides of an identity report
 # that --json prints and the lists of a failing multiplicity family), which
 # grows with the ideal: on one CPU (Python 3.11), with one listing of the
-# walk serving both sides, identity --json takes 1.34 s and 75 MB peak RSS
-# for the second identity at n=45 (89 133 partitions) and 1.46 s and 70 MB
+# walk serving both sides, identity --json takes 0.84 s and 60 MB peak RSS
+# for the second identity at n=45 (89 133 partitions) and 0.82 s and 59 MB
 # for the first at n=23 (84 626), the largest n this limit admits.
-# identities._verify checks it too, so a verdict (0.02 s and 0.16 s at
+# identities._verify checks it too, so a verdict (0.01 s and 0.06 s at
 # those n) is given exactly where its terms can be listed, and so does
 # identities.multiplicity_one_report, before it builds the lambda sequence:
 # multiplicity is admitted up to p = 23, where each of its two ideals is
-# walked once, by a SupportCheck, and the command takes 0.25 s and 17 MB,
+# walked once, by a SupportCheck, and the command takes 0.15 s and 16 MB,
 # text or JSON (one CPU).  n=150, about 4e10 partitions, is refused at once,
 # and so is multiplicity at p = 1009 (0.1 s).
 IDEAL_LIMIT = 100_000
@@ -252,6 +252,13 @@ def ideal_dag(b: Partition, state, step) -> dict[tuple, tuple]:
     one child, its leaf; a leaf has none.  Keys are stored children first,
     so the root is the last.  The ideal's size is not checked here.  The
     walk keeps its own stack, so no partition is too long for it.
+
+    A state is stepped for every part of its chain of siblings (largest
+    allowed, one less, ..., 2) back to back, before any key below it, so a
+    step can keep what it has worked out for one state until the next; the
+    keys after those parts are then walked largest part first, which more
+    often reaches a state first with the largest part it is allowed than
+    the smallest-first order does.
     """
     n = b.size
     # the first k+1 parts add up to at most bounds[min(k, b.length)]
@@ -283,14 +290,22 @@ def ideal_dag(b: Partition, state, step) -> dict[tuple, tuple]:
             dag.setdefault(leaf, ())
             dag.update(dict.fromkeys(reversed(run), (leaf,)))
         else:
-            nxt = min(largest, bounds[min(depth + 1, b.length)] - (n - left + largest))
-            deeper = free if nxt == 1 else min(depth + 1, free)
-            waiting[key] = (
-                (step(state, largest), left - largest, nxt, deeper),
-                (state, left, largest - 1, free if largest == 2 else depth),
-            )
+            # step the state for the largest part allowed, then for one less,
+            # down to 2, back to back: the chain of siblings of one state
+            chain = []
+            while largest > 1 and key not in dag:
+                nxt = min(largest, bounds[min(depth + 1, b.length)] - (n - left + largest))
+                deeper = free if nxt == 1 else min(depth + 1, free)
+                sibling = (state, left, largest - 1, free if largest == 2 else depth)
+                waiting[key] = ((step(state, largest), left - largest, nxt, deeper), sibling)
+                chain.append(key)
+                key, largest, depth = sibling, largest - 1, sibling[3]
+            # each key of the chain is stored after the last sibling (a key
+            # with largest part 1, or one stored already) and the keys after
+            # the chain's parts, which are walked largest part first
+            stack += chain
             stack.append(key)
-            stack += waiting[key]
+            stack += [waiting[k][0] for k in reversed(chain)]
     return dag
 
 

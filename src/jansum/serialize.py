@@ -61,9 +61,12 @@ def signed_dominant_json(sd) -> str:
     return _SINGULAR if sd.is_singular else _REGULAR % (sd.sign, weight_json(sd.dominant))
 
 
+_MONOMIAL = '{"basis":"monomial","terms":['
+
+
 def character_json(ch) -> str:
     if ch.basis == BASIS_MONOMIAL:
-        head = '{"basis":"monomial","terms":['
+        head = _MONOMIAL
         terms = [f'{{"key":[{_ints(k.parts)}],"coeff":"{c}"}}' for k, c in ch.items_sorted()]
     else:
         head = f'{{"basis":"weyl","levi":{levi_json(ch.levi)},"terms":['
@@ -103,12 +106,23 @@ def sum_report_json(report, trace: bool = False):
 
 
 def identity_report_json(report):
+    """Both sides from the leaves of the report's check, which come in
+    reverse-lexicographic order, each key formatted once: the left side
+    has every leaf with coefficient 1, the right side the nonzero ones with
+    theirs, so an EQUAL report's right side is its left side's text."""
+    leaves = report.check.leaves
+    keys = [f'{{"key":[{_ints(mu.parts)}],"coeff":"' for mu, _ in leaves]
+    lhs = _MONOMIAL + ",".join([key + '1"}' for key in keys]) + "]}"
+    if report.equal:
+        rhs = lhs
+    else:
+        terms = [f'{key}{c}"}}' for key, (_, c) in zip(keys, leaves) if c]
+        rhs = _MONOMIAL + ",".join(terms) + "]}"
     yield (
         f'{{"n":{report.n},"which":{canonical_dumps(report.which)},"prime":{_bool(report.prime)},'
-        f'"label":{canonical_dumps(report.label)},"equal":{_bool(report.equal)},'
-        f'"lhs":{character_json(report.lhs)}'
+        f'"label":{canonical_dumps(report.label)},"equal":{_bool(report.equal)},"lhs":{lhs}'
     )
-    yield f',"rhs":{character_json(report.rhs)}'
+    yield f',"rhs":{rhs}'
     yield f',"diff":{character_json(report.diff)}}}'
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import random
 from functools import lru_cache
 from math import factorial
@@ -28,6 +29,20 @@ def brute_partitions(n: int, max_part: int | None = None):
     for first in range(min(n, max_part), 0, -1):
         for rest in brute_partitions(n - first, first):
             yield (first,) + rest
+
+
+def brute_strips(shape: tuple[int, ...], cap: int) -> list[list[tuple[int, ...]]]:
+    """Every nu with shape_{i+1} <= nu_i <= shape_i for each row i (so that
+    shape/nu is a horizontal strip), grouped by |shape| - |nu|: entry k
+    lists, sorted, those with k = 0..cap.  One product of row ranges,
+    filtered, with no corner reasoning."""
+    ranges = [range(below, row + 1) for row, below in zip(shape, shape[1:] + (0,))]
+    out: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
+    for rows in itertools.product(*ranges):
+        size = sum(shape) - sum(rows)
+        if size <= cap:
+            out[size].append(tuple(r for r in rows if r))
+    return [sorted(found) for found in out]
 
 
 def partition_count(n: int, max_part: int) -> int:

@@ -5,10 +5,12 @@ import pytest
 
 from helpers import (
     brute_partitions,
+    brute_strips,
     hook_length_count,
     prefix_leq,
     schur_sum_by_kostka,
 )
+from jansum import charring
 from jansum.charring import (
     BASIS_MONOMIAL,
     BASIS_WEYL,
@@ -113,6 +115,37 @@ class TestKostka:
         # beyond the SSYT oracle's reach: K(shape, 1^n) counts standard tableaux
         n = sum(shape)
         assert kostka(Partition(shape), Partition((1,) * n)) == hook_length_count(shape)
+
+
+class TestStrips:
+    """The one strip enumerator, charring._strips, against brute_strips."""
+
+    @staticmethod
+    def shapes():
+        # the empty shape, single rows and columns, staircases, and seeded
+        # random partitions of size at most 14
+        rng = random.Random(14)
+        every = [t for n in range(1, 15) for t in brute_partitions(n)]
+        yield ()
+        for k in (1, 2, 5, 9):
+            yield (k,)
+            yield (1,) * k
+            yield tuple(range(k, 0, -1))
+        yield from rng.sample(every, 60)
+
+    def test_every_cap_against_brute_force(self):
+        # every cap, with no least size (the walk's use) and with least = cap
+        # (the one size a Kostka number peels)
+        cases = 0
+        for shape in self.shapes():
+            for cap in range(0, (shape[0] if shape else 0) + 2):
+                expected = brute_strips(shape, cap)
+                got = charring._strips(shape, cap)
+                assert [sorted(found) for found in got] == expected, (shape, cap)
+                only = charring._strips(shape, cap, cap)
+                assert [sorted(found) for found in only] == [[]] * cap + expected[cap:], (shape, cap)
+                cases += 1
+        assert cases > 400
 
 
 class TestSchurToMonomial:

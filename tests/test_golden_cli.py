@@ -10,8 +10,11 @@ as the text --trace), Schur expansions whose prefix bounds bind deep or that
 end in long runs of ones (12,8,4; ten 3s; thirty 2s), the sides of the first
 identity at n = 16 and a first sweep to 14 in JSON, the largest identity
 listings admitted (the second at n = 45, the first at n = 23, in JSON),
-multiplicity at p = 7 and, as text and JSON, at p = 11 and 13, the small
-commands and one refused input per command.  Stderr is not pinned.
+multiplicity at p = 7 and, as text and JSON, at p = 11 and 13, the
+benchmark's identity commands (the second identity swept to 30 and the
+first swept to 12 as JSON lines, both with --jobs 1, and the second at
+n = 32), the small commands and one refused input per command.  Stderr is
+not pinned.
 A change meant to alter an output replaces that entry's digest.
 """
 

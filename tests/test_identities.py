@@ -171,7 +171,11 @@ class TestNegativeControl:
     @pytest.mark.parametrize("n, coeff", [(6, 1), (7, -1)])
     def test_a_broken_right_side_is_reported(self, monkeypatch, n, coeff):
         # without the last hook (1^n), of sign (-1)^n, the sides differ at
-        # (1^n) only, and the verdict and the diff both say so
+        # (1^n) only, and the verdict and the diff both say so.  The CLI binds
+        # the shape lists for its selftest when it is first imported, so it
+        # is imported before the patch, which would otherwise outlive the test
+        import jansum.cli  # noqa: F401
+
         monkeypatch.setattr(
             "jansum.identities.second_identity_shapes", lambda n: second_identity_shapes(n)[:-1]
         )
@@ -293,6 +297,32 @@ class TestHookKostkaInClosedForm:
             assert sum((-1) ** i * math.comb(length - 1, i + 1) for i in range(n - 1)) == 1
 
 
+class TestWorkCounts:
+    """What the walk does, counted rather than timed: the runs of the strip
+    enumerator (charring._strips, one per shape of a stepped state) and the
+    keys of the DAGs.  A change that makes the walk step a state again, or
+    enumerate a shape again, moves these."""
+
+    @staticmethod
+    def counted(monkeypatch, reports):
+        runs = []
+        real = charring._strips
+        monkeypatch.setattr(charring, "_strips", lambda *args: runs.append(args) or real(*args))
+        keys = sum(len(report.check.dag) for report in reports())
+        return len(runs), keys
+
+    def test_second_sweep_to_30(self, monkeypatch):
+        runs, keys = self.counted(monkeypatch, lambda: conjecture_sweep(2, 30, "second"))
+        assert (runs, keys) == (1304, 2824)
+        # a strip enumeration per (shape, part size) made 10 915 runs
+        assert runs < 2000
+
+    def test_second_identity_at_5(self, monkeypatch):
+        # an ideal of 6 partitions
+        runs, keys = self.counted(monkeypatch, lambda: [verify_second_identity(5)])
+        assert (runs, keys) == (12, 11)
+
+
 class TestLazySides:
     def test_verdict_builds_no_side(self):
         report = verify_first_identity(9)
@@ -300,11 +330,12 @@ class TestLazySides:
         assert not {"lhs", "rhs", "diff"} & set(vars(report))
 
     def test_sides_read_the_walk_of_the_verdict(self, monkeypatch):
-        # the report keeps the walk its verdict built, so no strip is peeled again
+        # the report keeps the walk its verdict built, so no strip is peeled
+        # again: every step enumerates its strips through charring._strips
         report = verify_first_identity(12)
         peeled = []
-        real = charring._peel
-        monkeypatch.setattr(charring, "_peel", lambda *args: peeled.append(args) or real(*args))
+        real = charring._strips
+        monkeypatch.setattr(charring, "_strips", lambda *args: peeled.append(args) or real(*args))
         assert report.rhs.terms == report.lhs.terms
         assert len(report.lhs.terms) == partition_count(23, 11)
         assert peeled == []

@@ -21,7 +21,9 @@ from helpers import (
 from jansum.charring import BASIS_MONOMIAL, BASIS_WEYL, FormalCharacter, schur_to_monomial
 from jansum.identities import (
     SupportCheck,
+    first_identity_shapes,
     multiplicity_one_report,
+    second_identity_shapes,
     verify_first_identity,
     verify_second_identity,
 )
@@ -210,6 +212,22 @@ class TestWritersMatchTheOracle:
                 assert "".join(identity_report_json(report)) == oracle_text(
                     identity_report_to_json(report)
                 )
+
+    @pytest.mark.parametrize(
+        "which, n, zeros", [("second", 6, 1), ("second", 7, 0), ("first", 5, 0), ("first", 6, 5)]
+    )
+    def test_failing_identity_reports(self, monkeypatch, which, n, zeros):
+        # the right side without its last shape: the report is not EQUAL, and
+        # its right side lists only the leaves whose coefficient is not 0
+        real = first_identity_shapes if which == "first" else second_identity_shapes
+        monkeypatch.setattr(f"jansum.identities.{which}_identity_shapes", lambda n: real(n)[:-1])
+        report = (verify_first_identity if which == "first" else verify_second_identity)(n)
+        assert not report.equal
+        text = "".join(identity_report_json(report))
+        assert text == oracle_text(identity_report_to_json(report))
+        parsed = json.loads(text)
+        assert len(parsed["lhs"]["terms"]) == len(report.check.leaves)
+        assert len(parsed["rhs"]["terms"]) == len(report.check.leaves) - zeros
 
     def test_prop_char_reports_passing_and_failing(self):
         for p, d in ((2, 3), (3, 4), (5, 5)):
