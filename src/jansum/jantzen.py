@@ -8,18 +8,21 @@ layers of the Weyl module V(lambda) add up to
 
 where v_p is the p-adic valuation and chi the Weyl character (zero on
 singular weights, otherwise a sign times a dominant symbol).  The same
-formula over a Levi's positive roots computes the Levi analogue.  Each term
-is evaluated in closed form on the epsilon coordinates of lambda + rho (see
-_walk), without building the reflected weight.  A report carries the total.
-The trace of its terms, singular ones included, is written as text, one term
-at a time, by _trace, which the CLI's text and JSON traces share; the
-JantzenTerm records of SumReport.terms are built only when read.
+formula over a Levi's positive roots computes the Levi analogue.  The terms
+of one root are evaluated together, in closed form on the epsilon
+coordinates of lambda + rho, building only the coordinates a term changes
+(_terms_at); the total folds mirror levels and sets each coefficient once
+(jantzen_sum).  A report carries the total.  The trace of every term,
+singular ones included, is written as text, one term at a time, by _trace,
+which the CLI's text and JSON traces share; the JantzenTerm records of
+SumReport.terms are built only when read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import cached_property
+from itertools import pairwise
 from typing import NamedTuple
 
 from .charring import BASIS_WEYL, FormalCharacter, _trusted_character
@@ -35,9 +38,10 @@ _PRIMALITY_BOUND = 318665857834031151167461
 # Most (root, m) terms one Jantzen sum may have.  Time and memory grow with
 # the count: on a 2-CPU machine (Python 3.11, best of 5 on one CPU) `jantzen
 # --p 2 --d 2 --lambda 100000,0`, the largest such call admitted (100 000
-# terms), takes 0.71 s and 47 MB, 0.55 s and 53 MB with --json, 1.41 s and
-# 60 MB with --trace, 1.33 s and 61 MB with --trace --json (either trace
-# writes each term as the walk makes it).
+# terms), takes 0.49 s and 43 MB, 0.48 s and 50 MB with --json, 1.28 s and
+# 43 MB with --trace, 0.68 s and 50 MB with --trace --json (either trace
+# writes each term as the walk makes it and keeps none, so it costs no
+# memory over the untraced call).
 # The largest benchmark call has 20 000 terms; at d = 30 with every
 # coordinate 15 there are about 40 000 at p = 2.
 TERM_LIMIT = 100_000
@@ -112,27 +116,32 @@ class SumReport:
     def terms(self) -> tuple[JantzenTerm, ...]:
         """Every (root, m) term, singular ones included, in root then m order.
 
-        Built on first read by walking the sum again, and kept.  The CLI's
-        traces stream from _trace instead; only perfbench/tracer.py (which
-        counts terms) and the tests read it.
+        Built on first read by walking the sum again (_walk, every level of
+        every root, each term's dominant weight as lam with its changed
+        window put in), and kept.  The CLI's traces stream from _trace
+        instead; only perfbench/tracer.py (which counts terms) and the tests
+        read it.
         """
-        lam, d = self.lam, self.lam.rank
+        lam, p = self.lam, self.p
+        coords, d = lam.coords, lam.rank
         singular = SignedDominant.singular()
-        dominant: dict[tuple[int, ...], Weight] = {}
         terms = []
-        for root, level, c, valuation, sign, key in _walk(lam, self.p, self.levi):
+        current = None
+        for root, level, c, valuation, sign, window in _walk(lam, p, self.levi):
+            if root is not current:
+                current, change = root, _image_change(root, d)
+                changed = _changed(root.lo, root.hi, d)
+                head, tail = coords[: changed.start], coords[changed.stop :]
             t = c - level
-            coords = list(lam.coords)
-            for i, k in _image_change(root, d).items():
-                coords[i] += k * t
+            image = list(coords)
+            for i, k in change.items():
+                image[i] += k * t
             if sign:
-                if key not in dominant:
-                    dominant[key] = _trusted_weight(_dominant(key))
-                outcome = _trusted_signed(sign, dominant[key])
+                outcome = _trusted_signed(sign, _trusted_weight(head + window + tail))
             else:
                 outcome = singular
-            image = _trusted_weight(tuple(coords))
-            terms.append(JantzenTerm(root, level // self.p, level, t, valuation, image, outcome))
+            image = _trusted_weight(tuple(image))
+            terms.append(JantzenTerm(root, level // p, level, t, valuation, image, outcome))
         return tuple(terms)
 
 
@@ -144,45 +153,51 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
     report's trace of terms is built only when it is read.  Raises
     ValueError for a p that is not prime, a rank mismatch, a weight that is
     not dominant for the Levi, or a sum of more than TERM_LIMIT terms.
+
+    The sum goes root by root through _terms_at and sets each nonzero
+    coefficient once, adding nothing up.  At a root whose pairing c is a
+    multiple of p, the levels l and c - l give one dominant weight with
+    opposite signs (see _terms_at), so only the levels below c/2 are
+    visited, each weighted v_p(l) - v_p(c - l); level c/2 is singular.
+    Elsewhere c - l is no level, and each level is a weight of its own.  No
+    dominant weight comes from two roots: its block is the root's block
+    with x_lo and x_{hi+1} taken out and two values not in the block put
+    in, so the two taken out name the root.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if not levi.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant for {levi.describe()}")
-    total: dict[tuple[int, ...], int] = {}
-    for _, _, _, valuation, sign, key in _walk(lam, p, levi):
-        if sign:
-            total[key] = total.get(key, 0) + sign * valuation
-    # every key is dominant for the Levi, and distinct keys give distinct weights
-    terms = {_trusted_weight(_dominant(k)): c for k, c in total.items() if c}
-    return SumReport(lam, p, levi, _trusted_character(BASIS_WEYL, levi, terms))
+    x, roots = _roots(lam, p, levi)
+    coords, d = lam.coords, lam.rank
+    total: dict[Weight, int] = {}
+    for lo, hi, c in roots:
+        changed = _changed(lo, hi, d)
+        head, tail = coords[: changed.start], coords[changed.stop :]
+        mirrored = c % p == 0
+        levels = range(p, (c + 1) // 2 if mirrored else c, p)
+        for level, sign, window in _terms_at(x, lo, hi, levels):
+            if sign:
+                coeff = _valuation(p, level)
+                if mirrored:
+                    coeff -= _valuation(p, c - level)
+                if coeff:
+                    # every key is dominant for the Levi
+                    total[_trusted_weight(head + window + tail)] = sign * coeff
+    return SumReport(lam, p, levi, _trusted_character(BASIS_WEYL, levi, total))
 
 
-def _walk(lam: Weight, p: int, levi: LeviDatum):
-    """Yield (root, level, c, valuation, sign, key) for every term of the sum.
-
-    Terms come in root order, then level order.  c is (lam + rho, root^vee).
-    sign is 0 for a singular term, whose key is None; otherwise it is the
-    sign of the dot normalization and key the epsilon vector of the
-    normalized image plus rho.  lam must be dominant for the Levi.  Raises
-    ValueError, before the first term, when there are more than TERM_LIMIT.
-
-    Let x = epsilon(lam + rho), strictly decreasing within each block.  The
-    reflection at the root e_lo - e_{hi+1} and level l, 0 < l < c =
-    x_lo - x_{hi+1}, changes x in two places only: u = x_{hi+1} + l at lo and
-    v = x_lo - l at hi+1, both strictly between x_{hi+1} and x_lo.  So the
-    image is singular exactly when u = v or u or v is a value of the block.
-    Otherwise sorting the block moves u past #{mid > u} values and v past
-    #{mid < v}, mid being x_{lo+1..hi}, and the two past each other when
-    u < v: the sign is -1 to the number of these transpositions.
-    """
+def _roots(lam: Weight, p: int, levi: LeviDatum) -> tuple[tuple[int, ...], list]:
+    """(x, [(lo, hi, c) of every root with a term, in root order]), x being
+    epsilon(lam + rho) and c = (lam + rho, root^vee) = x_lo - x_{hi+1}.
+    Raises ValueError, before any level is met, when the sum has more than
+    TERM_LIMIT terms."""
     x = to_epsilon(lam + rho(lam.rank))  # x[i - 1] is x_i
     neg = [-e for e in x]  # ascending within each block, for bisect
-    blocks = []  # (values of a block, [(lo, hi, c) of each of its roots with a term])
+    roots = []
     count = 0
     for block in levi.blocks:
         a, b = block[0], block[-1]
-        roots = []
         for lo in range(a, b):
             xl = x[lo - 1]
             # c = xl - x[hi] grows with hi, and a root with c <= p has no term
@@ -195,28 +210,75 @@ def _walk(lam: Weight, p: int, levi: LeviDatum):
                         f"the Jantzen sum at rank d={lam.rank}, p={p}, levi={levi.describe()} "
                         f"has more than {TERM_LIMIT} terms; refused"
                     )
-        blocks.append((frozenset(x[a - 1 : b]), roots))
-    p_squared = p * p
-    for values, roots in blocks:
-        for lo, hi, c in roots:
-            root = _trusted_root(lo, hi)
-            xl, xh = x[lo - 1], x[hi]
-            head, tail = x[: lo - 1], x[hi + 1 :]
-            for level in range(p, c, p):
-                valuation = p_adic_valuation(p, level) if level % p_squared == 0 else 1
-                u, v = xh + level, xl - level
-                if u == v or u in values or v in values:
-                    yield root, level, c, valuation, 0, None
-                    continue
-                # x[lo:iu] are the values of mid above u, x[lo:iv] those above v
-                iu = bisect_left(neg, -u, lo, hi)
-                iv = bisect_left(neg, -v, lo, hi)
-                if u > v:
-                    key = head + x[lo:iu] + (u,) + x[iu:iv] + (v,) + x[iv:hi] + tail
-                else:
-                    key = head + x[lo:iv] + (v,) + x[iv:iu] + (u,) + x[iu:hi] + tail
-                sign = -1 if (iu - lo + hi - iv + (u < v)) % 2 else 1
-                yield root, level, c, valuation, sign, key
+    return x, roots
+
+
+def _terms_at(x: tuple[int, ...], lo: int, hi: int, levels: range):
+    """Yield (level, sign, window) for each of the rising levels at the root
+    e_lo - e_{hi+1}, x being epsilon(lam + rho).  sign is 0 for a singular
+    term, whose window is None; otherwise it is the sign of the dot
+    normalization, and window the coordinates at _changed(lo, hi, d) of the
+    normalized image, which elsewhere equals lam.
+
+    x is strictly decreasing within the block; let c = x_lo - x_{hi+1}.  The
+    reflection at level l, 0 < l < c, changes x in two places only:
+    u = x_{hi+1} + l at lo and v = x_lo - l at hi+1, both strictly between
+    x_{hi+1} and x_lo.  So the image is singular exactly when u = v or u or
+    v is a value of mid = x_{lo+1..hi}.  Otherwise sorting the block moves u
+    past #{mid > u} values and v past #{mid < v}, and the two past each
+    other when u < v: the sign is -1 to the number of these transpositions.
+    The levels l and c - l give the pair {u, v} swapped, one transposition
+    apart: one dominant weight of opposite signs.  As l rises u rises and v
+    falls, so the insertion points iu and iv each move one way.  Sorting
+    changes epsilon only at lo..hi+1, so the weight only at lo-2..hi (0-based):
+    window is the differences, less 1, of epsilon at lo-1..hi+2 (1-based) as
+    far as they exist.
+    """
+    xl, xh = x[lo - 1], x[hi]
+    left, right = x[max(lo - 2, 0) : lo - 1], x[hi + 1 : hi + 2]
+    # x[lo:iu] are the values of mid above u, x[lo:iv] those above v; as
+    # xl > u, v > xh, neither pointer runs past mid, and x[iu] = u or
+    # x[iv] = v only at a value of mid
+    iu, iv = hi, lo
+    for level in levels:
+        u, v = xh + level, xl - level
+        while x[iu - 1] <= u:
+            iu -= 1
+        while x[iv] > v:
+            iv += 1
+        if u == v or x[iu] == u or x[iv] == v:
+            yield level, 0, None
+            continue
+        if u > v:
+            eps = left + x[lo:iu] + (u,) + x[iu:iv] + (v,) + x[iv:hi] + right
+        else:
+            eps = left + x[lo:iv] + (v,) + x[iv:iu] + (u,) + x[iu:hi] + right
+        sign = -1 if (iu - lo + hi - iv + (u < v)) % 2 else 1
+        yield level, sign, tuple([a - b - 1 for a, b in pairwise(eps)])
+
+
+def _walk(lam: Weight, p: int, levi: LeviDatum):
+    """Yield (root, level, c, valuation, sign, window) for every term of the
+    sum, singular ones included, in root order, then level order: c is
+    (lam + rho, root^vee), and sign and window are _terms_at's.  lam must
+    be dominant for the Levi.  Raises ValueError, before the first term,
+    when there are more than TERM_LIMIT."""
+    x, roots = _roots(lam, p, levi)
+    for lo, hi, c in roots:
+        root = _trusted_root(lo, hi)
+        for level, sign, window in _terms_at(x, lo, hi, range(p, c, p)):
+            yield root, level, c, _valuation(p, level), sign, window
+
+
+def _valuation(p: int, level: int) -> int:
+    """v_p(level) of a level, a multiple of p: 1 unless p^2 divides it."""
+    return p_adic_valuation(p, level) if level % (p * p) == 0 else 1
+
+
+def _changed(lo: int, hi: int, d: int) -> range:
+    """The 0-based coordinates at which the image and dominant weight of a
+    term at the root alpha_{lo,hi} may differ from lam's."""
+    return range(max(lo - 2, 0), min(hi + 1, d))
 
 
 def _image_change(root: Root, d: int) -> dict[int, int]:
@@ -232,13 +294,6 @@ def _image_change(root: Root, d: int) -> dict[int, int]:
     return change
 
 
-def _dominant(key: tuple[int, ...], indices: range | None = None) -> tuple[int, ...]:
-    """The coordinates at the 0-based indices (all by default) of the weight
-    mu with epsilon(mu + rho) = key, up to adding a constant.  key comes from
-    _walk, so mu is a weight by construction and is not checked."""
-    return tuple([key[i] - key[i + 1] - 1 for i in indices or range(len(key) - 1)])
-
-
 def _trace(report: SumReport, term: str, weight: str, regular: str, singular: str):
     """Yield the text of every term of the report's sum, one per piece, in
     _walk order (that of SumReport.terms), in the %-template forms given:
@@ -247,20 +302,18 @@ def _trace(report: SumReport, term: str, weight: str, regular: str, singular: st
     valuation from the named fields root, lo, hi, valuation and image, and
     then takes m, level, t, the image coordinates _image_change names, and
     the outcome.  Image and dominant weight differ from lam only at
-    coordinates lo-1..hi+1 (_walk's key from epsilon(lam + rho) only at
-    lo..hi+1), so each root writes the rest once.
+    _changed, so each root writes the rest once, and each term only
+    its window.
     """
     lam, p = report.lam, report.p
     coords, d = lam.coords, lam.rank
     written = [str(c) for c in coords]
-    outcomes: dict[int, dict[tuple, str]] = {1: {}, -1: {}}  # sign -> key -> text
     current = None
-    for root, level, c, valuation, sign, key in _walk(lam, p, report.levi):
+    for root, level, c, valuation, sign, window in _walk(lam, p, report.levi):
         if root is not current:
             current, change = root, _image_change(root, d)
             slots = [(coords[i], k) for i, k in change.items()]
-            # the coordinates that may differ from lam's, 0-based
-            changed = range(max(root.lo - 2, 0), min(root.hi + 1, d))
+            changed = _changed(root.lo, root.hi, d)
             head, tail = written[: changed.start], written[changed.stop :]
             image = head + ["%d" if i in change else written[i] for i in changed] + tail
             fields = {"root": root, "lo": root.lo, "hi": root.hi, "image": weight % ",".join(image)}
@@ -274,13 +327,7 @@ def _trace(report: SumReport, term: str, weight: str, regular: str, singular: st
             fields["valuation"] = valuation
             template = templates[valuation] = term % fields
         t = c - level
-        if sign:
-            known = outcomes[sign]
-            outcome = known.get(key)
-            if outcome is None:
-                outcome = known[key] = forms[sign] % _dominant(key, changed)
-        else:
-            outcome = singular
+        outcome = forms[sign] % window if sign else singular
         yield template % (level // p, level, t, *[b + k * t for b, k in slots], outcome)
 
 

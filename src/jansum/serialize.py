@@ -71,10 +71,11 @@ def character_json(ch) -> str:
     else:
         head = f'{{"basis":"weyl","levi":{levi_json(ch.levi)},"terms":['
         d = ch.levi.rank  # every key is a weight of the Levi's rank
-        terms = [
-            f'{{"key":{{"d":{d},"coords":[{_ints(k.coords)}]}},"coeff":"{c}"}}'
-            for k, c in ch.items_sorted()
-        ]
+        term = '{"key":{"d":%d,"coords":[%s]},"coeff":"%%d"}' % (d, ",".join(["%d"] * d))
+        # reverse-lexicographic by key: keys are distinct, so no two
+        # coefficients are ever compared
+        pairs = sorted([(k.coords, c) for k, c in ch.terms.items()], reverse=True)
+        terms = [term % (*coords, c) for coords, c in pairs]
     return head + ",".join(terms) + "]}"
 
 

@@ -758,15 +758,17 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 class TestStreamedTrace:
     # Both traces are written term by term as the walk makes them, so
-    # neither holds all the terms, and the text trace costs no more memory
-    # than the JSON one.  Each command runs under a wrapper of its own, whose
-    # RUSAGE_CHILDREN sees that command's peak alone.
+    # neither holds all the terms: the text trace costs no more memory than
+    # the JSON one, and the JSON trace no more than the untraced JSON report.
+    # Each command runs under a wrapper of its own, whose RUSAGE_CHILDREN
+    # sees that command's peak alone.
     def test_text_trace_peaks_no_higher_than_json_trace(self, tmp_path):
-        argv = ["jantzen", "--p", "2", "--d", "2", "--lambda", "50000,0", "--trace"]
+        argv = ["jantzen", "--p", "2", "--d", "2", "--lambda", "50000,0"]
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
         peaks = {}
-        for name, extra in (("text", []), ("json", ["--json"])):
+        runs = (("text", ["--trace"]), ("json", ["--trace", "--json"]), ("untraced", ["--json"]))
+        for name, extra in runs:
             proc = subprocess.run(
                 [sys.executable, "-c", _PEAK_RSS, str(tmp_path / name), *argv, *extra],
                 capture_output=True,
@@ -781,6 +783,8 @@ class TestStreamedTrace:
         text = (tmp_path / "text").read_text().splitlines()
         assert sum(line.startswith("  a[") for line in text) == 50000
         assert peaks["text"] <= peaks["json"] * 1.05
+        assert "terms" not in json.loads((tmp_path / "untraced").read_text())
+        assert peaks["json"] <= peaks["untraced"] * 1.05
 
 
 _START_UP = """

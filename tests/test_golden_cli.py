@@ -5,8 +5,12 @@ README's commands, the prop-char matrix, identities at n = 2, 5, 6 and 11,
 a first-identity sweep, Jantzen sums at d <= 6 (traced, JSON, on Levis that
 leave negative coordinates off their simple roots) and at the sizes the
 benchmark runs (d = 30 at p = 3, full and Levi 2..30, as JSON with and
-without --trace and as the text --trace; 20 000 levels at d = 2, as JSON and
-as the text --trace), Schur expansions whose prefix bounds bind deep or that
+without --trace and as the text --trace; d = 30 at p = 5 and 7, the
+benchmark's first weight for each at seed 1, full and Levi 2..30, as JSON
+with and without --trace, since which roots' mirror levels fold depends on
+p; 20 000 levels at d = 2, as JSON and as the text --trace), the largest
+Jantzen sum admitted (100 000 levels at d = 2, as JSON) and the smallest
+refused, Schur expansions whose prefix bounds bind deep or that
 end in long runs of ones (12,8,4; ten 3s; thirty 2s), the sides of the first
 identity at n = 16 and a first sweep to 14 in JSON, the largest identity
 listings admitted (the second at n = 45, the first at n = 23, in JSON),

@@ -1,9 +1,10 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from helpers import random_dominant, reference_jantzen
+from helpers import random_dominant, reference_jantzen, run_cli
 from jansum.charring import BASIS_WEYL, FormalCharacter
 from jansum.jantzen import (
     TERM_LIMIT,
@@ -264,6 +265,93 @@ class TestFastPath:
         with pytest.raises(ValueError, match=f"more than {TERM_LIMIT} terms"):
             jantzen_sum(Weight((10**6,) * 40), 7, LeviDatum(40, range(2, 41)))
         assert time.perf_counter() - started < 0.5
+
+
+class TestMirrorLevels:
+    # The two facts jantzen_sum's fold rests on, read from the slow
+    # reference's terms alone: at one root, the levels l and c - l (both
+    # levels exactly when p | c) are both singular or give one dominant
+    # weight with opposite signs; and no dominant weight comes from two roots.
+    def test_mirror_levels_and_distinct_roots(self):
+        rng = random.Random(61)
+        cases = _fast_path_cases()
+        for _ in range(400 - len(cases)):
+            d = rng.randint(2, 7)
+            simples = {s for s in range(1, d + 1) if rng.random() < 0.7}
+            lam = Weight(
+                [rng.randint(0, 5) if s in simples else rng.randint(-6, 6) for s in range(1, d + 1)]
+            )
+            cases.append((lam, rng.choice((2, 3, 5, 7)), LeviDatum(d, simples)))
+        pairs = Counter()  # mirror pairs, singular and regular
+        for lam, p, levi in cases:
+            terms, _ = reference_jantzen(lam, p, levi)
+            at = {(term.root, term.level): term for term in terms}
+            roots_of: dict[Weight, set] = {}
+            for term in terms:
+                c = term.level + term.t
+                mirror = at.get((term.root, c - term.level))
+                assert (mirror is not None) == (c % p == 0), (lam, p, levi, term)
+                if mirror is term:
+                    assert term.outcome.is_singular, (lam, p, levi, term)
+                elif mirror is not None:
+                    pairs[term.outcome.is_singular] += term.level < mirror.level
+                    if term.outcome.is_singular:
+                        assert mirror.outcome.is_singular, (lam, p, levi, term)
+                    else:
+                        assert mirror.outcome.dominant == term.outcome.dominant, (lam, p, levi, term)
+                        assert mirror.outcome.sign == -term.outcome.sign, (lam, p, levi, term)
+                if not term.outcome.is_singular:
+                    roots_of.setdefault(term.outcome.dominant, set()).add(term.root)
+            assert all(len(roots) == 1 for roots in roots_of.values()), (lam, p, levi)
+        assert pairs[False] >= 500 and pairs[True] >= 500
+
+
+class TestWorkCount:
+    # How much the sum does, counted without a clock: every level of every
+    # root goes through jantzen._terms_at, which a wrapper counts
+    @staticmethod
+    def _count_levels(monkeypatch) -> Counter:
+        import jansum.jantzen as jantzen_mod
+
+        visits: Counter = Counter()
+        terms_at = jantzen_mod._terms_at
+
+        def counted(x, lo, hi, levels):
+            for term in terms_at(x, lo, hi, levels):
+                visits[lo, hi] += 1
+                yield term
+
+        monkeypatch.setattr(jantzen_mod, "_terms_at", counted)
+        return visits
+
+    def test_sum_visits_each_mirror_pair_once(self, monkeypatch):
+        visits = self._count_levels(monkeypatch)
+        report = jantzen_sum(Weight((20000, 0)), 2, LeviDatum.full(2))
+        # a[1,1] pairs to c = 20001, which p does not divide: each of its
+        # 10 000 levels; a[1,2] to c = 20002: the 5 000 levels below c/2,
+        # each for its mirror too; a[2,2] pairs to 1 and has none
+        assert visits == {(1, 1): 10000, (1, 2): 5000}
+        assert len(report.total.terms) == 15000
+
+    def test_traced_json_visits_the_sum_and_every_term(self, monkeypatch):
+        visits = self._count_levels(monkeypatch)
+        code, out, _ = run_cli(["jantzen", "--p", "2", "--d", "2", "--lambda", "20000,0", "--trace", "--json"])
+        assert code == 0
+        assert out.count('"level":') == 20000
+        assert sum(visits.values()) == 15000 + 20000
+
+    def test_sum_never_walks_the_trace(self, monkeypatch):
+        import jansum.jantzen as jantzen_mod
+
+        def refuse(*args):
+            raise AssertionError("jantzen_sum walked the trace")
+
+        cases = _fast_path_cases()[::8]
+        expected = [reference_jantzen(lam, p, levi)[1] for lam, p, levi in cases]
+        monkeypatch.setattr(jantzen_mod, "_walk", refuse)
+        for (lam, p, levi), total in zip(cases, expected):
+            assert jantzen_sum(lam, p, levi).total.terms == total, (lam, p, levi)
+        assert len(jantzen_sum(Weight((20000, 0)), 2, LeviDatum.full(2)).total.terms) == 15000
 
 
 class TestLambdaSequence:
