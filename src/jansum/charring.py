@@ -107,14 +107,6 @@ class FormalCharacter:
         self._same_context(other)
         return self.terms == other.terms
 
-    def items_sorted(self) -> list:
-        """Terms in reverse-lexicographic key order (deterministic output)."""
-        def sort_key(item):
-            key = item[0]
-            return key.parts if isinstance(key, Partition) else key.coords
-
-        return sorted(self.terms.items(), key=sort_key, reverse=True)
-
     def __repr__(self) -> str:
         return f"FormalCharacter({self.basis}, {len(self.terms)} terms)"
 

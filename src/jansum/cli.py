@@ -6,7 +6,9 @@ A usage error is reported by argparse, or is the library's own ValueError;
 the CLI repeats none of the library's checks.  No command reads or writes a
 file.  Each subcommand is one entry of `_COMMANDS`: its help, its arguments
 and its handler.  Every command but `selftest` prints through `_reports`,
-each report as soon as it is built (so `sweep` streams), in text or JSON.
+each report as soon as it is built (so `sweep` streams), in text or JSON;
+serialize writes every character and trace line in either form, and this
+module only the lines around them.  Only `selftest` loads the oracles.
 
 `_parse` reads a command line straight from `_COMMANDS` and gives the
 attributes argparse would.  Any command line it cannot map exactly (help,
@@ -21,12 +23,7 @@ import random
 import sys
 from types import SimpleNamespace
 
-from .charring import (
-    FormalCharacter,
-    BASIS_MONOMIAL,
-    kostka,
-    schur_to_monomial,
-)
+from .charring import kostka, schur_to_monomial
 from .identities import (
     FIRST,
     SECOND,
@@ -38,12 +35,13 @@ from .identities import (
     verify_first_identity,
     verify_second_identity,
 )
-from .jantzen import _trace, is_prime, jantzen_sum, lambda_sequence, verify_prop_char
+from .jantzen import is_prime, jantzen_sum, lambda_sequence, verify_prop_char
 from .lattice import Partition, Weight, dominance_leq, partitions_below
-from .oracle import enumerate_ssyt, eval_monomial, eval_schur_bialternant
 from .serialize import (
     character_json,
+    character_text,
     identity_report_json,
+    jantzen_terms_text,
     multiplicity_report_json,
     partition_json,
     prop_char_report_json,
@@ -80,31 +78,7 @@ def _prime(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# text forms
-
-def format_character(ch: FormalCharacter) -> str:
-    """Human form: 'm[2,1] + 2·m[1,1,1]' or '+χ(0,1) -χ(1,0)'."""
-    if ch.is_zero:
-        return "0"
-    pieces = []
-    for key, coeff in ch.items_sorted():
-        mag = abs(coeff)
-        if ch.basis == BASIS_MONOMIAL:
-            body = f"m{key}" if mag == 1 else f"{mag}·m{key}"
-            if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(("+ " if coeff > 0 else "- ") + body)
-        else:
-            body = f"χ{key}" if mag == 1 else f"{mag}·χ{key}"
-            pieces.append(("+" if coeff > 0 else "-") + body)
-    return " ".join(pieces)
-
-
-# the text forms of a trace line, a weight and the two outcomes (see jantzen._trace)
-_TRACE = ("  %(root)s m=%%d level=%%d v=%(valuation)d t=%%d image=%(image)s -> %%s",
-          "(%s)", "%+d·%s", "singular")
-
+# text reports, whose characters and trace lines serialize writes
 
 def _identity_line(report: IdentityReport) -> str:
     kind = "prime" if report.prime else "composite"
@@ -115,14 +89,14 @@ def _identity_line(report: IdentityReport) -> str:
 def _identity_text(report, args):
     yield _identity_line(report)
     if not report.equal:
-        yield f"diff: {format_character(report.diff)}"
+        yield f"diff: {character_text(report.diff)}"
 
 
 def _jantzen_text(report, args):
     yield f"lambda={report.lam} p={report.p} levi={report.levi.describe()}"
     if args.trace:
-        yield from _trace(report, *_TRACE)
-    yield f"total: {format_character(report.total)}"
+        yield from jantzen_terms_text(report)
+    yield f"total: {character_text(report.total)}"
 
 
 def _prop_char_text(report, args):
@@ -130,9 +104,9 @@ def _prop_char_text(report, args):
         status = "PASS" if check.passed else "FAIL"
         yield f"p={report.p} d={report.d} i={check.i} {check.levi.describe()} {status}"
         if not check.passed:
-            yield f"  expected: {format_character(check.expected)}"
-            yield f"  got:      {format_character(check.total)}"
-            yield from _trace(check.report, *_TRACE)
+            yield f"  expected: {character_text(check.expected)}"
+            yield f"  got:      {character_text(check.total)}"
+            yield from jantzen_terms_text(check.report)
     verdict = "PASS" if report.passed else "FAIL"
     yield f"{verdict} ({len(report.checks)} checks)"
 
@@ -151,6 +125,9 @@ def _multiplicity_text(report, args):
 # selftest: cross-check the fast paths against the oracles at capped sizes
 
 def _selftest_checks():
+    # here, not at the top: no other command loads the slow references
+    from .oracle import enumerate_ssyt, eval_monomial, eval_schur_bialternant
+
     rng = random.Random(271828)
 
     def kostka_vs_ssyt():
@@ -335,7 +312,7 @@ _COMMANDS = {
         ("--lambda", {**_PARTS, "help": "partition"}), _JSON,
     ], _reports(
         lambda a: [schur_to_monomial(Partition(a.lam))],
-        lambda ch, a: [f"S{Partition(a.lam)} = {format_character(ch)}"],
+        lambda ch, a: [f"S{Partition(a.lam)} = {character_text(ch)}"],
         lambda ch, a: [character_json(ch)],
     )),
     "kostka": ("one Kostka number", [

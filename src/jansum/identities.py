@@ -168,7 +168,7 @@ class SupportCheck:
     when every leaf coefficient is 1 (charring.coefficient_counts), whose
     fold also gives `term_count`, the nonzero ones.  The walk refuses a
     shape not below the target, and S_shape has m_mu only for mu <= shape,
-    so `unexpected` is always empty.  The walk's leaves are listed once,
+    so no term falls outside the ideal.  The walk's leaves are listed once,
     in reverse-lexicographic order, the first time the character or the
     leaves whose coefficient is not 1 are read; a check that passes finds
     none of the latter without listing.
@@ -180,7 +180,6 @@ class SupportCheck:
         counts = coefficient_counts(self.dag)
         self.passed = counts.keys() == {1}
         self.term_count = sum(k for c, k in counts.items() if c)
-        self.unexpected: list[Partition] = []
 
     @cached_property
     def leaves(self) -> list[tuple[Partition, int]]:

@@ -14,7 +14,7 @@ coordinates of lambda + rho, building only the coordinates a term changes
 (_terms_at); the total folds mirror levels and sets each coefficient once
 (jantzen_sum).  A report carries the total.  The trace of every term,
 singular ones included, is written as text, one term at a time, by _trace,
-which the CLI's text and JSON traces share; the JantzenTerm records of
+which serialize's text and JSON traces share; the JantzenTerm records of
 SumReport.terms are built only when read.
 """
 
@@ -38,8 +38,8 @@ _PRIMALITY_BOUND = 318665857834031151167461
 # Most (root, m) terms one Jantzen sum may have.  Time and memory grow with
 # the count: on a 2-CPU machine (Python 3.11, best of 5 on one CPU) `jantzen
 # --p 2 --d 2 --lambda 100000,0`, the largest such call admitted (100 000
-# terms), takes 0.49 s and 43 MB, 0.48 s and 50 MB with --json, 1.28 s and
-# 43 MB with --trace, 0.68 s and 50 MB with --trace --json (either trace
+# terms), takes 0.19 s and 44 MB, 0.20 s and 49 MB with --json, 0.49 s and
+# 44 MB with --trace, 0.40 s and 49 MB with --trace --json (either trace
 # writes each term as the walk makes it and keeps none, so it costs no
 # memory over the untraced call).
 # The largest benchmark call has 20 000 terms; at d = 30 with every
@@ -118,7 +118,7 @@ class SumReport:
 
         Built on first read by walking the sum again (_walk, every level of
         every root, each term's dominant weight as lam with its changed
-        window put in), and kept.  The CLI's traces stream from _trace
+        window put in), and kept.  The written traces stream from _trace
         instead; only perfbench/tracer.py (which counts terms) and the tests
         read it.
         """

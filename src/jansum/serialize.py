@@ -1,19 +1,20 @@
-"""Canonical JSON text for the library's value types, written directly.
+"""Text and canonical JSON for the library's value types, written directly.
 
-Each writer gives the text that json.dumps(form, separators=(",", ":"))
-gives for the value's JSON form, without building that form: integers,
-booleans and the fixed keys are formatted here, and only free-text strings
-(an identity's `which` and `label`, a Levi's description) go through
-json.dumps, so their escaping is exactly its own.  Term lists come out in
-reverse-lexicographic key order and coefficients are decimal strings, so
-equal values always give identical bytes, and parsing then re-serializing
-is the identity on the text.
+A character is written only here, in either form, from one listing of its
+terms (_listing) in reverse-lexicographic key order.  Each JSON writer gives
+the text that json.dumps(form, separators=(",", ":")) gives for the value's
+JSON form, without building that form: integers, booleans and the fixed
+keys are formatted here, and only free-text strings (an identity's `which`
+and `label`, a Levi's description) go through json.dumps, so their escaping
+is exactly its own.  Coefficients are decimal strings, so equal values
+always give identical bytes, and parsing then re-serializing is the
+identity on the text.
 
 Scalars and characters are written as one string, and a report as an
 iterator of pieces, so that a caller can print it as it is made.  A Jantzen
-trace comes one term per piece from jantzen._trace, the writer the text
-trace shares, given this module's forms of a term, a weight and an outcome;
-it is never held whole.
+trace comes one term per piece from jantzen._trace, given this module's
+text or JSON forms of a term, a weight and an outcome; it is never held
+whole.
 """
 
 from __future__ import annotations
@@ -61,22 +62,44 @@ def signed_dominant_json(sd) -> str:
     return _SINGULAR if sd.is_singular else _REGULAR % (sd.sign, weight_json(sd.dominant))
 
 
+def _listing(ch) -> list[tuple[tuple[int, ...], int]]:
+    """[(key, coeff)] in reverse-lexicographic key order, each key as its
+    parts or coordinates: keys are distinct, so no two coefficients are
+    ever compared.  The one place that orders a character's terms."""
+    if ch.basis == BASIS_MONOMIAL:
+        return sorted([(k.parts, c) for k, c in ch.terms.items()], reverse=True)
+    return sorted([(k.coords, c) for k, c in ch.terms.items()], reverse=True)
+
+
 _MONOMIAL = '{"basis":"monomial","terms":['
 
 
 def character_json(ch) -> str:
     if ch.basis == BASIS_MONOMIAL:
         head = _MONOMIAL
-        terms = [f'{{"key":[{_ints(k.parts)}],"coeff":"{c}"}}' for k, c in ch.items_sorted()]
+        terms = [f'{{"key":[{_ints(parts)}],"coeff":"{c}"}}' for parts, c in _listing(ch)]
     else:
         head = f'{{"basis":"weyl","levi":{levi_json(ch.levi)},"terms":['
         d = ch.levi.rank  # every key is a weight of the Levi's rank
-        term = '{"key":{"d":%d,"coords":[%s]},"coeff":"%%d"}' % (d, ",".join(["%d"] * d))
-        # reverse-lexicographic by key: keys are distinct, so no two
-        # coefficients are ever compared
-        pairs = sorted([(k.coords, c) for k, c in ch.terms.items()], reverse=True)
-        terms = [term % (*coords, c) for coords, c in pairs]
+        term = '{"key":%s,"coeff":"%%d"}' % (_WEIGHT % (d, ",".join(["%d"] * d)))
+        terms = [term % (*coords, c) for coords, c in _listing(ch)]
     return head + ",".join(terms) + "]}"
+
+
+def character_text(ch) -> str:
+    """The human form, "0" for zero: 'm[2,1] + 2·m[1,1,1]', whose first term
+    alone has no space after its sign, or '+χ(1,0) -2·χ(0,1)'."""
+    if ch.basis == BASIS_MONOMIAL:
+        signs, symbol = ("+ ", "- "), "m[%s]"
+        pairs = ((_ints(k), c) for k, c in _listing(ch))
+    else:
+        signs, symbol = "+-", "χ(%s)" % ",".join(["%d"] * ch.levi.rank)
+        pairs = iter(_listing(ch))  # read once, so the listing is freed before the join
+    pieces = [signs[c < 0] + (symbol % k if c == 1 or c == -1 else f"{abs(c)}·{symbol % k}")
+              for k, c in pairs]
+    if pieces and signs[0] == "+ ":  # the first monomial term: "m[..]" or "-m[..]"
+        pieces[0] = pieces[0][2:] if pieces[0][0] == "+" else "-" + pieces[0][2:]
+    return " ".join(pieces) or "0"
 
 
 # a term of a Jantzen trace, after a comma (see jantzen._trace)
@@ -92,6 +115,12 @@ def jantzen_terms_json(report):
     no separator is joined per term, and the first one's is dropped."""
     terms = _trace(report, _TERM, _WEIGHT % (report.lam.rank, "%s"), _REGULAR, _SINGULAR)
     return chain(["[" + next(terms, ",")[1:]], terms, ["]"])
+
+
+def jantzen_terms_text(report):
+    """The text line of every term of a Jantzen sum, one per piece."""
+    return _trace(report, "  %(root)s m=%%d level=%%d v=%(valuation)d t=%%d image=%(image)s -> %%s",
+                  "(%s)", "%+d·%s", "singular")
 
 
 def sum_report_json(report, trace: bool = False):

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -23,6 +24,7 @@ from jansum.charring import (
 )
 from jansum.lattice import Partition, Weight, dominance_leq
 from jansum.oracle import enumerate_ssyt
+from jansum.serialize import character_json, character_text
 from jansum.weyl import LeviDatum
 
 
@@ -82,9 +84,11 @@ class TestFormalCharacter:
         with pytest.raises(ValueError):
             FormalCharacter(BASIS_WEYL, None, {})
 
-    def test_items_sorted_reverse_lex(self):
+    def test_writers_list_terms_reverse_lex(self):
         x = mono({(1, 1, 1): 5, (3,): 1, (2, 1): 2})
-        assert [k.parts for k, _ in x.items_sorted()] == [(3,), (2, 1), (1, 1, 1)]
+        assert character_text(x) == "m[3] + 2·m[2,1] + 5·m[1,1,1]"
+        keys = [t["key"] for t in json.loads(character_json(x))["terms"]]
+        assert keys == [[3], [2, 1], [1, 1, 1]]
 
 
 class TestKostka:

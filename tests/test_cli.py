@@ -163,6 +163,23 @@ class TestJantzenCommand:
         assert code == 0
         assert "total: +χ(0,1)" in out
 
+    def test_text_total_formats_each_key_by_template(self, monkeypatch):
+        # the total's 15 000 keys are written through one template of the
+        # Levi's rank; only the header line formats a Weight by its str
+        from jansum.lattice import Weight
+
+        calls = []
+        real = Weight.__str__
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Weight, "__str__", counted)
+        code, out, _ = run_cli(["jantzen", "--p", "2", "--d", "2", "--lambda", "20000,0"])
+        assert code == 0 and out.count("χ(") == 15_000
+        assert calls == [Weight((20000, 0))]
+
     def test_trace_lists_terms(self):
         code, out, _ = run_cli(
             ["jantzen", "--p", "2", "--d", "2", "--lambda", "2,0", "--trace"]
@@ -816,7 +833,7 @@ class TestStartUp:
         lines = proc.stdout.splitlines()
         loaded = set(ast.literal_eval(lines[0]))
         assert "jansum.cli" in loaded
-        assert not loaded & {"dataclasses", "inspect", "json"}
+        assert not loaded & {"dataclasses", "inspect", "json", "jansum.oracle"}
         # neither the text report nor the JSON ones, traced or not, load
         # json; they print the same bytes as in-process
         assert lines[-1] == "False"

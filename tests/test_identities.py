@@ -447,7 +447,7 @@ class TestMultiplicityOne:
 
         family = multiplicity_one_report(p, d).families[0]
         assert not family.passed
-        assert (family.missing, family.unexpected, family.wrong_multiplicity) == (missing, [], wrong)
+        assert (family.missing, family.wrong_multiplicity) == (missing, wrong)
         code, out, _ = run_cli(["multiplicity", "--p", str(p), "--d", str(d)])
         assert code == 3
         assert out.splitlines() == [

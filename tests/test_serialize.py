@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     character_to_json,
+    character_to_text,
     identity_report_to_json,
     levi_to_json,
     multiplicity_report_to_json,
@@ -32,6 +33,7 @@ from jansum.lattice import Partition, Weight
 from jansum.serialize import (
     canonical_dumps,
     character_json,
+    character_text,
     identity_report_json,
     levi_json,
     multiplicity_report_json,
@@ -107,6 +109,16 @@ class TestCharacterForm:
             assert parsed_terms(blob) == ch.terms
             assert blob.get("levi") == (ch.levi and levi_to_json(ch.levi))
 
+    def test_text_forms(self):
+        levi = LeviDatum.full(2)
+        assert character_text(FormalCharacter(BASIS_MONOMIAL, None, {})) == "0"
+        assert character_text(FormalCharacter(BASIS_WEYL, levi, {})) == "0"
+        assert character_text(schur_to_monomial(Partition((2, 1)))) == "m[2,1] + 2·m[1,1,1]"
+        ch = FormalCharacter(BASIS_MONOMIAL, None, {Partition((2,)): -2, Partition(()): -1})
+        assert character_text(ch) == "-2·m[2] - m[]"
+        ch = FormalCharacter(BASIS_WEYL, levi, {Weight((0, 1)): -2, Weight((1, 0)): 1})
+        assert character_text(ch) == "+χ(1,0) -2·χ(0,1)"
+
     def test_coefficients_are_decimal_strings(self):
         blob = json.loads(character_json(schur_to_monomial(Partition((2, 2, 1)))))
         assert all(isinstance(t["coeff"], str) for t in blob["terms"])
@@ -178,6 +190,42 @@ class TestWritersMatchTheOracle:
         assert any(c < 0 for ch in samples for c in ch.terms.values())
         for ch in samples:
             assert character_json(ch) == oracle_text(character_to_json(ch))
+
+    def test_character_text(self):
+        # the text writer against the term-by-term oracle: both bases, zero,
+        # +-1, |c| >= 2 and past 2^64, the empty partition, ranks 2..8, and
+        # Levi weights with negative coordinates off the Levi
+        rng = random.Random(1618)
+        samples = [
+            FormalCharacter(BASIS_MONOMIAL, None, {}),
+            FormalCharacter(BASIS_WEYL, LeviDatum(4, (2, 3)), {}),
+            FormalCharacter(BASIS_MONOMIAL, None, {Partition(()): 1}),
+            FormalCharacter(BASIS_MONOMIAL, None, {Partition(()): -(2**64 + 1), Partition((1,)): -1}),
+        ]
+
+        def coeff():
+            small = rng.randint(2, 20)
+            return rng.choice((1, -1, small, -small, 2**64 + small, -(2**70)))
+
+        for d in range(2, 9):
+            for _ in range(6):
+                levi = random_levi(rng, d)
+                samples.append(FormalCharacter(BASIS_WEYL, levi, {
+                    random_levi_dominant(rng, levi): coeff() for _ in range(rng.randint(1, 8))
+                }))
+                samples.append(FormalCharacter(BASIS_MONOMIAL, None, {
+                    Partition(sorted((rng.randint(1, 6) for _ in range(rng.randint(0, d))), reverse=True)):
+                        coeff()
+                    for _ in range(rng.randint(1, 8))
+                }))
+        coeffs = {abs(c) for ch in samples for c in ch.terms.values()}
+        assert 1 in coeffs and min(coeffs - {1}) < 2**64 < max(coeffs)
+        assert any(c < 0 for ch in samples if ch.levi for w in ch.terms for c in w.coords)
+        firsts = {character_text(ch).split(" ")[0][:2] for ch in samples if ch.basis == BASIS_MONOMIAL and ch.terms}
+        assert {"m[", "-m"} <= firsts and any(f[0].isdigit() for f in firsts)
+        assert any(f[0] == "-" and f[1].isdigit() for f in firsts)
+        for ch in samples:
+            assert character_text(ch) == character_to_text(ch)
 
     @pytest.mark.parametrize("d", range(2, 8))
     def test_sum_reports(self, d):
