@@ -5,10 +5,10 @@ Exit codes are a stable contract: 0 success (all checks equal/passed),
 A usage error is reported by argparse, or is the library's own ValueError;
 the CLI repeats none of the library's checks.  No command reads or writes a
 file.  Each subcommand is one entry of `_COMMANDS`: its help, its arguments
-and its handler.  Every command but `selftest` prints through `_reports`,
-each report as soon as it is built (so `sweep` streams), in text or JSON;
-serialize writes every character and trace line in either form, and this
-module only the lines around them.  Only `selftest` loads the oracles.
+and its handler.  Every command but `selftest` writes through `_reports`,
+each report in pieces as soon as it is built (so `sweep` streams), in text
+or JSON; serialize writes every character and trace line in either form,
+and this module only the lines around them.  Only `selftest` loads the oracles.
 
 `_parse` reads a command line straight from `_COMMANDS` and gives the
 attributes argparse would.  Any command line it cannot map exactly (help,
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 import sys
+from itertools import chain
 from types import SimpleNamespace
 
 from .charring import kostka, schur_to_monomial
@@ -78,47 +79,54 @@ def _prime(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# text reports, whose characters and trace lines serialize writes
+# text reports, in pieces that end each line with its own newline, whose
+# characters and trace lines serialize writes
 
 def _identity_line(report: IdentityReport) -> str:
     kind = "prime" if report.prime else "composite"
     verdict = "EQUAL" if report.equal else "DIFFER"
-    return f"n={report.n} {report.which} {verdict} ({kind}, {report.label})"
+    return f"n={report.n} {report.which} {verdict} ({kind}, {report.label})\n"
+
+
+def _character_line(head: str, ch):
+    yield head
+    yield from character_text(ch)
+    yield "\n"
 
 
 def _identity_text(report, args):
     yield _identity_line(report)
     if not report.equal:
-        yield f"diff: {character_text(report.diff)}"
+        yield from _character_line("diff: ", report.diff)
 
 
 def _jantzen_text(report, args):
-    yield f"lambda={report.lam} p={report.p} levi={report.levi.describe()}"
+    yield f"lambda={report.lam} p={report.p} levi={report.levi.describe()}\n"
     if args.trace:
         yield from jantzen_terms_text(report)
-    yield f"total: {character_text(report.total)}"
+    yield from _character_line("total: ", report.total)
 
 
 def _prop_char_text(report, args):
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
-        yield f"p={report.p} d={report.d} i={check.i} {check.levi.describe()} {status}"
+        yield f"p={report.p} d={report.d} i={check.i} {check.levi.describe()} {status}\n"
         if not check.passed:
-            yield f"  expected: {character_text(check.expected)}"
-            yield f"  got:      {character_text(check.total)}"
+            yield from _character_line("  expected: ", check.expected)
+            yield from _character_line("  got:      ", check.total)
             yield from jantzen_terms_text(check.report)
     verdict = "PASS" if report.passed else "FAIL"
-    yield f"{verdict} ({len(report.checks)} checks)"
+    yield f"{verdict} ({len(report.checks)} checks)\n"
 
 
 def _multiplicity_text(report, args):
     for family in report.families:
         status = "PASS" if family.passed else "FAIL"
-        yield f"below {family.target}: {family.term_count} terms {status}"
+        yield f"below {family.target}: {family.term_count} terms {status}\n"
         for mu in family.missing:
-            yield f"  missing {mu}"
+            yield f"  missing {mu}\n"
         for mu, coeff in family.wrong_multiplicity:
-            yield f"  coefficient {coeff} at {mu}"
+            yield f"  coefficient {coeff} at {mu}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +236,20 @@ def _levi(args) -> LeviDatum:
 
 
 def _reports(build, text, to_json, passed=lambda report: True):
-    """The handler of a report command: print each report that build(args)
-    yields as soon as it is built, as the lines of text(report, args) or as
-    the canonical JSON whose pieces to_json(report, args) yields, each piece
-    written as it comes; exit 3 if any failed."""
+    """The handler of a report command: write each report that build(args)
+    yields as soon as it is built, as the pieces of its text lines that
+    text(report, args) yields or as those of its canonical JSON that
+    to_json(report, args) yields, then a newline, each piece written as it
+    comes; exit 3 if any failed."""
+
+    def json_line(report, args):
+        return chain(to_json(report, args), "\n")
 
     def handler(args) -> int:
+        form = json_line if args.json else text
         all_passed = True
         for report in build(args):
-            if args.json:
-                sys.stdout.writelines(to_json(report, args))
-                sys.stdout.write("\n")
-            else:
-                for line in text(report, args):
-                    print(line)
+            sys.stdout.writelines(form(report, args))
             sys.stdout.flush()
             all_passed = passed(report) and all_passed
         return EXIT_OK if all_passed else EXIT_VERIFY
@@ -303,7 +311,7 @@ _COMMANDS = {
         _D, _JSON,
     ], _reports(
         lambda a: [lambda_sequence(a.p, a.d)],
-        lambda weights, a: (f"lambda_{i} = {w}" for i, w in enumerate(weights)),
+        lambda weights, a: (f"lambda_{i} = {w}\n" for i, w in enumerate(weights)),
         lambda weights, a: [
             f'{{"p":{a.p},"d":{a.d},"weights":[{",".join(map(weight_json, weights))}]}}'
         ],
@@ -312,15 +320,15 @@ _COMMANDS = {
         ("--lambda", {**_PARTS, "help": "partition"}), _JSON,
     ], _reports(
         lambda a: [schur_to_monomial(Partition(a.lam))],
-        lambda ch, a: [f"S{Partition(a.lam)} = {character_text(ch)}"],
-        lambda ch, a: [character_json(ch)],
+        lambda ch, a: _character_line(f"S{Partition(a.lam)} = ", ch),
+        lambda ch, a: character_json(ch),
     )),
     "kostka": ("one Kostka number", [
         ("--lambda", {**_PARTS, "help": "shape"}),
         ("--mu", {**_PARTS, "dest": "mu", "help": "content"}), _JSON,
     ], _reports(
         lambda a: [kostka(Partition(a.lam), Partition(a.mu))],
-        lambda value, a: [value],
+        lambda value, a: [f"{value}\n"],
         lambda value, a: [
             f'{{"shape":{partition_json(Partition(a.lam))},'
             f'"content":{partition_json(Partition(a.mu))},"value":{value}}}'
@@ -334,7 +342,7 @@ _COMMANDS = {
     ], _reports(
         lambda a: [dot_normalize(Weight(a.coords), _levi(a))],
         lambda sd, a: [
-            "singular" if sd.is_singular else f"sign={sd.sign:+d} dominant={sd.dominant}"
+            "singular\n" if sd.is_singular else f"sign={sd.sign:+d} dominant={sd.dominant}\n"
         ],
         lambda sd, a: [signed_dominant_json(sd)],
     )),

@@ -36,14 +36,17 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIMALITY_BOUND = 318665857834031151167461
 
 # Most (root, m) terms one Jantzen sum may have.  Time and memory grow with
-# the count: on a 2-CPU machine (Python 3.11, best of 5 on one CPU) `jantzen
+# the count: on a 2-CPU machine (Python 3.11, best of 5, peak RSS) `jantzen
 # --p 2 --d 2 --lambda 100000,0`, the largest such call admitted (100 000
-# terms), takes 0.19 s and 44 MB, 0.20 s and 49 MB with --json, 0.49 s and
-# 44 MB with --trace, 0.40 s and 49 MB with --trace --json (either trace
-# writes each term as the walk makes it and keeps none, so it costs no
-# memory over the untraced call).
+# terms, a total of 75 000 keys), takes 0.16 s, 0.17 s with --json, 0.37 s
+# with --trace and 0.36 s with --trace --json, each in 30 MB: the total is
+# written in pieces and either trace term by term, so no form holds more
+# than the total itself.
 # The largest benchmark call has 20 000 terms; at d = 30 with every
-# coordinate 15 there are about 40 000 at p = 2.
+# coordinate 15 there are about 40 000 at p = 2.  A sum that the Levi's
+# block sizes alone show to be too large is refused before lam + rho is put
+# in epsilon coordinates: `prop-char --p 3 --d 1000000` exits 2 in 0.28 s
+# and 145 MB, spent on the lambda sequence and the Levi.
 TERM_LIMIT = 100_000
 
 
@@ -158,7 +161,8 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
     coefficient once, adding nothing up.  At a root whose pairing c is a
     multiple of p, the levels l and c - l give one dominant weight with
     opposite signs (see _terms_at), so only the levels below c/2 are
-    visited, each weighted v_p(l) - v_p(c - l); level c/2 is singular.
+    visited, each weighted v_p(l) - v_p(c - l), and of those only the ones
+    where that is not 0 (_uncancelled); level c/2 is singular.
     Elsewhere c - l is no level, and each level is a weight of its own.  No
     dominant weight comes from two roots: its block is the root's block
     with x_lo and x_{hi+1} taken out and two values not in the block put
@@ -175,23 +179,46 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
         changed = _changed(lo, hi, d)
         head, tail = coords[: changed.start], coords[changed.stop :]
         mirrored = c % p == 0
-        levels = range(p, (c + 1) // 2 if mirrored else c, p)
+        levels = _uncancelled(p, c) if mirrored else range(p, c, p)
         for level, sign, window in _terms_at(x, lo, hi, levels):
             if sign:
                 coeff = _valuation(p, level)
                 if mirrored:
                     coeff -= _valuation(p, c - level)
-                if coeff:
-                    # every key is dominant for the Levi
-                    total[_trusted_weight(head + window + tail)] = sign * coeff
+                # every key is dominant for the Levi
+                total[_trusted_weight(head + window + tail)] = sign * coeff
     return SumReport(lam, p, levi, _trusted_character(BASIS_WEYL, levi, total))
+
+
+def _uncancelled(p: int, c: int):
+    """Yield, rising, the levels l < c/2 at a root whose pairing c is a
+    multiple of p where v_p(l) - v_p(c - l) is not 0.  With e = v_p(c) and
+    q = p^(e + 1), that is where l = 0 or l = c (mod q): below e both
+    valuations are v_p(l); above it v_p(c - l) is e; at e, v_p(c - l) > e
+    exactly when q divides c - l.  At p = 2 and e = 1 every level is kept."""
+    q = p ** (p_adic_valuation(p, c) + 1)
+    r, half = c % q, (c + 1) // 2  # p <= r < q
+    for base in range(0, half, q):
+        if base:
+            yield base
+        if base + r < half:
+            yield base + r
 
 
 def _roots(lam: Weight, p: int, levi: LeviDatum) -> tuple[tuple[int, ...], list]:
     """(x, [(lo, hi, c) of every root with a term, in root order]), x being
     epsilon(lam + rho) and c = (lam + rho, root^vee) = x_lo - x_{hi+1}.
     Raises ValueError, before any level is met, when the sum has more than
-    TERM_LIMIT terms."""
+    TERM_LIMIT terms, and before x is built when the Levi's block sizes
+    alone show that it has: a root of k simple roots pairs with lam + rho to
+    c >= k, so has at least (k - 1) // p terms, and a block of b simple
+    roots has b - k + 1 roots of k, of which (b - mp)(b - mp + 1) / 2 have
+    k > mp, for each m >= 1."""
+    count = 0
+    for block in levi.blocks:
+        for rest in range(len(block) - 1 - p, 0, -p):  # b - mp
+            count += rest * (rest + 1) // 2
+            _check_term_count(count, p, levi)
     x = to_epsilon(lam + rho(lam.rank))  # x[i - 1] is x_i
     neg = [-e for e in x]  # ascending within each block, for bisect
     roots = []
@@ -205,15 +232,19 @@ def _roots(lam: Weight, p: int, levi: LeviDatum) -> tuple[tuple[int, ...], list]
                 c = xl - x[hi]
                 roots.append((lo, hi, c))
                 count += (c - 1) // p
-                if count > TERM_LIMIT:
-                    raise ValueError(
-                        f"the Jantzen sum at rank d={lam.rank}, p={p}, levi={levi.describe()} "
-                        f"has more than {TERM_LIMIT} terms; refused"
-                    )
+                _check_term_count(count, p, levi)
     return x, roots
 
 
-def _terms_at(x: tuple[int, ...], lo: int, hi: int, levels: range):
+def _check_term_count(count: int, p: int, levi: LeviDatum) -> None:
+    if count > TERM_LIMIT:
+        raise ValueError(
+            f"the Jantzen sum at rank d={levi.rank}, p={p}, levi={levi.describe()} "
+            f"has more than {TERM_LIMIT} terms; refused"
+        )
+
+
+def _terms_at(x: tuple[int, ...], lo: int, hi: int, levels):
     """Yield (level, sign, window) for each of the rising levels at the root
     e_lo - e_{hi+1}, x being epsilon(lam + rho).  sign is 0 for a singular
     term, whose window is None; otherwise it is the sign of the dot

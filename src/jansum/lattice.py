@@ -198,10 +198,11 @@ def partitions_below(b: Partition) -> list[Partition]:
 # Largest dominance ideal a walk accepts.  It bounds the listing of terms
 # (partitions_below, schur_sum_to_monomial, the sides of an identity report
 # that --json prints and the lists of a failing multiplicity family), which
-# grows with the ideal: on one CPU (Python 3.11), with one listing of the
-# walk serving both sides, identity --json takes 0.84 s and 60 MB peak RSS
-# for the second identity at n=45 (89 133 partitions) and 0.82 s and 59 MB
-# for the first at n=23 (84 626), the largest n this limit admits.
+# grows with the ideal: on a 2-CPU machine (Python 3.11, best of 5), with
+# one listing of the walk serving both sides and each side written in
+# pieces, identity --json takes 0.28 s and 47 MB peak RSS for the second
+# identity at n=45 (89 133 partitions) and 0.30 s and 46 MB for the first at
+# n=23 (84 626), the largest n this limit admits.
 # identities._verify checks it too, so a verdict (0.01 s and 0.06 s at
 # those n) is given exactly where its terms can be listed, and so does
 # identities.multiplicity_one_report, before it builds the lambda sequence:

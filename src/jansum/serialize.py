@@ -1,7 +1,7 @@
 """Text and canonical JSON for the library's value types, written directly.
 
-A character is written only here, in either form, from one listing of its
-terms (_listing) in reverse-lexicographic key order.  Each JSON writer gives
+A character is written only here, in either form, from one ordering of its
+keys (_ordered) in reverse-lexicographic order.  Each JSON writer gives
 the text that json.dumps(form, separators=(",", ":")) gives for the value's
 JSON form, without building that form: integers, booleans and the fixed
 keys are formatted here, and only free-text strings (an identity's `which`
@@ -10,8 +10,10 @@ is exactly its own.  Coefficients are decimal strings, so equal values
 always give identical bytes, and parsing then re-serializing is the
 identity on the text.
 
-Scalars and characters are written as one string, and a report as an
-iterator of pieces, so that a caller can print it as it is made.  A Jantzen
+A scalar is written as one string.  A character is written as an iterator
+of pieces, each of at most _PIECE terms, and a report as an iterator of
+pieces that takes in its characters' pieces, so that a caller can write it
+as it is made and no character is ever held as one string.  A Jantzen
 trace comes one term per piece from jantzen._trace, given this module's
 text or JSON forms of a term, a weight and an outcome; it is never held
 whole.
@@ -19,7 +21,8 @@ whole.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
+from operator import attrgetter
 
 from .charring import BASIS_MONOMIAL
 from .jantzen import _trace
@@ -62,44 +65,67 @@ def signed_dominant_json(sd) -> str:
     return _SINGULAR if sd.is_singular else _REGULAR % (sd.sign, weight_json(sd.dominant))
 
 
-def _listing(ch) -> list[tuple[tuple[int, ...], int]]:
-    """[(key, coeff)] in reverse-lexicographic key order, each key as its
-    parts or coordinates: keys are distinct, so no two coefficients are
-    ever compared.  The one place that orders a character's terms."""
-    if ch.basis == BASIS_MONOMIAL:
-        return sorted([(k.parts, c) for k, c in ch.terms.items()], reverse=True)
-    return sorted([(k.coords, c) for k, c in ch.terms.items()], reverse=True)
+def _ordered(ch) -> list:
+    """The character's keys in reverse-lexicographic order of their parts or
+    coordinates: keys are distinct, so no two coefficients are ever
+    compared.  The one place that orders a character's terms."""
+    key = attrgetter("parts" if ch.basis == BASIS_MONOMIAL else "coords")
+    return sorted(ch.terms, key=key, reverse=True)
+
+
+# terms of a character per written piece: no piece, and nothing held while
+# the pieces are written but the ordered keys, grows with the character
+_PIECE = 128
+
+
+def _pieces(terms, sep: str = ","):
+    """The texts of the terms, none empty, joined by sep, _PIECE to a piece;
+    every piece but the first starts with its sep."""
+    lead = ""
+    while chunk := sep.join(islice(terms, _PIECE)):
+        yield lead + chunk
+        lead = sep
 
 
 _MONOMIAL = '{"basis":"monomial","terms":['
 
 
-def character_json(ch) -> str:
+def character_json(ch):
+    """Yield the JSON of a character in pieces of at most _PIECE terms."""
+    terms = ch.terms
     if ch.basis == BASIS_MONOMIAL:
-        head = _MONOMIAL
-        terms = [f'{{"key":[{_ints(parts)}],"coeff":"{c}"}}' for parts, c in _listing(ch)]
+        yield _MONOMIAL
+        written = (f'{{"key":[{_ints(mu.parts)}],"coeff":"{terms[mu]}"}}' for mu in _ordered(ch))
     else:
-        head = f'{{"basis":"weyl","levi":{levi_json(ch.levi)},"terms":['
+        yield f'{{"basis":"weyl","levi":{levi_json(ch.levi)},"terms":['
         d = ch.levi.rank  # every key is a weight of the Levi's rank
         term = '{"key":%s,"coeff":"%%d"}' % (_WEIGHT % (d, ",".join(["%d"] * d)))
-        terms = [term % (*coords, c) for coords, c in _listing(ch)]
-    return head + ",".join(terms) + "]}"
+        written = (term % (*w.coords, terms[w]) for w in _ordered(ch))
+    yield from _pieces(written)
+    yield "]}"
 
 
-def character_text(ch) -> str:
-    """The human form, "0" for zero: 'm[2,1] + 2·m[1,1,1]', whose first term
-    alone has no space after its sign, or '+χ(1,0) -2·χ(0,1)'."""
+def character_text(ch):
+    """Yield the human form of a character in pieces of at most _PIECE
+    terms, "0" for zero: 'm[2,1] + 2·m[1,1,1]', whose first term alone has
+    no space after its sign, or '+χ(1,0) -2·χ(0,1)'."""
+    keys = _ordered(ch)
+    if not keys:
+        yield "0"
+        return
     if ch.basis == BASIS_MONOMIAL:
-        signs, symbol = ("+ ", "- "), "m[%s]"
-        pairs = ((_ints(k), c) for k, c in _listing(ch))
+        signs, symbols = ("+ ", "- "), (f"m[{_ints(mu.parts)}]" for mu in keys)
     else:
-        signs, symbol = "+-", "χ(%s)" % ",".join(["%d"] * ch.levi.rank)
-        pairs = iter(_listing(ch))  # read once, so the listing is freed before the join
-    pieces = [signs[c < 0] + (symbol % k if c == 1 or c == -1 else f"{abs(c)}·{symbol % k}")
-              for k, c in pairs]
-    if pieces and signs[0] == "+ ":  # the first monomial term: "m[..]" or "-m[..]"
-        pieces[0] = pieces[0][2:] if pieces[0][0] == "+" else "-" + pieces[0][2:]
-    return " ".join(pieces) or "0"
+        symbol = "χ(%s)" % ",".join(["%d"] * ch.levi.rank)
+        signs, symbols = "+-", (symbol % w.coords for w in keys)
+    written = (
+        signs[c < 0] + ("" if c == 1 or c == -1 else f"{abs(c)}·") + s
+        for s, c in zip(symbols, map(ch.terms.__getitem__, keys))
+    )
+    if signs[0] == "+ ":  # the first monomial term: "m[..]" or "-m[..]"
+        first = next(written)
+        written = chain([first[2:] if first[0] == "+" else "-" + first[2:]], written)
+    yield from _pieces(written, " ")
 
 
 # a term of a Jantzen trace, after a comma (see jantzen._trace)
@@ -118,17 +144,19 @@ def jantzen_terms_json(report):
 
 
 def jantzen_terms_text(report):
-    """The text line of every term of a Jantzen sum, one per piece."""
-    return _trace(report, "  %(root)s m=%%d level=%%d v=%(valuation)d t=%%d image=%(image)s -> %%s",
-                  "(%s)", "%+d·%s", "singular")
+    """The text line of every term of a Jantzen sum, with its newline, one
+    per piece."""
+    term = "  %(root)s m=%%d level=%%d v=%(valuation)d t=%%d image=%(image)s -> %%s\n"
+    return _trace(report, term, "(%s)", "%+d·%s", "singular")
 
 
 def sum_report_json(report, trace: bool = False):
     """Yield the pieces of a Jantzen sum report; with trace, every term too."""
     yield (
         f'{{"lambda":{weight_json(report.lam)},"p":{report.p},"levi":{levi_json(report.levi)},'
-        f'"total":{character_json(report.total)}'
+        '"total":'
     )
+    yield from character_json(report.total)
     if trace:
         yield ',"terms":'
         yield from jantzen_terms_json(report)
@@ -137,23 +165,35 @@ def sum_report_json(report, trace: bool = False):
 
 def identity_report_json(report):
     """Both sides from the leaves of the report's check, which come in
-    reverse-lexicographic order, each key formatted once: the left side
-    has every leaf with coefficient 1, the right side the nonzero ones with
-    theirs, so an EQUAL report's right side is its left side's text."""
+    reverse-lexicographic order, each key formatted once, into the left
+    side's pieces, which are kept until the right side is written: the left
+    side has every leaf with coefficient 1, and the right side the nonzero
+    ones with theirs, so an EQUAL report's right side is those pieces, and
+    any other's is read from them (_recoefficient)."""
     leaves = report.check.leaves
-    keys = [f'{{"key":[{_ints(mu.parts)}],"coeff":"' for mu, _ in leaves]
-    lhs = _MONOMIAL + ",".join([key + '1"}' for key in keys]) + "]}"
-    if report.equal:
-        rhs = lhs
-    else:
-        terms = [f'{key}{c}"}}' for key, (_, c) in zip(keys, leaves) if c]
-        rhs = _MONOMIAL + ",".join(terms) + "]}"
+    lhs = list(_pieces(f'{{"key":[{_ints(mu.parts)}],"coeff":"1"}}' for mu, _ in leaves))
     yield (
         f'{{"n":{report.n},"which":{canonical_dumps(report.which)},"prime":{_bool(report.prime)},'
-        f'"label":{canonical_dumps(report.label)},"equal":{_bool(report.equal)},"lhs":{lhs}'
+        f'"label":{canonical_dumps(report.label)},"equal":{_bool(report.equal)},"lhs":{_MONOMIAL}'
     )
-    yield f',"rhs":{rhs}'
-    yield f',"diff":{character_json(report.diff)}}}'
+    yield from lhs
+    yield f']}},"rhs":{_MONOMIAL}'
+    yield from lhs if report.equal else _pieces(_recoefficient(lhs, leaves))
+    yield ']},"diff":'
+    yield from character_json(report.diff)
+    yield "}"
+
+
+def _recoefficient(pieces, leaves):
+    """Yield the right side's terms, those of the nonzero leaves, from the
+    left side's pieces: a piece is its leaves' terms, each a key's text and
+    then '1"}', joined by commas, and no key's text holds a "}"."""
+    coeffs = (c for _, c in leaves)
+    for piece in pieces:
+        for key in piece.lstrip(",")[:-3].split('1"},'):
+            c = next(coeffs)
+            if c:
+                yield f'{key}{c}"}}'
 
 
 def prop_char_report_json(report):
@@ -163,9 +203,11 @@ def prop_char_report_json(report):
     for check in report.checks:
         yield (
             f'{sep}{{"i":{check.i},"levi":{canonical_dumps(check.levi.describe())},'
-            f'"passed":{_bool(check.passed)},"total":{character_json(check.total)},'
-            f'"expected":{character_json(check.expected)}'
+            f'"passed":{_bool(check.passed)},"total":'
         )
+        yield from character_json(check.total)
+        yield ',"expected":'
+        yield from character_json(check.expected)
         if not check.passed:
             yield ',"terms":'
             yield from jantzen_terms_json(check.report)

@@ -86,8 +86,8 @@ class TestFormalCharacter:
 
     def test_writers_list_terms_reverse_lex(self):
         x = mono({(1, 1, 1): 5, (3,): 1, (2, 1): 2})
-        assert character_text(x) == "m[3] + 2·m[2,1] + 5·m[1,1,1]"
-        keys = [t["key"] for t in json.loads(character_json(x))["terms"]]
+        assert "".join(character_text(x)) == "m[3] + 2·m[2,1] + 5·m[1,1,1]"
+        keys = [t["key"] for t in json.loads("".join(character_json(x)))["terms"]]
         assert keys == [[3], [2, 1], [1, 1, 1]]
 
 

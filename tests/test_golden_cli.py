@@ -9,9 +9,11 @@ without --trace and as the text --trace; d = 30 at p = 5 and 7, the
 benchmark's first weight for each at seed 1, full and Levi 2..30, as JSON
 with and without --trace, since which roots' mirror levels fold depends on
 p; 20 000 levels at d = 2, as JSON and as the text --trace), the largest
-Jantzen sum admitted (100 000 levels at d = 2, as text and as JSON) and
-the smallest refused, Schur expansions whose prefix bounds bind deep or
-that end in long runs of ones (12,8,4; ten 3s; thirty 2s), the sides of the first
+Jantzen sum admitted (100 000 levels at d = 2, as text, as JSON and as
+--trace --json, whose 75 000-key total spans hundreds of written pieces)
+and the smallest refused, Schur expansions whose prefix bounds bind deep or
+that end in long runs of ones (12,8,4; ten 3s; thirty 2s), one of more than
+three pieces of terms as JSON (8,6,4,2: 417 terms), the sides of the first
 identity at n = 16 and a first sweep to 14 in JSON, the largest identity
 listings admitted (the second at n = 45, the first at n = 23, in JSON),
 multiplicity at p = 7 and, as text and JSON, at p = 11 and 13, the

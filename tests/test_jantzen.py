@@ -258,6 +258,34 @@ class TestFastPath:
         with pytest.raises(ValueError, match="more than 3 terms"):
             jantzen_mod.SumReport(lam, 2, full, FormalCharacter(BASIS_WEYL, full, {})).terms
 
+    def test_huge_sum_refused_before_epsilon(self, monkeypatch):
+        # the Levi's block sizes alone show more than TERM_LIMIT terms
+        import jansum.jantzen as jantzen_mod
+
+        def refuse(*args):
+            raise AssertionError("epsilon coordinates built")
+
+        monkeypatch.setattr(jantzen_mod, "to_epsilon", refuse)
+        with pytest.raises(ValueError) as refused:
+            jantzen_sum(Weight((0,) * 300_000), 3, LeviDatum.full(300_000))
+        assert str(refused.value) == (
+            "the Jantzen sum at rank d=300000, p=3, levi=full has more than 100000 terms; refused"
+        )
+
+    def test_block_bound_never_refuses_an_admitted_sum(self, monkeypatch):
+        # with the limit at a sum's exact term count it is evaluated, and one
+        # below it is refused: the bound from block sizes is a lower bound
+        import jansum.jantzen as jantzen_mod
+
+        for lam, p, levi in _fast_path_cases()[::3] + [(Weight((0,) * 40), 3, LeviDatum.full(40))]:
+            count = len(reference_jantzen(lam, p, levi)[0])
+            monkeypatch.setattr(jantzen_mod, "TERM_LIMIT", count)
+            jantzen_sum(lam, p, levi)
+            if count:
+                monkeypatch.setattr(jantzen_mod, "TERM_LIMIT", count - 1)
+                with pytest.raises(ValueError, match="refused"):
+                    jantzen_sum(lam, p, levi)
+
     def test_huge_term_count_refused_at_once(self):
         started = time.perf_counter()
         with pytest.raises(ValueError, match=f"more than {TERM_LIMIT} terms"):
@@ -332,6 +360,16 @@ class TestWorkCount:
         # each for its mirror too; a[2,2] pairs to 1 and has none
         assert visits == {(1, 1): 10000, (1, 2): 5000}
         assert len(report.total.terms) == 15000
+
+    def test_sum_skips_cancelled_mirror_levels(self, monkeypatch):
+        visits = self._count_levels(monkeypatch)
+        lam, full = Weight((128, 0)), LeviDatum.full(2)
+        report = jantzen_sum(lam, 5, full)
+        # a[1,1] pairs to c = 129: each of its 25 levels; a[1,2] to
+        # c = 130 = 5 * 26, so q = 25: of the 12 levels below 65 only
+        # 5, 25, 30, 50 and 55 (= 0 or 130 mod 25) do not cancel their mirror
+        assert visits == {(1, 1): 25, (1, 2): 5}
+        assert report.total.terms == reference_jantzen(lam, 5, full)[1]
 
     def test_traced_json_visits_the_sum_and_every_term(self, monkeypatch):
         visits = self._count_levels(monkeypatch)

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -28,9 +29,10 @@ from jansum.identities import (
     verify_first_identity,
     verify_second_identity,
 )
-from jansum.jantzen import jantzen_sum, verify_prop_char
+from jansum.jantzen import PropCharCheck, PropCharReport, jantzen_sum, verify_prop_char
 from jansum.lattice import Partition, Weight
 from jansum.serialize import (
+    _PIECE,
     canonical_dumps,
     character_json,
     character_text,
@@ -56,6 +58,14 @@ def parsed_terms(blob: dict) -> dict:
 
 def oracle_text(form) -> str:
     return json.dumps(form, separators=(",", ":"))
+
+
+def json_of(ch) -> str:
+    return "".join(character_json(ch))
+
+
+def text_of(ch) -> str:
+    return "".join(character_text(ch))
 
 
 class TestScalarForms:
@@ -104,23 +114,23 @@ class TestCharacterForm:
             schur_to_monomial(Partition((3, 2))),
             jantzen_sum(Weight((4, 3, 2)), 2, LeviDatum.full(3)).total,
         ):
-            blob = json.loads(character_json(ch))
+            blob = json.loads(json_of(ch))
             assert blob == character_to_json(ch)
             assert parsed_terms(blob) == ch.terms
             assert blob.get("levi") == (ch.levi and levi_to_json(ch.levi))
 
     def test_text_forms(self):
         levi = LeviDatum.full(2)
-        assert character_text(FormalCharacter(BASIS_MONOMIAL, None, {})) == "0"
-        assert character_text(FormalCharacter(BASIS_WEYL, levi, {})) == "0"
-        assert character_text(schur_to_monomial(Partition((2, 1)))) == "m[2,1] + 2·m[1,1,1]"
+        assert text_of(FormalCharacter(BASIS_MONOMIAL, None, {})) == "0"
+        assert text_of(FormalCharacter(BASIS_WEYL, levi, {})) == "0"
+        assert text_of(schur_to_monomial(Partition((2, 1)))) == "m[2,1] + 2·m[1,1,1]"
         ch = FormalCharacter(BASIS_MONOMIAL, None, {Partition((2,)): -2, Partition(()): -1})
-        assert character_text(ch) == "-2·m[2] - m[]"
+        assert text_of(ch) == "-2·m[2] - m[]"
         ch = FormalCharacter(BASIS_WEYL, levi, {Weight((0, 1)): -2, Weight((1, 0)): 1})
-        assert character_text(ch) == "+χ(1,0) -2·χ(0,1)"
+        assert text_of(ch) == "+χ(1,0) -2·χ(0,1)"
 
     def test_coefficients_are_decimal_strings(self):
-        blob = json.loads(character_json(schur_to_monomial(Partition((2, 2, 1)))))
+        blob = json.loads(json_of(schur_to_monomial(Partition((2, 2, 1)))))
         assert all(isinstance(t["coeff"], str) for t in blob["terms"])
 
 
@@ -143,7 +153,7 @@ class TestReportForms:
     def test_canonical_dumps_round_trips_byte_identical(self):
         samples = [
             "".join(identity_report_json(verify_second_identity(5))),
-            character_json(schur_to_monomial(Partition((3, 1, 1)))),
+            json_of(schur_to_monomial(Partition((3, 1, 1)))),
             "".join(sum_report_json(
                 jantzen_sum(Weight((3, 1, 2)), 3, LeviDatum.full(3)), trace=True
             )),
@@ -189,7 +199,7 @@ class TestWritersMatchTheOracle:
             }))
         assert any(c < 0 for ch in samples for c in ch.terms.values())
         for ch in samples:
-            assert character_json(ch) == oracle_text(character_to_json(ch))
+            assert json_of(ch) == oracle_text(character_to_json(ch))
 
     def test_character_text(self):
         # the text writer against the term-by-term oracle: both bases, zero,
@@ -221,11 +231,11 @@ class TestWritersMatchTheOracle:
         coeffs = {abs(c) for ch in samples for c in ch.terms.values()}
         assert 1 in coeffs and min(coeffs - {1}) < 2**64 < max(coeffs)
         assert any(c < 0 for ch in samples if ch.levi for w in ch.terms for c in w.coords)
-        firsts = {character_text(ch).split(" ")[0][:2] for ch in samples if ch.basis == BASIS_MONOMIAL and ch.terms}
+        firsts = {text_of(ch).split(" ")[0][:2] for ch in samples if ch.basis == BASIS_MONOMIAL and ch.terms}
         assert {"m[", "-m"} <= firsts and any(f[0].isdigit() for f in firsts)
         assert any(f[0] == "-" and f[1].isdigit() for f in firsts)
         for ch in samples:
-            assert character_text(ch) == character_to_text(ch)
+            assert text_of(ch) == character_to_text(ch)
 
     @pytest.mark.parametrize("d", range(2, 8))
     def test_sum_reports(self, d):
@@ -297,3 +307,117 @@ class TestWritersMatchTheOracle:
         failing = report._replace(families=[family, report.families[1]])
         for r in (report, failing):
             assert "".join(multiplicity_report_json(r)) == oracle_text(multiplicity_report_to_json(r))
+
+
+def seeded_character(rng: random.Random, basis: str, size: int) -> FormalCharacter:
+    """A character of exactly `size` distinct keys, with coefficients of
+    both signs, 1 and past 1."""
+    if basis == BASIS_MONOMIAL:
+        levi = None
+
+        def key():
+            return Partition(sorted((rng.randint(1, 9) for _ in range(rng.randint(0, 6))), reverse=True))
+    else:
+        levi = random_levi(rng, rng.randint(2, 6))
+
+        def key():
+            return random_levi_dominant(rng, levi, hi=30)
+    terms: dict = {}
+    while len(terms) < size:
+        terms[key()] = rng.choice((1, -1, rng.randint(2, 99), -rng.randint(2, 99)))
+    return FormalCharacter(basis, levi, terms)
+
+
+def terms_per_piece(pieces) -> list[int]:
+    """How many character terms each piece holds, in JSON or text: each
+    term has one key, written '"key":', 'm[' or 'χ('."""
+    return [piece.count('"key":') + piece.count("m[") + piece.count("χ(") for piece in pieces]
+
+
+K = _PIECE
+BOUNDARY_SIZES = (0, 1, K - 1, K, K + 1, 2 * K + 1)
+
+
+class TestPieces:
+    """A character is written in pieces of at most _PIECE terms, which join
+    to its whole form, at every size about a piece boundary."""
+
+    @pytest.mark.parametrize("size", BOUNDARY_SIZES)
+    @pytest.mark.parametrize("basis", [BASIS_MONOMIAL, BASIS_WEYL])
+    def test_character_pieces(self, basis, size):
+        rng = random.Random(size * 7 + (basis == BASIS_WEYL))
+        for _ in range(3):
+            ch = seeded_character(rng, basis, size)
+            json_pieces, text_pieces = list(character_json(ch)), list(character_text(ch))
+            assert "".join(json_pieces) == oracle_text(character_to_json(ch))
+            assert "".join(text_pieces) == character_to_text(ch)
+            for pieces in (json_pieces, text_pieces):
+                counts = terms_per_piece(pieces)
+                assert sum(counts) == size and max(counts) <= K
+                # only the last piece of terms may hold fewer than K
+                assert [c for c in counts if c][:-1] == [K] * (size // K - (size % K == 0))
+
+    def test_failing_identity_report(self, monkeypatch):
+        # the first identity at n = 10 without its last shape: 393 leaves,
+        # 22 of them 0, so the right side skips terms within its pieces
+        real = first_identity_shapes
+        monkeypatch.setattr("jansum.identities.first_identity_shapes", lambda n: real(n)[:-1])
+        report = verify_first_identity(10)
+        leaves = report.check.leaves
+        assert not report.equal and len(leaves) > 2 * K
+        assert len(report.rhs.terms) == len(leaves) - 22 > 2 * K
+        pieces = list(identity_report_json(report))
+        assert "".join(pieces) == oracle_text(identity_report_to_json(report))
+        assert max(terms_per_piece(pieces)) <= K
+        line = "n=10 first DIFFER (composite, conjecture instance)"
+        diff = character_to_text(report.diff)
+        assert run_cli(["identity", "--n", "10", "--which", "first"]) == (3, f"{line}\ndiff: {diff}\n", "")
+
+    def test_failing_prop_char_check(self):
+        # a check whose total and expected character each hold 2K + 1 terms
+        rng = random.Random(99)
+        passing = verify_prop_char(3, 4)
+        check = passing.checks[0]
+        levi = check.levi
+        total, expected = (
+            FormalCharacter(BASIS_WEYL, levi, {
+                random_levi_dominant(rng, levi, hi=40): rng.randint(-9, 9) or 1 for _ in range(3 * K)
+            }) for _ in range(2)
+        )
+        assert min(len(total.terms), len(expected.terms)) > 2 * K
+        failing = PropCharReport(3, 4, [check._replace(passed=False, total=total, expected=expected)])
+        pieces = list(prop_char_report_json(failing))
+        assert "".join(pieces) == oracle_text(prop_char_report_to_json(failing))
+        assert max(terms_per_piece(pieces)) <= K
+
+
+def traced_peak(pieces) -> int:
+    """Bytes of the traced peak while the pieces are made and each dropped."""
+    tracemalloc.start()
+    try:
+        for _ in pieces:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriterMemory:
+    # What writing holds besides the value written, traced (not RSS): no
+    # more than the ordered keys and one piece
+    def test_total_of_75000_keys(self):
+        # the total of `jantzen --p 2 --d 2 --lambda 100000,0` (15.9 MB
+        # traced for its JSON when it was written as one string)
+        report = jantzen_sum(Weight((100000, 0)), 2, LeviDatum.full(2))
+        assert len(report.total.terms) == 75000
+        for writer in (character_json, character_text):
+            assert traced_peak(writer(report.total)) < 2_000_000
+
+    def test_identity_report_at_n40(self):
+        # `identity --n 40 --which second --json`, 3.5 MB written: the left
+        # side's pieces, kept for the right side, hold 1.7 MB of its 37 337
+        # leaves (1.9 MB peak); with a key list and two joined sides the
+        # writer peaked at 9.3 MB
+        report = verify_second_identity(40)
+        assert len(report.check.leaves) == 37337  # listed before tracing
+        assert traced_peak(identity_report_json(report)) < 2_500_000
