@@ -8,14 +8,13 @@ functions, S_lambda = sum over mu of K(lambda, mu) * m_mu, is expanded by
 one memoized walk of the dominance ideal below a top shape (schur_sum_dag),
 which peels a horizontal strip for each part.  One enumerator (_strips)
 lists the strips of a shape for every size up to a cap; the walk's step
-runs it once for each shape of a state, for all the part sizes that the
-state is stepped for in a row, and steps each (state, part) once, while
-kostka asks it for the one size it peels.  The expansion lists the walk's
-leaves, and the coefficient counts that decide an identity or a
-multiplicity-one family are one fold over its keys, of the number of paths
-from the root to each leaf.  A Weyl-basis character of the full group
-enters such a walk through the partitions of its keys
-(lattice.weight_to_partition).
+runs it once for each shape of a state, for all the state's part sizes at
+once, and keeps what it gives for each state, while kostka asks it for the
+one size it peels.  The expansion lists the walk's leaves, and the
+coefficient counts that decide an identity or a multiplicity-one family
+are one fold over its keys, of the number of paths from the root to each
+leaf.  A Weyl-basis character of the full group enters such a walk
+through the partitions of its keys (lattice.weight_to_partition).
 """
 
 from __future__ import annotations
@@ -145,34 +144,29 @@ def kostka(shape: Partition, content: Partition) -> int:
 
 
 def _stepper():
-    """The step of one walk: the state, a set of (shape, coeff), after
-    peeling a horizontal strip of the given size from every shape in every
-    possible way (the branching rule s_lam = sum over strips lam/nu of
-    x_k^|lam/nu| s_nu); zeros dropped.
+    """The step of one walk: step(state, largest) lists, by strip size k =
+    0..largest, the state, a set of (shape, coeff), after peeling a
+    horizontal strip of size k from every shape in every possible way (the
+    branching rule s_lam = sum over strips lam/nu of x_k^|lam/nu| s_nu);
+    zeros dropped, and entry 0 is the state itself.
 
-    Each (state, size) is stepped once.  ideal_dag steps a state for the
-    sizes largest, largest - 1, ... back to back, so the strips of each
-    shape of a state are enumerated once, for every size up to the first
-    one asked, and the sums they give are kept only until another state is
-    stepped.
+    The list is kept for each state, so the strips of each shape of a state
+    are enumerated once for all its sizes, and again only when a larger
+    largest is asked.
     """
-    memo: dict[tuple, frozenset] = {}
-    # the state stepped last, and its sums {inner: coeff} by strip size
-    held, by_size = None, []
+    memo: dict[frozenset, list] = {}
 
-    def step(state: frozenset, size: int) -> frozenset:
-        nonlocal held, by_size
-        out = memo.get((state, size))
-        if out is None:
-            if state != held or size >= len(by_size):
-                sums: list[dict] = [{} for _ in range(size + 1)]
-                for shape, coeff in state:
-                    for found, total in zip(_strips(shape, size), sums):
-                        for inner in found:
-                            total[inner] = total.get(inner, 0) + coeff
-                held, by_size = state, sums
-            out = frozenset((inner, c) for inner, c in by_size[size].items() if c)
-            memo[state, size] = out
+    def step(state: frozenset, largest: int) -> list:
+        out = memo.get(state)
+        if out is None or len(out) <= largest:
+            sums: list[dict] = [{} for _ in range(largest)]
+            for shape, coeff in state:
+                for found, total in zip(_strips(shape, largest, 1)[1:], sums):
+                    for inner in found:
+                        total[inner] = total.get(inner, 0) + coeff
+            out = [state]
+            out += (frozenset((inner, c) for inner, c in total.items() if c) for total in sums)
+            memo[state] = out
         return out
 
     return step

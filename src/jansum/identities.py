@@ -29,7 +29,7 @@ its monomial expansion is multiplicity-free on the ideal below (p-1, p-1,
 
 A verdict, on an identity or on such a family, expands neither side: it
 builds the memoized walk of the Schur sum over the ideal
-(charring.schur_sum_dag), each state peeled once for each part size,
+(charring.schur_sum_dag), each state stepped once for all its part sizes,
 and counts how often each coefficient occurs at its leaves by folding the
 number of paths from the root to each (charring.coefficient_counts), and
 the sum is the sum of m_mu over the ideal when every coefficient is 1

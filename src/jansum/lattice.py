@@ -192,7 +192,7 @@ def partitions_below(b: Partition) -> list[Partition]:
     Raises ValueError, before walking, when check_ideal_size refuses b.
     """
     check_ideal_size(b)
-    return [mu for mu, _ in ideal_leaves(ideal_dag(b, None, lambda state, part: None))]
+    return [mu for mu, _ in ideal_leaves(ideal_dag(b, None, lambda state, k: [None] * (k + 1)))]
 
 
 # Largest dominance ideal a walk accepts.  It bounds the listing of terms
@@ -243,23 +243,21 @@ def ideal_dag(b: Partition, state, step) -> dict[tuple, tuple]:
     """The memoized walk of the partitions below b, carrying a state.
 
     Each partition is built one part at a time, largest first, and
-    `step(state, part)` gives the hashable state after that part.  What lies
-    below a node depends only on its key: (state, size left, largest part
-    allowed, depth while a prefix sum of b still binds), so each key is
-    stepped once, however many partitions pass through it.  Returns each
-    key's children: the key after taking the largest part allowed, then the
-    same key with a largest part one less.  Once that part is 1, all parts
-    left are 1 and no prefix sum binds, so such a key has the last depth and
-    one child, its leaf; a leaf has none.  Keys are stored children first,
-    so the root is the last.  The ideal's size is not checked here.  The
-    walk keeps its own stack, so no partition is too long for it.
+    `step(state, largest)` lists the hashable state after each part 0,
+    1, ..., largest.  What lies below a node depends only on its key:
+    (state, size left, largest part allowed, depth while a prefix sum of b
+    still binds), so each key is stepped once, however many partitions
+    pass through it.  Returns each key's children: the key after taking the
+    largest part allowed, then the same key with a largest part one less.
+    Once that part is 1, all parts left are 1 and no prefix sum binds, so
+    such a key has the last depth and one child, its leaf; a leaf has none.
+    Keys are stored children first, so the root is the last.  The ideal's
+    size is not checked here.  The walk keeps its own stack, so no
+    partition is too long for it.
 
-    A state is stepped for every part of its chain of siblings (largest
-    allowed, one less, ..., 2) back to back, before any key below it, so a
-    step can keep what it has worked out for one state until the next; the
-    keys after those parts are then walked largest part first, which more
-    often reaches a state first with the largest part it is allowed than
-    the smallest-first order does.
+    The key after the largest part allowed is walked before its sibling, so
+    a state is more often stepped first for the largest part it is allowed,
+    whose list holds the states after every smaller part too.
     """
     n = b.size
     # the first k+1 parts add up to at most bounds[min(k, b.length)]
@@ -284,29 +282,20 @@ def ideal_dag(b: Partition, state, step) -> dict[tuple, tuple]:
             run = []
             while left and key not in dag:
                 run.append(key)
-                state = step(state, 1)
+                state = step(state, 1)[1]
                 left -= 1
                 key = (state, left, 1 if left else 0, free)
             leaf = dag[key][0] if left else key
             dag.setdefault(leaf, ())
             dag.update(dict.fromkeys(reversed(run), (leaf,)))
         else:
-            # step the state for the largest part allowed, then for one less,
-            # down to 2, back to back: the chain of siblings of one state
-            chain = []
-            while largest > 1 and key not in dag:
-                nxt = min(largest, bounds[min(depth + 1, b.length)] - (n - left + largest))
-                deeper = free if nxt == 1 else min(depth + 1, free)
-                sibling = (state, left, largest - 1, free if largest == 2 else depth)
-                waiting[key] = ((step(state, largest), left - largest, nxt, deeper), sibling)
-                chain.append(key)
-                key, largest, depth = sibling, largest - 1, sibling[3]
-            # each key of the chain is stored after the last sibling (a key
-            # with largest part 1, or one stored already) and the keys after
-            # the chain's parts, which are walked largest part first
-            stack += chain
-            stack.append(key)
-            stack += [waiting[k][0] for k in reversed(chain)]
+            nxt = min(largest, bounds[min(depth + 1, b.length)] - (n - left + largest))
+            deeper = free if nxt == 1 else min(depth + 1, free)
+            child = (step(state, largest)[largest], left - largest, nxt, deeper)
+            sibling = (state, left, largest - 1, free if largest == 2 else depth)
+            waiting[key] = (child, sibling)
+            # the key is stored after both, and the child is walked first
+            stack += (key, sibling, child)
     return dag
 
 

@@ -165,35 +165,26 @@ def sum_report_json(report, trace: bool = False):
 
 def identity_report_json(report):
     """Both sides from the leaves of the report's check, which come in
-    reverse-lexicographic order, each key formatted once, into the left
-    side's pieces, which are kept until the right side is written: the left
-    side has every leaf with coefficient 1, and the right side the nonzero
-    ones with theirs, so an EQUAL report's right side is those pieces, and
-    any other's is read from them (_recoefficient)."""
+    reverse-lexicographic order: the left side has every leaf with
+    coefficient 1, each key formatted once into pieces that are kept until
+    the right side is written, and the right side the nonzero leaves with
+    theirs, so an EQUAL report's right side is those pieces, and any
+    other's is written from the leaves."""
     leaves = report.check.leaves
-    lhs = list(_pieces(f'{{"key":[{_ints(mu.parts)}],"coeff":"1"}}' for mu, _ in leaves))
+    term = '{"key":[%s],"coeff":"%d"}'
+    lhs = list(_pieces(term % (_ints(mu.parts), 1) for mu, _ in leaves))
     yield (
         f'{{"n":{report.n},"which":{canonical_dumps(report.which)},"prime":{_bool(report.prime)},'
         f'"label":{canonical_dumps(report.label)},"equal":{_bool(report.equal)},"lhs":{_MONOMIAL}'
     )
     yield from lhs
     yield f']}},"rhs":{_MONOMIAL}'
-    yield from lhs if report.equal else _pieces(_recoefficient(lhs, leaves))
+    yield from lhs if report.equal else _pieces(
+        term % (_ints(mu.parts), c) for mu, c in leaves if c
+    )
     yield ']},"diff":'
     yield from character_json(report.diff)
     yield "}"
-
-
-def _recoefficient(pieces, leaves):
-    """Yield the right side's terms, those of the nonzero leaves, from the
-    left side's pieces: a piece is its leaves' terms, each a key's text and
-    then '1"}', joined by commas, and no key's text holds a "}"."""
-    coeffs = (c for _, c in leaves)
-    for piece in pieces:
-        for key in piece.lstrip(",")[:-3].split('1"},'):
-            c = next(coeffs)
-            if c:
-                yield f'{key}{c}"}}'
 
 
 def prop_char_report_json(report):

@@ -308,19 +308,27 @@ class TestWorkCounts:
         runs = []
         real = charring._strips
         monkeypatch.setattr(charring, "_strips", lambda *args: runs.append(args) or real(*args))
-        keys = sum(len(report.check.dag) for report in reports())
-        return len(runs), keys
+        dags = [report.check.dag for report in reports()]
+        return len(runs), sum(map(len, dags)), dags
 
     def test_second_sweep_to_30(self, monkeypatch):
-        runs, keys = self.counted(monkeypatch, lambda: conjecture_sweep(2, 30, "second"))
-        assert (runs, keys) == (1304, 2824)
+        runs, keys, dags = self.counted(monkeypatch, lambda: conjecture_sweep(2, 30, "second"))
+        assert (runs, keys) == (870, 2824)
         # a strip enumeration per (shape, part size) made 10 915 runs
         assert runs < 2000
+        # each state is stepped once for all its part sizes: one run per
+        # shape of each distinct state that a key with cells left steps
+        stepped = [{key[0] for key in dag if key[1]} for dag in dags]
+        assert runs == sum(len(state) for states in stepped for state in states)
+
+    def test_first_sweep_to_12(self, monkeypatch):
+        runs, keys, _ = self.counted(monkeypatch, lambda: conjecture_sweep(2, 12, "first"))
+        assert (runs, keys) == (710, 666)
 
     def test_second_identity_at_5(self, monkeypatch):
         # an ideal of 6 partitions
-        runs, keys = self.counted(monkeypatch, lambda: [verify_second_identity(5)])
-        assert (runs, keys) == (12, 11)
+        runs, keys, _ = self.counted(monkeypatch, lambda: [verify_second_identity(5)])
+        assert (runs, keys) == (8, 11)
 
 
 class TestLazySides:
