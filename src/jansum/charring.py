@@ -144,30 +144,31 @@ def kostka(shape: Partition, content: Partition) -> int:
 
 
 def _stepper():
-    """The step of one walk: step(state, largest) lists, by strip size k =
-    0..largest, the state, a set of (shape, coeff), after peeling a
-    horizontal strip of size k from every shape in every possible way (the
-    branching rule s_lam = sum over strips lam/nu of x_k^|lam/nu| s_nu);
-    zeros dropped, and entry 0 is the state itself.
+    """The step of one walk: step(state, k) is the state, a set of (shape,
+    coeff), left after peeling a horizontal strip of size k from every
+    shape in every possible way (the branching rule s_lam = sum over strips
+    lam/nu of x_k^|lam/nu| s_nu), with zeros dropped; size 0 leaves the
+    state itself.
 
-    The list is kept for each state, so the strips of each shape of a state
-    are enumerated once for all its sizes, and again only when a larger
-    largest is asked.
+    The strips of a state's shapes are enumerated for every size up to k at
+    once, and the states after each of those sizes are kept, listed by
+    size, for each state: a state is enumerated once for all its sizes, and
+    again only when a size larger than any asked before is.
     """
     memo: dict[frozenset, list] = {}
 
-    def step(state: frozenset, largest: int) -> list:
+    def step(state: frozenset, k: int) -> frozenset:
         out = memo.get(state)
-        if out is None or len(out) <= largest:
-            sums: list[dict] = [{} for _ in range(largest)]
+        if out is None or len(out) <= k:
+            sums: list[dict] = [{} for _ in range(k)]
             for shape, coeff in state:
-                for found, total in zip(_strips(shape, largest, 1)[1:], sums):
+                for found, total in zip(_strips(shape, k, 1)[1:], sums):
                     for inner in found:
                         total[inner] = total.get(inner, 0) + coeff
             out = [state]
             out += (frozenset((inner, c) for inner, c in total.items() if c) for total in sums)
             memo[state] = out
-        return out
+        return out[k]
 
     return step
 

@@ -13,9 +13,10 @@ of one root are evaluated together, in closed form on the epsilon
 coordinates of lambda + rho, building only the coordinates a term changes
 (_terms_at); the total folds mirror levels and sets each coefficient once
 (jantzen_sum).  A report carries the total.  The trace of every term,
-singular ones included, is written as text, one term at a time, by _trace,
-which serialize's text and JSON traces share; the JantzenTerm records of
-SumReport.terms are built only when read.
+singular ones included, comes from _walk, one frame per root holding that
+root's levels: _trace writes it as text, one term at a time, for
+serialize's text and JSON traces, and SumReport.terms builds its
+JantzenTerm records when first read.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import pairwise
 from typing import NamedTuple
 
 from .charring import BASIS_WEYL, FormalCharacter, _trusted_character
-from .lattice import Root, Weight, _trusted_root, _trusted_weight, rho
+from .lattice import Root, Weight, _trusted_weight, rho
 from .weyl import LeviDatum, SignedDominant, _trusted_signed, to_epsilon
 
 
@@ -36,17 +37,16 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIMALITY_BOUND = 318665857834031151167461
 
 # Most (root, m) terms one Jantzen sum may have.  Time and memory grow with
-# the count: on a 2-CPU machine (Python 3.11, best of 5, peak RSS) `jantzen
-# --p 2 --d 2 --lambda 100000,0`, the largest such call admitted (100 000
-# terms, a total of 75 000 keys), takes 0.16 s, 0.17 s with --json, 0.37 s
-# with --trace and 0.36 s with --trace --json, each in 30 MB: the total is
-# written in pieces and either trace term by term, so no form holds more
-# than the total itself.
+# the count: `jantzen --p 2 --d 2 --lambda 100000,0`, the largest such call
+# admitted (100 000 terms, a total of 75 000 keys), peaks at 30 MB of RSS
+# (Python 3.11 on Linux) as text, --json, --trace and --trace --json alike:
+# the total is written in pieces and either trace term by term, so no form
+# holds more than the total itself.
 # The largest benchmark call has 20 000 terms; at d = 30 with every
 # coordinate 15 there are about 40 000 at p = 2.  A sum that the Levi's
 # block sizes alone show to be too large is refused before lam + rho is put
-# in epsilon coordinates: `prop-char --p 3 --d 1000000` exits 2 in 0.28 s
-# and 145 MB, spent on the lambda sequence and the Levi.
+# in epsilon coordinates: `prop-char --p 3 --d 1000000` exits 2 in 145 MB,
+# spent on the lambda sequence and the Levi.
 TERM_LIMIT = 100_000
 
 
@@ -119,8 +119,8 @@ class SumReport:
     def terms(self) -> tuple[JantzenTerm, ...]:
         """Every (root, m) term, singular ones included, in root then m order.
 
-        Built on first read by walking the sum again (_walk, every level of
-        every root, each term's dominant weight as lam with its changed
+        Built on first read by walking the sum again (_walk: for each root,
+        its levels, each term's dominant weight as lam with its changed
         window put in), and kept.  The written traces stream from _trace
         instead; only perfbench/tracer.py (which counts terms) and the tests
         read it.
@@ -129,22 +129,21 @@ class SumReport:
         coords, d = lam.coords, lam.rank
         singular = SignedDominant.singular()
         terms = []
-        current = None
-        for root, level, c, valuation, sign, window in _walk(lam, p, self.levi):
-            if root is not current:
-                current, change = root, _image_change(root, d)
-                changed = _changed(root.lo, root.hi, d)
-                head, tail = coords[: changed.start], coords[changed.stop :]
-            t = c - level
-            image = list(coords)
-            for i, k in change.items():
-                image[i] += k * t
-            if sign:
-                outcome = _trusted_signed(sign, _trusted_weight(head + window + tail))
-            else:
-                outcome = singular
-            image = _trusted_weight(tuple(image))
-            terms.append(JantzenTerm(root, level // p, level, t, valuation, image, outcome))
+        for lo, hi, c, levels in _walk(lam, p, self.levi):
+            root, change = Root(lo, hi), _image_change(lo, hi, d)
+            changed = _changed(lo, hi, d)
+            head, tail = coords[: changed.start], coords[changed.stop :]
+            for level, valuation, sign, window in levels:
+                t = c - level
+                image = list(coords)
+                for i, k in change.items():
+                    image[i] += k * t
+                if sign:
+                    outcome = _trusted_signed(sign, _trusted_weight(head + window + tail))
+                else:
+                    outcome = singular
+                image = _trusted_weight(tuple(image))
+                terms.append(JantzenTerm(root, level // p, level, t, valuation, image, outcome))
         return tuple(terms)
 
 
@@ -289,16 +288,17 @@ def _terms_at(x: tuple[int, ...], lo: int, hi: int, levels):
 
 
 def _walk(lam: Weight, p: int, levi: LeviDatum):
-    """Yield (root, level, c, valuation, sign, window) for every term of the
-    sum, singular ones included, in root order, then level order: c is
-    (lam + rho, root^vee), and sign and window are _terms_at's.  lam must
-    be dominant for the Levi.  Raises ValueError, before the first term,
-    when there are more than TERM_LIMIT."""
+    """Yield (lo, hi, c, levels) once for each root alpha_{lo,hi} with a
+    term, in root order: c is (lam + rho, root^vee), and levels yields
+    (level, valuation, sign, window) for every level of the root, rising,
+    singular ones included, with sign and window as _terms_at gives them.
+    lam must be dominant for the Levi.  Raises ValueError, before the first
+    root, when the sum has more than TERM_LIMIT terms."""
     x, roots = _roots(lam, p, levi)
     for lo, hi, c in roots:
-        root = _trusted_root(lo, hi)
-        for level, sign, window in _terms_at(x, lo, hi, range(p, c, p)):
-            yield root, level, c, _valuation(p, level), sign, window
+        terms = _terms_at(x, lo, hi, range(p, c, p))
+        levels = ((level, _valuation(p, level), sign, window) for level, sign, window in terms)
+        yield lo, hi, c, levels
 
 
 def _valuation(p: int, level: int) -> int:
@@ -312,11 +312,11 @@ def _changed(lo: int, hi: int, d: int) -> range:
     return range(max(lo - 2, 0), min(hi + 1, d))
 
 
-def _image_change(root: Root, d: int) -> dict[int, int]:
+def _image_change(lo: int, hi: int, d: int) -> dict[int, int]:
     """{i: k}, in increasing i: the image lam - t * root of a term at the root
-    is lam plus k * t at each 0-based coordinate i and lam elsewhere, as the
-    root is -1, +1, +1, -1 at lo-1, lo, hi, hi+1 (lo = hi adds up to +2)."""
-    lo, hi = root.lo, root.hi
+    alpha_{lo,hi} is lam plus k * t at each 0-based coordinate i and lam
+    elsewhere, as the root is -1, +1, +1, -1 at lo-1, lo, hi, hi+1 (lo = hi
+    adds up to +2)."""
     change = {lo - 2: 1} if lo > 1 else {}
     change[lo - 1] = -1
     change[hi - 1] = change.get(hi - 1, 0) - 1
@@ -330,36 +330,35 @@ def _trace(report: SumReport, term: str, weight: str, regular: str, singular: st
     _walk order (that of SumReport.terms), in the %-template forms given:
     weight takes comma-separated coordinates, regular a sign and a weight,
     and singular is the singular outcome; term is filled once per root and
-    valuation from the named fields root, lo, hi, valuation and image, and
-    then takes m, level, t, the image coordinates _image_change names, and
-    the outcome.  Image and dominant weight differ from lam only at
-    _changed, so each root writes the rest once, and each term only
+    valuation from the named fields lo, hi, valuation and image, and then
+    takes m, level, t, the image coordinates _image_change names, and the
+    outcome.  Image and dominant weight differ from lam only at _changed,
+    so each root's frame writes the rest once, and each of its levels only
     its window.
     """
     lam, p = report.lam, report.p
     coords, d = lam.coords, lam.rank
     written = [str(c) for c in coords]
-    current = None
-    for root, level, c, valuation, sign, window in _walk(lam, p, report.levi):
-        if root is not current:
-            current, change = root, _image_change(root, d)
-            slots = [(coords[i], k) for i, k in change.items()]
-            changed = _changed(root.lo, root.hi, d)
-            head, tail = written[: changed.start], written[changed.stop :]
-            image = head + ["%d" if i in change else written[i] for i in changed] + tail
-            fields = {"root": root, "lo": root.lo, "hi": root.hi, "image": weight % ",".join(image)}
-            # by valuation (at most 1 + log_p(TERM_LIMIT)), which the template
-            # holds so that a form may place it anywhere among m, level and t
-            templates = [None] * 64
-            dominant = weight % ",".join(head + ["%d"] * len(changed) + tail)
-            forms = {1: regular % (1, dominant), -1: regular % (-1, dominant)}
-        template = templates[valuation]
-        if template is None:
-            fields["valuation"] = valuation
-            template = templates[valuation] = term % fields
-        t = c - level
-        outcome = forms[sign] % window if sign else singular
-        yield template % (level // p, level, t, *[b + k * t for b, k in slots], outcome)
+    for lo, hi, c, levels in _walk(lam, p, report.levi):
+        change = _image_change(lo, hi, d)
+        slots = [(coords[i], k) for i, k in change.items()]
+        changed = _changed(lo, hi, d)
+        head, tail = written[: changed.start], written[changed.stop :]
+        image = head + ["%d" if i in change else written[i] for i in changed] + tail
+        fields = {"lo": lo, "hi": hi, "image": weight % ",".join(image)}
+        # by valuation (at most 1 + log_p(TERM_LIMIT)), which the template
+        # holds so that a form may place it anywhere among m, level and t
+        templates = [None] * 64
+        dominant = weight % ",".join(head + ["%d"] * len(changed) + tail)
+        forms = {1: regular % (1, dominant), -1: regular % (-1, dominant)}
+        for level, valuation, sign, window in levels:
+            template = templates[valuation]
+            if template is None:
+                fields["valuation"] = valuation
+                template = templates[valuation] = term % fields
+            t = c - level
+            outcome = forms[sign] % window if sign else singular
+            yield template % (level // p, level, t, *[b + k * t for b, k in slots], outcome)
 
 
 def lambda_sequence(p: int, d: int) -> list[Weight]:

@@ -155,14 +155,6 @@ def _trusted_weight(coords: tuple[int, ...]) -> Weight:
     return w
 
 
-def _trusted_root(lo: int, hi: int) -> Root:
-    """The Root of integers 1 <= lo <= hi that the library built."""
-    r = Root.__new__(Root)
-    r.lo = lo
-    r.hi = hi
-    return r
-
-
 def pairing(w: Weight, r: Root) -> int:
     """Pairing of w with the coroot of alpha_{lo,hi}: sum of coords lo..hi."""
     if r.hi > w.rank:
@@ -192,24 +184,23 @@ def partitions_below(b: Partition) -> list[Partition]:
     Raises ValueError, before walking, when check_ideal_size refuses b.
     """
     check_ideal_size(b)
-    return [mu for mu, _ in ideal_leaves(ideal_dag(b, None, lambda state, k: [None] * (k + 1)))]
+    return [mu for mu, _ in ideal_leaves(ideal_dag(b, None, lambda state, k: None))]
 
 
 # Largest dominance ideal a walk accepts.  It bounds the listing of terms
 # (partitions_below, schur_sum_to_monomial, the sides of an identity report
 # that --json prints and the lists of a failing multiplicity family), which
-# grows with the ideal: on a 2-CPU machine (Python 3.11, best of 5), with
-# one listing of the walk serving both sides and each side written in
-# pieces, identity --json takes 0.28 s and 47 MB peak RSS for the second
-# identity at n=45 (89 133 partitions) and 0.30 s and 46 MB for the first at
-# n=23 (84 626), the largest n this limit admits.
-# identities._verify checks it too, so a verdict (0.01 s and 0.06 s at
-# those n) is given exactly where its terms can be listed, and so does
-# identities.multiplicity_one_report, before it builds the lambda sequence:
-# multiplicity is admitted up to p = 23, where each of its two ideals is
-# walked once, by a SupportCheck, and the command takes 0.15 s and 16 MB,
-# text or JSON (one CPU).  n=150, about 4e10 partitions, is refused at once,
-# and so is multiplicity at p = 1009 (0.1 s).
+# grows with the ideal: with one listing of the walk serving both sides and
+# each side written in pieces, identity --json peaks at 47 MB of RSS
+# (Python 3.11 on Linux) for the second identity at n=45 (89 133
+# partitions) and for the first at n=23 (84 626), the largest n this limit
+# admits.
+# identities._verify checks it too, so a verdict is given exactly where its
+# terms can be listed, and so does identities.multiplicity_one_report,
+# before it builds the lambda sequence: multiplicity is admitted up to
+# p = 23, where each of its two ideals is walked once, by a SupportCheck.
+# n=150, about 4e10 partitions, is refused at once, and so is multiplicity
+# at p = 1009.
 IDEAL_LIMIT = 100_000
 
 
@@ -243,8 +234,8 @@ def ideal_dag(b: Partition, state, step) -> dict[tuple, tuple]:
     """The memoized walk of the partitions below b, carrying a state.
 
     Each partition is built one part at a time, largest first, and
-    `step(state, largest)` lists the hashable state after each part 0,
-    1, ..., largest.  What lies below a node depends only on its key:
+    `step(state, k)` gives the hashable state after a part of size k.
+    What lies below a node depends only on its key:
     (state, size left, largest part allowed, depth while a prefix sum of b
     still binds), so each key is stepped once, however many partitions
     pass through it.  Returns each key's children: the key after taking the
@@ -256,8 +247,9 @@ def ideal_dag(b: Partition, state, step) -> dict[tuple, tuple]:
     partition is too long for it.
 
     The key after the largest part allowed is walked before its sibling, so
-    a state is more often stepped first for the largest part it is allowed,
-    whose list holds the states after every smaller part too.
+    a state is more often stepped first for the largest part it is allowed
+    and then for the smaller ones: a step that finds the smaller parts'
+    states while finding the largest one's can keep them for those calls.
     """
     n = b.size
     # the first k+1 parts add up to at most bounds[min(k, b.length)]
@@ -282,7 +274,7 @@ def ideal_dag(b: Partition, state, step) -> dict[tuple, tuple]:
             run = []
             while left and key not in dag:
                 run.append(key)
-                state = step(state, 1)[1]
+                state = step(state, 1)
                 left -= 1
                 key = (state, left, 1 if left else 0, free)
             leaf = dag[key][0] if left else key
@@ -291,7 +283,7 @@ def ideal_dag(b: Partition, state, step) -> dict[tuple, tuple]:
         else:
             nxt = min(largest, bounds[min(depth + 1, b.length)] - (n - left + largest))
             deeper = free if nxt == 1 else min(depth + 1, free)
-            child = (step(state, largest)[largest], left - largest, nxt, deeper)
+            child = (step(state, largest), left - largest, nxt, deeper)
             sibling = (state, left, largest - 1, free if largest == 2 else depth)
             waiting[key] = (child, sibling)
             # the key is stored after both, and the child is walked first

@@ -3,12 +3,13 @@
 A character is written only here, in either form, from one ordering of its
 keys (_ordered) in reverse-lexicographic order.  Each JSON writer gives
 the text that json.dumps(form, separators=(",", ":")) gives for the value's
-JSON form, without building that form: integers, booleans and the fixed
-keys are formatted here, and only free-text strings (an identity's `which`
-and `label`, a Levi's description) go through json.dumps, so their escaping
-is exactly its own.  Coefficients are decimal strings, so equal values
-always give identical bytes, and parsing then re-serializing is the
-identity on the text.
+JSON form, without building that form or loading json: integers, booleans
+and the fixed keys are formatted here, and the only strings (an identity's
+`which` and `label`, a Levi's description) come from a fixed ASCII
+vocabulary with nothing to escape, so they are written between quotes as
+they are.  Coefficients are decimal strings, so equal values always give
+identical bytes, and parsing then re-serializing is the identity on the
+text.
 
 A scalar is written as one string.  A character is written as an iterator
 of pieces, each of at most _PIECE terms, and a report as an iterator of
@@ -26,12 +27,6 @@ from operator import attrgetter
 
 from .charring import BASIS_MONOMIAL
 from .jantzen import _trace
-
-
-def canonical_dumps(obj) -> str:
-    import json  # here, not at the top: a command that prints no free text never loads it
-
-    return json.dumps(obj, separators=(",", ":"))
 
 
 def _ints(values) -> str:
@@ -88,6 +83,7 @@ def _pieces(terms, sep: str = ","):
 
 
 _MONOMIAL = '{"basis":"monomial","terms":['
+_MONOMIAL_TERM = '{"key":[%s],"coeff":"%d"}'
 
 
 def character_json(ch):
@@ -95,7 +91,7 @@ def character_json(ch):
     terms = ch.terms
     if ch.basis == BASIS_MONOMIAL:
         yield _MONOMIAL
-        written = (f'{{"key":[{_ints(mu.parts)}],"coeff":"{terms[mu]}"}}' for mu in _ordered(ch))
+        written = (_MONOMIAL_TERM % (_ints(mu.parts), terms[mu]) for mu in _ordered(ch))
     else:
         yield f'{{"basis":"weyl","levi":{levi_json(ch.levi)},"terms":['
         d = ch.levi.rank  # every key is a weight of the Levi's rank
@@ -146,7 +142,7 @@ def jantzen_terms_json(report):
 def jantzen_terms_text(report):
     """The text line of every term of a Jantzen sum, with its newline, one
     per piece."""
-    term = "  %(root)s m=%%d level=%%d v=%(valuation)d t=%%d image=%(image)s -> %%s\n"
+    term = "  a[%(lo)d,%(hi)d] m=%%d level=%%d v=%(valuation)d t=%%d image=%(image)s -> %%s\n"
     return _trace(report, term, "(%s)", "%+d·%s", "singular")
 
 
@@ -171,16 +167,15 @@ def identity_report_json(report):
     theirs, so an EQUAL report's right side is those pieces, and any
     other's is written from the leaves."""
     leaves = report.check.leaves
-    term = '{"key":[%s],"coeff":"%d"}'
-    lhs = list(_pieces(term % (_ints(mu.parts), 1) for mu, _ in leaves))
+    lhs = list(_pieces(_MONOMIAL_TERM % (_ints(mu.parts), 1) for mu, _ in leaves))
     yield (
-        f'{{"n":{report.n},"which":{canonical_dumps(report.which)},"prime":{_bool(report.prime)},'
-        f'"label":{canonical_dumps(report.label)},"equal":{_bool(report.equal)},"lhs":{_MONOMIAL}'
+        f'{{"n":{report.n},"which":"{report.which}","prime":{_bool(report.prime)},'
+        f'"label":"{report.label}","equal":{_bool(report.equal)},"lhs":{_MONOMIAL}'
     )
     yield from lhs
     yield f']}},"rhs":{_MONOMIAL}'
     yield from lhs if report.equal else _pieces(
-        term % (_ints(mu.parts), c) for mu, c in leaves if c
+        _MONOMIAL_TERM % (_ints(mu.parts), c) for mu, c in leaves if c
     )
     yield ']},"diff":'
     yield from character_json(report.diff)
@@ -193,7 +188,7 @@ def prop_char_report_json(report):
     sep = ""
     for check in report.checks:
         yield (
-            f'{sep}{{"i":{check.i},"levi":{canonical_dumps(check.levi.describe())},'
+            f'{sep}{{"i":{check.i},"levi":"{check.levi.describe()}",'
             f'"passed":{_bool(check.passed)},"total":'
         )
         yield from character_json(check.total)

@@ -842,9 +842,9 @@ class TestStartUp:
         for text in lines[-3:-1]:
             assert json.dumps(json.loads(text), separators=(",", ":")) == text
 
-    def _argparse_loaded(self, argvs):
+    def _loaded(self, module, argvs):
         """Whether running argvs one after another in a fresh interpreter
-        loads argparse."""
+        loads module."""
         script = (
             "import sys, jansum.cli\n"
             f"for argv in {argvs!r}:\n"
@@ -852,7 +852,7 @@ class TestStartUp:
             "        jansum.cli.main(argv)\n"
             "    except SystemExit:\n"
             "        pass\n"
-            "print('argparse' in sys.modules)\n"
+            f"print({module!r} in sys.modules)\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -864,7 +864,7 @@ class TestStartUp:
 
     def test_well_formed_commands_load_no_argparse(self):
         # one command line of each kind the benchmark's session runs
-        assert not self._argparse_loaded([
+        assert not self._loaded("argparse", [
             ["kostka", "--lambda", "3,2,1", "--mu", "2,2,1,1"],
             ["schur", "--lambda", "3,1"],
             ["normalize", "--coords", "-5,-1,-6", "--levi", "2,3", "--d", "3"],
@@ -878,4 +878,13 @@ class TestStartUp:
 
     @pytest.mark.parametrize("argv", [["--help"], ["identity", "--n", "3"]])
     def test_help_and_usage_errors_load_argparse(self, argv):
-        assert self._argparse_loaded([argv])
+        assert self._loaded("argparse", [argv])
+
+    def test_json_commands_load_no_json(self):
+        # the only strings these print (an identity's which and label, a
+        # Levi's description) are written between quotes by serialize
+        assert not self._loaded("json", [
+            ["identity", "--n", "7", "--which", "first", "--json"],
+            ["sweep", "2", "8", "--which", "second", "--jsonl"],
+            ["prop-char", "--p", "3", "--d", "4", "--json"],
+        ])

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -11,7 +12,7 @@ from jansum.identities import (
     verify_second_identity,
 )
 from jansum.lattice import Partition
-from jansum.oracle import enumerate_ssyt, eval_monomial, eval_schur_bialternant
+from jansum.oracle import _det, enumerate_ssyt, eval_monomial, eval_schur_bialternant
 
 
 class TestEnumerateSsyt:
@@ -58,6 +59,39 @@ class TestBialternant:
     def test_too_few_variables_refused(self):
         with pytest.raises(ValueError):
             eval_schur_bialternant(Partition((1, 1, 1)), (1, 2))
+
+
+def leibniz(m: list[list[int]]) -> int:
+    """The determinant as the signed sum, over permutations, of products."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        term = -1 if sum(perm[i] > perm[j] for i, j in combinations(range(n), 2)) % 2 else 1
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+class TestDeterminant:
+    def test_matches_leibniz_on_sparse_matrices(self):
+        # many zeros, so that Bareiss elimination meets a zero pivot: a
+        # zero leading entry with a nonzero below it is swapped, and a
+        # zero first column returns 0 at once
+        rng = random.Random(65)
+        sizes, swapped, singular = set(), 0, 0
+        for _ in range(3000):
+            n = rng.randint(0, 5)
+            m = [[rng.choice((0, 0, 0, -2, -1, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+            assert _det(m) == leibniz(m), m
+            sizes.add(n)
+            if n > 1 and m[0][0] == 0:
+                if any(row[0] for row in m):
+                    swapped += 1
+                else:
+                    singular += 1
+        assert sizes == set(range(6))
+        assert swapped > 100 and singular > 100
 
 
 class TestEvalMonomial:
