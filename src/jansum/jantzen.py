@@ -10,11 +10,14 @@ where v_p is the p-adic valuation and chi the Weyl character (zero on
 singular weights, otherwise a sign times a dominant symbol).  The same
 formula over a Levi's positive roots computes the Levi analogue.  The terms
 of one root are evaluated together, in closed form on the epsilon
-coordinates of lambda + rho, building only the coordinates a term changes
-(_terms_at); the total folds mirror levels and sets each coefficient once
-(jantzen_sum).  A report carries the total.  The trace of every term,
-singular ones included, comes from _walk, one frame per root holding that
-root's levels: _trace writes it as text, one term at a time, for
+coordinates of lambda + rho, building only the coordinates a term changes,
+one run of levels at a time: between two levels where the order of the
+root's block changes, a term's sign stays and its dominant weight moves
+linearly with the level (_terms_at).  The total folds mirror levels, sums
+each run whole, and sets each coefficient once (jantzen_sum).  A report
+carries the total.  The trace of every term, singular ones included, comes
+from _walk, one frame per root holding that root's levels, each run spread
+back into its levels: _trace writes it as text, one term at a time, for
 serialize's text and JSON traces, and SumReport.terms builds its
 JantzenTerm records when first read.
 """
@@ -23,7 +26,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
-from itertools import pairwise
+from itertools import repeat
+from operator import neg, sub
 from typing import NamedTuple
 
 from .charring import BASIS_WEYL, FormalCharacter, _trusted_character
@@ -41,7 +45,9 @@ _PRIMALITY_BOUND = 318665857834031151167461
 # admitted (100 000 terms, a total of 75 000 keys), peaks at 30 MB of RSS
 # (Python 3.11 on Linux) as text, --json, --trace and --trace --json alike:
 # the total is written in pieces and either trace term by term, so no form
-# holds more than the total itself.
+# holds more than the total itself.  It takes 0.12, 0.09, 0.27 and 0.24 s
+# in those forms (best of 7 on a 2-CPU host), of which the sum itself, in
+# four runs of levels, takes about 29 ms.
 # The largest benchmark call has 20 000 terms; at d = 30 with every
 # coordinate 15 there are about 40 000 at p = 2.  A sum that the Levi's
 # block sizes alone show to be too large is refused before lam + rho is put
@@ -156,57 +162,89 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
     ValueError for a p that is not prime, a rank mismatch, a weight that is
     not dominant for the Levi, or a sum of more than TERM_LIMIT terms.
 
-    The sum goes root by root through _terms_at and sets each nonzero
-    coefficient once, adding nothing up.  At a root whose pairing c is a
-    multiple of p, the levels l and c - l give one dominant weight with
-    opposite signs (see _terms_at), so only the levels below c/2 are
-    visited, each weighted v_p(l) - v_p(c - l), and of those only the ones
-    where that is not 0 (_uncancelled); level c/2 is singular.
-    Elsewhere c - l is no level, and each level is a weight of its own.  No
-    dominant weight comes from two roots: its block is the root's block
-    with x_lo and x_{hi+1} taken out and two values not in the block put
-    in, so the two taken out name the root.
+    The sum goes root by root through _terms_at, run by run, and sets each
+    nonzero coefficient once, adding nothing up.  A run of one level gives
+    one key; the keys of a longer run are zipped from a column per
+    coordinate, a range where the run's dominant weight moves and a repeat
+    elsewhere (_stepped), and its coefficients come from the valuations of
+    its levels (_valuations), so no key of the run is worked out on its own.
+    At a root whose pairing c is a multiple of p, the levels l and c - l
+    give one dominant weight with opposite signs (see _terms_at), so only
+    the levels below c/2 are visited, each weighted v_p(l) - v_p(c - l),
+    and of those only the ones where that is not 0 (_uncancelled); level
+    c/2 is singular.  Elsewhere c - l is no level, and each level is a
+    weight of its own.  No dominant weight comes from two roots: its block
+    is the root's block with x_lo and x_{hi+1} taken out and two values not
+    in the block put in, so the two taken out name the root.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if not levi.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant for {levi.describe()}")
-    x, roots = _roots(lam, p, levi)
+    x, z, roots = _roots(lam, p, levi)
     coords, d = lam.coords, lam.rank
     total: dict[Weight, int] = {}
     for lo, hi, c in roots:
         changed = _changed(lo, hi, d)
         head, tail = coords[: changed.start], coords[changed.stop :]
         mirrored = c % p == 0
-        levels = _uncancelled(p, c) if mirrored else range(p, c, p)
-        for level, sign, window in _terms_at(x, lo, hi, levels):
-            if sign:
-                coeff = _valuation(p, level)
+        # every key is dominant for the Levi
+        for levels in _uncancelled(p, c) if mirrored else (range(p, c, p),):
+            for level, count, sign, window, slopes in _terms_at(x, z, lo, hi, levels):
+                if count == 1:
+                    if sign:
+                        coeff = _valuation(p, level)
+                        if mirrored:
+                            coeff -= _valuation(p, c - level)
+                        total[_trusted_weight(head + window + tail)] = sign * coeff
+                    continue
+                step = levels.step
+                coeffs = _valuations(p, level, count, step)
                 if mirrored:
-                    coeff -= _valuation(p, c - level)
-                # every key is dominant for the Levi
-                total[_trusted_weight(head + window + tail)] = sign * coeff
+                    last = level + (count - 1) * step
+                    coeffs = map(sub, coeffs, reversed(_valuations(p, c - last, count, step)))
+                keys = map(_trusted_weight, _stepped(head, window, tail, count, slopes))
+                total.update(zip(keys, coeffs if sign > 0 else map(neg, coeffs)))
     return SumReport(lam, p, levi, _trusted_character(BASIS_WEYL, levi, total))
 
 
-def _uncancelled(p: int, c: int):
-    """Yield, rising, the levels l < c/2 at a root whose pairing c is a
-    multiple of p where v_p(l) - v_p(c - l) is not 0.  With e = v_p(c) and
-    q = p^(e + 1), that is where l = 0 or l = c (mod q): below e both
+def _uncancelled(p: int, c: int) -> tuple[range, range]:
+    """The two progressions of levels l < c/2, at a root whose pairing c is
+    a multiple of p, where v_p(l) - v_p(c - l) is not 0.  With e = v_p(c)
+    and q = p^(e + 1), that is where l = 0 or l = c (mod q): below e both
     valuations are v_p(l); above it v_p(c - l) is e; at e, v_p(c - l) > e
-    exactly when q divides c - l.  At p = 2 and e = 1 every level is kept."""
+    exactly when q divides c - l.  At p = 2 and e = 1 every level is kept,
+    in two progressions of step 4."""
     q = p ** (p_adic_valuation(p, c) + 1)
-    r, half = c % q, (c + 1) // 2  # p <= r < q
-    for base in range(0, half, q):
-        if base:
-            yield base
-        if base + r < half:
-            yield base + r
+    half = (c + 1) // 2
+    return range(q, half, q), range(c % q, half, q)  # p <= c % q < q
 
 
-def _roots(lam: Weight, p: int, levi: LeviDatum) -> tuple[tuple[int, ...], list]:
-    """(x, [(lo, hi, c) of every root with a term, in root order]), x being
-    epsilon(lam + rho) and c = (lam + rho, root^vee) = x_lo - x_{hi+1}.
+def _valuations(p: int, level: int, count: int, step: int) -> list[int]:
+    """[v_p(level + k * step) for k < count], step being a power of p and
+    level > 0: every level has valuation at least e while p^e divides both
+    level and step; past that, p^e divides level + k * step for k in one
+    class mod p^e / step, or for none."""
+    out = [0] * count
+    e, power = 0, 1
+    while True:
+        e, power = e + 1, power * p
+        if step % power == 0:
+            if level % power:
+                return out
+            out = [e] * count
+            continue
+        stride = power // step
+        first = -(level // step) % stride
+        if first >= count:
+            return out
+        out[first::stride] = [e] * len(range(first, count, stride))
+
+
+def _roots(lam: Weight, p: int, levi: LeviDatum) -> tuple[tuple[int, ...], tuple, list]:
+    """(x, z, [(lo, hi, c) of every root with a term, in root order]), x
+    being epsilon(lam + rho), c = (lam + rho, root^vee) = x_lo - x_{hi+1},
+    and z the three shifts of x that _terms_at builds windows from.
     Raises ValueError, before any level is met, when the sum has more than
     TERM_LIMIT terms, and before x is built when the Levi's block sizes
     alone show that it has: a root of k simple roots pairs with lam + rho to
@@ -232,7 +270,8 @@ def _roots(lam: Weight, p: int, levi: LeviDatum) -> tuple[tuple[int, ...], list]
                 roots.append((lo, hi, c))
                 count += (c - 1) // p
                 _check_term_count(count, p, levi)
-    return x, roots
+    z = tuple(tuple(e + j + shift for j, e in enumerate(x)) for shift in (-1, 0, 1))
+    return x, z, roots
 
 
 def _check_term_count(count: int, p: int, levi: LeviDatum) -> None:
@@ -243,12 +282,17 @@ def _check_term_count(count: int, p: int, levi: LeviDatum) -> None:
         )
 
 
-def _terms_at(x: tuple[int, ...], lo: int, hi: int, levels):
-    """Yield (level, sign, window) for each of the rising levels at the root
-    e_lo - e_{hi+1}, x being epsilon(lam + rho).  sign is 0 for a singular
-    term, whose window is None; otherwise it is the sign of the dot
-    normalization, and window the coordinates at _changed(lo, hi, d) of the
-    normalized image, which elsewhere equals lam.
+def _terms_at(x: tuple[int, ...], z: tuple, lo: int, hi: int, levels: range):
+    """Yield (level, count, sign, window, slopes) for each run of the rising
+    progression of levels at the root e_lo - e_{hi+1}, x being
+    epsilon(lam + rho) and z its shifts from _roots: the count levels from
+    level on, step levels.step apart, share sign and the order of their
+    block.  sign is 0 for a singular term, always a run of one, whose window
+    is None; otherwise it is the sign of the dot normalization, and window
+    the coordinates at _changed(lo, hi, d) of the normalized image at the
+    run's first level, which elsewhere equals lam.  slopes holds (i, k) for
+    each window coordinate i that moves in the run, by k from one level to
+    the next; it is empty for a run of one.
 
     x is strictly decreasing within the block; let c = x_lo - x_{hi+1}.  The
     reflection at level l, 0 < l < c, changes x in two places only:
@@ -260,45 +304,106 @@ def _terms_at(x: tuple[int, ...], lo: int, hi: int, levels):
     The levels l and c - l give the pair {u, v} swapped, one transposition
     apart: one dominant weight of opposite signs.  As l rises u rises and v
     falls, so the insertion points iu and iv each move one way.  Sorting
-    changes epsilon only at lo..hi+1, so the weight only at lo-2..hi (0-based):
-    window is the differences, less 1, of epsilon at lo-1..hi+2 (1-based) as
-    far as they exist.
+    changes epsilon only at lo..hi+1, so the weight only at lo-2..hi (0-based).
+    The weight's coordinates are the differences, less 1, of epsilon; with
+    z[k][j] = x[j] + j + k - 1, the value x[j] plus the (0-based) place it
+    takes when sorting moves it k - 1 places on, they are the differences of z,
+    so the window is the differences of z at lo-1..hi+2 (1-based) as far as
+    they exist, each value of mid read from the shift its place calls for.
+
+    Between two levels where u or v meets a value of mid, or where u and v
+    pass each other, the order of the block stays, so only the (at most
+    four) differences on either side of u and of v move, each by the level
+    step, or by twice it between u and v when they are neighbours.  A run
+    so ends before the first level where u reaches x[iu - 1], v reaches
+    x[iv], or u, below v, meets or passes v, or where the progression ends.
     """
+    below, at, above = z
     xl, xh = x[lo - 1], x[hi]
-    left, right = x[max(lo - 2, 0) : lo - 1], x[hi + 1 : hi + 2]
+    start = max(lo - 2, 0)
+    left, right = at[start : lo - 1], at[hi + 1 : hi + 2]
     # x[lo:iu] are the values of mid above u, x[lo:iv] those above v; as
     # xl > u, v > xh, neither pointer runs past mid, and x[iu] = u or
     # x[iv] = v only at a value of mid
     iu, iv = hi, lo
-    for level in levels:
+    level, stop, step = levels.start, levels.stop, levels.step
+    while level < stop:
         u, v = xh + level, xl - level
         while x[iu - 1] <= u:
             iu -= 1
         while x[iv] > v:
             iv += 1
         if u == v or x[iu] == u or x[iv] == v:
-            yield level, 0, None
+            yield level, 1, 0, None, ()
+            level += step
             continue
+        # of u and v, the larger, put before x[i], takes place i - 1, and
+        # the smaller, put before x[j], place j (0-based)
         if u > v:
-            eps = left + x[lo:iu] + (u,) + x[iu:iv] + (v,) + x[iv:hi] + right
+            eps = left + below[lo:iu] + (u + iu - 1,) + at[iu:iv] + (v + iv,) + above[iv:hi] + right
         else:
-            eps = left + x[lo:iv] + (v,) + x[iv:iu] + (u,) + x[iu:hi] + right
+            eps = left + below[lo:iv] + (v + iv - 1,) + at[iv:iu] + (u + iu,) + above[iu:hi] + right
+        window = tuple(map(sub, eps, eps[1:]))
         sign = -1 if (iu - lo + hi - iv + (u < v)) % 2 else 1
-        yield level, sign, tuple([a - b - 1 for a, b in pairwise(eps)])
+        # most often u or v meets mid at the next level: test that first
+        if not (u + step < x[iu - 1] and v - step > x[iv]):
+            yield level, 1, sign, window, ()
+            level += step
+            continue
+        room = min(x[iu - 1] - u, v - x[iv], stop - level)
+        if u > v:
+            ia, ib, da = iu, iv, step
+        else:
+            ia, ib, da = iv, iu, -step
+            room = min(room, (v - u + 1) // 2)
+        count = 1 + (room - 1) // step
+        # the larger, at eps[ja], moves by da from level to level, and the
+        # smaller, at eps[jb], by -da: window[j] is eps[j] - eps[j + 1]
+        ja, jb = ia - 1 - start, ib - start
+        slopes = {ja: da}
+        if ja:
+            slopes[ja - 1] = -da
+        slopes[jb - 1] = slopes.get(jb - 1, 0) + da
+        if jb < len(window):
+            slopes[jb] = -da
+        yield level, count, sign, window, tuple(slopes.items())
+        level += count * step
+
+
+def _stepped(head: tuple, window: tuple, tail: tuple, count: int, slopes):
+    """The count tuples head + window + tail of a run of _terms_at, the
+    window moving by its slopes from each to the next, zipped from one
+    column per coordinate."""
+    columns = [repeat(value, count) for value in head + window + tail]
+    for i, k in slopes:
+        value = window[i]
+        columns[len(head) + i] = range(value, value + count * k, k)
+    return zip(*columns)
 
 
 def _walk(lam: Weight, p: int, levi: LeviDatum):
     """Yield (lo, hi, c, levels) once for each root alpha_{lo,hi} with a
     term, in root order: c is (lam + rho, root^vee), and levels yields
     (level, valuation, sign, window) for every level of the root, rising,
-    singular ones included, with sign and window as _terms_at gives them.
-    lam must be dominant for the Levi.  Raises ValueError, before the first
-    root, when the sum has more than TERM_LIMIT terms."""
-    x, roots = _roots(lam, p, levi)
+    singular ones included, with sign and window as _terms_at gives them,
+    each run spread back into its levels.  lam must be dominant for the
+    Levi.  Raises ValueError, before the first root, when the sum has more
+    than TERM_LIMIT terms."""
+    x, z, roots = _roots(lam, p, levi)
     for lo, hi, c in roots:
-        terms = _terms_at(x, lo, hi, range(p, c, p))
-        levels = ((level, _valuation(p, level), sign, window) for level, sign, window in terms)
-        yield lo, hi, c, levels
+        yield lo, hi, c, _levels(p, _terms_at(x, z, lo, hi, range(p, c, p)))
+
+
+def _levels(p: int, runs):
+    """(level, valuation, sign, window) for every level of the runs of one
+    root, at step p."""
+    for level, count, sign, window, slopes in runs:
+        if count == 1:
+            yield level, _valuation(p, level), sign, window
+            continue
+        windows = _stepped((), window, (), count, slopes)
+        for level, window in zip(range(level, level + count * p, p), windows):
+            yield level, _valuation(p, level), sign, window
 
 
 def _valuation(p: int, level: int) -> int:

@@ -334,23 +334,140 @@ class TestMirrorLevels:
         assert pairs[False] >= 500 and pairs[True] >= 500
 
 
-class TestWorkCount:
-    # How much the sum does, counted without a clock: every level of every
-    # root goes through jantzen._terms_at, which a wrapper counts
+def _long_run_cases():
+    """Seeded (lam, p, levi) at ranks 2..4 with coordinates up to 300 on the
+    Levi's simple roots, over the full group and random Levis, so that most
+    roots have runs of many levels."""
+    rng = random.Random(73)
+    cases = []
+    for k in range(300):
+        d = rng.randint(2, 4)
+        p = (2, 3, 5, 7)[k % 4]
+        if k % 3 == 0:
+            simples = set(range(1, d + 1))
+        else:
+            simples = {s for s in range(1, d + 1) if rng.random() < 0.7}
+        top = rng.choice((6, 60, 300))
+        lam = Weight(
+            [rng.randint(0, top) if s in simples else rng.randint(-40, 40) for s in range(1, d + 1)]
+        )
+        cases.append((lam, p, LeviDatum(d, simples)))
+    return cases
+
+
+class TestLongRuns:
+    # Between two levels where u or v meets a value of the block, or where
+    # u and v pass each other, a root's terms form one run that jantzen_sum
+    # sums whole and _walk spreads back into levels; the slow reference
+    # normalizes every term on its own
     @staticmethod
-    def _count_levels(monkeypatch) -> Counter:
+    def _record_runs(monkeypatch) -> list:
+        """[(lo, hi, step, level, count, sign)] of every run _terms_at yields."""
         import jansum.jantzen as jantzen_mod
 
-        visits: Counter = Counter()
+        seen = []
         terms_at = jantzen_mod._terms_at
 
-        def counted(x, lo, hi, levels):
-            for term in terms_at(x, lo, hi, levels):
-                visits[lo, hi] += 1
-                yield term
+        def recorded(x, z, lo, hi, levels):
+            for run in terms_at(x, z, lo, hi, levels):
+                seen.append((lo, hi, levels.step, *run[:3]))
+                yield run
+
+        monkeypatch.setattr(jantzen_mod, "_terms_at", recorded)
+        return seen
+
+    @staticmethod
+    def _check(lam, p, levi):
+        report = jantzen_sum(lam, p, levi)
+        terms, total = reference_jantzen(lam, p, levi)
+        assert report.total.terms == total, (lam, p, levi)
+        assert report.terms == terms, (lam, p, levi)
+
+    def test_matches_slow_reference(self, monkeypatch):
+        seen = self._record_runs(monkeypatch)
+        cases = _long_run_cases()
+        for lam, p, levi in cases:
+            self._check(lam, p, levi)
+        assert sum(1 for run in seen if run[4] >= 10) >= 1000
+        assert max(run[4] for run in seen) >= 100
+        assert sum(1 for lam, p, levi in cases if not levi.is_full) >= 100
+
+    def test_u_and_v_pass_between_two_levels(self, monkeypatch):
+        # where no level is c/2, u and v pass each other between two
+        # regular levels, and nothing singular ends the run there
+        seen = self._record_runs(monkeypatch)
+        rng = random.Random(74)
+        cases = [(Weight((20, 0)), 2), (Weight((0, 33, 5)), 3)]
+        for k in range(40):
+            lam = random_dominant(rng, rng.randint(2, 4), rng.choice((9, 90)))
+            cases.append((lam, (2, 3, 5, 7)[k % 4]))
+        unmarked = 0
+        for lam, p in cases:
+            seen.clear()
+            self._check(lam, p, LeviDatum.full(lam.rank))
+            shifted = lam + rho(lam.rank)
+            for (lo, hi, step, level, count, sign), after in zip(seen, seen[1:]):
+                end = level + (count - 1) * step
+                if (
+                    after[:4] == (lo, hi, step, end + step)
+                    and sign
+                    and after[5]
+                    and 2 * end < pairing(shifted, Root(lo, hi)) < 2 * (end + step)
+                ):
+                    unmarked += 1
+        assert unmarked >= 20
+
+    def test_mirrored_runs_hold_higher_valuations(self, monkeypatch):
+        # at a root whose pairing c is a multiple of p, a run of the
+        # progressions of levels l = 0 or l = c (mod q) holds levels where
+        # v_p(l) - v_p(c - l) is neither 1 nor -1
+        seen = self._record_runs(monkeypatch)
+        rng = random.Random(75)
+        heavy = 0
+        for p in (2, 3, 5, 7):
+            for _ in range(6):
+                coords = [rng.randint(0, 100 * p) for _ in range(rng.randint(2, 3))]
+                # the longest root pairs to sum(coords) + d: make p divide it
+                coords[-1] += -(sum(coords) + len(coords)) % p
+                lam = Weight(coords)
+                seen.clear()
+                self._check(lam, p, LeviDatum.full(lam.rank))
+                shifted = lam + rho(lam.rank)
+                for lo, hi, step, level, count, sign in seen:
+                    c = pairing(shifted, Root(lo, hi))
+                    if count > 1 and step > p:  # a progression of _uncancelled
+                        heavy += any(
+                            abs(p_adic_valuation(p, l) - p_adic_valuation(p, c - l)) >= 2
+                            for l in range(level, level + count * step, step)
+                        )
+        assert heavy >= 20
+
+
+class TestWorkCount:
+    # How much the sum does, counted without a clock: every level of every
+    # root goes through jantzen._terms_at, one run of levels at a time,
+    # which a wrapper counts
+    @staticmethod
+    def _count(monkeypatch) -> tuple[Counter, Counter]:
+        """(levels, runs) that _terms_at yields from now on, per root (lo, hi)."""
+        import jansum.jantzen as jantzen_mod
+
+        levels: Counter = Counter()
+        runs: Counter = Counter()
+        terms_at = jantzen_mod._terms_at
+
+        def counted(x, z, lo, hi, progression):
+            for run in terms_at(x, z, lo, hi, progression):
+                levels[lo, hi] += run[1]  # the run's level count
+                runs[lo, hi] += 1
+                yield run
 
         monkeypatch.setattr(jantzen_mod, "_terms_at", counted)
-        return visits
+        return levels, runs
+
+    @classmethod
+    def _count_levels(cls, monkeypatch) -> Counter:
+        return cls._count(monkeypatch)[0]
 
     def test_sum_visits_each_mirror_pair_once(self, monkeypatch):
         visits = self._count_levels(monkeypatch)
@@ -377,6 +494,30 @@ class TestWorkCount:
         assert code == 0
         assert out.count('"level":') == 20000
         assert sum(visits.values()) == 15000 + 20000
+
+    def test_long_runs_are_summed_whole(self, monkeypatch):
+        levels, runs = self._count(monkeypatch)
+        report = jantzen_sum(Weight((20000, 0)), 2, LeviDatum.full(2))
+        # a[1,1] (c = 20001): u below v up to level 10000, above it from
+        # 10002 on, with no singular level between; a[1,2] (c = 20002):
+        # the progressions 4, 8, .. and 2, 6, .. below c/2, one run each
+        assert levels == {(1, 1): 10000, (1, 2): 5000}
+        assert runs == {(1, 1): 2, (1, 2): 2}
+        assert len(report.total.terms) == 15000
+
+    def test_every_run_is_one_level_at_d30(self, monkeypatch):
+        # a weight of the benchmark's d = 30 workload: with coordinates at
+        # most 3, neighbouring values of x lie at most 4 apart, so at the
+        # next level, 3 on, u has met or passed the value above it: no run
+        # has two levels
+        levels, runs = self._count(monkeypatch)
+        lam = Weight(
+            (0, 1, 1, 1, 3, 1, 1, 1, 1, 1, 3, 1, 3, 1, 1, 3, 3, 0, 3, 1, 0, 0, 3, 1, 0, 2, 3, 0, 2, 0)
+        )
+        report = jantzen_sum(lam, 3, LeviDatum.full(30))
+        assert runs == levels
+        assert sum(runs.values()) == 2882
+        assert len(report.total.terms) == 1193  # the regular levels, one key each
 
     def test_sum_never_walks_the_trace(self, monkeypatch):
         import jansum.jantzen as jantzen_mod
