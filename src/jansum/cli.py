@@ -49,6 +49,7 @@ from .serialize import (
     signed_dominant_json,
     sum_report_json,
     weight_json,
+    weyl_text,
 )
 from .weyl import LeviDatum, dot_normalize, dot_orbit_oracle
 
@@ -88,23 +89,21 @@ def _identity_line(report: IdentityReport) -> str:
     return f"n={report.n} {report.which} {verdict} ({kind}, {report.label})\n"
 
 
-def _character_line(head: str, ch):
-    yield head
-    yield from character_text(ch)
-    yield "\n"
+def _character_line(head: str, pieces):
+    return chain([head], pieces, ["\n"])
 
 
 def _identity_text(report, args):
     yield _identity_line(report)
     if not report.equal:
-        yield from _character_line("diff: ", report.diff)
+        yield from _character_line("diff: ", character_text(report.diff))
 
 
 def _jantzen_text(report, args):
     yield f"lambda={report.lam} p={report.p} levi={report.levi.describe()}\n"
     if args.trace:
         yield from jantzen_terms_text(report)
-    yield from _character_line("total: ", report.total)
+    yield from _character_line("total: ", weyl_text(report.levi, report.rows))
 
 
 def _prop_char_text(report, args):
@@ -112,8 +111,8 @@ def _prop_char_text(report, args):
         status = "PASS" if check.passed else "FAIL"
         yield f"p={report.p} d={report.d} i={check.i} {check.levi.describe()} {status}\n"
         if not check.passed:
-            yield from _character_line("  expected: ", check.expected)
-            yield from _character_line("  got:      ", check.total)
+            yield from _character_line("  expected: ", character_text(check.expected))
+            yield from _character_line("  got:      ", character_text(check.total))
             yield from jantzen_terms_text(check.report)
     verdict = "PASS" if report.passed else "FAIL"
     yield f"{verdict} ({len(report.checks)} checks)\n"
@@ -320,7 +319,7 @@ _COMMANDS = {
         ("--lambda", {**_PARTS, "help": "partition"}), _JSON,
     ], _reports(
         lambda a: [schur_to_monomial(Partition(a.lam))],
-        lambda ch, a: _character_line(f"S{Partition(a.lam)} = ", ch),
+        lambda ch, a: _character_line(f"S{Partition(a.lam)} = ", character_text(ch)),
         lambda ch, a: character_json(ch),
     )),
     "kostka": ("one Kostka number", [

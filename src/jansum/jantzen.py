@@ -14,12 +14,13 @@ coordinates of lambda + rho, building only the coordinates a term changes,
 one run of levels at a time: between two levels where the order of the
 root's block changes, a term's sign stays and its dominant weight moves
 linearly with the level (_terms_at).  The total folds mirror levels, sums
-each run whole, and sets each coefficient once (jantzen_sum).  A report
-carries the total.  The trace of every term, singular ones included, comes
-from _walk, one frame per root holding that root's levels, each run spread
-back into its levels: _trace writes it as text, one term at a time, for
-serialize's text and JSON traces, and SumReport.terms builds its
-JantzenTerm records when first read.
+each run whole into rows of coordinates and coefficient, and sorts them
+once (jantzen_sum); a report builds its FormalCharacter when read.  The
+trace of every term, singular ones included, comes from _walk, one frame
+per root holding that root's levels, each run spread back into its levels:
+_trace writes it as text, one term at a time, for serialize's text and
+JSON traces, and SumReport.terms builds its JantzenTerm records when first
+read.
 """
 
 from __future__ import annotations
@@ -42,17 +43,15 @@ _PRIMALITY_BOUND = 318665857834031151167461
 
 # Most (root, m) terms one Jantzen sum may have.  Time and memory grow with
 # the count: `jantzen --p 2 --d 2 --lambda 100000,0`, the largest such call
-# admitted (100 000 terms, a total of 75 000 keys), peaks at 30 MB of RSS
-# (Python 3.11 on Linux) as text, --json, --trace and --trace --json alike:
-# the total is written in pieces and either trace term by term, so no form
-# holds more than the total itself.  It takes 0.12, 0.09, 0.27 and 0.24 s
-# in those forms (best of 7 on a 2-CPU host), of which the sum itself, in
-# four runs of levels, takes about 29 ms.
+# admitted (100 000 terms, a total of 75 000 rows), peaks at 24 MB of RSS
+# (Python 3.11 on Linux) as text, --json, --trace and --trace --json alike,
+# and takes 0.07, 0.06, 0.21 and 0.21 s in those forms (best of 7 on a
+# 2-CPU host), of which the sum itself takes about 10 ms.
 # The largest benchmark call has 20 000 terms; at d = 30 with every
 # coordinate 15 there are about 40 000 at p = 2.  A sum that the Levi's
 # block sizes alone show to be too large is refused before lam + rho is put
-# in epsilon coordinates: `prop-char --p 3 --d 1000000` exits 2 in 145 MB,
-# spent on the lambda sequence and the Levi.
+# in epsilon coordinates, and in prop-char before anything of rank d is
+# built: `prop-char --p 3 --d 1000000` exits 2 in 0.04 s and 14 MB.
 TERM_LIMIT = 100_000
 
 
@@ -113,13 +112,19 @@ class JantzenTerm(NamedTuple):
 
 
 class SumReport:
-    """Evaluation record of one Jantzen sum: the total, and the trace on demand."""
+    """Evaluation record of one Jantzen sum: the total, as the rows of
+    jantzen_sum and as a FormalCharacter on demand, and the trace on demand."""
 
-    def __init__(self, lam: Weight, p: int, levi: LeviDatum, total: FormalCharacter):
+    def __init__(self, lam: Weight, p: int, levi: LeviDatum, rows: list[tuple[int, ...]]):
         self.lam = lam
         self.p = p
         self.levi = levi
-        self.total = total
+        self.rows = rows
+
+    @cached_property
+    def total(self) -> FormalCharacter:
+        terms = {_trusted_weight(row[:-1]): row[-1] for row in self.rows}
+        return _trusted_character(BASIS_WEYL, self.levi, terms)
 
     @cached_property
     def terms(self) -> tuple[JantzenTerm, ...]:
@@ -162,12 +167,13 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
     ValueError for a p that is not prime, a rank mismatch, a weight that is
     not dominant for the Levi, or a sum of more than TERM_LIMIT terms.
 
-    The sum goes root by root through _terms_at, run by run, and sets each
-    nonzero coefficient once, adding nothing up.  A run of one level gives
-    one key; the keys of a longer run are zipped from a column per
-    coordinate, a range where the run's dominant weight moves and a repeat
-    elsewhere (_stepped), and its coefficients come from the valuations of
-    its levels (_valuations), so no key of the run is worked out on its own.
+    The sum goes root by root through _terms_at, run by run, writes each
+    nonzero coefficient once in a row (*coords, coeff), adding nothing up,
+    and sorts the rows once, coordinates (distinct) in reverse-lexicographic
+    order.  A run of one level gives one row; a longer run's rows are zipped
+    from a column per coordinate, a range where its dominant weight moves
+    and a repeat elsewhere, and one of coefficients from the valuations of
+    its levels (_stepped, _valuations), so no row is worked out on its own.
     At a root whose pairing c is a multiple of p, the levels l and c - l
     give one dominant weight with opposite signs (see _terms_at), so only
     the levels below c/2 are visited, each weighted v_p(l) - v_p(c - l),
@@ -183,7 +189,7 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
         raise ValueError(f"{lam} is not dominant for {levi.describe()}")
     x, z, roots = _roots(lam, p, levi)
     coords, d = lam.coords, lam.rank
-    total: dict[Weight, int] = {}
+    rows: list[tuple[int, ...]] = []
     for lo, hi, c in roots:
         changed = _changed(lo, hi, d)
         head, tail = coords[: changed.start], coords[changed.stop :]
@@ -196,16 +202,17 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
                         coeff = _valuation(p, level)
                         if mirrored:
                             coeff -= _valuation(p, c - level)
-                        total[_trusted_weight(head + window + tail)] = sign * coeff
+                        rows.append((*head, *window, *tail, sign * coeff))
                     continue
                 step = levels.step
                 coeffs = _valuations(p, level, count, step)
                 if mirrored:
                     last = level + (count - 1) * step
                     coeffs = map(sub, coeffs, reversed(_valuations(p, c - last, count, step)))
-                keys = map(_trusted_weight, _stepped(head, window, tail, count, slopes))
-                total.update(zip(keys, coeffs if sign > 0 else map(neg, coeffs)))
-    return SumReport(lam, p, levi, _trusted_character(BASIS_WEYL, levi, total))
+                coeffs = coeffs if sign > 0 else map(neg, coeffs)
+                rows.extend(_stepped(head, window, tail, count, slopes, coeffs))
+    rows.sort(reverse=True)
+    return SumReport(lam, p, levi, rows)
 
 
 def _uncancelled(p: int, c: int) -> tuple[range, range]:
@@ -246,16 +253,8 @@ def _roots(lam: Weight, p: int, levi: LeviDatum) -> tuple[tuple[int, ...], tuple
     being epsilon(lam + rho), c = (lam + rho, root^vee) = x_lo - x_{hi+1},
     and z the three shifts of x that _terms_at builds windows from.
     Raises ValueError, before any level is met, when the sum has more than
-    TERM_LIMIT terms, and before x is built when the Levi's block sizes
-    alone show that it has: a root of k simple roots pairs with lam + rho to
-    c >= k, so has at least (k - 1) // p terms, and a block of b simple
-    roots has b - k + 1 roots of k, of which (b - mp)(b - mp + 1) / 2 have
-    k > mp, for each m >= 1."""
-    count = 0
-    for block in levi.blocks:
-        for rest in range(len(block) - 1 - p, 0, -p):  # b - mp
-            count += rest * (rest + 1) // 2
-            _check_term_count(count, p, levi)
+    TERM_LIMIT terms, and before x is built if _check_blocks shows it."""
+    _check_blocks([len(block) - 1 for block in levi.blocks], p, levi)
     x = to_epsilon(lam + rho(lam.rank))  # x[i - 1] is x_i
     neg = [-e for e in x]  # ascending within each block, for bisect
     roots = []
@@ -272,6 +271,18 @@ def _roots(lam: Weight, p: int, levi: LeviDatum) -> tuple[tuple[int, ...], tuple
                 _check_term_count(count, p, levi)
     z = tuple(tuple(e + j + shift for j, e in enumerate(x)) for shift in (-1, 0, 1))
     return x, z, roots
+
+
+def _check_blocks(sizes: list[int], p: int, levi: LeviDatum) -> None:
+    """Refuse a sum over blocks of these numbers of simple roots that they
+    alone show to have more than TERM_LIMIT terms: a root of k simple roots
+    pairs with lam + rho to c >= k, so has at least (k - 1) // p terms, and
+    a block of b simple roots has b - k + 1 roots of k, of which
+    (b - mp)(b - mp + 1) / 2 have k > mp, for each m >= 1."""
+    count = 0
+    for rest in (rest for b in sizes for rest in range(b - p, 0, -p)):  # b - mp
+        count += rest * (rest + 1) // 2
+        _check_term_count(count, p, levi)
 
 
 def _check_term_count(count: int, p: int, levi: LeviDatum) -> None:
@@ -370,15 +381,15 @@ def _terms_at(x: tuple[int, ...], z: tuple, lo: int, hi: int, levels: range):
         level += count * step
 
 
-def _stepped(head: tuple, window: tuple, tail: tuple, count: int, slopes):
+def _stepped(head: tuple, window: tuple, tail: tuple, count: int, slopes, *extra):
     """The count tuples head + window + tail of a run of _terms_at, the
     window moving by its slopes from each to the next, zipped from one
-    column per coordinate."""
+    column per coordinate and then the extra columns."""
     columns = [repeat(value, count) for value in head + window + tail]
     for i, k in slopes:
         value = window[i]
         columns[len(head) + i] = range(value, value + count * k, k)
-    return zip(*columns)
+    return zip(*columns, *extra)
 
 
 def _walk(lam: Weight, p: int, levi: LeviDatum):
@@ -530,8 +541,11 @@ def verify_prop_char(p: int, d: int) -> PropCharReport:
     the alternating tail of Weyl symbols, and the same must hold over the
     Levi generated by the simple roots 2..d.  Failures are recorded, not
     raised; each check keeps its sum's report, and with it the term trace.
-    The first jantzen_sum refuses a p that is not prime.
+    Refusals come from lambda_sequence, then from the first jantzen_sum,
+    whose refusal of too many terms comes before anything of rank d is built.
     """
+    if d >= 3 and is_prime(p):
+        _check_blocks([d], p, LeviDatum.full(d))
     seq = lambda_sequence(p, d)
     levis = (LeviDatum.full(d), LeviDatum(d, range(2, d + 1)))
     tails = [_tails(seq, levi) for levi in levis]

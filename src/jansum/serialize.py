@@ -1,15 +1,17 @@
 """Text and canonical JSON for the library's value types, written directly.
 
-A character is written only here, in either form, from one ordering of its
-keys (_ordered) in reverse-lexicographic order.  Each JSON writer gives
-the text that json.dumps(form, separators=(",", ":")) gives for the value's
-JSON form, without building that form or loading json: integers, booleans
-and the fixed keys are formatted here, and the only strings (an identity's
-`which` and `label`, a Levi's description) come from a fixed ASCII
-vocabulary with nothing to escape, so they are written between quotes as
-they are.  Coefficients are decimal strings, so equal values always give
-identical bytes, and parsing then re-serializing is the identity on the
-text.
+A character is written only here, in either form, in reverse-lexicographic
+order of its keys; a Weyl character from (*coords, coeff) rows, through one
+term formatter per form (weyl_json, weyl_text): a Jantzen total's rows come
+sorted from jantzen_sum, any other's keys from _ordered.  Each JSON writer
+gives the text that json.dumps(form, separators=(",", ":")) gives for the
+value's JSON form, without building that form or loading json: integers,
+booleans and the fixed keys are formatted here, and the only strings (an
+identity's `which` and `label`, a Levi's description) come from a fixed
+ASCII vocabulary with nothing to escape, so they are written between
+quotes as they are.  Coefficients are decimal strings, so equal values
+always give identical bytes, and parsing then re-serializing is the
+identity on the text.
 
 A scalar is written as one string.  A character is written as an iterator
 of pieces, each of at most _PIECE terms, and a report as an iterator of
@@ -63,7 +65,7 @@ def signed_dominant_json(sd) -> str:
 def _ordered(ch) -> list:
     """The character's keys in reverse-lexicographic order of their parts or
     coordinates: keys are distinct, so no two coefficients are ever
-    compared.  The one place that orders a character's terms."""
+    compared.  Only jantzen_sum orders a total otherwise, as its rows."""
     key = attrgetter("parts" if ch.basis == BASIS_MONOMIAL else "coords")
     return sorted(ch.terms, key=key, reverse=True)
 
@@ -86,42 +88,52 @@ _MONOMIAL = '{"basis":"monomial","terms":['
 _MONOMIAL_TERM = '{"key":[%s],"coeff":"%d"}'
 
 
+def weyl_json(levi, rows):
+    """Yield the JSON of a character in the Weyl basis of the Levi, in pieces
+    of at most _PIECE terms, from its (*coords, coeff) rows in order."""
+    yield f'{{"basis":"weyl","levi":{levi_json(levi)},"terms":['
+    term = '{"key":%s,"coeff":"%%d"}' % (_WEIGHT % (levi.rank, ",".join(["%d"] * levi.rank)))
+    yield from _pieces(map(term.__mod__, rows))
+    yield "]}"
+
+
 def character_json(ch):
     """Yield the JSON of a character in pieces of at most _PIECE terms."""
-    terms = ch.terms
-    if ch.basis == BASIS_MONOMIAL:
-        yield _MONOMIAL
-        written = (_MONOMIAL_TERM % (_ints(mu.parts), terms[mu]) for mu in _ordered(ch))
-    else:
-        yield f'{{"basis":"weyl","levi":{levi_json(ch.levi)},"terms":['
-        d = ch.levi.rank  # every key is a weight of the Levi's rank
-        term = '{"key":%s,"coeff":"%%d"}' % (_WEIGHT % (d, ",".join(["%d"] * d)))
-        written = (term % (*w.coords, terms[w]) for w in _ordered(ch))
-    yield from _pieces(written)
+    if ch.basis != BASIS_MONOMIAL:
+        yield from weyl_json(ch.levi, ((*w.coords, ch.terms[w]) for w in _ordered(ch)))
+        return
+    yield _MONOMIAL
+    yield from _pieces(_MONOMIAL_TERM % (_ints(mu.parts), ch.terms[mu]) for mu in _ordered(ch))
     yield "]}"
+
+
+def weyl_text(levi, rows):
+    """Yield the human form, '+χ(1,0) -2·χ(0,1)' or "0", of a character in
+    the Weyl basis of the Levi as weyl_json does, from the same rows."""
+    # a form per coefficient: sign, |coeff|· unless 1, symbol; %.0s drops coeff
+    symbol = "χ(%s)%%.0s" % ",".join(["%d"] * levi.rank)
+    forms = {1: "+" + symbol, -1: "-" + symbol}
+    get, put = forms.get, forms.setdefault
+    written = ((get(r[-1]) or put(r[-1], "%+d·" % r[-1] + symbol)) % r for r in rows)
+    pieces = _pieces(written, " ")
+    yield next(pieces, "0")
+    yield from pieces
 
 
 def character_text(ch):
     """Yield the human form of a character in pieces of at most _PIECE
     terms, "0" for zero: 'm[2,1] + 2·m[1,1,1]', whose first term alone has
-    no space after its sign, or '+χ(1,0) -2·χ(0,1)'."""
-    keys = _ordered(ch)
-    if not keys:
-        yield "0"
+    no space after its sign, or as weyl_text writes it."""
+    if ch.basis != BASIS_MONOMIAL:
+        yield from weyl_text(ch.levi, ((*w.coords, ch.terms[w]) for w in _ordered(ch)))
         return
-    if ch.basis == BASIS_MONOMIAL:
-        signs, symbols = ("+ ", "- "), (f"m[{_ints(mu.parts)}]" for mu in keys)
-    else:
-        symbol = "χ(%s)" % ",".join(["%d"] * ch.levi.rank)
-        signs, symbols = "+-", (symbol % w.coords for w in keys)
+    keys = _ordered(ch)
     written = (
-        signs[c < 0] + ("" if c == 1 or c == -1 else f"{abs(c)}·") + s
-        for s, c in zip(symbols, map(ch.terms.__getitem__, keys))
+        ("+ ", "- ")[c < 0] + ("" if c in (1, -1) else f"{abs(c)}·") + f"m[{_ints(mu.parts)}]"
+        for mu, c in zip(keys, map(ch.terms.__getitem__, keys))
     )
-    if signs[0] == "+ ":  # the first monomial term: "m[..]" or "-m[..]"
-        first = next(written)
-        written = chain([first[2:] if first[0] == "+" else "-" + first[2:]], written)
-    yield from _pieces(written, " ")
+    first = next(written, "+ 0")  # "m[..]" or "-m[..]", or "0" for zero
+    yield from _pieces(chain([first[2:] if first[0] == "+" else "-" + first[2:]], written), " ")
 
 
 # a term of a Jantzen trace, after a comma (see jantzen._trace)
@@ -152,7 +164,7 @@ def sum_report_json(report, trace: bool = False):
         f'{{"lambda":{weight_json(report.lam)},"p":{report.p},"levi":{levi_json(report.levi)},'
         '"total":'
     )
-    yield from character_json(report.total)
+    yield from weyl_json(report.levi, report.rows)
     if trace:
         yield ',"terms":'
         yield from jantzen_terms_json(report)

@@ -329,6 +329,30 @@ class TestTraceOnlyWhenRead:
             assert check["terms"] == [jantzen_term_to_json(t) for t in terms]
 
 
+class TestTotalFromTheRows:
+    # the jantzen command writes its total, as text and as JSON, straight
+    # from the sum's rows: it never builds SumReport.total
+    def test_no_form_builds_the_total(self, monkeypatch):
+        import jansum.jantzen as jantzen_mod
+
+        rng = random.Random(91)
+        cases = [["--p", "2", "--d", "2", "--lambda", "300,0"], ["--p", "3", "--d", "3", "--lambda", "0,0,0"]]
+        for _ in range(12):
+            d = rng.randint(2, 6)
+            levi = random_levi(rng, d)
+            lam = random_levi_dominant(rng, levi)
+            cases.append(["--p", str(rng.choice((2, 3, 5, 7))), "--d", str(d),
+                          "--lambda", ",".join(map(str, lam.coords)),
+                          "--levi", ",".join(map(str, sorted(levi.simples)))])
+        forms = ([], ["--json"], ["--trace"], ["--trace", "--json"])
+        expected = [run_cli(["jantzen", *case, *extra]) for case in cases for extra in forms]
+        assert all(code == 0 for code, _, _ in expected)
+        assert any("total: 0\n" in out for _, out, _ in expected)
+        monkeypatch.setattr(jantzen_mod.SumReport, "total", property(_refuse))
+        got = [run_cli(["jantzen", *case, *extra]) for case in cases for extra in forms]
+        assert got == expected
+
+
 class TestTextTrace:
     # each line of the text trace, byte for byte, against the slow reference
     # sum formatted field by field (helpers.jantzen_term_text)
@@ -802,6 +826,30 @@ class TestStreamedTrace:
         assert peaks["text"] <= peaks["json"] * 1.05
         assert "terms" not in json.loads((tmp_path / "untraced").read_text())
         assert peaks["json"] <= peaks["untraced"] * 1.05
+
+
+class TestHugeRankRefusal:
+    # prop-char refuses a sum that the full group's block size alone shows
+    # to be too large before it builds the lambda sequence or a Levi of
+    # rank d (at d = 1 000 000 those took 0.3 s and 145 MB)
+    def test_refused_without_building_rank_d(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        argv = ["prop-char", "--p", "3", "--d", "1000000"]
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, str(tmp_path / "out"), *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        code, peak_kib = map(int, proc.stdout.split())
+        assert code == 2 and (tmp_path / "out").read_text() == ""
+        assert proc.stderr == (
+            "error: the Jantzen sum at rank d=1000000, p=3, levi=full "
+            "has more than 100000 terms; refused\n"
+        )
+        assert peak_kib < 40 * 1024
 
 
 _START_UP = """

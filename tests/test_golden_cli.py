@@ -19,7 +19,8 @@ listings admitted (the second at n = 45, the first at n = 23, in JSON),
 multiplicity at p = 7 and, as text and JSON, at p = 11 and 13, the
 benchmark's identity commands (the second identity swept to 30 and the
 first swept to 12 as JSON lines, both with --jobs 1, and the second at
-n = 32), the small commands and one refused input per command.  Stderr is
+n = 32), the small commands and one refused input per command, and
+prop-char at p = 3 and d = 1 000 000, refused by its term budget.  Stderr is
 not pinned.
 A change meant to alter an output replaces that entry's digest.
 """

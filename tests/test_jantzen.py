@@ -256,7 +256,7 @@ class TestFastPath:
         with pytest.raises(ValueError, match="more than 3 terms"):
             jantzen_sum(lam, 2, full)
         with pytest.raises(ValueError, match="more than 3 terms"):
-            jantzen_mod.SumReport(lam, 2, full, FormalCharacter(BASIS_WEYL, full, {})).terms
+            jantzen_mod.SumReport(lam, 2, full, []).terms
 
     def test_huge_sum_refused_before_epsilon(self, monkeypatch):
         # the Levi's block sizes alone show more than TERM_LIMIT terms
@@ -443,6 +443,39 @@ class TestLongRuns:
         assert heavy >= 20
 
 
+class TestRows:
+    # jantzen_sum keeps its total as rows (*coords, coeff), sorted once; a
+    # dict would overwrite a repeated weight where rows would write it twice
+    def test_rows_are_distinct_sorted_and_nonzero(self, monkeypatch):
+        seen = TestLongRuns._record_runs(monkeypatch)
+        rng = random.Random(81)
+        cases = _fast_path_cases() + _long_run_cases()
+        for k in range(60):
+            # long d = 2 runs, and a longest root whose pairing p divides
+            p = (2, 3, 5, 7)[k % 4]
+            coords = [rng.randint(0, 100 * p) for _ in range(rng.randint(2, 3))]
+            coords[-1] += -(sum(coords) + len(coords)) % p
+            cases.append((Weight(coords), p, LeviDatum.full(len(coords))))
+        mirrored = 0
+        for lam, p, levi in cases:
+            seen.clear()
+            rows = jantzen_sum(lam, p, levi).rows
+            _, total = reference_jantzen(lam, p, levi)
+            assert all(len(row) == lam.rank + 1 and row[-1] for row in rows), (lam, p, levi)
+            assert all(a[:-1] > b[:-1] for a, b in zip(rows, rows[1:])), (lam, p, levi)
+            assert {Weight(row[:-1]): row[-1] for row in rows} == total, (lam, p, levi)
+            mirrored += any(count > 1 and step > p for _, _, step, _, count, _ in seen)
+        assert sum(1 for lam, p, levi in cases if lam.rank == 2) >= 100
+        assert sum(1 for lam, p, levi in cases if not levi.is_full) >= 100
+        assert mirrored >= 50
+
+    def test_total_is_built_from_rows_once(self):
+        report = jantzen_sum(Weight((40, 7)), 3, LeviDatum.full(2))
+        assert "total" not in vars(report)
+        assert report.total is report.total
+        assert list(report.total.terms.items()) == [(Weight(r[:-1]), r[-1]) for r in report.rows]
+
+
 class TestWorkCount:
     # How much the sum does, counted without a clock: every level of every
     # root goes through jantzen._terms_at, one run of levels at a time,
@@ -612,6 +645,54 @@ class TestVerifyPropChar:
     def test_composite_p_rejected(self):
         with pytest.raises(ValueError):
             verify_prop_char(6, 4)
+
+    def test_refusals_keep_their_order(self):
+        # the sequence's checks, then the first sum's: primality, then its
+        # term count, which comes from the full group's one block of d roots
+        bound = 318665857834031151167461
+        cases = {
+            (bound, 2): "the sequence needs d >= 3, got 2",
+            (1, 10**6): "need p >= 2, got 1",
+            (6, 40): "p must be prime, got 6",
+            (bound, 3): f"primality is decided exactly only below {bound}, got {bound}",
+            (3, 10**6): "the Jantzen sum at rank d=1000000, p=3, levi=full has more than 100000 terms; refused",
+            (2, 1000): "the Jantzen sum at rank d=1000, p=2, levi=full has more than 100000 terms; refused",
+        }
+        for (p, d), message in cases.items():
+            with pytest.raises(ValueError) as refused:
+                verify_prop_char(p, d)
+            assert str(refused.value) == message, (p, d)
+
+    def test_huge_d_refused_before_the_sequence(self, monkeypatch):
+        import jansum.jantzen as jantzen_mod
+
+        def refuse(*args):
+            raise AssertionError("built before the refusal")
+
+        for name in ("lambda_sequence", "to_epsilon"):
+            monkeypatch.setattr(jantzen_mod, name, refuse)
+        with pytest.raises(ValueError, match="more than 100000 terms; refused"):
+            verify_prop_char(3, 10**6)
+
+    def test_early_refusal_is_the_first_sums(self):
+        # from the least d at which the full group's block refuses, the
+        # first sum (lambda_0, full group) refuses with the same message
+        import jansum.jantzen as jantzen_mod
+
+        for p in (2, 3, 5, 7):
+            d = 3
+            while True:
+                try:
+                    jantzen_mod._check_blocks([d], p, LeviDatum.full(d))
+                except ValueError:
+                    break
+                d += 1
+            for dd in (d, d + 1, 2 * d):
+                with pytest.raises(ValueError) as early:
+                    verify_prop_char(p, dd)
+                with pytest.raises(ValueError) as first:
+                    jantzen_sum(lambda_sequence(p, dd)[0], p, LeviDatum.full(dd))
+                assert str(early.value) == str(first.value), (p, dd)
 
     @pytest.mark.parametrize("p,d", TEST_MATRIX)
     def test_case_analysis_shadow(self, p, d):

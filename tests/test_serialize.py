@@ -43,6 +43,7 @@ from jansum.serialize import (
     signed_dominant_json,
     sum_report_json,
     weight_json,
+    weyl_text,
 )
 from jansum.weyl import LeviDatum, SignedDominant, dot_normalize
 
@@ -247,6 +248,8 @@ class TestWritersMatchTheOracle:
                     assert "".join(sum_report_json(report, trace)) == oracle_text(
                         sum_report_to_json(report, include_terms=trace)
                     )
+                # the text total of the jantzen command, written from the rows
+                assert "".join(weyl_text(levi, report.rows)) == character_to_text(report.total)
                 singular += sum(t.outcome.is_singular for t in report.terms)
         assert singular > 0
 
@@ -411,6 +414,15 @@ class TestWriterMemory:
         assert len(report.total.terms) == 75000
         for writer in (character_json, character_text):
             assert traced_peak(writer(report.total)) < 2_000_000
+
+    def test_report_of_75000_rows(self):
+        # the jantzen command writes the same total from the report's rows,
+        # built before tracing, and never builds the FormalCharacter
+        report = jantzen_sum(Weight((100000, 0)), 2, LeviDatum.full(2))
+        assert len(report.rows) == 75000
+        assert traced_peak(sum_report_json(report)) < 2_000_000
+        assert traced_peak(weyl_text(report.levi, report.rows)) < 2_000_000
+        assert "total" not in vars(report)
 
     def test_identity_report_at_n40(self):
         # `identity --n 40 --which second --json`, 3.5 MB written: the left
