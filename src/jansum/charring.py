@@ -7,10 +7,13 @@ the GL picture with unboundedly many variables).  A signed sum of Schur
 functions, S_lambda = sum over mu of K(lambda, mu) * m_mu, is expanded by
 one memoized walk of the dominance ideal below a top shape (schur_sum_dag),
 which peels a horizontal strip for each part.  One enumerator (_strips)
-lists the strips of a shape for every size up to a cap; the walk's step
-runs it once for each shape of a state, for all the state's part sizes at
-once, and keeps what it gives for each state, while kostka asks it for the
-one size it peels.  The expansion lists the walk's leaves, and the
+finds the strips of a shape for every size up to a cap and adds each
+inner shape's coefficient into its caller's per-size sums as it finds it;
+the walk's step runs it once for each shape of a state, for all the
+state's part sizes at once, into one set of sums per state, which it
+keeps, while kostka runs it for the one size it peels, into one sum per
+content part.  No list of inner shapes is built.  The expansion lists the
+walk's leaves, keyed by tuples (lattice.ideal_leaves), and the
 coefficient counts that decide an identity or a multiplicity-one family
 are one fold over its keys, of the number of paths from the root to each
 leaf.  A Weyl-basis character of the full group enters such a walk
@@ -20,11 +23,13 @@ through the partitions of its keys (lattice.weight_to_partition).
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import Mapping
 
 from .lattice import (
     Partition,
     Weight,
+    _walked,
     check_ideal_size,
     dominance_leq,
     ideal_dag,
@@ -129,7 +134,8 @@ def kostka(shape: Partition, content: Partition) -> int:
     state after a prefix of the content is the set of shapes left, each
     with its number of ways, so the cost follows the number of shapes
     inside `shape`, not the number of tableaux.  Each state is peeled for
-    one size only, so only strips of that size are enumerated.
+    one size only, so only strips of that size are enumerated, and each
+    shape's ways are added into the next state as its strips are found.
     """
     if shape.size != content.size:
         raise ValueError(f"size mismatch: |{shape}| != |{content}|")
@@ -137,8 +143,7 @@ def kostka(shape: Partition, content: Partition) -> int:
     for part in content.parts:
         peeled: dict[tuple[int, ...], int] = {}
         for outer, ways in state.items():
-            for inner in _strips(outer, part, part)[part]:
-                peeled[inner] = peeled.get(inner, 0) + ways
+            _strips(outer, part, part, ways, [peeled])
         state = peeled
     return state.get((), 0)
 
@@ -151,8 +156,9 @@ def _stepper():
     state itself.
 
     The strips of a state's shapes are enumerated for every size up to k at
-    once, and the states after each of those sizes are kept, listed by
-    size, for each state: a state is enumerated once for all its sizes, and
+    once, each shape adding its coefficient into one sum per size, and the
+    states after each of those sizes are kept, listed by size, for each
+    state: a state is enumerated once for all its sizes, and
     again only when a size larger than any asked before is.
     """
     memo: dict[frozenset, list] = {}
@@ -162,9 +168,7 @@ def _stepper():
         if out is None or len(out) <= k:
             sums: list[dict] = [{} for _ in range(k)]
             for shape, coeff in state:
-                for found, total in zip(_strips(shape, k, 1)[1:], sums):
-                    for inner in found:
-                        total[inner] = total.get(inner, 0) + coeff
+                _strips(shape, k, 1, coeff, sums)
             out = [state]
             out += (frozenset((inner, c) for inner, c in total.items() if c) for total in sums)
             memo[state] = out
@@ -179,10 +183,11 @@ def _coefficient(state: frozenset) -> int:
     return dict(state).get((), 0)
 
 
-def _strips(shape: tuple[int, ...], cap: int, least: int = 0) -> list[list[tuple[int, ...]]]:
-    """The inner shapes nu with shape/nu a horizontal strip, grouped by the
-    strip's size: entry k lists those of size k, for k = 0..cap, and is
-    empty for k < least.
+def _strips(shape: tuple[int, ...], cap: int, least: int, coeff: int, sums: list[dict]) -> None:
+    """Add coeff to sums[k - least][nu] for each inner shape nu with shape/nu
+    a horizontal strip of a size k from least to cap, as nu is found, into
+    the caller's per-size sums, which many shapes may share; no list of
+    inner shapes is built.
 
     shape/nu is a horizontal strip exactly when shape_{i+1} <= nu_i <=
     shape_i for every row i, so only a corner, a row longer than the next,
@@ -212,21 +217,22 @@ def _strips(shape: tuple[int, ...], cap: int, least: int = 0) -> list[list[tuple
                 )
             ]
             start = i + 1
-    strips: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
     for rows, total in partial:
         # the last row is a corner, and the only row that can be shed whole
-        strips[total].append(rows if not rows or rows[-1] else rows[:-1])
-    return strips
+        inner = rows if not rows or rows[-1] else rows[:-1]
+        found = sums[total - least]
+        found[inner] = found.get(inner, 0) + coeff
 
 
 def schur_sum_to_monomial(coeffs: Mapping[Partition, int], top: Partition) -> FormalCharacter:
     """Expand sum of coeff * S_shape in the monomial basis: the leaves of
-    schur_sum_dag, listed, each mu below top with sum of coeff * K(shape,
-    mu).  Raises ValueError, before walking, if check_ideal_size refuses."""
+    schur_sum_dag, listed with tuple keys, each mu below top with sum of
+    coeff * K(shape, mu).  Raises ValueError, before walking, if
+    check_ideal_size refuses."""
     check_ideal_size(top)
-    leaves = dag_leaves(schur_sum_dag(coeffs, top))
-    # every key is a partition that the walk built
-    return _trusted_character(BASIS_MONOMIAL, None, {mu: c for mu, c in leaves if c})
+    leaves = _coefficients(ideal_leaves(schur_sum_dag(coeffs, top), text=False))
+    # every key is the parts of a partition that the walk built
+    return _trusted_character(BASIS_MONOMIAL, None, {_walked(parts): c for parts, c in leaves if c})
 
 
 def schur_sum_dag(coeffs: Mapping[Partition, int], top: Partition) -> dict[tuple, tuple]:
@@ -243,10 +249,18 @@ def schur_sum_dag(coeffs: Mapping[Partition, int], top: Partition) -> dict[tuple
     )
 
 
-def dag_leaves(dag: dict[tuple, tuple]) -> list[tuple[Partition, int]]:
-    """(mu, coefficient) for every leaf of a schur_sum_dag, zeros included,
-    in reverse-lexicographic order of mu."""
-    return [(mu, _coefficient(state)) for mu, state in ideal_leaves(dag)]
+def dag_leaves(dag: dict[tuple, tuple]) -> list[tuple[str, int]]:
+    """(key, coefficient) for every leaf of a schur_sum_dag, zeros included,
+    in reverse-lexicographic order, each key the comma-joined text of its
+    partition's parts (lattice.ideal_leaves)."""
+    return _coefficients(ideal_leaves(dag))
+
+
+def _coefficients(leaves: list[tuple[object, frozenset]]) -> list[tuple[object, int]]:
+    """The (key, state) leaves with each state's coefficient in its place,
+    read once per distinct state: the walk's leaves share a few states."""
+    coefficient = {state: _coefficient(state) for state in set(map(itemgetter(1), leaves))}
+    return [(key, coefficient[state]) for key, state in leaves]
 
 
 def coefficient_counts(dag: dict[tuple, tuple]) -> Counter:

@@ -34,10 +34,13 @@ and counts how often each coefficient occurs at its leaves by folding the
 number of paths from the root to each (charring.coefficient_counts), and
 the sum is the sum of m_mu over the ideal when every coefficient is 1
 (SupportCheck).  The check keeps that walk and lists its leaves once, the
-first time they are read, with no strip peeled again; an IdentityReport
-carries its check, and both sides, and their difference, come from that
-one listing (its JSON writes both sides straight from the leaves,
-serialize.identity_report_json).
+first time they are read, with no strip peeled again, each keyed by the
+comma-joined text of its parts, which the walk grows from its parent's
+key (lattice.ideal_leaves); an IdentityReport carries its check, and both
+sides, and their difference, come from that one listing.  Its JSON writes
+both sides and the difference straight from the text keys, one % per term
+(serialize.identity_report_json); a Partition is built from a key only
+when a library caller reads a side, a character or a list of the check.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ from .charring import (
     dag_leaves,
     schur_sum_dag,
 )
-from .jantzen import derived_simple_chars, is_prime
-from .lattice import Partition, check_ideal_size, weight_to_partition
+from .jantzen import _check_prime, derived_simple_chars, is_prime
+from .lattice import Partition, check_ideal_size, text_partition, weight_to_partition
 
 FIRST = "first"
 SECOND = "second"
@@ -83,7 +86,9 @@ class IdentityReport:
     def lhs(self) -> FormalCharacter:
         # every leaf of the walk is a partition below the top, built by it
         leaves = self.check.leaves
-        return _trusted_character(BASIS_MONOMIAL, None, dict.fromkeys((mu for mu, _ in leaves), 1))
+        return _trusted_character(
+            BASIS_MONOMIAL, None, dict.fromkeys((text_partition(key) for key, _ in leaves), 1)
+        )
 
     @cached_property
     def rhs(self) -> FormalCharacter:
@@ -92,7 +97,9 @@ class IdentityReport:
     @cached_property
     def diff(self) -> FormalCharacter:
         broken = self.check._broken
-        return _trusted_character(BASIS_MONOMIAL, None, {mu: 1 - c for mu, c in broken})
+        return _trusted_character(
+            BASIS_MONOMIAL, None, {text_partition(key): 1 - c for key, c in broken}
+        )
 
 
 def _alternating(shapes: list[Partition]) -> dict[Partition, int]:
@@ -169,9 +176,11 @@ class SupportCheck:
     fold also gives `term_count`, the nonzero ones.  The walk refuses a
     shape not below the target, and S_shape has m_mu only for mu <= shape,
     so no term falls outside the ideal.  The walk's leaves are listed once,
-    in reverse-lexicographic order, the first time the character or the
-    leaves whose coefficient is not 1 are read; a check that passes finds
-    none of the latter without listing.
+    in reverse-lexicographic order, as (text key, coefficient) pairs
+    (charring.dag_leaves), the first time the character or the leaves whose
+    coefficient is not 1 are read; a check that passes finds none of the
+    latter without listing.  `character`, `missing` and
+    `wrong_multiplicity` build the Partitions of their keys when read.
     """
 
     def __init__(self, target: Partition, coeffs: dict[Partition, int]):
@@ -182,25 +191,26 @@ class SupportCheck:
         self.term_count = sum(k for c, k in counts.items() if c)
 
     @cached_property
-    def leaves(self) -> list[tuple[Partition, int]]:
+    def leaves(self) -> list[tuple[str, int]]:
         return dag_leaves(self.dag)
 
     @cached_property
     def character(self) -> FormalCharacter:
         # every key is a partition that the walk built
-        return _trusted_character(BASIS_MONOMIAL, None, {mu: c for mu, c in self.leaves if c})
+        terms = {text_partition(key): c for key, c in self.leaves if c}
+        return _trusted_character(BASIS_MONOMIAL, None, terms)
 
     @cached_property
-    def _broken(self) -> list[tuple[Partition, int]]:
-        return [] if self.passed else [(mu, c) for mu, c in self.leaves if c != 1]
+    def _broken(self) -> list[tuple[str, int]]:
+        return [] if self.passed else [(key, c) for key, c in self.leaves if c != 1]
 
     @cached_property
     def missing(self) -> list[Partition]:
-        return [mu for mu, c in self._broken if not c]
+        return [text_partition(key) for key, c in self._broken if not c]
 
     @cached_property
     def wrong_multiplicity(self) -> list[tuple[Partition, int]]:
-        return [(mu, c) for mu, c in self._broken if c]
+        return [(text_partition(key), c) for key, c in self._broken if c]
 
 
 class MultiplicityOneReport(NamedTuple):
@@ -226,8 +236,7 @@ def multiplicity_one_report(p: int, d: int) -> MultiplicityOneReport:
     character is computed at the least rank admitted, and only the report
     keeps d.  A huge ideal is refused before the lambda sequence is built.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_prime(p)
     # d >= 2p-2 >= 4 for odd p; for p = 2, lambda_sequence refuses d < 3
     if d < 2 * p - 2:
         raise ValueError(

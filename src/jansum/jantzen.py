@@ -183,8 +183,7 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
     is the root's block with x_lo and x_{hi+1} taken out and two values not
     in the block put in, so the two taken out name the root.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_prime(p)
     if not levi.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant for {levi.describe()}")
     x, z, roots = _roots(lam, p, levi)
@@ -271,6 +270,11 @@ def _roots(lam: Weight, p: int, levi: LeviDatum) -> tuple[tuple[int, ...], tuple
                 _check_term_count(count, p, levi)
     z = tuple(tuple(e + j + shift for j, e in enumerate(x)) for shift in (-1, 0, 1))
     return x, z, roots
+
+
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
 
 
 def _check_blocks(sizes: list[int], p: int, levi: LeviDatum) -> None:
@@ -542,9 +546,11 @@ def verify_prop_char(p: int, d: int) -> PropCharReport:
     Levi generated by the simple roots 2..d.  Failures are recorded, not
     raised; each check keeps its sum's report, and with it the term trace.
     Refusals come from lambda_sequence, then from the first jantzen_sum,
-    whose refusal of too many terms comes before anything of rank d is built.
+    whose refusals of a composite p and of too many terms come before
+    anything of rank d is built.
     """
-    if d >= 3 and is_prime(p):
+    if d >= 3 and p >= 2:
+        _check_prime(p)
         _check_blocks([d], p, LeviDatum.full(d))
     seq = lambda_sequence(p, d)
     levis = (LeviDatum.full(d), LeviDatum(d, range(2, d + 1)))

@@ -9,6 +9,7 @@ partitions (their minimal nonnegative GL(d+1) lift) via suffix sums.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import le
 from typing import Iterable
 
 
@@ -163,17 +164,13 @@ def pairing(w: Weight, r: Root) -> int:
 
 
 def dominance_leq(a: Partition, b: Partition) -> bool:
-    """True iff a <= b in the dominance order (prefix sums; equal sizes only)."""
+    """True iff a <= b in the dominance order (prefix sums; equal sizes only).
+
+    Past the end of b its prefix sum is the common size, which no prefix sum
+    of a exceeds, so only the prefixes both have are compared."""
     if a.size != b.size:
         raise ValueError(f"dominance needs equal sizes: |{a}| != |{b}|")
-    sa = 0
-    sb = 0
-    for t in range(a.length):
-        sa += a.parts[t]
-        sb += b.parts[t] if t < b.length else 0
-        if sa > sb:
-            return False
-    return True
+    return all(map(le, accumulate(a.parts), accumulate(b.parts)))
 
 
 def partitions_below(b: Partition) -> list[Partition]:
@@ -184,17 +181,18 @@ def partitions_below(b: Partition) -> list[Partition]:
     Raises ValueError, before walking, when check_ideal_size refuses b.
     """
     check_ideal_size(b)
-    return [mu for mu, _ in ideal_leaves(ideal_dag(b, None, lambda state, k: None))]
+    dag = ideal_dag(b, None, lambda state, k: None)
+    return [_walked(parts) for parts, _ in ideal_leaves(dag, text=False)]
 
 
 # Largest dominance ideal a walk accepts.  It bounds the listing of terms
 # (partitions_below, schur_sum_to_monomial, the sides of an identity report
 # that --json prints and the lists of a failing multiplicity family), which
-# grows with the ideal: with one listing of the walk serving both sides and
-# each side written in pieces, identity --json peaks at 47 MB of RSS
-# (Python 3.11 on Linux) for the second identity at n=45 (89 133
-# partitions) and for the first at n=23 (84 626), the largest n this limit
-# admits.
+# grows with the ideal: with one listing of the walk, keyed by text, serving
+# both sides and each side written in pieces, identity --json peaks at
+# 37-38 MB of RSS (Python 3.11 on Linux) for the second identity at n=45
+# (89 133 partitions) and for the first at n=23 (84 626), the largest n
+# this limit admits.
 # identities._verify checks it too, so a verdict is given exactly where its
 # terms can be listed, and so does identities.multiplicity_one_report,
 # before it builds the lambda sequence: multiplicity is admitted up to
@@ -252,7 +250,8 @@ def ideal_dag(b: Partition, state, step) -> dict[tuple, tuple]:
     states while finding the largest one's can keep them for those calls.
     """
     n = b.size
-    # the first k+1 parts add up to at most bounds[min(k, b.length)]
+    # the first k+1 parts add up to at most bounds[k]; a key's depth is
+    # below b.length, so the bound after its part is always there
     bounds = list(accumulate(b.parts)) + [n]
     free = max(b.length - 1, 0)  # from this depth on, no prefix bound binds
     dag: dict[tuple, tuple] = {}
@@ -281,8 +280,12 @@ def ideal_dag(b: Partition, state, step) -> dict[tuple, tuple]:
             dag.setdefault(leaf, ())
             dag.update(dict.fromkeys(reversed(run), (leaf,)))
         else:
-            nxt = min(largest, bounds[min(depth + 1, b.length)] - (n - left + largest))
-            deeper = free if nxt == 1 else min(depth + 1, free)
+            # the child's largest part is at most this one and at most what
+            # the next prefix bound leaves; written out, as min would cost a
+            # call per key
+            room = bounds[depth + 1] - (n - left + largest)
+            nxt = room if room < largest else largest
+            deeper = free if nxt == 1 or depth == free else depth + 1
             child = (step(state, largest), left - largest, nxt, deeper)
             sibling = (state, left, largest - 1, free if largest == 2 else depth)
             waiting[key] = (child, sibling)
@@ -291,34 +294,54 @@ def ideal_dag(b: Partition, state, step) -> dict[tuple, tuple]:
     return dag
 
 
-def ideal_leaves(dag: dict[tuple, tuple]) -> list[tuple[Partition, object]]:
-    """(partition, state) for every leaf of an ideal_dag, one per path from
-    the root, in reverse-lexicographic order of the partitions."""
-    out: list[tuple[Partition, object]] = []
-    parts: list[int] = []  # the partition so far
-    stack = [(next(reversed(dag)), 0)]  # (key, length of parts above it)
+def ideal_leaves(dag: dict[tuple, tuple], text: bool = True) -> list[tuple[object, object]]:
+    """(key, state) for every leaf of an ideal_dag, one per path from the
+    root, in reverse-lexicographic order of the partitions.
+
+    A leaf's key is its partition's parts: the comma-joined text that the
+    JSON and text forms write ("3,1,1", and "" for the empty partition) or,
+    with text=False, their tuple.  Each key on a path is its parent's key
+    and one piece more, cached: a piece per part size, and one per run of
+    ones, which a key whose largest part allowed is 1 adds at once, as its
+    one child is the leaf.  No partition is built.
+    """
+    if text:
+        # pieces start with a comma, so a leaf's key drops its first character
+        empty, part, ones, skip = "", ",%d".__mod__, ",1".__mul__, 1
+    else:
+        empty, part, ones, skip = (), (lambda k: (k,)), (1,).__mul__, 0
+    root = next(reversed(dag))
+    pieces = [part(k) for k in range(root[2] + 1)]  # no part exceeds the root's
+    runs: dict[int, object] = {}  # length of a run of ones -> its piece
+    out: list[tuple[object, object]] = []
+    stack = [(root, empty)]  # (key, the parts above it)
     while stack:
-        key, length = stack.pop()
-        del parts[length:]
-        children = dag[key]
-        if not children:
-            out.append((_walked(parts), key[0]))
-            continue
-        _, left, largest, _ = key
-        if largest == 1:
-            parts += [1] * left
+        key, above = stack.pop()
+        # down the first children, each sibling left on the stack
+        while (children := dag[key]) and key[2] > 1:
+            stack.append((children[1], above))
+            above += pieces[key[2]]
+            key = children[0]
+        if children:
+            # the parts left are all ones, and the one child is the leaf
+            left = key[1]
+            run = runs.get(left) or runs.setdefault(left, ones(left))
+            out.append(((above + run)[skip:], children[0][0]))
         else:
-            stack.append((children[1], length))
-            parts.append(largest)
-        stack.append((children[0], len(parts)))
+            out.append((above[skip:], key[0]))
     return out
 
 
-def _walked(parts: list[int]) -> Partition:
-    """The Partition of parts that ideal_leaves built, so valid by construction."""
+def _walked(parts: tuple[int, ...]) -> Partition:
+    """The Partition of parts that ideal_leaves listed, so valid by construction."""
     mu = Partition.__new__(Partition)
-    mu.parts = tuple(parts)
+    mu.parts = parts
     return mu
+
+
+def text_partition(key: str) -> Partition:
+    """The Partition of a text key of ideal_leaves."""
+    return _walked(tuple(map(int, key.split(","))) if key else ())
 
 
 def weight_to_partition(w: Weight) -> Partition:

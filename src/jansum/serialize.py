@@ -25,7 +25,7 @@ whole.
 from __future__ import annotations
 
 from itertools import chain, islice
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .charring import BASIS_MONOMIAL
 from .jantzen import _trace
@@ -86,6 +86,8 @@ def _pieces(terms, sep: str = ","):
 
 _MONOMIAL = '{"basis":"monomial","terms":['
 _MONOMIAL_TERM = '{"key":[%s],"coeff":"%d"}'
+# a left side's term of an identity from a (key, coeff) leaf; %.0s drops coeff
+_LEFT_TERM = '{"key":[%s],"coeff":"1"}%.0s'
 
 
 def weyl_json(levi, rows):
@@ -173,13 +175,14 @@ def sum_report_json(report, trace: bool = False):
 
 def identity_report_json(report):
     """Both sides from the leaves of the report's check, which come in
-    reverse-lexicographic order: the left side has every leaf with
-    coefficient 1, each key formatted once into pieces that are kept until
-    the right side is written, and the right side the nonzero leaves with
-    theirs, so an EQUAL report's right side is those pieces, and any
-    other's is written from the leaves."""
-    leaves = report.check.leaves
-    lhs = list(_pieces(_MONOMIAL_TERM % (_ints(mu.parts), 1) for mu, _ in leaves))
+    reverse-lexicographic order keyed by the text of their parts, so each
+    term is one %: the left side has every leaf with coefficient 1, written
+    into pieces that are kept until the right side is written, and the right
+    side the nonzero leaves with theirs, so an EQUAL report's right side is
+    those pieces, and any other's is written from the leaves.  The
+    difference is written from the leaves whose coefficient is not 1."""
+    check = report.check
+    lhs = list(_pieces(map(_LEFT_TERM.__mod__, check.leaves)))
     yield (
         f'{{"n":{report.n},"which":"{report.which}","prime":{_bool(report.prime)},'
         f'"label":"{report.label}","equal":{_bool(report.equal)},"lhs":{_MONOMIAL}'
@@ -187,11 +190,11 @@ def identity_report_json(report):
     yield from lhs
     yield f']}},"rhs":{_MONOMIAL}'
     yield from lhs if report.equal else _pieces(
-        _MONOMIAL_TERM % (_ints(mu.parts), c) for mu, c in leaves if c
+        map(_MONOMIAL_TERM.__mod__, filter(itemgetter(1), check.leaves))
     )
-    yield ']},"diff":'
-    yield from character_json(report.diff)
-    yield "}"
+    yield f']}},"diff":{_MONOMIAL}'
+    yield from _pieces(_MONOMIAL_TERM % (key, 1 - c) for key, c in check._broken)
+    yield "]}}"
 
 
 def prop_char_report_json(report):

@@ -122,7 +122,8 @@ class TestKostka:
 
 
 class TestStrips:
-    """The one strip enumerator, charring._strips, against brute_strips."""
+    """The one strip enumerator, charring._strips, against brute_strips: it
+    adds each inner shape's coefficient into the caller's per-size sums."""
 
     @staticmethod
     def shapes():
@@ -137,19 +138,58 @@ class TestStrips:
             yield tuple(range(k, 0, -1))
         yield from rng.sample(every, 60)
 
+    @staticmethod
+    def brute_sums(terms, cap, least):
+        """The per-size sums of the strips of every (shape, coeff) term,
+        sizes least..cap, from brute_strips."""
+        sums = [{} for _ in range(cap + 1 - least)]
+        for shape, coeff in terms:
+            for found, total in zip(brute_strips(shape, cap)[least:], sums):
+                for inner in found:
+                    total[inner] = total.get(inner, 0) + coeff
+        return sums
+
     def test_every_cap_against_brute_force(self):
-        # every cap, with no least size (the walk's use) and with least = cap
-        # (the one size a Kostka number peels)
+        # every cap, with every size (least = 0), with the sizes the walk
+        # steps (least = 1) and with the one size a Kostka number peels
+        # (least = cap)
         cases = 0
         for shape in self.shapes():
             for cap in range(0, (shape[0] if shape else 0) + 2):
                 expected = brute_strips(shape, cap)
-                got = charring._strips(shape, cap)
-                assert [sorted(found) for found in got] == expected, (shape, cap)
-                only = charring._strips(shape, cap, cap)
-                assert [sorted(found) for found in only] == [[]] * cap + expected[cap:], (shape, cap)
+                for least in (0, 1, cap):
+                    if least > cap:
+                        continue
+                    sums = [{} for _ in range(cap + 1 - least)]
+                    charring._strips(shape, cap, least, 1, sums)
+                    assert [sorted(found) for found in sums] == expected[least:], (shape, cap, least)
+                    assert all(c == 1 for found in sums for c in found.values())
                 cases += 1
         assert cases > 400
+
+    def test_sums_shared_across_shapes(self):
+        # seeded signed sums of shapes of one size, their coefficients other
+        # than 1, summed into one list of per-size sums as the walk's step
+        # and kostka do; an inner shape that two shapes share adds both, and
+        # a sum that cancels keeps its 0, which the step then drops
+        rng = random.Random(16)
+        shared = cancelled = 0
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            every = list(brute_partitions(n))
+            shapes = rng.sample(every, min(len(every), rng.randint(1, 6)))
+            terms = [(shape, rng.choice((-2, -1, 2, 3))) for shape in shapes]
+            cap = rng.randint(1, n)
+            least = rng.choice((0, 1, cap))
+            sums = [{} for _ in range(cap + 1 - least)]
+            for shape, coeff in terms:
+                charring._strips(shape, cap, least, coeff, sums)
+            assert sums == self.brute_sums(terms, cap, least), (terms, cap, least)
+            alone = [self.brute_sums([term], cap, least) for term in terms]
+            seen = Counter(inner for found in alone for total in found for inner in total)
+            shared += any(k > 1 for k in seen.values())
+            cancelled += any(c == 0 for total in sums for c in total.values())
+        assert shared > 50 and cancelled > 20
 
 
 class TestSchurToMonomial:

@@ -106,6 +106,43 @@ class TestVerdictsWithoutTheSides:
             run_cli(["identity", "--n", "32", "--which", "second", "--json"])
 
 
+_COUNTED_PARTITIONS = """
+import sys
+from jansum import cli
+from jansum.lattice import Partition
+built = []
+
+def counted(cls, *args):
+    built.append(cls)
+    return object.__new__(cls)
+
+Partition.__new__ = staticmethod(counted)
+print(cli.main(sys.argv[1:]), len(built), file=sys.stderr)
+"""
+
+
+class TestLeavesAsText:
+    # The JSON writer formats each leaf from its text key, so the partitions
+    # built are the top and the shapes of the right side, not the 1 060
+    # leaves.  A child process of its own counts every Partition made, as
+    # its class keeps the counting constructor until the process ends.
+    def test_json_builds_no_partition_per_leaf(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        argv = ["identity", "--n", "12", "--which", "first", "--json"]
+        proc = subprocess.run(
+            [sys.executable, "-c", _COUNTED_PARTITIONS, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        code, built = map(int, proc.stderr.split())
+        assert proc.stdout == "".join(run_cli(argv)[1])
+        assert (code, len(json.loads(proc.stdout)["lhs"]["terms"])) == (0, 1060)
+        assert 0 < built < 30, built
+
+
 class TestSweepCommand:
     def test_small_sweep(self):
         code, out, _ = run_cli(["sweep", "2", "6", "--which", "second", "--jobs", "1"])

@@ -13,7 +13,9 @@ Jantzen sum admitted (100 000 levels at d = 2, as text, as JSON and as
 --trace --json, whose 75 000-key total spans hundreds of written pieces)
 and the smallest refused, Schur expansions whose prefix bounds bind deep or
 that end in long runs of ones (12,8,4; ten 3s; thirty 2s), one of more than
-three pieces of terms as JSON (8,6,4,2: 417 terms), the sides of the first
+three pieces of terms as JSON (8,6,4,2: 417 terms), the leaf walk's edge
+shapes as JSON (the single box, a single row of 9 and a column of 7), a
+Kostka number of twelve 1s as content, as text and JSON, the sides of the first
 identity at n = 16 and a first sweep to 14 in JSON, the largest identity
 listings admitted (the second at n = 45, the first at n = 23, in JSON),
 multiplicity at p = 7 and, as text and JSON, at p = 11 and 13, the

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -654,6 +658,7 @@ class TestVerifyPropChar:
             (bound, 2): "the sequence needs d >= 3, got 2",
             (1, 10**6): "need p >= 2, got 1",
             (6, 40): "p must be prime, got 6",
+            (4, 10**6): "p must be prime, got 4",
             (bound, 3): f"primality is decided exactly only below {bound}, got {bound}",
             (3, 10**6): "the Jantzen sum at rank d=1000000, p=3, levi=full has more than 100000 terms; refused",
             (2, 1000): "the Jantzen sum at rank d=1000, p=2, levi=full has more than 100000 terms; refused",
@@ -673,6 +678,42 @@ class TestVerifyPropChar:
             monkeypatch.setattr(jantzen_mod, name, refuse)
         with pytest.raises(ValueError, match="more than 100000 terms; refused"):
             verify_prop_char(3, 10**6)
+
+    def test_composite_p_refused_before_the_sequence(self):
+        # a composite p is refused next to the block check, before the
+        # sequence and the Levis of rank d: at d = 1 000 000 those took
+        # 0.15 s and 115 MB before the first sum refused p = 4.  The call
+        # runs in a child of a small wrapper, whose RUSAGE_CHILDREN sees
+        # that child's peak alone.
+        refusal = (
+            "import time\n"
+            "from jansum.jantzen import verify_prop_char\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    verify_prop_char(4, 10**6)\n"
+            "except ValueError as refused:\n"
+            "    print(refused)\n"
+            "print(time.perf_counter() - start)\n"
+        )
+        wrapper = (
+            "import resource, subprocess, sys\n"
+            "subprocess.call([sys.executable, '-c', sys.argv[1]])\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", wrapper, refusal],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        message, seconds, peak_kib = proc.stdout.splitlines()
+        assert message == "p must be prime, got 4"
+        assert float(seconds) < 0.05
+        assert int(peak_kib) < 40 * 1024
 
     def test_early_refusal_is_the_first_sums(self):
         # from the least d at which the full group's block refuses, the

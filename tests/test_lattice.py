@@ -179,6 +179,51 @@ class TestPartitionsBelow:
         assert partitions_below(Partition()) == [Partition()]
 
 
+class TestLeafKeys:
+    """lattice.ideal_leaves grows each leaf's key from its parent's: as the
+    comma-joined text of the parts that the writers print, or as their
+    tuple, which partitions_below reads."""
+
+    @staticmethod
+    def tops():
+        # the empty shape, single rows and columns, tops whose ideals end
+        # in long runs of ones, and seeded random tops of size at most 16
+        rng = random.Random(24)
+        yield ()
+        for k in (1, 2, 7, 13):
+            yield (k,)
+            yield (1,) * k
+        yield from [(2,) * 9, (3,) + (1,) * 12, (15, 1), (6, 6, 1), (4, 4, 4, 4)]
+        every = [t for n in range(1, 17) for t in brute_partitions(n)]
+        yield from rng.sample(every, 50)
+
+    def test_text_keys_are_the_joined_parts(self):
+        longest_run = 0
+        for top in self.tops():
+            b = Partition(top)
+            below = partitions_below(b)
+            dag = lattice.ideal_dag(b, None, lambda state, k: None)
+            keys = [key for key, _ in lattice.ideal_leaves(dag)]
+            assert keys == [",".join(map(str, mu.parts)) for mu in below], top
+            assert [key for key, _ in lattice.ideal_leaves(dag, text=False)] == [
+                mu.parts for mu in below
+            ]
+            assert [lattice.text_partition(key) for key in keys] == below
+            longest_run = max(longest_run, *(mu.parts.count(1) for mu in below))
+        assert longest_run >= 13
+
+    def test_each_key_comes_with_its_leaf_state(self):
+        # a state that records the parts taken, so every path has a state
+        # of its own, and each leaf's must be its key's parts
+        for top in self.tops():
+            b = Partition(top)
+            dag = lattice.ideal_dag(b, (), lambda state, k: state + (k,))
+            listings = lattice.ideal_leaves(dag), lattice.ideal_leaves(dag, text=False)
+            for text, tuples in zip(*listings, strict=True):
+                assert text[1] == tuples[1] == tuples[0]
+                assert text[0] == ",".join(map(str, tuples[0]))
+
+
 class TestIdealGuard:
     @pytest.mark.parametrize("top", [(5, 1), (11, 1), (4, 4, 1), (7, 7, 1)])
     def test_bound_is_exact_for_both_identity_families(self, monkeypatch, top):
