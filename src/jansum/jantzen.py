@@ -13,9 +13,11 @@ of one root are evaluated together, in closed form on the epsilon
 coordinates of lambda + rho, building only the coordinates a term changes,
 one run of levels at a time: between two levels where the order of the
 root's block changes, a term's sign stays and its dominant weight moves
-linearly with the level (_terms_at).  The total folds mirror levels, sums
-each run whole into rows of coordinates and coefficient, and sorts them
-once (jantzen_sum); a report builds its FormalCharacter when read.  The
+linearly with the level (_terms_at).  The levels l and c - l of a root of
+pairing c give one weight with opposite signs, so the total visits only
+the levels that p^(v_p(c) + 1) divides, each weighted v_p(l) - v_p(c); it
+sums each run whole into rows of coordinates and coefficient, and sorts
+them once (jantzen_sum); a report builds its FormalCharacter when read.  The
 trace of every term, singular ones included, comes from _walk, one frame
 per root holding that root's levels, each run spread back into its levels:
 _trace writes it as text, one term at a time, for serialize's text and
@@ -28,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cached_property
 from itertools import repeat
-from operator import neg, sub
+from operator import sub
 from typing import NamedTuple
 
 from .charring import BASIS_WEYL, FormalCharacter, _trusted_character
@@ -174,14 +176,21 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
     from a column per coordinate, a range where its dominant weight moves
     and a repeat elsewhere, and one of coefficients from the valuations of
     its levels (_stepped, _valuations), so no row is worked out on its own.
-    At a root whose pairing c is a multiple of p, the levels l and c - l
-    give one dominant weight with opposite signs (see _terms_at), so only
-    the levels below c/2 are visited, each weighted v_p(l) - v_p(c - l),
-    and of those only the ones where that is not 0 (_uncancelled); level
-    c/2 is singular.  Elsewhere c - l is no level, and each level is a
-    weight of its own.  No dominant weight comes from two roots: its block
-    is the root's block with x_lo and x_{hi+1} taken out and two values not
-    in the block put in, so the two taken out name the root.
+
+    At a root of pairing c, let e = v_p(c) and q = p^(e + 1): the root's
+    share of the sum is that of (v_p(l) - e) * chi(l) over the levels l in
+    range(q, c, q).  The levels l and c - l give one dominant weight with
+    opposite signs (see _terms_at), so take the levels in pairs {l, c - l}:
+    if v_p(l) < e, then v_p(c - l) = v_p(l) and the pair
+    cancels; if both valuations are e, it cancels; otherwise exactly one of
+    the two, l, has v_p(l) > e, so q divides l, and its partner has
+    valuation e, so the pair gives (v_p(l) - e) * chi(l).  Level c/2, if
+    there is one, is no multiple of q.  When p does not divide c, e is 0
+    and these are all the levels, each weighted v_p(l).  No key repeats
+    within a root, as q divides l but not c - l; nor does a dominant weight
+    come from two roots: its block is the root's block with x_lo and
+    x_{hi+1} taken out and two values not in the block put in, so the two
+    taken out name the root.
     """
     _check_prime(p)
     if not levi.is_dominant(lam):
@@ -192,38 +201,19 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
     for lo, hi, c in roots:
         changed = _changed(lo, hi, d)
         head, tail = coords[: changed.start], coords[changed.stop :]
-        mirrored = c % p == 0
+        e = p_adic_valuation(p, c)
+        q = p ** (e + 1)
         # every key is dominant for the Levi
-        for levels in _uncancelled(p, c) if mirrored else (range(p, c, p),):
-            for level, count, sign, window, slopes in _terms_at(x, z, lo, hi, levels):
-                if count == 1:
-                    if sign:
-                        coeff = _valuation(p, level)
-                        if mirrored:
-                            coeff -= _valuation(p, c - level)
-                        rows.append((*head, *window, *tail, sign * coeff))
-                    continue
-                step = levels.step
-                coeffs = _valuations(p, level, count, step)
-                if mirrored:
-                    last = level + (count - 1) * step
-                    coeffs = map(sub, coeffs, reversed(_valuations(p, c - last, count, step)))
-                coeffs = coeffs if sign > 0 else map(neg, coeffs)
-                rows.extend(_stepped(head, window, tail, count, slopes, coeffs))
+        for level, count, sign, window, slopes in _terms_at(x, z, lo, hi, range(q, c, q)):
+            if count == 1:
+                if sign:
+                    rows.append((*head, *window, *tail, sign * (_valuation(p, level) - e)))
+                continue
+            coeffs = _valuations(p, level, count, q)
+            coeffs = map(sub, coeffs, repeat(e)) if sign > 0 else map(sub, repeat(e), coeffs)
+            rows.extend(_stepped(head, window, tail, count, slopes, coeffs))
     rows.sort(reverse=True)
     return SumReport(lam, p, levi, rows)
-
-
-def _uncancelled(p: int, c: int) -> tuple[range, range]:
-    """The two progressions of levels l < c/2, at a root whose pairing c is
-    a multiple of p, where v_p(l) - v_p(c - l) is not 0.  With e = v_p(c)
-    and q = p^(e + 1), that is where l = 0 or l = c (mod q): below e both
-    valuations are v_p(l); above it v_p(c - l) is e; at e, v_p(c - l) > e
-    exactly when q divides c - l.  At p = 2 and e = 1 every level is kept,
-    in two progressions of step 4."""
-    q = p ** (p_adic_valuation(p, c) + 1)
-    half = (c + 1) // 2
-    return range(q, half, q), range(c % q, half, q)  # p <= c % q < q
 
 
 def _valuations(p: int, level: int, count: int, step: int) -> list[int]:

@@ -7,8 +7,13 @@ leave negative coordinates off their simple roots) and at the sizes the
 benchmark runs (d = 30 at p = 3, full and Levi 2..30, as JSON with and
 without --trace and as the text --trace; d = 30 at p = 5 and 7, the
 benchmark's first weight for each at seed 1, full and Levi 2..30, as JSON
-with and without --trace, since which roots' mirror levels fold depends on
-p; 20 000 levels at d = 2, as JSON and as the text --trace), the largest
+with and without --trace, since which roots' mirror levels cancel depends
+on p; 20 000 levels at d = 2, as JSON and as the text --trace), Jantzen
+sums at roots whose pairing a high power of p divides, each as text, JSON
+and the text --trace (a[1,2] pairing to 24 = 2^3 * 3 at p = 2 and
+lambda = 20,2; to 54 = 3^3 * 2 at p = 3 and lambda = 50,2; to 16 = 2^4 on
+the Levi 1,2 at p = 2 and lambda = 13,1,2; to 125 = 5^3 at p = 5 and
+lambda = 123,0,1, where every level of the root cancels), the largest
 Jantzen sum admitted (100 000 levels at d = 2, as text, as JSON and as
 --trace --json, whose 75 000-key total spans hundreds of written pieces)
 and the smallest refused, Schur expansions whose prefix bounds bind deep or

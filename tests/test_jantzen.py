@@ -300,8 +300,8 @@ class TestFastPath:
 
 
 class TestMirrorLevels:
-    # The two facts jantzen_sum's fold rests on, read from the slow
-    # reference's terms alone: at one root, the levels l and c - l (both
+    # The two facts jantzen_sum's coefficient rule rests on, read from the
+    # slow reference's terms alone: at one root, the levels l and c - l (both
     # levels exactly when p | c) are both singular or give one dominant
     # weight with opposite signs; and no dominant weight comes from two roots.
     def test_mirror_levels_and_distinct_roots(self):
@@ -336,6 +336,52 @@ class TestMirrorLevels:
                     roots_of.setdefault(term.outcome.dominant, set()).add(term.root)
             assert all(len(roots) == 1 for roots in roots_of.values()), (lam, p, levi)
         assert pairs[False] >= 500 and pairs[True] >= 500
+
+
+class TestCoefficientRule:
+    # At a root of pairing c with e = v_p(c), jantzen_sum visits only the
+    # levels l that q = p^(e + 1) divides, each weighted v_p(l) - e; its
+    # rows must be the slow reference's total, at weights made so that p^e
+    # divides the pairing of a chosen root
+    def test_rows_match_reference_where_p_powers_divide_pairings(self):
+        rng = random.Random(91)
+        high = Counter()  # roots with a term, by e = v_p(c) capped at 3
+        cancelled = 0  # roots with c = p^e * u, u < p: no multiple of q below c
+        for k in range(160):
+            p, e = (2, 3, 5, 7)[k % 4], 1 + k // 4 % 4
+            d = rng.randint(2, 4)
+            if k % 3 == 0:
+                simples = set(range(1, d + 1))
+            else:
+                simples = {s for s in range(1, d + 1) if rng.random() < 0.7} or {rng.randint(1, d)}
+            coords = [
+                rng.randint(0, 6) if s in simples else rng.randint(-6, 6) for s in range(1, d + 1)
+            ]
+            levi = LeviDatum(d, simples)
+            root = rng.choice(list(levi.positive_roots()))
+            # make the root's pairing, rest + coords[hi - 1] + 1, p^e * u by
+            # setting its last coordinate, which must stay at least 0; with
+            # u < p no multiple of p^(e + 1) lies below it
+            rest = sum(coords[root.lo - 1 : root.hi - 1]) + root.hi - root.lo
+            if rng.random() < 0.3:
+                u = rng.randint(1, p - 1)
+            else:
+                u = rng.randint(1, max(p + 1, 600 // p**e))
+            u = max(u, -(-(rest + 1) // p**e))
+            coords[root.hi - 1] = p**e * u - rest - 1
+            lam = Weight(coords)
+            _, total = reference_jantzen(lam, p, levi)
+            expected = sorted(((*key.coords, coeff) for key, coeff in total.items()), reverse=True)
+            assert jantzen_sum(lam, p, levi).rows == expected, (lam, p, levi)
+            shifted = lam + rho(d)
+            for c in (pairing(shifted, r) for r in levi.positive_roots()):
+                if c > p:
+                    v = p_adic_valuation(p, c)
+                    high[min(v, 3)] += 1
+                    cancelled += v >= 1 and c // p**v < p
+        assert high[2] + high[3] >= 100
+        assert high[3] >= 30
+        assert cancelled >= 10
 
 
 def _long_run_cases():
@@ -423,8 +469,8 @@ class TestLongRuns:
 
     def test_mirrored_runs_hold_higher_valuations(self, monkeypatch):
         # at a root whose pairing c is a multiple of p, a run of the
-        # progressions of levels l = 0 or l = c (mod q) holds levels where
-        # v_p(l) - v_p(c - l) is neither 1 nor -1
+        # progression of the multiples of q = p^(v_p(c) + 1) holds levels
+        # where v_p(l) - v_p(c - l), which is v_p(l) - v_p(c), is at least 2
         seen = self._record_runs(monkeypatch)
         rng = random.Random(75)
         heavy = 0
@@ -439,7 +485,7 @@ class TestLongRuns:
                 shifted = lam + rho(lam.rank)
                 for lo, hi, step, level, count, sign in seen:
                     c = pairing(shifted, Root(lo, hi))
-                    if count > 1 and step > p:  # a progression of _uncancelled
+                    if count > 1 and step > p:  # a progression of step q > p
                         heavy += any(
                             abs(p_adic_valuation(p, l) - p_adic_valuation(p, c - l)) >= 2
                             for l in range(level, level + count * step, step)
@@ -510,19 +556,28 @@ class TestWorkCount:
         visits = self._count_levels(monkeypatch)
         report = jantzen_sum(Weight((20000, 0)), 2, LeviDatum.full(2))
         # a[1,1] pairs to c = 20001, which p does not divide: each of its
-        # 10 000 levels; a[1,2] to c = 20002: the 5 000 levels below c/2,
-        # each for its mirror too; a[2,2] pairs to 1 and has none
+        # 10 000 levels; a[1,2] to c = 20002 = 2 * 10001, so q = 4: the
+        # 5 000 multiples of 4, each for its mirror too, which is no
+        # multiple of 4; a[2,2] pairs to 1 and has none
         assert visits == {(1, 1): 10000, (1, 2): 5000}
         assert len(report.total.terms) == 15000
 
     def test_sum_skips_cancelled_mirror_levels(self, monkeypatch):
         visits = self._count_levels(monkeypatch)
+        seen = TestLongRuns._record_runs(monkeypatch)
         lam, full = Weight((128, 0)), LeviDatum.full(2)
         report = jantzen_sum(lam, 5, full)
         # a[1,1] pairs to c = 129: each of its 25 levels; a[1,2] to
-        # c = 130 = 5 * 26, so q = 25: of the 12 levels below 65 only
-        # 5, 25, 30, 50 and 55 (= 0 or 130 mod 25) do not cancel their mirror
+        # c = 130 = 5 * 26, so q = 25: of its 25 levels only the multiples
+        # of 25 are visited, each the member of its pair {l, 130 - l} whose
+        # valuation exceeds v_5(130) = 1; every other pair cancels
         assert visits == {(1, 1): 25, (1, 2): 5}
+        assert [
+            level
+            for lo, hi, step, first, count, _ in seen
+            if (lo, hi) == (1, 2)
+            for level in range(first, first + count * step, step)
+        ] == [25, 50, 75, 100, 125]
         assert report.total.terms == reference_jantzen(lam, 5, full)[1]
 
     def test_traced_json_visits_the_sum_and_every_term(self, monkeypatch):
@@ -537,7 +592,8 @@ class TestWorkCount:
         report = jantzen_sum(Weight((20000, 0)), 2, LeviDatum.full(2))
         # a[1,1] (c = 20001): u below v up to level 10000, above it from
         # 10002 on, with no singular level between; a[1,2] (c = 20002):
-        # the progressions 4, 8, .. and 2, 6, .. below c/2, one run each
+        # the multiples of 4, u below v up to level 10000, above it from
+        # 10004 on: one run each side of c/2
         assert levels == {(1, 1): 10000, (1, 2): 5000}
         assert runs == {(1, 1): 2, (1, 2): 2}
         assert len(report.total.terms) == 15000
