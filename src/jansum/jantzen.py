@@ -513,9 +513,13 @@ class PropCharCheck(NamedTuple):
     i: int
     levi: LeviDatum
     passed: bool
-    total: FormalCharacter
     expected: FormalCharacter
     report: SumReport
+
+    @property
+    def total(self) -> FormalCharacter:
+        """The sum as a character, built on first read (SumReport.total)."""
+        return self.report.total
 
 
 class PropCharReport(NamedTuple):
@@ -535,6 +539,8 @@ def verify_prop_char(p: int, d: int) -> PropCharReport:
     the alternating tail of Weyl symbols, and the same must hold over the
     Levi generated by the simple roots 2..d.  Failures are recorded, not
     raised; each check keeps its sum's report, and with it the term trace.
+    A check compares the sum's rows with the tail's, sorted the same way,
+    so no total is built as a character unless a caller reads it.
     Refusals come from lambda_sequence, then from the first jantzen_sum,
     whose refusals of a composite p and of too many terms come before
     anything of rank d is built.
@@ -548,7 +554,7 @@ def verify_prop_char(p: int, d: int) -> PropCharReport:
     checks = []
     for i, lam in enumerate(seq):
         for levi, tail in zip(levis, tails):
-            report = jantzen_sum(lam, p, levi)
-            total, expected = report.total, tail[i + 1]
-            checks.append(PropCharCheck(i, levi, total == expected, total, expected, report))
+            report, expected = jantzen_sum(lam, p, levi), tail[i + 1]
+            rows = sorted(((*w.coords, c) for w, c in expected.terms.items()), reverse=True)
+            checks.append(PropCharCheck(i, levi, report.rows == rows, expected, report))
     return PropCharReport(p=p, d=d, checks=checks)

@@ -198,7 +198,8 @@ def identity_report_json(report):
 
 
 def prop_char_report_json(report):
-    """A failing check lists its terms; a passing one does not."""
+    """A failing check lists its terms; a passing one does not.  Each
+    check's total is written from its sum's rows."""
     yield f'{{"p":{report.p},"d":{report.d},"passed":{_bool(report.passed)},"checks":['
     sep = ""
     for check in report.checks:
@@ -206,7 +207,7 @@ def prop_char_report_json(report):
             f'{sep}{{"i":{check.i},"levi":"{check.levi.describe()}",'
             f'"passed":{_bool(check.passed)},"total":'
         )
-        yield from character_json(check.total)
+        yield from weyl_json(check.levi, check.report.rows)
         yield ',"expected":'
         yield from character_json(check.expected)
         if not check.passed:

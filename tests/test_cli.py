@@ -973,3 +973,142 @@ class TestStartUp:
             ["sweep", "2", "8", "--which", "second", "--jsonl"],
             ["prop-char", "--p", "3", "--d", "4", "--json"],
         ])
+
+
+def _child_env() -> dict:
+    """The environment of a child `python -m jansum`: the sources on its
+    path, and its stdout block-buffered as on any pipe or file by default,
+    so that output the CLI fails to flush is lost."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+GOLDEN = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
+_LARGEST = (
+    ["jantzen", "--p", "2", "--d", "2", "--lambda", "100000,0", "--trace", "--json"],
+    ["identity", "--n", "45", "--which", "second", "--json"],
+)
+
+
+def _exit_path_cases():
+    """Golden entries: the first of each subcommand that exits 0, every
+    refusal (argparse's, the library's, the term and ideal budgets) and the
+    two largest outputs."""
+    first = {}
+    for entry in GOLDEN:
+        if entry[1] == 0:
+            first.setdefault(entry[0][0], entry)
+    cases = [*first.values(), *(e for e in GOLDEN if e[1] != 0), *(e for e in GOLDEN if e[0] in _LARGEST)]
+    assert set(first) == set(jansum_cli._COMMANDS) and len(cases) == len(first) + 16 + 2
+    return cases
+
+
+_EXIT_CASES = _exit_path_cases()
+
+
+# a child that replaces module.name by eval(source), with `real` the
+# function replaced, then runs the CLI, which it imports first since it binds
+# what it calls
+_PATCHED = """
+import importlib, sys, jansum.cli
+module, name, source = sys.argv[1:4]
+del sys.argv[1:4]
+m = importlib.import_module(module)
+setattr(m, name, eval(source, {"real": getattr(m, name)}))
+jansum.cli.entry()
+"""
+
+
+class TestExit:
+    # entry() flushes stdout and stderr and ends the process with os._exit,
+    # skipping the interpreter's teardown.  run_cli calls main in-process,
+    # so only a child process sees a write that the exit would lose.
+    @pytest.mark.parametrize("argv, code, digest", _EXIT_CASES,
+                             ids=[" ".join(e[0]) for e in _EXIT_CASES])
+    def test_child_matches_the_corpus(self, argv, code, digest):
+        proc = subprocess.run([sys.executable, "-m", "jansum", *argv], capture_output=True,
+                              env=_child_env(), timeout=60)
+        assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == (code, digest)
+        assert proc.stderr.decode() == run_cli(argv)[2]
+
+    def test_child_writing_to_a_file(self, tmp_path):
+        argv, code, digest = next(e for e in GOLDEN if e[0] == _LARGEST[1])
+        path = tmp_path / "out"
+        with open(path, "wb") as out:
+            proc = subprocess.run([sys.executable, "-m", "jansum", *argv], stdout=out,
+                                  stderr=subprocess.PIPE, env=_child_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (code, b"")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    # exit 3: the second identity without its last hook (see
+    # test_identities.py, TestNegativeControl); exit 4: Kostka numbers that
+    # disagree with the oracle
+    @pytest.mark.parametrize("code, patch, argv", [
+        (3, ("jansum.identities", "second_identity_shapes", "lambda n: real(n)[:-1]"),
+         ["identity", "--n", "6", "--which", "second"]),
+        (4, ("jansum.cli", "kostka", "lambda lam, mu: 999"), ["selftest"]),
+    ], ids=["exit-3", "exit-4"])
+    def test_failing_verdicts(self, monkeypatch, code, patch, argv):
+        proc = subprocess.run([sys.executable, "-c", _PATCHED, *patch, *argv], capture_output=True,
+                              text=True, env=_child_env(), timeout=60)
+        module, name, source = patch
+        m = importlib.import_module(module)
+        monkeypatch.setattr(m, name, eval(source, {"real": getattr(m, name)}))
+        expected = run_cli(argv)
+        assert expected[0] == code
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+    @pytest.mark.parametrize("argv, code", [
+        (["identity", "--n", "3", "--which", "first"], 0),
+        (["identity", "--n", "1", "--which", "first"], 2),
+        (["selftest"], 0),
+    ], ids=["identity", "refused", "selftest"])
+    def test_flushes_before_it_exits_with_mains_code(self, monkeypatch, argv, code):
+        events = []
+
+        class Stream(io.StringIO):
+            def flush(self):
+                events.append((self.name, self.getvalue()))
+
+        class Exited(Exception):
+            pass
+
+        def exit_(status):
+            events.append(("exit", status))
+            raise Exited
+
+        out, err = Stream(), Stream()
+        out.name, err.name = "stdout", "stderr"
+        monkeypatch.setattr(sys, "argv", ["jansum", *argv])
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        monkeypatch.setattr(os, "_exit", exit_)
+        with pytest.raises(Exited):
+            jansum_cli.entry()
+        _, expected_out, expected_err = run_cli(argv)
+        assert events[-3:] == [("stdout", expected_out), ("stderr", expected_err), ("exit", code)]
+
+    # a write to a pipe whose read end is closed raises BrokenPipeError; it
+    # leaves through the normal exit: 1, or 120 when the interpreter's own
+    # flush of a block-buffered stdout fails again as it finalizes
+    @pytest.mark.parametrize("argv, unbuffered, code", [
+        (["identity", "--n", "3", "--which", "first"], True, 1),
+        (["identity", "--n", "3", "--which", "first"], False, 120),
+        (["jantzen", "--p", "2", "--d", "2", "--lambda", "100000,0", "--json"], False, 1),
+    ], ids=["unbuffered", "buffered", "buffered-large"])
+    def test_closed_stdout(self, argv, unbuffered, code):
+        env = _child_env()
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "jansum", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == code
+        assert proc.stderr.count("Traceback") == 1
+        assert proc.stderr.splitlines()[-1] == "BrokenPipeError: [Errno 32] Broken pipe"

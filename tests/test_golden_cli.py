@@ -47,3 +47,8 @@ CORPUS = json.loads((Path(__file__).resolve().parent / "golden_cli.json").read_t
 def test_output_unchanged(argv, code, digest):
     got_code, out, _ = run_cli(argv)
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def test_each_command_line_once():
+    lines = [tuple(argv) for argv, _, _ in CORPUS]
+    assert len(set(lines)) == len(lines)

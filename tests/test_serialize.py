@@ -29,7 +29,7 @@ from jansum.identities import (
     verify_first_identity,
     verify_second_identity,
 )
-from jansum.jantzen import PropCharCheck, PropCharReport, jantzen_sum, verify_prop_char
+from jansum.jantzen import PropCharReport, SumReport, jantzen_sum, verify_prop_char
 from jansum.lattice import Partition, Weight
 from jansum.serialize import (
     _PIECE,
@@ -387,7 +387,10 @@ class TestPieces:
             }) for _ in range(2)
         )
         assert min(len(total.terms), len(expected.terms)) > 2 * K
-        failing = PropCharReport(3, 4, [check._replace(passed=False, total=total, expected=expected)])
+        rows = sorted(((*w.coords, c) for w, c in total.terms.items()), reverse=True)
+        report = SumReport(check.report.lam, 3, levi, rows)
+        failing = PropCharReport(3, 4, [check._replace(passed=False, expected=expected, report=report)])
+        assert failing.checks[0].total == total
         pieces = list(prop_char_report_json(failing))
         assert "".join(pieces) == oracle_text(prop_char_report_to_json(failing))
         assert max(terms_per_piece(pieces)) <= K

@@ -1,6 +1,14 @@
 """jansum is pure Python: each of its modules imports the standard library
 by absolute imports and its own modules by relative ones, never sympy,
-numpy or another installed package, even where one happens to be present."""
+numpy or another installed package, even where one happens to be present.
+
+The CLI ends its process with os._exit, after flushing stdout and stderr,
+and skips the interpreter's teardown (cli.entry).  A resource that teardown
+would release (an open file's buffer, an atexit handler, a thread, a
+temporary file, the work of a __del__) would then be lost without a word;
+so no module imports atexit, threading, multiprocessing or tempfile, none
+calls open, and no class defines __del__.
+"""
 
 import ast
 import sys
@@ -8,11 +16,18 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "jansum"
 
+# what os._exit would drop unfinished
+TEARDOWN_MODULES = {"atexit", "threading", "multiprocessing", "tempfile"}
+
+
+def parsed(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
 
 def absolute_imports(path: Path) -> set[str]:
     """The top-level names of every absolute import in a source file."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+    for node in ast.walk(parsed(path)):
         if isinstance(node, ast.Import):
             names.update(alias.name.partition(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -20,8 +35,36 @@ def absolute_imports(path: Path) -> set[str]:
     return names
 
 
+def teardown_lines(path: Path) -> list[int]:
+    """The lines of a source file that call open, builtin or as a method,
+    or define __del__."""
+    return [
+        node.lineno
+        for node in ast.walk(parsed(path))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) == "open")
+        or isinstance(node, ast.FunctionDef) and node.name == "__del__"
+    ]
+
+
 def test_every_module_imports_only_the_standard_library():
     paths = sorted(SRC.glob("*.py"))
     assert {"cli.py", "jantzen.py", "lattice.py"} <= {p.name for p in paths}
     foreign = {p.name: absolute_imports(p) - sys.stdlib_module_names for p in paths}
     assert not any(foreign.values()), foreign
+
+
+def test_no_module_holds_what_teardown_would_release():
+    paths = sorted(SRC.glob("*.py"))
+    held = {p.name: absolute_imports(p) & TEARDOWN_MODULES for p in paths}
+    assert not any(held.values()), held
+    opened = {p.name: teardown_lines(p) for p in paths}
+    assert not any(opened.values()), opened
+
+
+def test_the_walk_sees_what_it_forbids(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("import threading.local\nfrom atexit import register\nwith open('x') as f:\n"
+                    "    pass\nPath('y').open()\nclass A:\n    def __del__(self):\n        pass\n")
+    assert absolute_imports(path) & TEARDOWN_MODULES == {"threading", "atexit"}
+    assert sorted(teardown_lines(path)) == [3, 5, 7]
