@@ -2,13 +2,15 @@
 
 Exit codes are a stable contract: 0 success (all checks equal/passed),
 2 usage error, 3 verification failure, 4 internal oracle mismatch.
-A usage error is reported by argparse, or is the library's own ValueError;
-the CLI repeats none of the library's checks.  No command reads or writes a
-file.  Each subcommand is one entry of `_COMMANDS`: its help, its arguments
-and its handler.  Every command but `selftest` writes through `_reports`,
-each report in pieces as soon as it is built (so `sweep` streams), in text
-or JSON; serialize writes every character and trace line in either form,
-and this module only the lines around them.  Only `selftest` loads the oracles.
+A usage error is reported by argparse, which checks only that each value
+is an int or a comma list of ints, or is the library's own ValueError (a
+composite --p included): the CLI repeats none of the library's checks.  No
+command reads or writes a file.  Each subcommand is one entry of
+`_COMMANDS`: its help, its arguments and its handler.  Every command but
+`selftest` writes through `_reports`, each report in pieces as soon as it
+is built (so `sweep` streams), in text or JSON; serialize writes every
+character and trace line in either form, and this module only the lines
+around them.  Only `selftest` loads the oracles.
 
 `_parse` reads a command line straight from `_COMMANDS` and gives the
 attributes argparse would.  Any command line it cannot map exactly (help,
@@ -43,7 +45,7 @@ from .identities import (
     verify_first_identity,
     verify_second_identity,
 )
-from .jantzen import is_prime, jantzen_sum, lambda_sequence, verify_prop_char
+from .jantzen import jantzen_sum, lambda_sequence, verify_prop_char
 from .lattice import Partition, Weight, dominance_leq, partitions_below
 from .serialize import (
     character_json,
@@ -71,19 +73,6 @@ EXIT_INTERNAL = 4
 
 def _int_list(text: str) -> list[int]:
     return [int(piece) for piece in text.split(",")]
-
-
-def _prime(text: str) -> int:
-    p = int(text)
-    try:
-        if is_prime(p):
-            return p
-        reason = f"must be prime, got {p}"
-    except ValueError as exc:
-        reason = str(exc)
-    import argparse
-
-    raise argparse.ArgumentTypeError(reason)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +125,9 @@ def _multiplicity_text(report, args):
 
 
 # ---------------------------------------------------------------------------
-# selftest: cross-check the fast paths against the oracles at capped sizes
+# selftest: cross-check the fast paths against the oracles at capped sizes;
+# each check yields None for a case that agrees with its oracle and the
+# mismatch text for one that does not, and _cmd_selftest counts the cases
 
 def _selftest_checks():
     # here, not at the top: no other command loads the slow references
@@ -145,22 +136,19 @@ def _selftest_checks():
     rng = random.Random(271828)
 
     def kostka_vs_ssyt():
-        count = 0
         for n in range(0, 7):
             shapes = partitions_below(Partition((n,))) if n else [Partition()]
             for lam in shapes:
                 for mu in shapes:
                     expected = enumerate_ssyt(lam, mu)
                     if kostka(lam, mu) != expected:
-                        return count, f"kostka({lam},{mu}) != {expected}"
-                    dominated = dominance_leq(mu, lam)
-                    if (expected > 0) != dominated:
-                        return count, f"unitriangularity broken at ({lam},{mu})"
-                    count += 1
-        return count, None
+                        yield f"kostka({lam},{mu}) != {expected}"
+                    elif (expected > 0) != dominance_leq(mu, lam):
+                        yield f"unitriangularity broken at ({lam},{mu})"
+                    else:
+                        yield None
 
     def bialternant_vs_expansion():
-        count = 0
         for n in range(1, 6):
             for lam in partitions_below(Partition((n,))):
                 for _ in range(2):
@@ -171,24 +159,18 @@ def _selftest_checks():
                         k * eval_monomial(mu, point)
                         for mu, k in schur_to_monomial(lam).terms.items()
                     )
-                    if direct != expanded:
-                        return count, f"S{lam} at {point}: {direct} != {expanded}"
-                    count += 1
-        return count, None
+                    yield None if direct == expanded else (
+                        f"S{lam} at {point}: {direct} != {expanded}")
 
     def normalize_vs_orbit():
-        count = 0
         for d in (2, 3, 4):
             full = LeviDatum.full(d)
             for _ in range(40):
                 w = Weight([rng.randint(-5, 5) for _ in range(d)])
-                if dot_normalize(w, full) != dot_orbit_oracle(w):
-                    return count, f"dot normalization differs at {w}"
-                count += 1
-        return count, None
+                yield None if dot_normalize(w, full) == dot_orbit_oracle(w) else (
+                    f"dot normalization differs at {w}")
 
     def identities_by_evaluation():
-        count = 0
         for n in (2, 3, 4):
             for which, shapes, report in (
                 (FIRST, first_identity_shapes(n), verify_first_identity(n)),
@@ -206,10 +188,7 @@ def _selftest_checks():
                         for i, s in enumerate(shapes)
                         if s.length <= nvars
                     )
-                    if lhs != rhs:
-                        return count, f"{which} identity at n={n}, {point}"
-                    count += 1
-        return count, None
+                    yield None if lhs == rhs else f"{which} identity at n={n}, {point}"
 
     return [
         ("kostka-vs-ssyt", kostka_vs_ssyt),
@@ -222,12 +201,15 @@ def _selftest_checks():
 def _cmd_selftest(args) -> int:
     failed = False
     for name, check in _selftest_checks():
-        count, mismatch = check()
-        if mismatch is None:
-            print(f"ok {name} ({count} checks)")
+        count = 0
+        for mismatch in check():
+            if mismatch is not None:
+                print(f"MISMATCH {name}: {mismatch}")
+                failed = True
+                break
+            count += 1
         else:
-            print(f"MISMATCH {name}: {mismatch}")
-            failed = True
+            print(f"ok {name} ({count} checks)")
     if failed:
         return EXIT_INTERNAL
     print("selftest passed")
@@ -264,7 +246,7 @@ def _reports(build, text, to_json, passed=lambda report: True):
 
 
 # the arguments that several commands share, as (flag, add_argument keywords)
-_P = ("--p", {"type": _prime, "required": True, "help": "prime characteristic"})
+_P = ("--p", {"type": int, "required": True, "help": "prime characteristic"})
 _D = ("--d", {"type": int, "required": True, "help": "rank: the group is SL(d+1)"})
 _LEVI = ("--levi", {"type": _int_list, "metavar": "SIMPLES",
                     "help": "comma list of simple roots (default: all)"})

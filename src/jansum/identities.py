@@ -41,6 +41,10 @@ sides, and their difference, come from that one listing.  Its JSON writes
 both sides and the difference straight from the text keys, one % per term
 (serialize.identity_report_json); a Partition is built from a key only
 when a library caller reads a side, a character or a list of the check.
+
+Every identity verdict comes from conjecture_sweep, which checks its range
+and its largest ideal once; verify_first_identity and verify_second_identity
+are the sweep over one n, and the CLI's identity and sweep commands call it.
 """
 
 from __future__ import annotations
@@ -124,49 +128,46 @@ def _second_top(n: int) -> Partition:
     return Partition((n - 1, 1))
 
 
-def _verify(n: int, which: str, top, shapes) -> IdentityReport:
-    """The verdict on one identity at n: the SupportCheck of its right side.
-    A huge ideal is refused before the shapes of the right side are built."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    ideal_top = top(n)
-    check_ideal_size(ideal_top)
-    check = SupportCheck(ideal_top, _alternating(shapes(n)))
-    return IdentityReport(n, which, check, is_prime(n))
-
-
-def verify_first_identity(n: int) -> IdentityReport:
-    """Compare both sides of the degree-(2n-1) identity below (n-1, n-1, 1)."""
-    return _verify(n, FIRST, _first_top, first_identity_shapes)
-
-
-def verify_second_identity(n: int) -> IdentityReport:
-    """Compare both sides of the degree-n identity below (n-1, 1)."""
-    return _verify(n, SECOND, _second_top, second_identity_shapes)
-
-
 def _family(which: str) -> tuple:
-    """The top of the ideal at n, and the check, of one identity family."""
+    """The top of the ideal at n, and the right side's shapes, of a family."""
     if which == FIRST:
-        return _first_top, verify_first_identity
+        return _first_top, first_identity_shapes
     if which == SECOND:
-        return _second_top, verify_second_identity
+        return _second_top, second_identity_shapes
     raise ValueError(f"which must be {FIRST!r} or {SECOND!r}, got {which!r}")
+
+
+def _support(n: int, which: str) -> SupportCheck:
+    """The SupportCheck of one family's right side at n, unchecked."""
+    top, shapes = _family(which)
+    return SupportCheck(top(n), _alternating(shapes(n)))
 
 
 def conjecture_sweep(n_min: int, n_max: int, which: str):
     """Run one identity over a range of n; reports only, never asserts.
 
     Returns an iterator of IdentityReport in n order, each computed when it
-    is asked for.  The arguments are checked before anything runs, the
-    largest ideal of the range included (lattice.check_ideal_size), so a
-    refused range raises ValueError here and yields nothing.
+    is asked for: the one path to every verdict.  The arguments are checked
+    once, before anything runs, the largest ideal of the range included
+    (lattice.check_ideal_size), so a refused range raises ValueError here,
+    builds no shape and yields nothing.
     """
-    top, check = _family(which)
+    top, _ = _family(which)
     if not 2 <= n_min <= n_max:
         raise ValueError(f"need 2 <= n_min <= n_max, got ({n_min}, {n_max})")
     check_ideal_size(top(n_max))
-    return map(check, range(n_min, n_max + 1))
+    return (IdentityReport(n, which, _support(n, which), is_prime(n))
+            for n in range(n_min, n_max + 1))
+
+
+def verify_first_identity(n: int) -> IdentityReport:
+    """Compare both sides of the degree-(2n-1) identity below (n-1, n-1, 1)."""
+    return next(conjecture_sweep(n, n, FIRST))
+
+
+def verify_second_identity(n: int) -> IdentityReport:
+    """Compare both sides of the degree-n identity below (n-1, 1)."""
+    return next(conjecture_sweep(n, n, SECOND))
 
 
 class SupportCheck:
@@ -246,5 +247,5 @@ def multiplicity_one_report(p: int, d: int) -> MultiplicityOneReport:
     check_ideal_size(_first_top(p))
     head = derived_simple_chars(p, min(d, max(2 * p - 2, 3)))[0]
     first = SupportCheck(_first_top(p), {weight_to_partition(w): c for w, c in head.terms.items()})
-    second = SupportCheck(_second_top(p), _alternating(second_identity_shapes(p)))
+    second = _support(p, SECOND)
     return MultiplicityOneReport(p=p, d=d, families=[first, second])

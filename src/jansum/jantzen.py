@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .charring import BASIS_WEYL, FormalCharacter, _trusted_character
 from .lattice import Root, Weight, _trusted_weight, rho
-from .weyl import LeviDatum, SignedDominant, _trusted_signed, to_epsilon
+from .weyl import LeviDatum, SignedDominant, to_epsilon
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -152,7 +152,7 @@ class SumReport:
                 for i, k in change.items():
                     image[i] += k * t
                 if sign:
-                    outcome = _trusted_signed(sign, _trusted_weight(head + window + tail))
+                    outcome = SignedDominant(sign, _trusted_weight(head + window + tail))
                 else:
                     outcome = singular
                 image = _trusted_weight(tuple(image))

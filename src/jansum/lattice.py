@@ -193,9 +193,10 @@ def partitions_below(b: Partition) -> list[Partition]:
 # 37-38 MB of RSS (Python 3.11 on Linux) for the second identity at n=45
 # (89 133 partitions) and for the first at n=23 (84 626), the largest n
 # this limit admits.
-# identities._verify checks it too, so a verdict is given exactly where its
-# terms can be listed, and so does identities.multiplicity_one_report,
-# before it builds the lambda sequence: multiplicity is admitted up to
+# identities.conjecture_sweep, the one path to a verdict, checks it once,
+# at the largest n of its range, so a verdict is given exactly where its
+# terms can be listed; so does identities.multiplicity_one_report, before
+# it builds the lambda sequence: multiplicity is admitted up to
 # p = 23, where each of its two ideals is walked once, by a SupportCheck.
 # n=150, about 4e10 partitions, is refused at once, and so is multiplicity
 # at p = 1009.

@@ -138,15 +138,6 @@ class SignedDominant:
         return f"SignedDominant({self.sign:+d}, {self.dominant!r})"
 
 
-def _trusted_signed(sign: int, dominant: Weight) -> SignedDominant:
-    """The regular outcome of a sign of +1 or -1 and a weight that the
-    library found dominant."""
-    sd = SignedDominant.__new__(SignedDominant)
-    sd.sign = sign
-    sd.dominant = dominant
-    return sd
-
-
 def to_epsilon(w: Weight) -> tuple[int, ...]:
     """Epsilon coordinates (e_1, ..., e_{d+1}): e_i - e_{i+1} = coords[i], e_{d+1} = 0."""
     return tuple(accumulate(reversed(w.coords), initial=0))[::-1]

@@ -60,17 +60,17 @@ class TestIdentityCommand:
         from jansum import identities
         from jansum.charring import BASIS_MONOMIAL, FormalCharacter
 
-        real = identities.verify_first_identity
+        real = identities.IdentityReport
 
-        def broken(n):
-            report = real(n)
+        def broken(n, which, check, prime):
+            report = real(n, which, check, prime)
             report.equal = False
             report.diff = FormalCharacter(
                 BASIS_MONOMIAL, None, {identities.Partition((n,)): 1}
             )
             return report
 
-        monkeypatch.setattr("jansum.identities.verify_first_identity", broken)
+        monkeypatch.setattr("jansum.identities.IdentityReport", broken)
         code, out, _ = run_cli(["identity", "--n", "3", "--which", "first"])
         assert code == 3
         assert "DIFFER" in out
@@ -172,15 +172,15 @@ class TestSweepCommand:
         # every earlier report must be in stdout when the last n starts
         from jansum import identities
 
-        real = identities.verify_second_identity
+        real = identities._support
         printed_before_last = []
 
-        def spy(n):
+        def spy(n, which):
             if n == 6:
                 printed_before_last.append(sys.stdout.getvalue())
-            return real(n)
+            return real(n, which)
 
-        monkeypatch.setattr("jansum.identities.verify_second_identity", spy)
+        monkeypatch.setattr("jansum.identities._support", spy)
         argv = ["sweep", "2", "6", "--which", "second", "--jobs", "1"]
         code, out, _ = run_cli(argv + ["--jsonl"] if jsonl else argv)
         assert code == 0
@@ -253,7 +253,8 @@ class TestJantzenCommand:
                         ["prop-char", "--d", "3"], ["multiplicity", "--d", "4"]):
             code, _, err = run_cli(command + ["--p", str(10**24)])
             assert code == 2
-            assert "--p" in err
+            assert err == ("error: primality is decided exactly only below "
+                           f"318665857834031151167461, got {10**24}\n")
 
     def test_composite_p_exit_2(self):
         code, _, err = run_cli(["jantzen", "--p", "4", "--d", "2", "--lambda", "2,0"])
@@ -557,13 +558,8 @@ USAGE_STDERR = [
     [["identity", "--n", "3", "--which", "third"],
      _IDENTITY_USAGE + "jansum identity: error: argument --which: invalid choice: 'third' "
      "(choose from 'first', 'second')\n"],
-    [["jantzen", "--p", "4", "--d", "2", "--lambda", "2,0"],
-     _JANTZEN_USAGE + "jansum jantzen: error: argument --p: must be prime, got 4\n"],
     [["jantzen", "--p", "x", "--d", "2", "--lambda", "1,1"],
-     _JANTZEN_USAGE + "jansum jantzen: error: argument --p: invalid _prime value: 'x'\n"],
-    [["jantzen", "--p", str(10**24), "--d", "2", "--lambda", "1,1"],
-     _JANTZEN_USAGE + "jansum jantzen: error: argument --p: primality is decided exactly only "
-     f"below 318665857834031151167461, got {10**24}\n"],
+     _JANTZEN_USAGE + "jansum jantzen: error: argument --p: invalid int value: 'x'\n"],
     [["bogus"],
      _TOP_USAGE + "jansum: error: argument command: invalid choice: 'bogus' (choose from "
      "'identity', 'sweep', 'jantzen', 'prop-char', 'sequence', 'schur', 'kostka', "
@@ -582,12 +578,37 @@ def test_usage_error_stderr_unchanged(monkeypatch, argv, stderr):
     assert run_cli(argv) == (2, "", stderr)
 
 
+_BOUND = f"primality is decided exactly only below 318665857834031151167461, got {10**24}"
+
+# [argv, message] of each --p the library refuses: argparse reads any int,
+# and the message is that of the library check that fires first
+P_REFUSALS = [
+    [["jantzen", "--p", "4", "--d", "2", "--lambda", "2,0"], "p must be prime, got 4"],
+    [["jantzen", "--p", "1", "--d", "2", "--lambda", "2,0"], "p must be prime, got 1"],
+    [["jantzen", "--p", "0", "--d", "2", "--lambda", "2,0"], "p must be prime, got 0"],
+    [["jantzen", "--p", str(10**24), "--d", "2", "--lambda", "2,0"], _BOUND],
+    [["prop-char", "--p", "4", "--d", "5"], "p must be prime, got 4"],
+    [["prop-char", "--p", "1", "--d", "5"], "need p >= 2, got 1"],
+    [["prop-char", "--p", "0", "--d", "5"], "need p >= 2, got 0"],
+    [["prop-char", "--p", str(10**24), "--d", "5"], _BOUND],
+    [["multiplicity", "--p", "4", "--d", "10"], "p must be prime, got 4"],
+    [["multiplicity", "--p", "1", "--d", "10"], "p must be prime, got 1"],
+    [["multiplicity", "--p", "0", "--d", "10"], "p must be prime, got 0"],
+    [["multiplicity", "--p", str(10**24), "--d", "10"], _BOUND],
+]
+
+
+@pytest.mark.parametrize("argv, message", P_REFUSALS, ids=[" ".join(e[0][:3]) for e in P_REFUSALS])
+def test_bad_p_is_the_library_refusal(argv, message):
+    assert run_cli(argv) == (2, "", f"error: {message}\n")
+
+
 # the add_argument keywords that cli._parse reads; of actions it reads only
 # store_true
 HANDLED_KEYWORDS = {"type", "required", "choices", "dest", "action", "help", "metavar"}
 
 # values an argument takes in a well-formed command line, by its type
-GOOD_VALUES = {"int": ["2", "7", "30"], "_prime": ["2", "3", "7"],
+GOOD_VALUES = {"int": ["2", "7", "30"],
                "_int_list": ["1,2", "-3,3", "0", "2,-1", "-5"]}
 # values that are negative, dash-led, empty or otherwise not what a type takes
 ODD_VALUES = ["-3", "-x", "-", "--", "-1,x", "", "x", "4", "1,,2", " 3", "+3", "third", "-h",
@@ -671,6 +692,11 @@ class TestTableParser:
             for flag, keywords in arguments:
                 assert set(keywords) <= HANDLED_KEYWORDS, (name, flag)
                 assert keywords.get("action", "store_true") == "store_true", (name, flag)
+                # argparse checks only the form of a value; every refusal of
+                # a parsed value is the library's, so no type may check more
+                assert keywords.get("type", int) in (int, jansum_cli._int_list), (
+                    f"{name} {flag}: a type other than int or _int_list would repeat "
+                    "a check that belongs to the library", keywords["type"])
 
     def test_agrees_with_argparse(self, oracle):
         rng = random.Random(1109)
@@ -946,6 +972,23 @@ class TestStartUp:
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()[-1] == "True"
+
+    def test_composite_p_loads_no_argparse(self):
+        # the library refuses it after parsing, so only -X importtime sees
+        # whether the process loaded argparse on the way
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "jansum",
+             "jantzen", "--p", "4", "--d", "2", "--lambda", "2,0"],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.endswith("\nerror: p must be prime, got 4\n")
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "jansum.cli" in imported
+        assert "argparse" not in imported
 
     def test_well_formed_commands_load_no_argparse(self):
         # one command line of each kind the benchmark's session runs

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from helpers import partition_count, run_cli, schur_sum_by_kostka
-from jansum import charring
+from jansum import charring, identities
 from jansum.charring import (
     BASIS_MONOMIAL,
     BASIS_WEYL,
@@ -154,6 +154,28 @@ class TestSweep:
         with pytest.raises(ValueError, match="refused"):
             check(4000)
         assert time.perf_counter() - started < 0.1
+
+
+class TestOneVerdictPath:
+    """Every verdict takes conjecture_sweep's path, which counts the ideal
+    of the largest n once; verify_* and the identity command are that sweep
+    over one n."""
+
+    @pytest.mark.parametrize("run, top", [
+        (lambda: list(conjecture_sweep(2, 30, "second")), (29, 1)),
+        (lambda: verify_first_identity(12), (11, 11, 1)),
+        (lambda: run_cli(["identity", "--n", "30", "--which", "second"]), (29, 1)),
+    ], ids=["sweep", "verify", "cli"])
+    def test_ideal_counted_once(self, monkeypatch, run, top):
+        real, tops = identities.check_ideal_size, []
+
+        def counted(b):
+            tops.append(b)
+            return real(b)
+
+        monkeypatch.setattr("jansum.identities.check_ideal_size", counted)
+        run()
+        assert tops == [Partition(top)]
 
 
 class TestNegativeControl:
