@@ -13,7 +13,9 @@ the walk's step runs it once for each shape of a state, for all the
 state's part sizes at once, into one set of sums per state, which it
 keeps, while kostka runs it for the one size it peels, into one sum per
 content part.  No list of inner shapes is built.  The expansion lists the
-walk's leaves, keyed by tuples (lattice.ideal_leaves), and the
+walk's leaves, each with its coefficient, read once per distinct leaf
+state (lattice.ideal_leaves), keyed by text for the writers and by tuple
+for schur_sum_to_monomial, which a library caller reads.  The
 coefficient counts that decide an identity or a multiplicity-one family
 are one fold over its keys, of the number of paths from the root to each
 leaf.  A Weyl-basis character of the full group enters such a walk
@@ -23,7 +25,6 @@ through the partitions of its keys (lattice.weight_to_partition).
 from __future__ import annotations
 
 from collections import Counter
-from operator import itemgetter
 from typing import Mapping
 
 from .lattice import (
@@ -225,14 +226,23 @@ def _strips(shape: tuple[int, ...], cap: int, least: int, coeff: int, sums: list
 
 
 def schur_sum_to_monomial(coeffs: Mapping[Partition, int], top: Partition) -> FormalCharacter:
-    """Expand sum of coeff * S_shape in the monomial basis: the leaves of
-    schur_sum_dag, listed with tuple keys, each mu below top with sum of
-    coeff * K(shape, mu).  Raises ValueError, before walking, if
+    """Expand sum of coeff * S_shape in the monomial basis: each mu below top
+    with sum of coeff * K(shape, mu), from schur_sum_leaves with tuple keys.
+    Raises ValueError, before walking, if check_ideal_size refuses."""
+    leaves = schur_sum_leaves(coeffs, top, text=False)
+    # every key is the parts of a partition that the walk built
+    return _trusted_character(BASIS_MONOMIAL, None, {_walked(parts): c for parts, c in leaves})
+
+
+def schur_sum_leaves(coeffs: Mapping[Partition, int], top: Partition, text: bool = True) -> list:
+    """(key, coefficient) for each mu below top whose coefficient in sum of
+    coeff * S_shape is not zero, in reverse-lexicographic order: the leaves
+    of schur_sum_dag, keyed by text or, with text=False, by tuple
+    (lattice.ideal_leaves).  Raises ValueError, before walking, if
     check_ideal_size refuses."""
     check_ideal_size(top)
-    leaves = _coefficients(ideal_leaves(schur_sum_dag(coeffs, top), text=False))
-    # every key is the parts of a partition that the walk built
-    return _trusted_character(BASIS_MONOMIAL, None, {_walked(parts): c for parts, c in leaves if c})
+    dag = schur_sum_dag(coeffs, top)
+    return [leaf for leaf in ideal_leaves(dag, _coefficient, text) if leaf[1]]
 
 
 def schur_sum_dag(coeffs: Mapping[Partition, int], top: Partition) -> dict[tuple, tuple]:
@@ -253,14 +263,7 @@ def dag_leaves(dag: dict[tuple, tuple]) -> list[tuple[str, int]]:
     """(key, coefficient) for every leaf of a schur_sum_dag, zeros included,
     in reverse-lexicographic order, each key the comma-joined text of its
     partition's parts (lattice.ideal_leaves)."""
-    return _coefficients(ideal_leaves(dag))
-
-
-def _coefficients(leaves: list[tuple[object, frozenset]]) -> list[tuple[object, int]]:
-    """The (key, state) leaves with each state's coefficient in its place,
-    read once per distinct state: the walk's leaves share a few states."""
-    coefficient = {state: _coefficient(state) for state in set(map(itemgetter(1), leaves))}
-    return [(key, coefficient[state]) for key, state in leaves]
+    return ideal_leaves(dag, _coefficient)
 
 
 def coefficient_counts(dag: dict[tuple, tuple]) -> Counter:

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes are a stable contract: 0 success (all checks equal/passed),
-2 usage error, 3 verification failure, 4 internal oracle mismatch.
+2 usage error, 3 verification failure, 4 internal oracle mismatch, and
+141 (128 + SIGPIPE) when stdout's reader has gone.
 A usage error is reported by argparse, which checks only that each value
 is an int or a comma list of ints, or is the library's own ValueError (a
 composite --p included): the CLI repeats none of the library's checks.  No
@@ -10,7 +11,9 @@ command reads or writes a file.  Each subcommand is one entry of
 `selftest` writes through `_reports`, each report in pieces as soon as it
 is built (so `sweep` streams), in text or JSON; serialize writes every
 character and trace line in either form, and this module only the lines
-around them.  Only `selftest` loads the oracles.
+around them, handing it each character as the rows or the walk's leaves
+that its computation made, never as a FormalCharacter.  Only `selftest`
+loads the oracles.
 
 `_parse` reads a command line straight from `_COMMANDS` and gives the
 attributes argparse would.  Any command line it cannot map exactly (help,
@@ -21,8 +24,8 @@ alone imports argparse: so only help and usage errors pay for loading it.
 `entry`, the one exit of the console script and of `python -m jansum`,
 flushes stdout and stderr once main returns and ends the process with
 os._exit, skipping the interpreter's teardown; that holds only while the
-process has no file, handler or thread to release.  `main` only returns its
-code.
+process has no file, handler or thread to release, and it does so with
+141 when stdout is closed.  `main` only returns its code.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import sys
 from itertools import chain
 from types import SimpleNamespace
 
-from .charring import kostka, schur_to_monomial
+from .charring import kostka, schur_sum_leaves, schur_to_monomial
 from .identities import (
     FIRST,
     SECOND,
@@ -48,10 +51,10 @@ from .identities import (
 from .jantzen import jantzen_sum, lambda_sequence, verify_prop_char
 from .lattice import Partition, Weight, dominance_leq, partitions_below
 from .serialize import (
-    character_json,
-    character_text,
     identity_report_json,
     jantzen_terms_text,
+    monomial_json,
+    monomial_text,
     multiplicity_report_json,
     partition_json,
     prop_char_report_json,
@@ -66,6 +69,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_INTERNAL = 4
+EXIT_CLOSED = 141  # 128 + SIGPIPE: stdout's reader has gone
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +96,7 @@ def _character_line(head: str, pieces):
 def _identity_text(report, args):
     yield _identity_line(report)
     if not report.equal:
-        yield from _character_line("diff: ", character_text(report.diff))
+        yield from _character_line("diff: ", monomial_text(report.diff_leaves))
 
 
 def _jantzen_text(report, args):
@@ -107,7 +111,7 @@ def _prop_char_text(report, args):
         status = "PASS" if check.passed else "FAIL"
         yield f"p={report.p} d={report.d} i={check.i} {check.levi.describe()} {status}\n"
         if not check.passed:
-            yield from _character_line("  expected: ", character_text(check.expected))
+            yield from _character_line("  expected: ", weyl_text(check.levi, check.tail))
             yield from _character_line("  got:      ", weyl_text(check.levi, check.report.rows))
             yield from jantzen_terms_text(check.report)
     verdict = "PASS" if report.passed else "FAIL"
@@ -307,9 +311,9 @@ _COMMANDS = {
     "schur": ("expand a Schur function in monomials", [
         ("--lambda", {**_PARTS, "help": "partition"}), _JSON,
     ], _reports(
-        lambda a: [schur_to_monomial(Partition(a.lam))],
-        lambda ch, a: _character_line(f"S{Partition(a.lam)} = ", character_text(ch)),
-        lambda ch, a: character_json(ch),
+        lambda a: [schur_sum_leaves({(lam := Partition(a.lam)): 1}, lam)],
+        lambda leaves, a: _character_line(f"S{Partition(a.lam)} = ", monomial_text(leaves)),
+        lambda leaves, a: monomial_json(leaves),
     )),
     "kostka": ("one Kostka number", [
         ("--lambda", {**_PARTS, "help": "shape"}),
@@ -460,10 +464,16 @@ def entry() -> None:
     only while the process holds nothing that teardown would release: no
     command opens a file, and no module registers an atexit handler, starts
     a thread or relies on __del__ (tests/test_stdlib_only.py checks this).
-    A flush that raises, help and usage errors (argparse's SystemExit) and
-    any uncaught exception leave through the interpreter's normal exit.
+    A write or the flush to a stdout whose reader has gone (BrokenPipeError,
+    as under `| head`) ends the process the same way with EXIT_CLOSED and
+    nothing on stderr; what is still buffered is dropped.  Help and usage
+    errors (argparse's SystemExit) and any other uncaught exception leave
+    through the interpreter's normal exit.
     """
-    code = main()
-    sys.stdout.flush()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_CLOSED
     sys.stderr.flush()
     os._exit(code)

@@ -38,9 +38,10 @@ first time they are read, with no strip peeled again, each keyed by the
 comma-joined text of its parts, which the walk grows from its parent's
 key (lattice.ideal_leaves); an IdentityReport carries its check, and both
 sides, and their difference, come from that one listing.  Its JSON writes
-both sides and the difference straight from the text keys, one % per term
-(serialize.identity_report_json); a Partition is built from a key only
-when a library caller reads a side, a character or a list of the check.
+both sides and the difference, and its text the difference, straight from
+the text keys, one % per term (serialize.monomial_json, monomial_text); a
+Partition is built from a key only when a library caller reads a side, a
+character or a list of the check.
 
 Every identity verdict comes from conjecture_sweep, which checks its range
 and its largest ideal once; verify_first_identity and verify_second_identity
@@ -50,6 +51,7 @@ are the sweep over one n, and the CLI's identity and sweep commands call it.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .charring import (
@@ -88,22 +90,27 @@ class IdentityReport:
 
     @cached_property
     def lhs(self) -> FormalCharacter:
-        # every leaf of the walk is a partition below the top, built by it
-        leaves = self.check.leaves
-        return _trusted_character(
-            BASIS_MONOMIAL, None, dict.fromkeys((text_partition(key) for key, _ in leaves), 1)
-        )
+        return _monomial((key, 1) for key, _ in self.check.leaves)
 
     @cached_property
     def rhs(self) -> FormalCharacter:
         return self.check.character
 
     @cached_property
+    def diff_leaves(self) -> list[tuple[str, int]]:
+        """(text key, 1 - c) for each leaf whose coefficient c is not 1, in
+        order: the difference as the writers write it."""
+        return [(key, 1 - c) for key, c in self.check._broken]
+
+    @cached_property
     def diff(self) -> FormalCharacter:
-        broken = self.check._broken
-        return _trusted_character(
-            BASIS_MONOMIAL, None, {text_partition(key): 1 - c for key, c in broken}
-        )
+        return _monomial(self.diff_leaves)
+
+
+def _monomial(leaves) -> FormalCharacter:
+    """The monomial character of (text key, coeff) leaves of a walk, none
+    zero: every key is a partition below its top, built by the walk."""
+    return _trusted_character(BASIS_MONOMIAL, None, {text_partition(k): c for k, c in leaves})
 
 
 def _alternating(shapes: list[Partition]) -> dict[Partition, int]:
@@ -197,9 +204,7 @@ class SupportCheck:
 
     @cached_property
     def character(self) -> FormalCharacter:
-        # every key is a partition that the walk built
-        terms = {text_partition(key): c for key, c in self.leaves if c}
-        return _trusted_character(BASIS_MONOMIAL, None, terms)
+        return _monomial(filter(itemgetter(1), self.leaves))
 
     @cached_property
     def _broken(self) -> list[tuple[str, int]]:

@@ -17,9 +17,11 @@ linearly with the level (_terms_at).  The levels l and c - l of a root of
 pairing c give one weight with opposite signs, so the total visits only
 the levels that p^(v_p(c) + 1) divides, each weighted v_p(l) - v_p(c); it
 sums each run whole into rows of coordinates and coefficient, and sorts
-them once (jantzen_sum); a report builds its FormalCharacter when read.  The
-trace of every term, singular ones included, comes from _walk, one frame
-per root holding that root's levels, each run spread back into its levels:
+them once (jantzen_sum).  The telescope's tails are sorted rows too,
+built once for both Levis (_tails); a FormalCharacter is built from rows
+(_weyl_character) only when a library caller reads one.  The trace of
+every term, singular ones included, comes from _walk, one frame per root
+holding that root's levels, each run spread back into its levels:
 _trace writes it as text, one term at a time, for serialize's text and
 JSON traces, and SumReport.terms builds its JantzenTerm records when first
 read.
@@ -125,8 +127,7 @@ class SumReport:
 
     @cached_property
     def total(self) -> FormalCharacter:
-        terms = {_trusted_weight(row[:-1]): row[-1] for row in self.rows}
-        return _trusted_character(BASIS_WEYL, self.levi, terms)
+        return _weyl_character(self.levi, self.rows)
 
     @cached_property
     def terms(self) -> tuple[JantzenTerm, ...]:
@@ -492,29 +493,44 @@ def derived_simple_chars(p: int, d: int) -> list[FormalCharacter]:
     ch L_i = sum over j >= i of (-1)^(j-i) [lambda_j]: the unique solution of
     ch V(lambda_i) = ch L_i + ch L_{i+1} with ch L_{r-1} = 0.
     """
-    return _tails(lambda_sequence(p, d), LeviDatum.full(d))[:-1]
+    full = LeviDatum.full(d)
+    return [_weyl_character(full, rows) for rows in _tails(lambda_sequence(p, d))[:-1]]
 
 
-def _tails(seq: list[Weight], levi: LeviDatum) -> list[FormalCharacter]:
+def _tails(seq: list[Weight]) -> list[list[tuple[int, ...]]]:
     """[seq_i] - [seq_{i+1}] + [seq_{i+2}] - ... for i = 0, ..., len(seq),
-    in the Weyl basis of the Levi, by tail_i = [seq_i] - tail_{i+1}; the
-    last is 0.  The weights of seq are distinct and dominant."""
-    tails = [_trusted_character(BASIS_WEYL, levi, {})]
-    for lam in reversed(seq):
-        terms = {lam: 1}
-        terms.update((key, -c) for key, c in tails[-1].terms.items())
-        tails.append(_trusted_character(BASIS_WEYL, levi, terms))
-    return tails[::-1]
+    each as rows (*coords, coeff) sorted as jantzen_sum sorts its own; the
+    last has none.  The weights of seq are distinct and dominant, so the
+    rows are those of a character in the Weyl basis of any Levi.  Each
+    weight has one row per sign, which every tail shares."""
+    signed = [((*lam.coords, 1), (*lam.coords, -1)) for lam in seq]
+    return [
+        sorted((signed[j][(j - i) % 2] for j in range(i, len(seq))), reverse=True)
+        for i in range(len(seq) + 1)
+    ]
+
+
+def _weyl_character(levi: LeviDatum, rows: list[tuple[int, ...]]) -> FormalCharacter:
+    """The character in the Weyl basis of the Levi of rows (*coords, coeff)
+    that the library built: every key dominant for the Levi, no coefficient
+    zero."""
+    return _trusted_character(BASIS_WEYL, levi, {_trusted_weight(r[:-1]): r[-1] for r in rows})
 
 
 class PropCharCheck(NamedTuple):
-    """One (i, Levi) comparison of a Jantzen sum against its alternating tail."""
+    """One (i, Levi) comparison of a Jantzen sum against its alternating
+    tail, which it keeps as rows."""
 
     i: int
     levi: LeviDatum
     passed: bool
-    expected: FormalCharacter
+    tail: list[tuple[int, ...]]
     report: SumReport
+
+    @property
+    def expected(self) -> FormalCharacter:
+        """The tail as a character, built from its rows on each read."""
+        return _weyl_character(self.levi, self.tail)
 
     @property
     def total(self) -> FormalCharacter:
@@ -539,8 +555,9 @@ def verify_prop_char(p: int, d: int) -> PropCharReport:
     the alternating tail of Weyl symbols, and the same must hold over the
     Levi generated by the simple roots 2..d.  Failures are recorded, not
     raised; each check keeps its sum's report, and with it the term trace.
-    A check compares the sum's rows with the tail's, sorted the same way,
-    so no total is built as a character unless a caller reads it.
+    The tails are built once, as rows, for both Levis, and a check compares
+    the sum's rows with its tail's, sorted the same way, so no character
+    is built unless a caller reads one.
     Refusals come from lambda_sequence, then from the first jantzen_sum,
     whose refusals of a composite p and of too many terms come before
     anything of rank d is built.
@@ -550,11 +567,10 @@ def verify_prop_char(p: int, d: int) -> PropCharReport:
         _check_blocks([d], p, LeviDatum.full(d))
     seq = lambda_sequence(p, d)
     levis = (LeviDatum.full(d), LeviDatum(d, range(2, d + 1)))
-    tails = [_tails(seq, levi) for levi in levis]
+    tails = _tails(seq)
     checks = []
     for i, lam in enumerate(seq):
-        for levi, tail in zip(levis, tails):
-            report, expected = jantzen_sum(lam, p, levi), tail[i + 1]
-            rows = sorted(((*w.coords, c) for w, c in expected.terms.items()), reverse=True)
-            checks.append(PropCharCheck(i, levi, report.rows == rows, expected, report))
+        for levi in levis:
+            report, tail = jantzen_sum(lam, p, levi), tails[i + 1]
+            checks.append(PropCharCheck(i, levi, report.rows == tail, tail, report))
     return PropCharReport(p=p, d=d, checks=checks)

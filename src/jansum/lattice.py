@@ -182,7 +182,7 @@ def partitions_below(b: Partition) -> list[Partition]:
     """
     check_ideal_size(b)
     dag = ideal_dag(b, None, lambda state, k: None)
-    return [_walked(parts) for parts, _ in ideal_leaves(dag, text=False)]
+    return [_walked(parts) for parts, _ in ideal_leaves(dag, lambda state: None, text=False)]
 
 
 # Largest dominance ideal a walk accepts.  It bounds the listing of terms
@@ -295,9 +295,11 @@ def ideal_dag(b: Partition, state, step) -> dict[tuple, tuple]:
     return dag
 
 
-def ideal_leaves(dag: dict[tuple, tuple], text: bool = True) -> list[tuple[object, object]]:
-    """(key, state) for every leaf of an ideal_dag, one per path from the
-    root, in reverse-lexicographic order of the partitions.
+def ideal_leaves(dag: dict[tuple, tuple], read, text: bool = True) -> list[tuple[object, object]]:
+    """(key, read(state)) for every leaf of an ideal_dag, one per path from
+    the root, in reverse-lexicographic order of the partitions, each leaf
+    paired as it is listed.  The leaves share a few states, and read is
+    called once per distinct state.
 
     A leaf's key is its partition's parts: the comma-joined text that the
     JSON and text forms write ("3,1,1", and "" for the empty partition) or,
@@ -314,6 +316,7 @@ def ideal_leaves(dag: dict[tuple, tuple], text: bool = True) -> list[tuple[objec
     root = next(reversed(dag))
     pieces = [part(k) for k in range(root[2] + 1)]  # no part exceeds the root's
     runs: dict[int, object] = {}  # length of a run of ones -> its piece
+    values: dict = {}  # state -> read(state)
     out: list[tuple[object, object]] = []
     stack = [(root, empty)]  # (key, the parts above it)
     while stack:
@@ -326,10 +329,11 @@ def ideal_leaves(dag: dict[tuple, tuple], text: bool = True) -> list[tuple[objec
         if children:
             # the parts left are all ones, and the one child is the leaf
             left = key[1]
-            run = runs.get(left) or runs.setdefault(left, ones(left))
-            out.append(((above + run)[skip:], children[0][0]))
-        else:
-            out.append((above[skip:], key[0]))
+            above += runs.get(left) or runs.setdefault(left, ones(left))
+            key = children[0]
+        state = key[0]
+        value = values[state] if state in values else values.setdefault(state, read(state))
+        out.append((above[skip:], value))
     return out
 
 

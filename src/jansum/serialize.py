@@ -1,17 +1,19 @@
 """Text and canonical JSON for the library's value types, written directly.
 
-A character is written only here, in either form, in reverse-lexicographic
-order of its keys; a Weyl character from (*coords, coeff) rows, through one
-term formatter per form (weyl_json, weyl_text): a Jantzen total's rows come
-sorted from jantzen_sum, any other's keys from _ordered.  Each JSON writer
-gives the text that json.dumps(form, separators=(",", ":")) gives for the
-value's JSON form, without building that form or loading json: integers,
-booleans and the fixed keys are formatted here, and the only strings (an
-identity's `which` and `label`, a Levi's description) come from a fixed
-ASCII vocabulary with nothing to escape, so they are written between
-quotes as they are.  Coefficients are decimal strings, so equal values
-always give identical bytes, and parsing then re-serializing is the
-identity on the text.
+A character is written only here, in either form, as its computation
+made it, in reverse-lexicographic order of its keys, by one writer per
+form and basis: a Weyl character from its (*coords, coeff) rows, which
+jantzen_sum and jantzen._tails sort (weyl_json, weyl_text), and a
+monomial one from the (text key, coeff) leaves that its walk lists in
+order (monomial_json, monomial_text).  No writer sorts or reads a
+FormalCharacter.  Each JSON writer gives the text that json.dumps(form,
+separators=(",", ":")) gives for the value's JSON form, without building
+that form or loading json: integers, booleans and the fixed keys are
+formatted here, and the only strings (an identity's `which` and `label`,
+a Levi's description) come from a fixed ASCII vocabulary with nothing to
+escape, so they are written between quotes as they are.  Coefficients
+are decimal strings, so equal values always give identical bytes, and
+parsing then re-serializing is the identity on the text.
 
 A scalar is written as one string.  A character is written as an iterator
 of pieces, each of at most _PIECE terms, and a report as an iterator of
@@ -25,9 +27,8 @@ whole.
 from __future__ import annotations
 
 from itertools import chain, islice
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
-from .charring import BASIS_MONOMIAL
 from .jantzen import _trace
 
 
@@ -62,16 +63,8 @@ def signed_dominant_json(sd) -> str:
     return _SINGULAR if sd.is_singular else _REGULAR % (sd.sign, weight_json(sd.dominant))
 
 
-def _ordered(ch) -> list:
-    """The character's keys in reverse-lexicographic order of their parts or
-    coordinates: keys are distinct, so no two coefficients are ever
-    compared.  Only jantzen_sum orders a total otherwise, as its rows."""
-    key = attrgetter("parts" if ch.basis == BASIS_MONOMIAL else "coords")
-    return sorted(ch.terms, key=key, reverse=True)
-
-
 # terms of a character per written piece: no piece, and nothing held while
-# the pieces are written but the ordered keys, grows with the character
+# the pieces are written but the rows or leaves, grows with the character
 _PIECE = 128
 
 
@@ -84,7 +77,6 @@ def _pieces(terms, sep: str = ","):
         lead = sep
 
 
-_MONOMIAL = '{"basis":"monomial","terms":['
 _MONOMIAL_TERM = '{"key":[%s],"coeff":"%d"}'
 # a left side's term of an identity from a (key, coeff) leaf; %.0s drops coeff
 _LEFT_TERM = '{"key":[%s],"coeff":"1"}%.0s'
@@ -99,13 +91,12 @@ def weyl_json(levi, rows):
     yield "]}"
 
 
-def character_json(ch):
-    """Yield the JSON of a character in pieces of at most _PIECE terms."""
-    if ch.basis != BASIS_MONOMIAL:
-        yield from weyl_json(ch.levi, ((*w.coords, ch.terms[w]) for w in _ordered(ch)))
-        return
-    yield _MONOMIAL
-    yield from _pieces(_MONOMIAL_TERM % (_ints(mu.parts), ch.terms[mu]) for mu in _ordered(ch))
+def monomial_json(leaves, term: str = _MONOMIAL_TERM):
+    """Yield the JSON of a character in the monomial basis, in pieces of at
+    most _PIECE terms, from its (text key, coeff) leaves in order, none
+    zero, each written as term % leaf."""
+    yield '{"basis":"monomial","terms":['
+    yield from _pieces(map(term.__mod__, leaves))
     yield "]}"
 
 
@@ -122,19 +113,18 @@ def weyl_text(levi, rows):
     yield from pieces
 
 
-def character_text(ch):
-    """Yield the human form of a character in pieces of at most _PIECE
-    terms, "0" for zero: 'm[2,1] + 2·m[1,1,1]', whose first term alone has
-    no space after its sign, or as weyl_text writes it."""
-    if ch.basis != BASIS_MONOMIAL:
-        yield from weyl_text(ch.levi, ((*w.coords, ch.terms[w]) for w in _ordered(ch)))
-        return
-    keys = _ordered(ch)
+def monomial_text(leaves):
+    """Yield the human form, 'm[2,1] + 2·m[1,1,1]' or "0", of a character
+    in the monomial basis as monomial_json does, from the same leaves: the
+    first term alone has no space after its sign."""
+    # a form per coefficient: sign, |coeff|· unless 1, symbol; %.0s drops coeff
+    forms = {1: "+ m[%s]%.0s", -1: "- m[%s]%.0s"}
+    get, put = forms.get, forms.setdefault
     written = (
-        ("+ ", "- ")[c < 0] + ("" if c in (1, -1) else f"{abs(c)}·") + f"m[{_ints(mu.parts)}]"
-        for mu, c in zip(keys, map(ch.terms.__getitem__, keys))
+        (get(c) or put(c, "%s %d·m[%%s]%%.0s" % ("+-"[c < 0], abs(c)))) % (key, c)
+        for key, c in leaves
     )
-    first = next(written, "+ 0")  # "m[..]" or "-m[..]", or "0" for zero
+    first = next(written, "+ 0")  # "+ m[..]" or "- m[..]", or "+ 0" for zero
     yield from _pieces(chain([first[2:] if first[0] == "+" else "-" + first[2:]], written), " ")
 
 
@@ -174,32 +164,31 @@ def sum_report_json(report, trace: bool = False):
 
 
 def identity_report_json(report):
-    """Both sides from the leaves of the report's check, which come in
-    reverse-lexicographic order keyed by the text of their parts, so each
-    term is one %: the left side has every leaf with coefficient 1, written
-    into pieces that are kept until the right side is written, and the right
-    side the nonzero leaves with theirs, so an EQUAL report's right side is
-    those pieces, and any other's is written from the leaves.  The
-    difference is written from the leaves whose coefficient is not 1."""
+    """Both sides and the difference from the leaves of the report's check,
+    which come in reverse-lexicographic order keyed by the text of their
+    parts, through monomial_json: the left side has every leaf with
+    coefficient 1, written into pieces that are kept until the right side
+    is written, and the right side the nonzero leaves with theirs, so an
+    EQUAL report's right side is those pieces, and any other's is written
+    from the leaves."""
     check = report.check
-    lhs = list(_pieces(map(_LEFT_TERM.__mod__, check.leaves)))
+    lhs = list(monomial_json(check.leaves, _LEFT_TERM))
     yield (
         f'{{"n":{report.n},"which":"{report.which}","prime":{_bool(report.prime)},'
-        f'"label":"{report.label}","equal":{_bool(report.equal)},"lhs":{_MONOMIAL}'
+        f'"label":"{report.label}","equal":{_bool(report.equal)},"lhs":'
     )
     yield from lhs
-    yield f']}},"rhs":{_MONOMIAL}'
-    yield from lhs if report.equal else _pieces(
-        map(_MONOMIAL_TERM.__mod__, filter(itemgetter(1), check.leaves))
-    )
-    yield f']}},"diff":{_MONOMIAL}'
-    yield from _pieces(_MONOMIAL_TERM % (key, 1 - c) for key, c in check._broken)
-    yield "]}}"
+    yield ',"rhs":'
+    yield from lhs if report.equal else monomial_json(filter(itemgetter(1), check.leaves))
+    yield ',"diff":'
+    yield from monomial_json(report.diff_leaves)
+    yield "}"
 
 
 def prop_char_report_json(report):
     """A failing check lists its terms; a passing one does not.  Each
-    check's total is written from its sum's rows."""
+    check's total is written from its sum's rows, and its expected side
+    from its tail's."""
     yield f'{{"p":{report.p},"d":{report.d},"passed":{_bool(report.passed)},"checks":['
     sep = ""
     for check in report.checks:
@@ -209,7 +198,7 @@ def prop_char_report_json(report):
         )
         yield from weyl_json(check.levi, check.report.rows)
         yield ',"expected":'
-        yield from character_json(check.expected)
+        yield from weyl_json(check.levi, check.tail)
         if not check.passed:
             yield ',"terms":'
             yield from jantzen_terms_json(check.report)

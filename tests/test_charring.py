@@ -19,12 +19,13 @@ from jansum.charring import (
     coefficient_counts,
     kostka,
     schur_sum_dag,
+    schur_sum_leaves,
     schur_sum_to_monomial,
     schur_to_monomial,
 )
 from jansum.lattice import Partition, Weight, dominance_leq
 from jansum.oracle import enumerate_ssyt
-from jansum.serialize import character_json, character_text
+from jansum.serialize import monomial_json, monomial_text
 from jansum.weyl import LeviDatum
 
 
@@ -85,9 +86,13 @@ class TestFormalCharacter:
             FormalCharacter(BASIS_WEYL, None, {})
 
     def test_writers_list_terms_reverse_lex(self):
-        x = mono({(1, 1, 1): 5, (3,): 1, (2, 1): 2})
-        assert "".join(character_text(x)) == "m[3] + 2·m[2,1] + 5·m[1,1,1]"
-        keys = [t["key"] for t in json.loads("".join(character_json(x)))["terms"]]
+        # S_3 + S_21 + 2 S_111 = m_3 + 2 m_21 + 5 m_111: the walk lists its
+        # leaves in reverse-lexicographic order, and the writers keep it
+        coeffs = {Partition((3,)): 1, Partition((2, 1)): 1, Partition((1, 1, 1)): 2}
+        leaves = schur_sum_leaves(coeffs, Partition((3,)))
+        assert leaves == [("3", 1), ("2,1", 2), ("1,1,1", 5)]
+        assert "".join(monomial_text(leaves)) == "m[3] + 2·m[2,1] + 5·m[1,1,1]"
+        keys = [t["key"] for t in json.loads("".join(monomial_json(leaves)))["terms"]]
         assert keys == [[3], [2, 1], [1, 1, 1]]
 
 

@@ -58,22 +58,19 @@ class TestIdentityCommand:
     def test_verification_failure_maps_to_exit_3(self, monkeypatch):
         # no true instance fails, so force one to pin the exit-code contract
         from jansum import identities
-        from jansum.charring import BASIS_MONOMIAL, FormalCharacter
 
         real = identities.IdentityReport
 
         def broken(n, which, check, prime):
             report = real(n, which, check, prime)
             report.equal = False
-            report.diff = FormalCharacter(
-                BASIS_MONOMIAL, None, {identities.Partition((n,)): 1}
-            )
+            report.diff_leaves = [(str(n), 1)]
             return report
 
         monkeypatch.setattr("jansum.identities.IdentityReport", broken)
         code, out, _ = run_cli(["identity", "--n", "3", "--which", "first"])
         assert code == 3
-        assert "DIFFER" in out
+        assert out == "n=3 first DIFFER (prime, theorem)\ndiff: m[3]\n"
 
 
 class TestVerdictsWithoutTheSides:
@@ -306,11 +303,9 @@ def _refuse(*args, **kwargs):
 def _fail_every_check(monkeypatch):
     """Make every prop-char check fail, so that each lists its terms."""
     import jansum.jantzen as jantzen_mod
-    from jansum.charring import BASIS_WEYL, FormalCharacter
-    from jansum.lattice import Weight
 
-    def failing_tails(seq, levi):
-        return [FormalCharacter(BASIS_WEYL, levi, {Weight((0,) * levi.rank): 7})] * (len(seq) + 1)
+    def failing_tails(seq):
+        return [[(0,) * seq[0].rank + (7,)]] * (len(seq) + 1)
 
     monkeypatch.setattr(jantzen_mod, "_tails", failing_tails)
 
@@ -1133,15 +1128,16 @@ class TestExit:
         _, expected_out, expected_err = run_cli(argv)
         assert events[-3:] == [("stdout", expected_out), ("stderr", expected_err), ("exit", code)]
 
-    # a write to a pipe whose read end is closed raises BrokenPipeError; it
-    # leaves through the normal exit: 1, or 120 when the interpreter's own
-    # flush of a block-buffered stdout fails again as it finalizes
-    @pytest.mark.parametrize("argv, unbuffered, code", [
-        (["identity", "--n", "3", "--which", "first"], True, 1),
-        (["identity", "--n", "3", "--which", "first"], False, 120),
-        (["jantzen", "--p", "2", "--d", "2", "--lambda", "100000,0", "--json"], False, 1),
+    # a pipe whose read end is closed raises BrokenPipeError at the first
+    # write that reaches it: a write when stdout is unbuffered or the output
+    # outgrows the buffer, else entry's flush; either way the process ends
+    # with 141 (128 + SIGPIPE) and writes nothing to stderr
+    @pytest.mark.parametrize("argv, unbuffered", [
+        (["identity", "--n", "3", "--which", "first"], True),
+        (["identity", "--n", "3", "--which", "first"], False),
+        (["jantzen", "--p", "2", "--d", "2", "--lambda", "100000,0", "--json"], False),
     ], ids=["unbuffered", "buffered", "buffered-large"])
-    def test_closed_stdout(self, argv, unbuffered, code):
+    def test_closed_stdout(self, argv, unbuffered):
         env = _child_env()
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -1152,6 +1148,4 @@ class TestExit:
                                   stderr=subprocess.PIPE, text=True, env=env, timeout=60)
         finally:
             os.close(write)
-        assert proc.returncode == code
-        assert proc.stderr.count("Traceback") == 1
-        assert proc.stderr.splitlines()[-1] == "BrokenPipeError: [Errno 32] Broken pipe"
+        assert (proc.returncode, proc.stderr) == (141, "")

@@ -34,6 +34,7 @@ A change meant to alter an output replaces that entry's digest.
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,34 @@ def test_output_unchanged(argv, code, digest):
 def test_each_command_line_once():
     lines = [tuple(argv) for argv, _, _ in CORPUS]
     assert len(set(lines)) == len(lines)
+
+
+# the commands that write a character: each writes it from the rows or the
+# leaves that its computation made, so none builds a FormalCharacter
+WRITERS = [entry for entry in CORPUS if entry[0][0] in {"schur", "identity", "sweep", "jantzen", "prop-char"}]
+
+
+class _Built(Exception):
+    pass
+
+
+@pytest.fixture
+def no_character(monkeypatch):
+    """FormalCharacter's constructor and charring._trusted_character, at
+    every module that binds it, raise."""
+    from jansum import charring
+
+    def refuse(*args, **kwargs):
+        raise _Built
+
+    trusted = charring._trusted_character
+    monkeypatch.setattr(charring.FormalCharacter, "__init__", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "jansum" and getattr(module, "_trusted_character", None) is trusted:
+            monkeypatch.setattr(module, "_trusted_character", refuse)
+
+
+@pytest.mark.parametrize("argv, code, digest", WRITERS, ids=[" ".join(e[0]) for e in WRITERS])
+def test_no_command_builds_a_character(no_character, argv, code, digest):
+    got_code, out, _ = run_cli(argv)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

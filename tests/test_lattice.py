@@ -4,6 +4,7 @@ import pytest
 
 from helpers import brute_partitions, prefix_leq, random_weight
 from jansum import lattice
+from jansum.charring import schur_sum_dag
 from jansum.jantzen import lambda_sequence
 from jansum.lattice import (
     LiftError,
@@ -198,14 +199,17 @@ class TestLeafKeys:
         yield from rng.sample(every, 50)
 
     def test_text_keys_are_the_joined_parts(self):
+        def none(state):
+            return None
+
         longest_run = 0
         for top in self.tops():
             b = Partition(top)
             below = partitions_below(b)
             dag = lattice.ideal_dag(b, None, lambda state, k: None)
-            keys = [key for key, _ in lattice.ideal_leaves(dag)]
+            keys = [key for key, _ in lattice.ideal_leaves(dag, none)]
             assert keys == [",".join(map(str, mu.parts)) for mu in below], top
-            assert [key for key, _ in lattice.ideal_leaves(dag, text=False)] == [
+            assert [key for key, _ in lattice.ideal_leaves(dag, none, text=False)] == [
                 mu.parts for mu in below
             ]
             assert [lattice.text_partition(key) for key in keys] == below
@@ -218,10 +222,22 @@ class TestLeafKeys:
         for top in self.tops():
             b = Partition(top)
             dag = lattice.ideal_dag(b, (), lambda state, k: state + (k,))
-            listings = lattice.ideal_leaves(dag), lattice.ideal_leaves(dag, text=False)
+            listings = lattice.ideal_leaves(dag, list), lattice.ideal_leaves(dag, list, text=False)
             for text, tuples in zip(*listings, strict=True):
-                assert text[1] == tuples[1] == tuples[0]
+                assert text[1] == tuples[1] == list(tuples[0])
                 assert text[0] == ",".join(map(str, tuples[0]))
+
+    def test_each_leaf_state_is_read_once(self):
+        # the leaves of a Schur walk share a few states: each is read once,
+        # as its first leaf is listed, and every leaf gets its state's value
+        for top in self.tops():
+            b = Partition(top)
+            dag = schur_sum_dag({b: 1}, b)
+            read = []
+            leaves = lattice.ideal_leaves(dag, lambda state: read.append(state) or len(read))
+            states = [state for _, state in lattice.ideal_leaves(dag, lambda state: state)]
+            assert read == list(dict.fromkeys(states)), top
+            assert [value for _, value in leaves] == [read.index(s) + 1 for s in states]
 
 
 class TestIdealGuard:

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from helpers import (
+    brute_partitions,
     character_to_json,
     character_to_text,
     identity_report_to_json,
@@ -16,11 +17,19 @@ from helpers import (
     random_levi_dominant,
     random_weight,
     run_cli,
+    schur_sum_by_kostka,
     signed_dominant_to_json,
+    sorted_terms,
     sum_report_to_json,
     weight_to_json,
 )
-from jansum.charring import BASIS_MONOMIAL, BASIS_WEYL, FormalCharacter, schur_to_monomial
+from jansum.charring import (
+    BASIS_MONOMIAL,
+    BASIS_WEYL,
+    FormalCharacter,
+    schur_sum_leaves,
+    schur_to_monomial,
+)
 from jansum.identities import (
     SupportCheck,
     first_identity_shapes,
@@ -29,20 +38,27 @@ from jansum.identities import (
     verify_first_identity,
     verify_second_identity,
 )
-from jansum.jantzen import PropCharReport, SumReport, jantzen_sum, verify_prop_char
+from jansum.jantzen import (
+    PropCharReport,
+    SumReport,
+    jantzen_sum,
+    lambda_sequence,
+    verify_prop_char,
+)
 from jansum.lattice import Partition, Weight
 from jansum.serialize import (
     _PIECE,
-    character_json,
-    character_text,
     identity_report_json,
     levi_json,
+    monomial_json,
+    monomial_text,
     multiplicity_report_json,
     partition_json,
     prop_char_report_json,
     signed_dominant_json,
     sum_report_json,
     weight_json,
+    weyl_json,
     weyl_text,
 )
 from jansum.weyl import LeviDatum, SignedDominant, dot_normalize
@@ -60,12 +76,34 @@ def oracle_text(form) -> str:
     return json.dumps(form, separators=(",", ":"))
 
 
+def listing(ch) -> list:
+    """The form a writer takes of a character, in the helpers' own sorted
+    order: (text key, coeff) leaves of a monomial one, as the identity and
+    Schur walks list them, and (*coords, coeff) rows of a Weyl one, as
+    jantzen_sum and the prop-char tails sort them."""
+    if ch.basis == BASIS_MONOMIAL:
+        return [(",".join(map(str, mu.parts)), c) for mu, c in sorted_terms(ch)]
+    return [(*w.coords, c) for w, c in sorted_terms(ch)]
+
+
+def json_pieces(ch) -> list[str]:
+    if ch.basis == BASIS_MONOMIAL:
+        return list(monomial_json(listing(ch)))
+    return list(weyl_json(ch.levi, listing(ch)))
+
+
+def text_pieces(ch) -> list[str]:
+    if ch.basis == BASIS_MONOMIAL:
+        return list(monomial_text(listing(ch)))
+    return list(weyl_text(ch.levi, listing(ch)))
+
+
 def json_of(ch) -> str:
-    return "".join(character_json(ch))
+    return "".join(json_pieces(ch))
 
 
 def text_of(ch) -> str:
-    return "".join(character_text(ch))
+    return "".join(text_pieces(ch))
 
 
 class TestScalarForms:
@@ -311,6 +349,111 @@ class TestWritersMatchTheOracle:
             assert "".join(multiplicity_report_json(r)) == oracle_text(multiplicity_report_to_json(r))
 
 
+class TestWritersOfLeavesAndRows:
+    """Each character a command writes comes from the form that its
+    computation made, never from a FormalCharacter: a Schur expansion and
+    an identity's difference from the walk's (text key, coeff) leaves
+    (monomial_json, monomial_text), a prop-char check's expected side from
+    its tail's rows (weyl_json, weyl_text).  Each is checked against the
+    oracle writers on the character built apart from that form."""
+
+    def test_schur_expansions(self):
+        rng = random.Random(4242)
+        every = [Partition(t) for n in range(1, 13) for t in brute_partitions(n)]
+        for lam in rng.sample(every, 50):
+            expected = FormalCharacter(BASIS_MONOMIAL, None, schur_sum_by_kostka({lam: 1}, lam))
+            leaves = schur_sum_leaves({lam: 1}, lam)
+            assert "".join(monomial_json(leaves)) == oracle_text(character_to_json(expected))
+            text = "".join(monomial_text(leaves))
+            assert text == character_to_text(expected)
+            argv = ["schur", "--lambda", ",".join(map(str, lam.parts))]
+            assert run_cli(argv) == (0, f"S{lam} = {text}\n", ""), lam
+
+    @pytest.mark.parametrize("which, n_max", [("first", 8), ("second", 12)])
+    def test_identity_differences(self, monkeypatch, which, n_max):
+        # without its last shape a right side differs from the left side;
+        # the difference, 1 - c at each leaf whose c is not 1, against one
+        # built from Kostka numbers.  The CLI binds the shape lists for its
+        # selftest when first imported, so it is imported before the patch
+        import jansum.cli  # noqa: F401
+
+        real = first_identity_shapes if which == "first" else second_identity_shapes
+        monkeypatch.setattr(f"jansum.identities.{which}_identity_shapes", lambda n: real(n)[:-1])
+        verify = verify_first_identity if which == "first" else verify_second_identity
+        for n in range(2, n_max + 1):
+            report = verify(n)
+            coeffs = {shape: (-1) ** i for i, shape in enumerate(real(n)[:-1])}
+            sums = schur_sum_by_kostka(coeffs, report.top)
+            diff = FormalCharacter(BASIS_MONOMIAL, None, {mu: 1 - c for mu, c in sums.items()})
+            assert not diff.is_zero
+            text = "".join(monomial_text(report.diff_leaves))
+            assert text == character_to_text(diff)
+            assert "".join(monomial_json(report.diff_leaves)) == oracle_text(character_to_json(diff))
+            code, out, _ = run_cli(["identity", "--n", str(n), "--which", which])
+            assert code == 3 and out.endswith(f"\ndiff: {text}\n"), (which, n)
+
+    def test_prop_char_expected_sides(self, monkeypatch):
+        # every tail replaced by seeded rows of dominant weights, empty ones
+        # and ones of more than a piece among them, so that checks fail and
+        # write their expected sides: as text only a failing check does
+        import jansum.jantzen as jantzen_mod
+
+        def seeded_terms(seq) -> list[dict]:
+            rng = random.Random(len(seq) * 100 + seq[0].rank)
+            out = []
+            for _ in range(len(seq) + 1):
+                terms: dict = {}
+                size = rng.choice((0, 1, 2, 7, K + 1))
+                while len(terms) < size:
+                    terms[random_levi_dominant(rng, LeviDatum.full(seq[0].rank), hi=30)] = rng.choice(
+                        (1, -1, rng.randint(2, 99), -rng.randint(2, 99), 2**64 + 1)
+                    )
+                out.append(terms)
+            return out
+
+        monkeypatch.setattr(
+            jantzen_mod, "_tails",
+            lambda seq: [listing(FormalCharacter(BASIS_WEYL, LeviDatum.full(seq[0].rank), t))
+                         for t in seeded_terms(seq)],
+        )
+        sizes = set()
+        for p, d in ((3, 4), (5, 5), (5, 7), (7, 6)):
+            report = verify_prop_char(p, d)
+            tails = seeded_terms(lambda_sequence(p, d))
+            expected = [FormalCharacter(BASIS_WEYL, check.levi, tails[check.i + 1])
+                        for check in report.checks]
+            sizes.update(len(ch.terms) for ch in expected)
+            assert not report.passed
+            for check, ch in zip(report.checks, expected, strict=True):
+                assert "".join(weyl_json(check.levi, check.tail)) == oracle_text(character_to_json(ch))
+                assert "".join(weyl_text(check.levi, check.tail)) == character_to_text(ch)
+            argv = ["prop-char", "--p", str(p), "--d", str(d)]
+            code, out, _ = run_cli(argv)
+            assert code == 3
+            written = [line[12:] for line in out.splitlines() if line.startswith("  expected: ")]
+            assert written == [
+                character_to_text(ch) for check, ch in zip(report.checks, expected) if not check.passed
+            ]
+            code, out, _ = run_cli(argv + ["--json"])
+            assert code == 3
+            assert [c["expected"] for c in json.loads(out)["checks"]] == [
+                character_to_json(ch) for ch in expected
+            ]
+        assert 0 in sizes and max(sizes) > K
+
+    def test_the_empty_character(self):
+        levi = LeviDatum(4, (2, 3))
+        for writer, ch in (
+            (lambda: monomial_json([]), FormalCharacter(BASIS_MONOMIAL, None, {})),
+            (lambda: weyl_json(levi, []), FormalCharacter(BASIS_WEYL, levi, {})),
+        ):
+            assert "".join(writer()) == oracle_text(character_to_json(ch))
+            assert character_to_text(ch) == "0"
+        assert "".join(monomial_text([])) == "".join(weyl_text(levi, [])) == "0"
+        code, out, _ = run_cli(["jantzen", "--p", "5", "--d", "2", "--lambda", "0,0"])
+        assert (code, out.splitlines()[-1]) == (0, "total: 0")
+
+
 def seeded_character(rng: random.Random, basis: str, size: int) -> FormalCharacter:
     """A character of exactly `size` distinct keys, with coefficients of
     both signs, 1 and past 1."""
@@ -350,10 +493,10 @@ class TestPieces:
         rng = random.Random(size * 7 + (basis == BASIS_WEYL))
         for _ in range(3):
             ch = seeded_character(rng, basis, size)
-            json_pieces, text_pieces = list(character_json(ch)), list(character_text(ch))
-            assert "".join(json_pieces) == oracle_text(character_to_json(ch))
-            assert "".join(text_pieces) == character_to_text(ch)
-            for pieces in (json_pieces, text_pieces):
+            as_json, as_text = json_pieces(ch), text_pieces(ch)
+            assert "".join(as_json) == oracle_text(character_to_json(ch))
+            assert "".join(as_text) == character_to_text(ch)
+            for pieces in (as_json, as_text):
                 counts = terms_per_piece(pieces)
                 assert sum(counts) == size and max(counts) <= K
                 # only the last piece of terms may hold fewer than K
@@ -387,9 +530,8 @@ class TestPieces:
             }) for _ in range(2)
         )
         assert min(len(total.terms), len(expected.terms)) > 2 * K
-        rows = sorted(((*w.coords, c) for w, c in total.terms.items()), reverse=True)
-        report = SumReport(check.report.lam, 3, levi, rows)
-        failing = PropCharReport(3, 4, [check._replace(passed=False, expected=expected, report=report)])
+        report = SumReport(check.report.lam, 3, levi, listing(total))
+        failing = PropCharReport(3, 4, [check._replace(passed=False, tail=listing(expected), report=report)])
         assert failing.checks[0].total == total
         pieces = list(prop_char_report_json(failing))
         assert "".join(pieces) == oracle_text(prop_char_report_to_json(failing))
@@ -410,13 +552,14 @@ def traced_peak(pieces) -> int:
 class TestWriterMemory:
     # What writing holds besides the value written, traced (not RSS): no
     # more than the ordered keys and one piece
-    def test_total_of_75000_keys(self):
-        # the total of `jantzen --p 2 --d 2 --lambda 100000,0` (15.9 MB
-        # traced for its JSON when it was written as one string)
-        report = jantzen_sum(Weight((100000, 0)), 2, LeviDatum.full(2))
-        assert len(report.total.terms) == 75000
-        for writer in (character_json, character_text):
-            assert traced_peak(writer(report.total)) < 2_000_000
+    def test_leaves_of_37337_keys(self):
+        # the right side of `identity --n 40 --which second`, 1.7 MB as
+        # JSON and 1.1 MB as text: each monomial writer holds a piece at a
+        # time (about 40 KB traced)
+        leaves = verify_second_identity(40).check.leaves
+        assert len(leaves) == 37337  # listed before tracing
+        for writer in (monomial_json, monomial_text):
+            assert traced_peak(writer(leaves)) < 500_000
 
     def test_report_of_75000_rows(self):
         # the jantzen command writes the same total from the report's rows,
