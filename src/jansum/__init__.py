@@ -3,8 +3,11 @@
 Partitions and dominance order, the weight lattice in fundamental
 coordinates, the Weyl-group dot action (full group and standard Levi
 subgroups), the Jantzen sum formula with per-term traces, Kostka numbers
-and Schur-to-monomial expansion, and machine verification of a family of
-alternating Schur-function identities over dominance ideals.  Of the
+and Schur-to-monomial expansion, and machine verification of two families
+of alternating Schur-function identities over dominance ideals: the sum of
+m_mu over the partitions below (n-1, n-1, 1), or below (n-1, 1), against
+the alternating sum of the Schur functions of the shapes
+(n-1, n-1-i, 1^(i+1)), or of the hooks (n-1-i, 1^(i+1)).  Of the
 paper's named weights only the lambda_i of the Jantzen-sum telescope are
 built (lambda_sequence); its lambda_f for f > 0 concern line-bundle
 cohomology, which this package does not compute.  The names imported below
@@ -30,7 +33,6 @@ from .jantzen import (
     JantzenTerm,
     PropCharReport,
     SumReport,
-    derived_simple_chars,
     jantzen_sum,
     lambda_sequence,
     verify_prop_char,

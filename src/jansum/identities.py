@@ -21,11 +21,13 @@ I.3 Example 11; Stanley, Enumerative Combinatorics 2, 7.17.)  Reports still
 label composite n a "conjecture instance": that text is part of the output
 contract, and changing it is a change of its own.
 
-The paper's f = 0 by-product is the first identity at a prime p read
-against the Jantzen side: the head character of the lambda sequence,
-lifted to partitions, is the same alternating sum of Schur functions, so
-its monomial expansion is multiplicity-free on the ideal below (p-1, p-1,
-1); the second identity gives the same below (p-1, 1).
+The paper's f = 0 by-product is the first identity at a prime p read off
+the lambda sequence: its weights lambda_i, lifted to partitions, are the
+shapes (p-1, p-1-i, 1^(i+1)), so the alternating sum of their Schur
+functions, the head of the Jantzen-sum telescope, is multiplicity-free in
+monomials on the ideal below (p-1, p-1, 1); the second identity gives the
+same below (p-1, 1).  multiplicity_one_report checks each as one
+SupportCheck, the first built from the lifted sequence.
 
 A verdict, on an identity or on such a family, expands neither side: it
 builds the memoized walk of the Schur sum over the ideal
@@ -62,7 +64,7 @@ from .charring import (
     dag_leaves,
     schur_sum_dag,
 )
-from .jantzen import _check_prime, derived_simple_chars, is_prime
+from .jantzen import _check_prime, is_prime, lambda_sequence
 from .lattice import Partition, check_ideal_size, text_partition, weight_to_partition
 
 FIRST = "first"
@@ -80,7 +82,6 @@ class IdentityReport:
         self.n = n
         self.which = which
         self.check = check
-        self.top = check.target
         self.equal = check.passed
         self.prime = prime
 
@@ -230,17 +231,18 @@ class MultiplicityOneReport(NamedTuple):
 
 
 def multiplicity_one_report(p: int, d: int) -> MultiplicityOneReport:
-    """Check that both derived simple characters are multiplicity-free
-    dominance ideals in the monomial basis.
+    """Check the f = 0 by-product: both alternating Schur sums are
+    multiplicity-free dominance ideals in the monomial basis.
 
-    The head character of the lambda sequence, its keys lifted to
-    partitions, must expand to exactly the partitions below (p-1, p-1, 1),
-    all with coefficient 1; the alternating hook sum must do the same below
-    (p-1, 1).  Each family is one SupportCheck, as an identity is.  Needs
-    d >= 2p-2 so that the longest partition in the first ideal still fits in
-    d+1 rows; past that the answer does not depend on d, so the head
-    character is computed at the least rank admitted, and only the report
-    keeps d.  A huge ideal is refused before the lambda sequence is built.
+    The alternating sum of the Schur functions of the lambda sequence's
+    weights, lifted to partitions, must expand to exactly the partitions
+    below (p-1, p-1, 1), all with coefficient 1; the alternating hook sum
+    must do the same below (p-1, 1).  Each family is one SupportCheck, as
+    an identity is.  Needs d >= 2p-2 so that the longest partition in the
+    first ideal still fits in d+1 rows; past that the answer does not
+    depend on d, so the sequence is built at the least rank admitted, and
+    only the report keeps d.  A huge ideal is refused before the lambda
+    sequence is built.
     """
     _check_prime(p)
     # d >= 2p-2 >= 4 for odd p; for p = 2, lambda_sequence refuses d < 3
@@ -250,7 +252,7 @@ def multiplicity_one_report(p: int, d: int) -> MultiplicityOneReport:
             f"{_first_top(p)} can have up to {2 * p - 1} parts"
         )
     check_ideal_size(_first_top(p))
-    head = derived_simple_chars(p, min(d, max(2 * p - 2, 3)))[0]
-    first = SupportCheck(_first_top(p), {weight_to_partition(w): c for w, c in head.terms.items()})
+    seq = lambda_sequence(p, min(d, max(2 * p - 2, 3)))
+    first = SupportCheck(_first_top(p), _alternating([weight_to_partition(w) for w in seq]))
     second = _support(p, SECOND)
     return MultiplicityOneReport(p=p, d=d, families=[first, second])

@@ -17,8 +17,9 @@ linearly with the level (_terms_at).  The levels l and c - l of a root of
 pairing c give one weight with opposite signs, so the total visits only
 the levels that p^(v_p(c) + 1) divides, each weighted v_p(l) - v_p(c); it
 sums each run whole into rows of coordinates and coefficient, and sorts
-them once (jantzen_sum).  The telescope's tails are sorted rows too,
-built once for both Levis (_tails); a FormalCharacter is built from rows
+them once (jantzen_sum).  The telescope's tails, each the one that a sum
+along the lambda sequence must equal, are sorted rows too, built once for
+both Levis (_tails); a FormalCharacter is built from rows
 (_weyl_character) only when a library caller reads one.  The trace of
 every term, singular ones included, comes from _walk, one frame per root
 holding that root's levels, each run spread back into its levels:
@@ -57,6 +58,17 @@ _PRIMALITY_BOUND = 318665857834031151167461
 # in epsilon coordinates, and in prop-char before anything of rank d is
 # built: `prop-char --p 3 --d 1000000` exits 2 in 0.04 s and 14 MB.
 TERM_LIMIT = 100_000
+
+# Most coordinates that the lambda sequence, (r - 1) * d of them, or a
+# prop-char check's sums and tails, about (r - 1)^2 * (d + 1), may hold,
+# r being min(d, p); more are refused before any weight is built.  Near
+# the bound, `sequence --p 3 --d 1250000` peaks at 129 MB of RSS in 0.51 s
+# and `prop-char --p 131 --d 146` at 35 MB in 0.72 s (best of 3, Python
+# 3.11 on a 2-CPU host); unrefused, `prop-char --p 29983 --d 29983` died
+# of MemoryError under a 2 GB address-space cap after 25 s.  The bound
+# holds memory, not time: past d = p each sum has more terms, each within
+# TERM_LIMIT, and `prop-char --p 89 --d 321` takes 62 s at 37 MB.
+COORD_LIMIT = 2_500_000
 
 
 def is_prime(p: int) -> bool:
@@ -288,6 +300,11 @@ def _check_term_count(count: int, p: int, levi: LeviDatum) -> None:
         )
 
 
+def _check_coords(what: str, count: int) -> None:
+    if count > COORD_LIMIT:
+        raise ValueError(f"{what} has more than {COORD_LIMIT} coordinates; refused")
+
+
 def _terms_at(x: tuple[int, ...], z: tuple, lo: int, hi: int, levels: range):
     """Yield (level, count, sign, window, slopes) for each run of the rising
     progression of levels at the root e_lo - e_{hi+1}, x being
@@ -477,36 +494,29 @@ def lambda_sequence(p: int, d: int) -> list[Weight]:
     lambda_i = i*omega_1 + (p-2-i)*omega_2 + omega_{3+i}, with omega_{d+1} = 0.
 
     These are the weights whose Jantzen sums telescope into each other.
-    Raises ValueError for d < 3 or p < 2.
+    Raises ValueError for d < 3, p < 2 or more than COORD_LIMIT
+    coordinates, (r - 1) * d of them, before any weight is built.
     """
     if d < 3:
         raise ValueError(f"the sequence needs d >= 3, got {d}")
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
+    _check_coords(f"the lambda sequence at p={p}, d={d}", (min(d, p) - 1) * d)
     # omega_{3+i} is coordinate 2+i, which the slice to d drops at 3+i = d+1
     return [Weight(([i, p - 2 - i] + [0] * i + [1] + [0] * d)[:d]) for i in range(min(d, p) - 1)]
 
 
-def derived_simple_chars(p: int, d: int) -> list[FormalCharacter]:
-    """Characters of the simple heads, as alternating tails of Weyl symbols.
-
-    ch L_i = sum over j >= i of (-1)^(j-i) [lambda_j]: the unique solution of
-    ch V(lambda_i) = ch L_i + ch L_{i+1} with ch L_{r-1} = 0.
-    """
-    full = LeviDatum.full(d)
-    return [_weyl_character(full, rows) for rows in _tails(lambda_sequence(p, d))[:-1]]
-
-
 def _tails(seq: list[Weight]) -> list[list[tuple[int, ...]]]:
-    """[seq_i] - [seq_{i+1}] + [seq_{i+2}] - ... for i = 0, ..., len(seq),
-    each as rows (*coords, coeff) sorted as jantzen_sum sorts its own; the
-    last has none.  The weights of seq are distinct and dominant, so the
-    rows are those of a character in the Weyl basis of any Levi.  Each
-    weight has one row per sign, which every tail shares."""
+    """[seq_k] - [seq_{k+1}] + [seq_{k+2}] - ... for k = 1, ..., len(seq),
+    each as rows (*coords, coeff) sorted as jantzen_sum sorts its own: the
+    tail that the sum of seq_{k-1} telescopes to, at index k - 1; the last
+    has none.  The weights of seq are distinct and dominant, so the rows
+    are those of a character in the Weyl basis of any Levi.  Each weight
+    has one row per sign, which every tail shares."""
     signed = [((*lam.coords, 1), (*lam.coords, -1)) for lam in seq]
     return [
-        sorted((signed[j][(j - i) % 2] for j in range(i, len(seq))), reverse=True)
-        for i in range(len(seq) + 1)
+        sorted((signed[j][(j - k) % 2] for j in range(k, len(seq))), reverse=True)
+        for k in range(1, len(seq) + 1)
     ]
 
 
@@ -532,11 +542,6 @@ class PropCharCheck(NamedTuple):
         """The tail as a character, built from its rows on each read."""
         return _weyl_character(self.levi, self.tail)
 
-    @property
-    def total(self) -> FormalCharacter:
-        """The sum as a character, built on first read (SumReport.total)."""
-        return self.report.total
-
 
 class PropCharReport(NamedTuple):
     p: int
@@ -558,19 +563,22 @@ def verify_prop_char(p: int, d: int) -> PropCharReport:
     The tails are built once, as rows, for both Levis, and a check compares
     the sum's rows with its tail's, sorted the same way, so no character
     is built unless a caller reads one.
-    Refusals come from lambda_sequence, then from the first jantzen_sum,
-    whose refusals of a composite p and of too many terms come before
-    anything of rank d is built.
+    lambda_sequence refuses d < 3 and p < 2.  Past those, a composite p, a
+    first sum that the full group's block shows to have too many terms (the
+    refusal that sum would give) and a check of more than COORD_LIMIT
+    coordinates, about (r - 1)^2 * (d + 1) for its sums and tails, are
+    refused in that order, before anything of rank d is built.
     """
     if d >= 3 and p >= 2:
         _check_prime(p)
         _check_blocks([d], p, LeviDatum.full(d))
+        _check_coords(f"the telescope at p={p}, d={d}", (min(d, p) - 1) ** 2 * (d + 1))
     seq = lambda_sequence(p, d)
     levis = (LeviDatum.full(d), LeviDatum(d, range(2, d + 1)))
     tails = _tails(seq)
     checks = []
     for i, lam in enumerate(seq):
         for levi in levis:
-            report, tail = jantzen_sum(lam, p, levi), tails[i + 1]
+            report, tail = jantzen_sum(lam, p, levi), tails[i]
             checks.append(PropCharCheck(i, levi, report.rows == tail, tail, report))
     return PropCharReport(p=p, d=d, checks=checks)

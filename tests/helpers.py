@@ -264,7 +264,7 @@ def prop_char_report_to_json(report) -> dict:
             "i": check.i,
             "levi": check.levi.describe(),
             "passed": check.passed,
-            "total": character_to_json(check.total),
+            "total": character_to_json(check.report.total),
             "expected": character_to_json(check.expected),
         }
         if not check.passed:

@@ -305,7 +305,7 @@ def _fail_every_check(monkeypatch):
     import jansum.jantzen as jantzen_mod
 
     def failing_tails(seq):
-        return [[(0,) * seq[0].rank + (7,)]] * (len(seq) + 1)
+        return [[(0,) * seq[0].rank + (7,)]] * len(seq)
 
     monkeypatch.setattr(jantzen_mod, "_tails", failing_tails)
 
@@ -889,11 +889,26 @@ class TestStreamedTrace:
 class TestHugeRankRefusal:
     # prop-char refuses a sum that the full group's block size alone shows
     # to be too large before it builds the lambda sequence or a Levi of
-    # rank d (at d = 1 000 000 those took 0.3 s and 145 MB)
-    def test_refused_without_building_rank_d(self, tmp_path):
+    # rank d (at d = 1 000 000 those took 0.3 s and 145 MB).  A lambda
+    # sequence, or a prop-char check's sums and tails, of more coordinates
+    # than jantzen.COORD_LIMIT is refused before any weight is built:
+    # unrefused, under a 2 GB address-space cap, the last four inputs below
+    # ran 25-30 s and died of MemoryError (exit 1), or ran past 30 s
+    @pytest.mark.parametrize("argv, message", [
+        (["prop-char", "--p", "3", "--d", "1000000"],
+         "the Jantzen sum at rank d=1000000, p=3, levi=full has more than 100000 terms; refused"),
+        (["sequence", "--p", "30000", "--d", "30000"],
+         "the lambda sequence at p=30000, d=30000 has more than 2500000 coordinates; refused"),
+        (["prop-char", "--p", "29983", "--d", "29983"],
+         "the telescope at p=29983, d=29983 has more than 2500000 coordinates; refused"),
+        (["prop-char", "--p", "5003", "--d", "5003"],
+         "the telescope at p=5003, d=5003 has more than 2500000 coordinates; refused"),
+        (["prop-char", "--p", "1009", "--d", "1009"],
+         "the telescope at p=1009, d=1009 has more than 2500000 coordinates; refused"),
+    ])
+    def test_refused_without_building_rank_d(self, tmp_path, argv, message):
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-        argv = ["prop-char", "--p", "3", "--d", "1000000"]
         proc = subprocess.run(
             [sys.executable, "-c", _PEAK_RSS, str(tmp_path / "out"), *argv],
             capture_output=True,
@@ -903,10 +918,7 @@ class TestHugeRankRefusal:
         )
         code, peak_kib = map(int, proc.stdout.split())
         assert code == 2 and (tmp_path / "out").read_text() == ""
-        assert proc.stderr == (
-            "error: the Jantzen sum at rank d=1000000, p=3, levi=full "
-            "has more than 100000 terms; refused\n"
-        )
+        assert proc.stderr == f"error: {message}\n"
         assert peak_kib < 40 * 1024
 
 

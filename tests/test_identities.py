@@ -10,7 +10,6 @@ from helpers import partition_count, run_cli, schur_sum_by_kostka
 from jansum import charring, identities
 from jansum.charring import (
     BASIS_MONOMIAL,
-    BASIS_WEYL,
     FormalCharacter,
     coefficient_counts,
     kostka,
@@ -26,7 +25,7 @@ from jansum.identities import (
     verify_first_identity,
     verify_second_identity,
 )
-from jansum.jantzen import derived_simple_chars
+from jansum.jantzen import lambda_sequence
 from jansum.lattice import Partition, check_ideal_size, partitions_below, weight_to_partition
 from jansum.serialize import identity_report_json
 
@@ -206,8 +205,8 @@ class TestNegativeControl:
         assert report.diff.terms == {Partition((1,) * n): coeff}
         # each side against its own oracle: the ideal that partitions_below
         # lists, and Kostka numbers of the shapes left
-        lhs = dict.fromkeys(partitions_below(report.top), 1)
-        rhs = schur_sum_by_kostka(alternating(second_identity_shapes(n)[:-1]), report.top)
+        lhs = dict.fromkeys(partitions_below(report.check.target), 1)
+        rhs = schur_sum_by_kostka(alternating(second_identity_shapes(n)[:-1]), report.check.target)
         assert report.lhs.terms == lhs
         assert report.rhs.terms == {mu: c for mu, c in rhs.items() if c}
         assert report.diff.terms == {mu: lhs[mu] - rhs[mu] for mu in lhs if lhs[mu] != rhs[mu]}
@@ -385,8 +384,8 @@ class TestLazySides:
         report = verify_second_identity(9)
         rhs = report.rhs
         assert report.rhs is rhs
-        assert rhs == schur_sum_to_monomial(alternating(second_identity_shapes(9)), report.top)
-        assert report.lhs.terms == dict.fromkeys(partitions_below(report.top), 1)
+        assert rhs == schur_sum_to_monomial(alternating(second_identity_shapes(9)), report.check.target)
+        assert report.lhs.terms == dict.fromkeys(partitions_below(report.check.target), 1)
         assert report.diff.is_zero
 
 
@@ -413,6 +412,23 @@ class TestMultiplicityOne:
         first, _ = report.families
         assert set(first.character.terms) == set(partitions_below(Partition((4, 4, 1))))
 
+    def test_builds_no_character_and_no_tail(self, monkeypatch):
+        # the first family's coefficients are the lifted lambda sequence's
+        # signs, read straight into its SupportCheck
+        import jansum.jantzen as jantzen_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(jantzen_mod, "_tails", refuse)
+        monkeypatch.setattr(FormalCharacter, "__init__", refuse)
+        for module in (identities, jantzen_mod):
+            monkeypatch.setattr(module, "_trusted_character", refuse)
+        for p in (2, 3, 5, 7, 11):
+            report = multiplicity_one_report(p, 2 * p + 1)
+            assert report.passed
+            assert [(f.missing, f.wrong_multiplicity) for f in report.families] == [([], [])] * 2
+
     def test_equivalence_with_first_identity(self):
         # same computation read two ways, for prime n
         for p, d in [(3, 4), (5, 8)]:
@@ -422,15 +438,15 @@ class TestMultiplicityOne:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_computed_at_the_least_rank_as_at_the_given_one(self, p):
         # past d = 2p-2 the answer does not depend on d, so it is computed at
-        # the least rank admitted; the head character at the given rank,
-        # and the command's output with d masked, must not change
+        # the least rank admitted; the alternating sum of the lambda
+        # sequence at the given rank, lifted, and the command's output with
+        # d masked, must not change
         least = max(2 * p - 2, 3)
         outputs = set()
         for d in sorted({least, least + 1, 2 * p + 3, 13, 40}):
             report = multiplicity_one_report(p, d)
             assert report.d == d
-            head = derived_simple_chars(p, d)[0]
-            lifted = {weight_to_partition(w): c for w, c in head.terms.items()}
+            lifted = alternating([weight_to_partition(w) for w in lambda_sequence(p, d)])
             oracle = schur_sum_by_kostka(lifted, Partition((p - 1, p - 1, 1)))
             assert report.families[0].character.terms == {mu: c for mu, c in oracle.items() if c}
             text = run_cli(["multiplicity", "--p", str(p), "--d", str(d)])
@@ -454,22 +470,26 @@ class TestMultiplicityOne:
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("damage", ["drop the last", "double one"])
     def test_failing_family_lists_what_kostka_numbers_give(self, monkeypatch, p, damage):
-        # a head character that is not multiplicity-free: its report, text and
-        # JSON must list the zeros and the other wrong coefficients of the
-        # Kostka-number expansion of its lifted keys, in reverse-lex order
-        def damaged(p, d):
-            head, *rest = derived_simple_chars(p, d)
-            terms = dict(head.terms)
-            keys = list(terms)
-            if damage == "drop the last":
-                del terms[keys[-1]]
-            else:
-                terms[keys[len(keys) // 2]] *= 2
-            return [FormalCharacter(BASIS_WEYL, head.levi, terms), *rest]
-
-        monkeypatch.setattr("jansum.identities.derived_simple_chars", damaged)
+        # an alternating sum of the lifted lambda sequence that is not
+        # multiplicity-free: its report, text and JSON must list the zeros
+        # and the other wrong coefficients of its Kostka-number expansion,
+        # in reverse-lex order.  Only the first family's coefficients, whose
+        # first shape is the ideal's top, are damaged
         d, top = 2 * p - 2, Partition((p - 1, p - 1, 1))
-        lifted = {weight_to_partition(w): c for w, c in damaged(p, d)[0].terms.items()}
+        real = identities._alternating
+
+        def damaged(shapes):
+            coeffs = real(shapes)
+            if shapes[0] == top:
+                keys = list(coeffs)
+                if damage == "drop the last":
+                    del coeffs[keys[-1]]
+                else:
+                    coeffs[keys[len(keys) // 2]] *= 2
+            return coeffs
+
+        monkeypatch.setattr(identities, "_alternating", damaged)
+        lifted = damaged([weight_to_partition(w) for w in lambda_sequence(p, d)])
         oracle = schur_sum_by_kostka(lifted, top)
         missing = [mu for mu, c in oracle.items() if not c]
         wrong = [(mu, c) for mu, c in oracle.items() if c not in (0, 1)]

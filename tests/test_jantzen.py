@@ -12,7 +12,6 @@ from helpers import random_dominant, reference_jantzen, run_cli
 from jansum.charring import BASIS_WEYL, FormalCharacter
 from jansum.jantzen import (
     TERM_LIMIT,
-    derived_simple_chars,
     is_prime,
     jantzen_sum,
     lambda_sequence,
@@ -655,6 +654,23 @@ class TestLambdaSequence:
         with pytest.raises(TypeError):
             lambda_sequence(5.0, 3)
 
+    def test_coordinate_bound(self, monkeypatch):
+        # (r - 1) * d coordinates, r = min(d, p), are admitted up to
+        # COORD_LIMIT; past it the call is refused before any weight is built
+        import jansum.jantzen as jantzen_mod
+
+        monkeypatch.setattr(jantzen_mod, "COORD_LIMIT", 20)
+        assert len(lambda_sequence(5, 5)) == 4  # 4 * 5 coordinates
+        assert len(lambda_sequence(7, 5)) == 4  # 4 * 5
+        assert len(lambda_sequence(3, 10)) == 2  # 2 * 10
+        monkeypatch.setattr(jantzen_mod, "Weight", None)
+        for p, d in ((5, 6), (7, 6), (3, 11)):
+            with pytest.raises(ValueError) as refused:
+                lambda_sequence(p, d)
+            assert str(refused.value) == (
+                f"the lambda sequence at p={p}, d={d} has more than 20 coordinates; refused"
+            )
+
 
 class TestExpectedSum:
     # what check i of verify_prop_char expects: the tail from lambda_{i+1}
@@ -699,7 +715,7 @@ class TestVerifyPropChar:
         report = verify_prop_char(2, 3)
         assert report.passed
         for check in report.checks:
-            assert check.total.is_zero
+            assert check.report.total.is_zero
             assert check.expected.is_zero
 
     def test_checks_build_no_total(self):
@@ -709,8 +725,7 @@ class TestVerifyPropChar:
         report = verify_prop_char(7, 12)
         assert report.passed and len(report.checks) == 12
         assert not any("total" in vars(check.report) for check in report.checks)
-        assert all(check.total == check.expected for check in report.checks)
-        assert all(check.total is check.report.total for check in report.checks)
+        assert all(check.report.total == check.expected for check in report.checks)
 
     def test_a_changed_tail_fails_its_check(self, monkeypatch):
         # every nonzero tail gains one more of its last weight, or loses its
@@ -723,7 +738,7 @@ class TestVerifyPropChar:
             tails = real(seq)
             last = seq[-1].coords
             for k, tail in enumerate(tails):
-                if tail and k % 2:
+                if tail and not k % 2:
                     terms = {row[:-1]: row[-1] for row in tail}
                     terms[last] = terms.get(last, 0) + 1
                     tails[k] = sorted(((*key, c) for key, c in terms.items() if c), reverse=True)
@@ -735,7 +750,7 @@ class TestVerifyPropChar:
         for p, d in TEST_MATRIX:
             report = verify_prop_char(p, d)
             assert [check.passed for check in report.checks] == [
-                check.total == check.expected for check in report.checks
+                check.report.total == check.expected for check in report.checks
             ]
             assert not report.passed or (p, d) == (2, 3)
 
@@ -755,11 +770,42 @@ class TestVerifyPropChar:
             (bound, 3): f"primality is decided exactly only below {bound}, got {bound}",
             (3, 10**6): "the Jantzen sum at rank d=1000000, p=3, levi=full has more than 100000 terms; refused",
             (2, 1000): "the Jantzen sum at rank d=1000, p=2, levi=full has more than 100000 terms; refused",
+            (1009, 1009): "the telescope at p=1009, d=1009 has more than 2500000 coordinates; refused",
+            (3, 2_500_000): "the Jantzen sum at rank d=2500000, p=3, levi=full has more than 100000 terms; refused",
         }
         for (p, d), message in cases.items():
             with pytest.raises(ValueError) as refused:
                 verify_prop_char(p, d)
             assert str(refused.value) == message, (p, d)
+
+    def test_coordinate_bound(self, monkeypatch):
+        # about (r - 1)^2 * (d + 1) coordinates of sums and tails, r =
+        # min(d, p), are admitted up to COORD_LIMIT, prop-char --p 101
+        # --d 202 among them; past it the call is refused before the
+        # sequence is built
+        import jansum.jantzen as jantzen_mod
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(jantzen_mod, "jantzen_sum", reached)
+        for p, d in ((61, 122), (101, 202), (131, 146)):
+            with pytest.raises(Reached):
+                verify_prop_char(p, d)
+        monkeypatch.setattr(jantzen_mod, "COORD_LIMIT", 96)
+        for p, d in ((5, 5), (7, 5)):  # 4^2 * 6 coordinates each
+            with pytest.raises(Reached):
+                verify_prop_char(p, d)
+        monkeypatch.setattr(jantzen_mod, "lambda_sequence", reached)
+        for p, d in ((5, 6), (7, 6), (3, 31)):
+            with pytest.raises(ValueError) as refused:
+                verify_prop_char(p, d)
+            assert str(refused.value) == (
+                f"the telescope at p={p}, d={d} has more than 96 coordinates; refused"
+            )
 
     def test_huge_d_refused_before_the_sequence(self, monkeypatch):
         import jansum.jantzen as jantzen_mod
@@ -848,34 +894,48 @@ class TestVerifyPropChar:
                     assert term.outcome == expected
 
 
-class TestDerivedSimpleChars:
+def _tail_reference(seq, k, levi):
+    """[seq_k] - [seq_{k+1}] + ..., built by the validating constructor."""
+    return FormalCharacter(BASIS_WEYL, levi, {seq[j]: (-1) ** (j - k) for j in range(k, len(seq))})
+
+
+def _tail_characters(seq, levi):
+    """The characters of jantzen._tails(seq), built the same way from their
+    rows (*coords, coeff), which must be sorted as jantzen_sum sorts its own."""
+    import jansum.jantzen as jantzen_mod
+
+    tails = jantzen_mod._tails(seq)
+    assert all(rows == sorted(rows, reverse=True) for rows in tails)
+    return [FormalCharacter(BASIS_WEYL, levi, {Weight(r[:-1]): r[-1] for r in rows}) for rows in tails]
+
+
+class TestTails:
+    # _tails(seq)[k - 1] is the tail from seq_k, which the sum of seq_{k-1}
+    # telescopes to
     def test_top_of_sequence_is_simple(self):
         for p, d in [(3, 4), (5, 5), (7, 6)]:
-            chars = derived_simple_chars(p, d)
             seq = lambda_sequence(p, d)
-            assert chars[-1] == FormalCharacter(BASIS_WEYL, LeviDatum.full(d), {seq[-1]: 1})
+            full = LeviDatum.full(d)
+            tails = _tail_characters(seq, full)
+            assert tails[-1].is_zero
+            assert tails[-2] == FormalCharacter(BASIS_WEYL, full, {seq[-1]: 1})
 
-    def test_head_at_p3_d4(self):
-        chars = derived_simple_chars(3, 4)
-        seq = lambda_sequence(3, 4)
-        assert chars[0] == FormalCharacter(
-            BASIS_WEYL, LeviDatum.full(4), {seq[0]: 1, seq[1]: -1}
+    def test_first_tail_at_p5_d5(self):
+        seq = lambda_sequence(5, 5)
+        full = LeviDatum.full(5)
+        assert _tail_characters(seq, full)[0] == FormalCharacter(
+            BASIS_WEYL, full, {seq[1]: 1, seq[2]: -1, seq[3]: 1}
         )
 
     def test_telescoping(self):
-        # ch L_i + ch L_{i+1} = [lambda_i]
+        # the tail from seq_k plus the tail from seq_{k+1} is [seq_k]
         for p, d in [(3, 4), (5, 5), (5, 7)]:
-            chars = derived_simple_chars(p, d)
             seq = lambda_sequence(p, d)
             full = LeviDatum.full(d)
-            for i in range(len(seq)):
-                nxt = chars[i + 1] if i + 1 < len(chars) else FormalCharacter(BASIS_WEYL, full, {})
-                assert chars[i] + nxt == FormalCharacter(BASIS_WEYL, full, {seq[i]: 1})
-
-
-def _tail_reference(seq, i, levi):
-    """[seq_i] - [seq_{i+1}] + ..., built by the validating constructor."""
-    return FormalCharacter(BASIS_WEYL, levi, {seq[j]: (-1) ** (j - i) for j in range(i, len(seq))})
+            tails = _tail_characters(seq, full)
+            assert len(tails) == len(seq)
+            for k in range(1, len(seq)):
+                assert tails[k - 1] + tails[k] == FormalCharacter(BASIS_WEYL, full, {seq[k]: 1})
 
 
 class TestTailsAgainstTheDefinition:
@@ -883,13 +943,13 @@ class TestTailsAgainstTheDefinition:
     CASES = [(p, d) for p in (2, 3, 5, 7, 11, 13) for d in sorted({3, p, p + 3}) if d >= 3]
 
     @pytest.mark.parametrize("p,d", CASES)
-    def test_derived_simple_chars(self, p, d):
+    def test_tails(self, p, d):
         seq = lambda_sequence(p, d)
-        chars = derived_simple_chars(p, d)
-        assert len(chars) == len(seq)
         full = LeviDatum.full(d)
-        for i, ch in enumerate(chars):
-            assert ch == _tail_reference(seq, i, full), (p, d, i)
+        tails = _tail_characters(seq, full)
+        assert len(tails) == len(seq)
+        for k, ch in enumerate(tails, 1):
+            assert ch == _tail_reference(seq, k, full), (p, d, k)
 
     @pytest.mark.parametrize("p,d", CASES)
     def test_prop_char_expected(self, p, d):

@@ -383,7 +383,7 @@ class TestWritersOfLeavesAndRows:
         for n in range(2, n_max + 1):
             report = verify(n)
             coeffs = {shape: (-1) ** i for i, shape in enumerate(real(n)[:-1])}
-            sums = schur_sum_by_kostka(coeffs, report.top)
+            sums = schur_sum_by_kostka(coeffs, report.check.target)
             diff = FormalCharacter(BASIS_MONOMIAL, None, {mu: 1 - c for mu, c in sums.items()})
             assert not diff.is_zero
             text = "".join(monomial_text(report.diff_leaves))
@@ -401,7 +401,7 @@ class TestWritersOfLeavesAndRows:
         def seeded_terms(seq) -> list[dict]:
             rng = random.Random(len(seq) * 100 + seq[0].rank)
             out = []
-            for _ in range(len(seq) + 1):
+            for _ in seq:
                 terms: dict = {}
                 size = rng.choice((0, 1, 2, 7, K + 1))
                 while len(terms) < size:
@@ -420,7 +420,7 @@ class TestWritersOfLeavesAndRows:
         for p, d in ((3, 4), (5, 5), (5, 7), (7, 6)):
             report = verify_prop_char(p, d)
             tails = seeded_terms(lambda_sequence(p, d))
-            expected = [FormalCharacter(BASIS_WEYL, check.levi, tails[check.i + 1])
+            expected = [FormalCharacter(BASIS_WEYL, check.levi, tails[check.i])
                         for check in report.checks]
             sizes.update(len(ch.terms) for ch in expected)
             assert not report.passed
@@ -532,7 +532,7 @@ class TestPieces:
         assert min(len(total.terms), len(expected.terms)) > 2 * K
         report = SumReport(check.report.lam, 3, levi, listing(total))
         failing = PropCharReport(3, 4, [check._replace(passed=False, tail=listing(expected), report=report)])
-        assert failing.checks[0].total == total
+        assert failing.checks[0].report.total == total
         pieces = list(prop_char_report_json(failing))
         assert "".join(pieces) == oracle_text(prop_char_report_to_json(failing))
         assert max(terms_per_piece(pieces)) <= K
