@@ -338,7 +338,8 @@ _COMMANDS = {
         ],
         lambda sd, a: [signed_dominant_json(sd)],
     )),
-    "multiplicity": ("check multiplicity-one support of the derived simple characters", [
+    "multiplicity": ("check the f = 0 by-product: both alternating Schur sums are "
+                     "multiplicity-free on their dominance ideals", [
         _P, _D, _JSON,
     ], _reports(
         lambda a: [multiplicity_one_report(a.p, a.d)],

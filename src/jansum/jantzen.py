@@ -13,11 +13,12 @@ of one root are evaluated together, in closed form on the epsilon
 coordinates of lambda + rho, building only the coordinates a term changes,
 one run of levels at a time: between two levels where the order of the
 root's block changes, a term's sign stays and its dominant weight moves
-linearly with the level (_terms_at).  The levels l and c - l of a root of
-pairing c give one weight with opposite signs, so the total visits only
-the levels that p^(v_p(c) + 1) divides, each weighted v_p(l) - v_p(c); it
-sums each run whole into rows of coordinates and coefficient, and sorts
-them once (jantzen_sum).  The telescope's tails, each the one that a sum
+linearly with the level, by the step read off the run's first two levels
+(_terms_at).  The levels l and c - l of a root of pairing c give one
+weight with opposite signs, so the total visits only the levels that
+p^(v_p(c) + 1) divides, each weighted v_p(l) - v_p(c); it sums each run
+whole into rows of coordinates and coefficient, and sorts them once
+(jantzen_sum).  The telescope's tails, each the one that a sum
 along the lambda sequence must equal, are sorted rows too, built once for
 both Levis (_tails); a FormalCharacter is built from rows
 (_weyl_character) only when a library caller reads one.  The trace of
@@ -186,9 +187,10 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
     nonzero coefficient once in a row (*coords, coeff), adding nothing up,
     and sorts the rows once, coordinates (distinct) in reverse-lexicographic
     order.  A run of one level gives one row; a longer run's rows are zipped
-    from a column per coordinate, a range where its dominant weight moves
-    and a repeat elsewhere, and one of coefficients from the valuations of
-    its levels (_stepped, _valuations), so no row is worked out on its own.
+    from a column per coordinate, a range where its dominant weight moves,
+    stepping as from the run's first level to its second, and a repeat
+    elsewhere, and one of coefficients from the valuations of its levels
+    (_stepped, _valuations), so no row is worked out on its own.
 
     At a root of pairing c, let e = v_p(c) and q = p^(e + 1): the root's
     share of the sum is that of (v_p(l) - e) * chi(l) over the levels l in
@@ -217,14 +219,14 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
         e = p_adic_valuation(p, c)
         q = p ** (e + 1)
         # every key is dominant for the Levi
-        for level, count, sign, window, slopes in _terms_at(x, z, lo, hi, range(q, c, q)):
+        for level, count, sign, window, following in _terms_at(x, z, lo, hi, range(q, c, q)):
             if count == 1:
                 if sign:
                     rows.append((*head, *window, *tail, sign * (_valuation(p, level) - e)))
                 continue
             coeffs = _valuations(p, level, count, q)
             coeffs = map(sub, coeffs, repeat(e)) if sign > 0 else map(sub, repeat(e), coeffs)
-            rows.extend(_stepped(head, window, tail, count, slopes, coeffs))
+            rows.extend(_stepped(head, window, tail, count, following, coeffs))
     rows.sort(reverse=True)
     return SumReport(lam, p, levi, rows)
 
@@ -306,16 +308,15 @@ def _check_coords(what: str, count: int) -> None:
 
 
 def _terms_at(x: tuple[int, ...], z: tuple, lo: int, hi: int, levels: range):
-    """Yield (level, count, sign, window, slopes) for each run of the rising
-    progression of levels at the root e_lo - e_{hi+1}, x being
+    """Yield (level, count, sign, window, following) for each run of the
+    rising progression of levels at the root e_lo - e_{hi+1}, x being
     epsilon(lam + rho) and z its shifts from _roots: the count levels from
     level on, step levels.step apart, share sign and the order of their
     block.  sign is 0 for a singular term, always a run of one, whose window
     is None; otherwise it is the sign of the dot normalization, and window
     the coordinates at _changed(lo, hi, d) of the normalized image at the
-    run's first level, which elsewhere equals lam.  slopes holds (i, k) for
-    each window coordinate i that moves in the run, by k from one level to
-    the next; it is empty for a run of one.
+    run's first level, which elsewhere equals lam.  following is the window
+    at the run's second level, None for a run of one.
 
     x is strictly decreasing within the block; let c = x_lo - x_{hi+1}.  The
     reflection at level l, 0 < l < c, changes x in two places only:
@@ -335,20 +336,28 @@ def _terms_at(x: tuple[int, ...], z: tuple, lo: int, hi: int, levels: range):
     they exist, each value of mid read from the shift its place calls for.
 
     Between two levels where u or v meets a value of mid, or where u and v
-    pass each other, the order of the block stays, so only the (at most
-    four) differences on either side of u and of v move, each by the level
-    step, or by twice it between u and v when they are neighbours.  A run
-    so ends before the first level where u reaches x[iu - 1], v reaches
-    x[iv], or u, below v, meets or passes v, or where the progression ends.
+    pass each other, the order of the block stays, so every value of the
+    sorted block is one of z, fixed, or u or v plus a fixed place: the
+    window is affine in the level, and following less window is its step.
+    A run so ends before the first level where u reaches x[iu - 1], v
+    reaches x[iv], or u, below v, meets or passes v, or where the
+    progression ends.
     """
     below, at, above = z
     xl, xh = x[lo - 1], x[hi]
-    start = max(lo - 2, 0)
-    left, right = at[start : lo - 1], at[hi + 1 : hi + 2]
+    left, right = at[max(lo - 2, 0) : lo - 1], at[hi + 1 : hi + 2]
     # x[lo:iu] are the values of mid above u, x[lo:iv] those above v; as
     # xl > u, v > xh, neither pointer runs past mid, and x[iu] = u or
     # x[iv] = v only at a value of mid
     iu, iv = hi, lo
+
+    def window_at(u, v):
+        # of u and v, the larger, put before x[i], takes place i - 1, and
+        # the smaller, put before x[j], place j (0-based)
+        a, i, b, j = (u, iu, v, iv) if u > v else (v, iv, u, iu)
+        eps = left + below[lo:i] + (a + i - 1,) + at[i:j] + (b + j,) + above[j:hi] + right
+        return tuple(map(sub, eps, eps[1:]))
+
     level, stop, step = levels.start, levels.stop, levels.step
     while level < stop:
         u, v = xh + level, xl - level
@@ -357,50 +366,33 @@ def _terms_at(x: tuple[int, ...], z: tuple, lo: int, hi: int, levels: range):
         while x[iv] > v:
             iv += 1
         if u == v or x[iu] == u or x[iv] == v:
-            yield level, 1, 0, None, ()
+            yield level, 1, 0, None, None
             level += step
             continue
-        # of u and v, the larger, put before x[i], takes place i - 1, and
-        # the smaller, put before x[j], place j (0-based)
-        if u > v:
-            eps = left + below[lo:iu] + (u + iu - 1,) + at[iu:iv] + (v + iv,) + above[iv:hi] + right
-        else:
-            eps = left + below[lo:iv] + (v + iv - 1,) + at[iv:iu] + (u + iu,) + above[iu:hi] + right
-        window = tuple(map(sub, eps, eps[1:]))
+        window = window_at(u, v)
         sign = -1 if (iu - lo + hi - iv + (u < v)) % 2 else 1
         # most often u or v meets mid at the next level: test that first
         if not (u + step < x[iu - 1] and v - step > x[iv]):
-            yield level, 1, sign, window, ()
+            yield level, 1, sign, window, None
             level += step
             continue
         room = min(x[iu - 1] - u, v - x[iv], stop - level)
-        if u > v:
-            ia, ib, da = iu, iv, step
-        else:
-            ia, ib, da = iv, iu, -step
+        if u < v:
             room = min(room, (v - u + 1) // 2)
         count = 1 + (room - 1) // step
-        # the larger, at eps[ja], moves by da from level to level, and the
-        # smaller, at eps[jb], by -da: window[j] is eps[j] - eps[j + 1]
-        ja, jb = ia - 1 - start, ib - start
-        slopes = {ja: da}
-        if ja:
-            slopes[ja - 1] = -da
-        slopes[jb - 1] = slopes.get(jb - 1, 0) + da
-        if jb < len(window):
-            slopes[jb] = -da
-        yield level, count, sign, window, tuple(slopes.items())
+        yield level, count, sign, window, window_at(u + step, v - step)
         level += count * step
 
 
-def _stepped(head: tuple, window: tuple, tail: tuple, count: int, slopes, *extra):
-    """The count tuples head + window + tail of a run of _terms_at, the
-    window moving by its slopes from each to the next, zipped from one
-    column per coordinate and then the extra columns."""
-    columns = [repeat(value, count) for value in head + window + tail]
-    for i, k in slopes:
-        value = window[i]
-        columns[len(head) + i] = range(value, value + count * k, k)
+def _stepped(head: tuple, window: tuple, tail: tuple, count: int, following: tuple, *extra):
+    """The count tuples head + window + tail of a run of _terms_at, zipped
+    from one column per coordinate and then the extra columns: a coordinate
+    that differs between window and following, the window at the run's
+    second level, steps by that difference from each tuple to the next."""
+    columns = [
+        range(a, a + count * (b - a), b - a) if a != b else repeat(a, count)
+        for a, b in zip(head + window + tail, head + following + tail)
+    ]
     return zip(*columns, *extra)
 
 
@@ -420,11 +412,11 @@ def _walk(lam: Weight, p: int, levi: LeviDatum):
 def _levels(p: int, runs):
     """(level, valuation, sign, window) for every level of the runs of one
     root, at step p."""
-    for level, count, sign, window, slopes in runs:
+    for level, count, sign, window, following in runs:
         if count == 1:
             yield level, _valuation(p, level), sign, window
             continue
-        windows = _stepped((), window, (), count, slopes)
+        windows = _stepped((), window, (), count, following)
         for level, window in zip(range(level, level + count * p, p), windows):
             yield level, _valuation(p, level), sign, window
 

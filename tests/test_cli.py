@@ -728,7 +728,7 @@ class TestTableParser:
 # [argv, exit code, sha256 of stdout] of the top-level help and of each
 # subcommand's, as argparse lays it out on Python 3.11 at 80 columns
 HELP = [
-    [["--help"], 0, "ef981bbcaecc2f3055090fbf985c5943cf15b0f7c79bde5dc08eb3410124dd24"],
+    [["--help"], 0, "a765b9b11cd43e8796bc9e695cec6cda71749dabc6e95138bd8f0abae388a773"],
     [["identity", "--help"], 0, "8cc3546da7e555236df82157c80d30f621d7765667c98e10eb2a6ea7a703a1e2"],
     [["sweep", "--help"], 0, "0d5597b64b14048cb0ced94098a02c59501e9de530353c5ca88c2eee6e5f9249"],
     [["jantzen", "--help"], 0, "c7d1043333b625157aa5b2477cb9131a2da35eb4986a1472950811e97874a242"],

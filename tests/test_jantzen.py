@@ -410,8 +410,9 @@ class TestLongRuns:
     # sums whole and _walk spreads back into levels; the slow reference
     # normalizes every term on its own
     @staticmethod
-    def _record_runs(monkeypatch) -> list:
-        """[(lo, hi, step, level, count, sign)] of every run _terms_at yields."""
+    def _record_runs(monkeypatch, windows=None) -> list:
+        """[(lo, hi, step, level, count, sign)] of every run _terms_at yields;
+        windows, if given, gets each run's (window, following) in turn."""
         import jansum.jantzen as jantzen_mod
 
         seen = []
@@ -420,6 +421,8 @@ class TestLongRuns:
         def recorded(x, z, lo, hi, levels):
             for run in terms_at(x, z, lo, hi, levels):
                 seen.append((lo, hi, levels.step, *run[:3]))
+                if windows is not None:
+                    windows.append(run[3:5])
                 yield run
 
         monkeypatch.setattr(jantzen_mod, "_terms_at", recorded)
@@ -433,13 +436,22 @@ class TestLongRuns:
         assert report.terms == terms, (lam, p, levi)
 
     def test_matches_slow_reference(self, monkeypatch):
-        seen = self._record_runs(monkeypatch)
+        windows = []
+        seen = self._record_runs(monkeypatch, windows)
         cases = _long_run_cases()
         for lam, p, levi in cases:
             self._check(lam, p, levi)
         assert sum(1 for run in seen if run[4] >= 10) >= 1000
         assert max(run[4] for run in seen) >= 100
         assert sum(1 for lam, p, levi in cases if not levi.is_full) >= 100
+        # where u and v are neighbours in the sorted block, the coordinate
+        # between them moves by twice the level step
+        neighbours = sum(
+            1
+            for (_, _, step, _, count, _), (window, following) in zip(seen, windows)
+            if count > 1 and any(abs(b - a) == 2 * step for a, b in zip(window, following))
+        )
+        assert neighbours >= 500
 
     def test_u_and_v_pass_between_two_levels(self, monkeypatch):
         # where no level is c/2, u and v pass each other between two
