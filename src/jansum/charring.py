@@ -14,12 +14,17 @@ state's part sizes at once, into one set of sums per state, which it
 keeps, while kostka runs it for the one size it peels, into one sum per
 content part.  No list of inner shapes is built.  The expansion lists the
 walk's leaves, each with its coefficient, read once per distinct leaf
-state (lattice.ideal_leaves), keyed by text for the writers and by tuple
-for schur_sum_to_monomial, which a library caller reads.  The
+state and keyed by the text of its partition's parts
+(lattice.ideal_leaves), which the writers write as it is.  The
 coefficient counts that decide an identity or a multiplicity-one family
 are one fold over its keys, of the number of paths from the root to each
 leaf.  A Weyl-basis character of the full group enters such a walk
 through the partitions of its keys (lattice.weight_to_partition).
+
+A character that a library caller reads is built by FormalCharacter's
+constructor, which checks every key, from the form its computation made:
+a walk's text leaves (_monomial_character) or a Jantzen sum's sorted rows
+(_weyl_character).
 """
 
 from __future__ import annotations
@@ -30,11 +35,11 @@ from typing import Mapping
 from .lattice import (
     Partition,
     Weight,
-    _walked,
     check_ideal_size,
     dominance_leq,
     ideal_dag,
     ideal_leaves,
+    text_partition,
 )
 from .weyl import LeviDatum
 
@@ -116,14 +121,14 @@ class FormalCharacter:
         return f"FormalCharacter({self.basis}, {len(self.terms)} terms)"
 
 
-def _trusted_character(basis: str, levi: LeviDatum | None, terms: dict) -> FormalCharacter:
-    """The character of terms that the library built: every key valid for
-    the basis and Levi, no coefficient zero.  The dict is kept, not copied."""
-    ch = FormalCharacter.__new__(FormalCharacter)
-    ch.basis = basis
-    ch.levi = levi
-    ch.terms = terms
-    return ch
+def _monomial_character(leaves) -> FormalCharacter:
+    """The monomial character of a walk's (text key, coeff) leaves."""
+    return FormalCharacter(BASIS_MONOMIAL, None, {text_partition(k): c for k, c in leaves})
+
+
+def _weyl_character(levi: LeviDatum, rows) -> FormalCharacter:
+    """The character in the Weyl basis of the Levi of rows (*coords, coeff)."""
+    return FormalCharacter(BASIS_WEYL, levi, {Weight(r[:-1]): r[-1] for r in rows})
 
 
 def kostka(shape: Partition, content: Partition) -> int:
@@ -227,22 +232,19 @@ def _strips(shape: tuple[int, ...], cap: int, least: int, coeff: int, sums: list
 
 def schur_sum_to_monomial(coeffs: Mapping[Partition, int], top: Partition) -> FormalCharacter:
     """Expand sum of coeff * S_shape in the monomial basis: each mu below top
-    with sum of coeff * K(shape, mu), from schur_sum_leaves with tuple keys.
+    with sum of coeff * K(shape, mu), from the leaves of schur_sum_leaves.
     Raises ValueError, before walking, if check_ideal_size refuses."""
-    leaves = schur_sum_leaves(coeffs, top, text=False)
-    # every key is the parts of a partition that the walk built
-    return _trusted_character(BASIS_MONOMIAL, None, {_walked(parts): c for parts, c in leaves})
+    return _monomial_character(schur_sum_leaves(coeffs, top))
 
 
-def schur_sum_leaves(coeffs: Mapping[Partition, int], top: Partition, text: bool = True) -> list:
+def schur_sum_leaves(coeffs: Mapping[Partition, int], top: Partition) -> list[tuple[str, int]]:
     """(key, coefficient) for each mu below top whose coefficient in sum of
     coeff * S_shape is not zero, in reverse-lexicographic order: the leaves
-    of schur_sum_dag, keyed by text or, with text=False, by tuple
+    of schur_sum_dag, each keyed by the comma-joined text of its parts
     (lattice.ideal_leaves).  Raises ValueError, before walking, if
     check_ideal_size refuses."""
     check_ideal_size(top)
-    dag = schur_sum_dag(coeffs, top)
-    return [leaf for leaf in ideal_leaves(dag, _coefficient, text) if leaf[1]]
+    return [leaf for leaf in dag_leaves(schur_sum_dag(coeffs, top)) if leaf[1]]
 
 
 def schur_sum_dag(coeffs: Mapping[Partition, int], top: Partition) -> dict[tuple, tuple]:

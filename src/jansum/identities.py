@@ -41,9 +41,10 @@ comma-joined text of its parts, which the walk grows from its parent's
 key (lattice.ideal_leaves); an IdentityReport carries its check, and both
 sides, and their difference, come from that one listing.  Its JSON writes
 both sides and the difference, and its text the difference, straight from
-the text keys, one % per term (serialize.monomial_json, monomial_text); a
-Partition is built from a key only when a library caller reads a side, a
-character or a list of the check.
+the text keys, one % per term (serialize.monomial_json, monomial_text).
+A Partition is built from a key only when a library caller reads a side,
+a character or a list of the check, and a side or a character from the
+leaves by charring._monomial_character, whose constructor checks each key.
 
 Every identity verdict comes from conjecture_sweep, which checks its range
 and its largest ideal once; verify_first_identity and verify_second_identity
@@ -53,13 +54,11 @@ are the sweep over one n, and the CLI's identity and sweep commands call it.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import itemgetter
 from typing import NamedTuple
 
 from .charring import (
-    BASIS_MONOMIAL,
     FormalCharacter,
-    _trusted_character,
+    _monomial_character,
     coefficient_counts,
     dag_leaves,
     schur_sum_dag,
@@ -91,7 +90,7 @@ class IdentityReport:
 
     @cached_property
     def lhs(self) -> FormalCharacter:
-        return _monomial((key, 1) for key, _ in self.check.leaves)
+        return _monomial_character((key, 1) for key, _ in self.check.leaves)
 
     @cached_property
     def rhs(self) -> FormalCharacter:
@@ -105,13 +104,7 @@ class IdentityReport:
 
     @cached_property
     def diff(self) -> FormalCharacter:
-        return _monomial(self.diff_leaves)
-
-
-def _monomial(leaves) -> FormalCharacter:
-    """The monomial character of (text key, coeff) leaves of a walk, none
-    zero: every key is a partition below its top, built by the walk."""
-    return _trusted_character(BASIS_MONOMIAL, None, {text_partition(k): c for k, c in leaves})
+        return _monomial_character(self.diff_leaves)
 
 
 def _alternating(shapes: list[Partition]) -> dict[Partition, int]:
@@ -205,7 +198,7 @@ class SupportCheck:
 
     @cached_property
     def character(self) -> FormalCharacter:
-        return _monomial(filter(itemgetter(1), self.leaves))
+        return _monomial_character(self.leaves)
 
     @cached_property
     def _broken(self) -> list[tuple[str, int]]:

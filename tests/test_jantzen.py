@@ -620,7 +620,8 @@ class TestWorkCount:
         )
         report = jantzen_sum(lam, 3, LeviDatum.full(30))
         assert runs == levels
-        assert sum(runs.values()) == 2882
+        # one root of this weight has fewer than two holes and is skipped
+        assert sum(runs.values()) == 2881
         assert len(report.total.terms) == 1193  # the regular levels, one key each
 
     def test_sum_never_walks_the_trace(self, monkeypatch):
@@ -635,6 +636,72 @@ class TestWorkCount:
         for (lam, p, levi), total in zip(cases, expected):
             assert jantzen_sum(lam, p, levi).total.terms == total, (lam, p, levi)
         assert len(jantzen_sum(Weight((20000, 0)), 2, LeviDatum.full(2)).total.terms) == 15000
+
+
+class TestHoles:
+    # a regular term puts the two moved values on two distinct holes of the
+    # root's block, so jantzen_sum skips a root with fewer than two; the
+    # trace's walk still visits every root with a term
+    @staticmethod
+    def _cases():
+        seq = lambda_sequence(13, 40)
+        levis = (LeviDatum.full(40), LeviDatum(40, range(2, 41)))
+        return [(lam, levi) for lam in seq for levi in levis]
+
+    @staticmethod
+    def _pairings(lam, p, levi):
+        """[(lo, hi, c)] of every root of the Levi with c > p, in root order."""
+        shifted = (lam + rho(lam.rank)).coords
+        return [
+            (lo, hi, c)
+            for block in levi.blocks
+            for lo in range(block[0], block[-1])
+            for hi in range(lo, block[-1])
+            if (c := sum(shifted[lo - 1 : hi])) > p
+        ]
+
+    def test_the_sum_visits_only_roots_with_two_holes(self, monkeypatch):
+        import jansum.jantzen as jantzen_mod
+
+        visited = []
+        terms_at = jantzen_mod._terms_at
+
+        def recorded(x, z, lo, hi, levels):
+            visited.append(x[lo - 1] - x[hi] - (hi - lo + 1))  # the root's holes
+            return terms_at(x, z, lo, hi, levels)
+
+        monkeypatch.setattr(jantzen_mod, "_terms_at", recorded)
+        for lam, levi in self._cases():
+            jantzen_sum(lam, 13, levi)
+        assert visited and min(visited) >= 2
+
+    def test_the_walk_still_yields_every_root(self):
+        from jansum.jantzen import _walk
+
+        skipped = 0
+        for lam, levi in self._cases():
+            expected = self._pairings(lam, 13, levi)
+            assert [(lo, hi, c) for lo, hi, c, _ in _walk(lam, 13, levi)] == expected
+            skipped += sum(c - (hi - lo + 1) < 2 for lo, hi, c in expected)
+        assert skipped > 0
+
+
+class TestStabilityInD:
+    # an observation, pinned: from d = p + 1 on, the rows of the sum of each
+    # lambda_i at rank d + 1 are those at rank d with a 0 put before the
+    # coefficient; no code assumes it
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_rows_gain_a_zero_coordinate(self, p):
+        compared = 0
+        for d in range(p + 1, 3 * p - 1):
+            low, high = lambda_sequence(p, d), lambda_sequence(p, d + 1)
+            for lam, lifted in zip(low, high, strict=True):
+                for first in (1, 2):
+                    rows = jantzen_sum(lam, p, LeviDatum(d, range(first, d + 1))).rows
+                    lifted_rows = jantzen_sum(lifted, p, LeviDatum(d + 1, range(first, d + 2))).rows
+                    assert lifted_rows == [(*r[:-1], 0, r[-1]) for r in rows], (p, d, lam, first)
+                    compared += 1
+        assert compared == {5: 64, 7: 144}[p]
 
 
 class TestLambdaSequence:

@@ -8,6 +8,11 @@ would release (an open file's buffer, an atexit handler, a thread, a
 temporary file, the work of a __del__) would then be lost without a word;
 so no module imports atexit, threading, multiprocessing or tempfile, none
 calls open, and no class defines __del__.
+
+Every object is built by its class's constructor, so through its checks:
+the one call of X.__new__(X) in the package is lattice._walked, which
+builds the Partitions of a walk's leaves (so a character is built only by
+FormalCharacter's constructor).
 """
 
 import ast
@@ -47,6 +52,20 @@ def teardown_lines(path: Path) -> list[int]:
     ]
 
 
+def new_calls(path: Path) -> list[str]:
+    """The names of the functions of a source file that hold a call of
+    X.__new__, the functions around a nested one included."""
+    names = []
+    for node in ast.walk(parsed(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names += [
+                node.name
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "__new__"
+            ]
+    return names
+
+
 def test_every_module_imports_only_the_standard_library():
     paths = sorted(SRC.glob("*.py"))
     assert {"cli.py", "jantzen.py", "lattice.py"} <= {p.name for p in paths}
@@ -68,3 +87,15 @@ def test_the_walk_sees_what_it_forbids(tmp_path):
                     "    pass\nPath('y').open()\nclass A:\n    def __del__(self):\n        pass\n")
     assert absolute_imports(path) & TEARDOWN_MODULES == {"threading", "atexit"}
     assert sorted(teardown_lines(path)) == [3, 5, 7]
+
+
+def test_one_constructor_bypass():
+    bypasses = {p.name: new_calls(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: calls for name, calls in bypasses.items() if calls} == {"lattice.py": ["_walked"]}
+
+
+def test_the_bypass_scan_sees_a_new_call(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("class A:\n    pass\ndef make():\n    return A.__new__(A)\n"
+                    "def outer():\n    def inner():\n        return object.__new__(A)\n")
+    assert sorted(new_calls(path)) == ["inner", "make", "outer"]
