@@ -30,7 +30,7 @@ a walk's text leaves (_monomial_character) or a Jantzen sum's sorted rows
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping
+from collections.abc import Mapping
 
 from .lattice import (
     Partition,
@@ -48,8 +48,11 @@ BASIS_MONOMIAL = "monomial"
 
 
 class FormalCharacter:
-    """Immutable sparse integer combination of basis symbols.
+    """Sparse integer combination of basis symbols.
 
+    No method changes a character once built: arithmetic returns a new one.
+    It is not frozen, though: terms is a plain dict, and a caller that
+    changes it, or reassigns an attribute, bypasses the constructor's checks.
     Zero coefficients are never stored.  Arithmetic and equality insist on a
     matching basis and Levi context; equality is exact and independent of
     term insertion order.
@@ -142,16 +145,30 @@ def kostka(shape: Partition, content: Partition) -> int:
     inside `shape`, not the number of tableaux.  Each state is peeled for
     one size only, so only strips of that size are enumerated, and each
     shape's ways are added into the next state as its strips are found.
+    Once the parts left are all 1, peeling them counts the standard
+    tableaux of each shape left, so the state is read off at once.
     """
     if shape.size != content.size:
         raise ValueError(f"size mismatch: |{shape}| != |{content}|")
     state = {shape.parts: 1}
     for part in content.parts:
+        if part == 1:
+            return sum(ways * _standard_count(outer) for outer, ways in state.items())
         peeled: dict[tuple[int, ...], int] = {}
         for outer, ways in state.items():
             _strips(outer, part, part, ways, [peeled])
         state = peeled
     return state.get((), 0)
+
+
+def _standard_count(shape: tuple[int, ...]) -> int:
+    """f^shape, the number of standard tableaux of a nonempty shape: |shape|!
+    over the product of its hook lengths (Frame, Robinson and Thrall)."""
+    from math import factorial, prod  # here: no command but kostka needs it
+
+    columns = [sum(row > j for row in shape) for j in range(shape[0])]
+    hooks = prod(row - j + columns[j] - i - 1 for i, row in enumerate(shape) for j in range(row))
+    return factorial(sum(shape)) // hooks
 
 
 def _stepper():

@@ -13,7 +13,7 @@ is built (so `sweep` streams), in text or JSON; serialize writes every
 character and trace line in either form, and this module only the lines
 around them, handing it each character as the rows or the walk's leaves
 that its computation made, never as a FormalCharacter.  Only `selftest`
-loads the oracles.
+loads the oracles and `random`.
 
 `_parse` reads a command line straight from `_COMMANDS` and gives the
 attributes argparse would.  Any command line it cannot map exactly (help,
@@ -31,7 +31,6 @@ process has no file, handler or thread to release, and it does so with
 from __future__ import annotations
 
 import os
-import random
 import sys
 from itertools import chain
 from types import SimpleNamespace
@@ -63,7 +62,7 @@ from .serialize import (
     weight_json,
     weyl_text,
 )
-from .weyl import LeviDatum, dot_normalize, dot_orbit_oracle
+from .weyl import LeviDatum, dot_normalize
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -134,8 +133,12 @@ def _multiplicity_text(report, args):
 # mismatch text for one that does not, and _cmd_selftest counts the cases
 
 def _selftest_checks():
-    # here, not at the top: no other command loads the slow references
+    # here, not at the top: no other command loads the slow references or
+    # the random points they are checked at
+    import random
+
     from .oracle import enumerate_ssyt, eval_monomial, eval_schur_bialternant
+    from .weyl import dot_orbit_oracle
 
     rng = random.Random(271828)
 

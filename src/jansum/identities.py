@@ -53,8 +53,8 @@ are the sweep over one n, and the CLI's identity and sweep commands call it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .charring import (
     FormalCharacter,
@@ -213,10 +213,10 @@ class SupportCheck:
         return [(text_partition(key), c) for key, c in self._broken if c]
 
 
-class MultiplicityOneReport(NamedTuple):
-    p: int
-    d: int
-    families: list[SupportCheck]
+class MultiplicityOneReport(namedtuple("MultiplicityOneReport", "p d families")):
+    """The two SupportChecks of the f = 0 by-product at p and d."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

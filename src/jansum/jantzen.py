@@ -33,10 +33,10 @@ when first read.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from functools import cached_property
 from itertools import repeat
 from operator import sub
-from typing import NamedTuple
 
 from .charring import FormalCharacter, _weyl_character
 from .lattice import Root, Weight, rho
@@ -118,16 +118,14 @@ def p_adic_valuation(p: int, x: int) -> int:
     return e
 
 
-class JantzenTerm(NamedTuple):
-    """One (root, m) contribution, kept even when singular for traceability."""
+class JantzenTerm(namedtuple("JantzenTerm", "root m level t valuation image outcome")):
+    """One (root, m) contribution, kept even when singular for traceability:
+    level is m * p, the reflection level; t is (lam+rho, root^vee) - level,
+    as the reflection drops t copies of the root; valuation is v_p(level),
+    at least 1; image is the reflected weight, before normalization, and
+    outcome its SignedDominant."""
 
-    root: Root
-    m: int
-    level: int  # m * p, the reflection level
-    t: int  # (lam+rho, root^vee) - level; the reflection drops t copies of the root
-    valuation: int  # v_p(level) >= 1
-    image: Weight  # the reflected weight, before normalization
-    outcome: SignedDominant
+    __slots__ = ()
 
 
 class SumReport:
@@ -243,16 +241,15 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
 
 def _valuations(p: int, level: int, count: int, step: int) -> list[int]:
     """[v_p(level + k * step) for k < count], step being a power of p and
-    level > 0: every level has valuation at least e while p^e divides both
-    level and step; past that, p^e divides level + k * step for k in one
-    class mod p^e / step, or for none."""
+    level > 0 a multiple of step, as the first level of a run of jantzen_sum
+    is: every level has valuation at least e while p^e divides step; past
+    that, p^e divides level + k * step for k in one class mod p^e / step,
+    or for none."""
     out = [0] * count
     e, power = 0, 1
     while True:
         e, power = e + 1, power * p
         if step % power == 0:
-            if level % power:
-                return out
             out = [e] * count
             continue
         stride = power // step
@@ -522,15 +519,11 @@ def _tails(seq: list[Weight]) -> list[list[tuple[int, ...]]]:
     ]
 
 
-class PropCharCheck(NamedTuple):
-    """One (i, Levi) comparison of a Jantzen sum against its alternating
-    tail, which it keeps as rows."""
+class PropCharCheck(namedtuple("PropCharCheck", "i levi passed tail report")):
+    """One (i, Levi) comparison of a Jantzen sum, report, against its
+    alternating tail, which it keeps as rows (*coords, coeff)."""
 
-    i: int
-    levi: LeviDatum
-    passed: bool
-    tail: list[tuple[int, ...]]
-    report: SumReport
+    __slots__ = ()
 
     @property
     def expected(self) -> FormalCharacter:
@@ -538,10 +531,10 @@ class PropCharCheck(NamedTuple):
         return _weyl_character(self.levi, self.tail)
 
 
-class PropCharReport(NamedTuple):
-    p: int
-    d: int
-    checks: list[PropCharCheck]
+class PropCharReport(namedtuple("PropCharReport", "p d checks")):
+    """The PropCharChecks of the telescope at p and d."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

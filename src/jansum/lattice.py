@@ -8,9 +8,9 @@ partitions (their minimal nonnegative GL(d+1) lift) via suffix sums.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import accumulate
 from operator import le
-from typing import Iterable
 
 
 class LiftError(ValueError):

@@ -7,7 +7,7 @@ distinct permutations.  They share no code with the fast paths they check.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .lattice import Partition
 

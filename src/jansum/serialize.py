@@ -78,8 +78,6 @@ def _pieces(terms, sep: str = ","):
 
 
 _MONOMIAL_TERM = '{"key":[%s],"coeff":"%d"}'
-# a left side's term of an identity from a (key, coeff) leaf; %.0s drops coeff
-_LEFT_TERM = '{"key":[%s],"coeff":"1"}%.0s'
 
 
 def weyl_json(levi, rows):
@@ -91,12 +89,12 @@ def weyl_json(levi, rows):
     yield "]}"
 
 
-def monomial_json(leaves, term: str = _MONOMIAL_TERM):
+def monomial_json(leaves):
     """Yield the JSON of a character in the monomial basis, in pieces of at
     most _PIECE terms, from its (text key, coeff) leaves in order, none
-    zero, each written as term % leaf."""
+    zero."""
     yield '{"basis":"monomial","terms":['
-    yield from _pieces(map(term.__mod__, leaves))
+    yield from _pieces(map(_MONOMIAL_TERM.__mod__, leaves))
     yield "]}"
 
 
@@ -172,7 +170,7 @@ def identity_report_json(report):
     EQUAL report's right side is those pieces, and any other's is written
     from the leaves."""
     check = report.check
-    lhs = list(monomial_json(check.leaves, _LEFT_TERM))
+    lhs = list(monomial_json((key, 1) for key, _ in check.leaves))
     yield (
         f'{{"n":{report.n},"which":"{report.which}","prime":{_bool(report.prime)},'
         f'"label":"{report.label}","equal":{_bool(report.equal)},"lhs":'

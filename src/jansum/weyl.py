@@ -10,8 +10,8 @@ invariant under adding a constant to every epsilon entry.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, permutations
-from typing import Iterable, Iterator, Sequence
 
 from .lattice import Root, Weight, pairing, rho
 

@@ -119,7 +119,9 @@ class TestKostka:
                     assert value == enumerate_ssyt(lam, mu)
                     assert (value > 0) == dominance_leq(mu, lam)
 
-    @pytest.mark.parametrize("shape", [(6, 4, 2), (5, 5, 5), (8, 6, 4, 2), (10, 10, 10)])
+    @pytest.mark.parametrize(
+        "shape", [(6, 4, 2), (5, 5, 5), (8, 6, 4, 2), (10, 10, 10), tuple(range(26, 0, -1))]
+    )
     def test_standard_content_matches_hook_length_formula(self, shape):
         # beyond the SSYT oracle's reach: K(shape, 1^n) counts standard tableaux
         n = sum(shape)

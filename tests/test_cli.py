@@ -935,13 +935,14 @@ print("json" in sys.modules)
 
 class TestStartUp:
     # Every command is a process of its own and pays for what importing the
-    # CLI loads.  run_cli is in-process, so only a fresh interpreter sees it.
+    # CLI loads.  run_cli is in-process, so only a fresh interpreter sees it,
+    # and one without site, which may load modules of its own.
     def test_cli_import_loads_no_heavy_module(self):
         argv = ["jantzen", "--p", "5", "--d", "5", "--lambda", "1,2,0,1,0"]
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
-            [sys.executable, "-c", _START_UP, *argv],
+            [sys.executable, "-S", "-c", _START_UP, *argv],
             capture_output=True,
             text=True,
             env=env,
@@ -951,7 +952,9 @@ class TestStartUp:
         lines = proc.stdout.splitlines()
         loaded = set(ast.literal_eval(lines[0]))
         assert "jansum.cli" in loaded
-        assert not loaded & {"dataclasses", "inspect", "json", "jansum.oracle"}
+        assert not loaded & {
+            "dataclasses", "inspect", "json", "jansum.oracle", "random", "re", "typing"
+        }
         # neither the text report nor the JSON ones, traced or not, load
         # json; they print the same bytes as in-process
         assert lines[-1] == "False"

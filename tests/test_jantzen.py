@@ -382,6 +382,20 @@ class TestCoefficientRule:
         assert high[3] >= 30
         assert cancelled >= 10
 
+    def test_valuations_of_a_run_match_each_level(self):
+        # jantzen_sum hands _valuations a run's first level, a multiple of
+        # its step q = p^k, and the run's level count
+        from jansum.jantzen import _valuations
+
+        rng = random.Random(254)
+        for p in (2, 3, 5, 7):
+            for k in (1, 2, 3):
+                step = p**k
+                for _ in range(40):
+                    level, count = step * rng.randint(1, 3 * p**3), rng.randint(1, 60)
+                    expected = [p_adic_valuation(p, level + i * step) for i in range(count)]
+                    assert _valuations(p, level, count, step) == expected, (p, level, count, step)
+
 
 def _long_run_cases():
     """Seeded (lam, p, levi) at ranks 2..4 with coordinates up to 300 on the
