@@ -12,14 +12,17 @@ inner shape's coefficient into its caller's per-size sums as it finds it;
 the walk's step runs it once for each shape of a state, for all the
 state's part sizes at once, into one set of sums per state, which it
 keeps, while kostka runs it for the one size it peels, into one sum per
-content part.  No list of inner shapes is built.  The expansion lists the
-walk's leaves, each with its coefficient, read once per distinct leaf
-state and keyed by the text of its partition's parts
-(lattice.ideal_leaves), which the writers write as it is.  The
-coefficient counts that decide an identity or a multiplicity-one family
-are one fold over its keys, of the number of paths from the root to each
-leaf.  A Weyl-basis character of the full group enters such a walk
-through the partitions of its keys (lattice.weight_to_partition).
+content part.  No list of inner shapes is built.  Where the parts left
+are all 1 the walk ends at a leaf that holds a coefficient, which the
+step's finish gives by peeling the ones through the same steps; the
+partitions of one coefficient share a leaf.  The expansion lists the
+walk's leaves, one per partition, each with its coefficient and keyed by
+the text of its partition's parts (lattice.ideal_leaves), which the
+writers write as it is.  The coefficient counts that decide an identity
+or a multiplicity-one family are one fold over its keys, of the number of
+paths from the root to each leaf.  A Weyl-basis character of the full
+group enters such a walk through the partitions of its keys
+(lattice.weight_to_partition).
 
 A character that a library caller reads is built by FormalCharacter's
 constructor, which checks every key, from the form its computation made:
@@ -172,11 +175,14 @@ def _standard_count(shape: tuple[int, ...]) -> int:
 
 
 def _stepper():
-    """The step of one walk: step(state, k) is the state, a set of (shape,
-    coeff), left after peeling a horizontal strip of size k from every
-    shape in every possible way (the branching rule s_lam = sum over strips
-    lam/nu of x_k^|lam/nu| s_nu), with zeros dropped; size 0 leaves the
-    state itself.
+    """The step and the finish of one walk.  step(state, k) is the state, a
+    set of (shape, coeff), left after peeling a horizontal strip of size k
+    from every shape in every possible way (the branching rule s_lam = sum
+    over strips lam/nu of x_k^|lam/nu| s_nu), with zeros dropped; size 0
+    leaves the state itself.  finish(state, left) peels the left cells one
+    at a time through the same steps and gives the coefficient of the empty
+    shape: at the end of a walk, where every cell is peeled, the
+    coefficient of its partition.
 
     The strips of a state's shapes are enumerated for every size up to k at
     once, each shape adding its coefficient into one sum per size, and the
@@ -197,13 +203,12 @@ def _stepper():
             memo[state] = out
         return out[k]
 
-    return step
+    def finish(state: frozenset, left: int) -> int:
+        for _ in range(left):
+            state = step(state, 1)
+        return dict(state).get((), 0)
 
-
-def _coefficient(state: frozenset) -> int:
-    """The coefficient of the empty shape in a state: at the end of a walk,
-    where every cell is peeled, the coefficient of its partition."""
-    return dict(state).get((), 0)
+    return step, finish
 
 
 def _strips(shape: tuple[int, ...], cap: int, least: int, coeff: int, sums: list[dict]) -> None:
@@ -261,32 +266,26 @@ def schur_sum_leaves(coeffs: Mapping[Partition, int], top: Partition) -> list[tu
     (lattice.ideal_leaves).  Raises ValueError, before walking, if
     check_ideal_size refuses."""
     check_ideal_size(top)
-    return [leaf for leaf in dag_leaves(schur_sum_dag(coeffs, top)) if leaf[1]]
+    return [leaf for leaf in ideal_leaves(schur_sum_dag(coeffs, top)) if leaf[1]]
 
 
 def schur_sum_dag(coeffs: Mapping[Partition, int], top: Partition) -> dict[tuple, tuple]:
     """The lattice.ideal_dag below top whose state is the signed set of
     shapes of sum of coeff * S_shape left after peeling a horizontal strip
-    for each part, so a leaf's state holds the coefficient of its
-    partition.  `top` must dominate every shape; the size of the ideal is
-    not checked here.  A branch whose state has cancelled is walked on."""
+    for each part, and whose leaves are the coefficients of their
+    partitions (_stepper), so partitions of one coefficient share a leaf.
+    `top` must dominate every shape; the size of the ideal is not checked
+    here.  A branch whose state has cancelled is walked on."""
     for shape in coeffs:
         if not dominance_leq(shape, top):
             raise ValueError(f"{shape} is not below {top} in dominance order")
     return ideal_dag(
-        top, frozenset((shape.parts, c) for shape, c in coeffs.items() if c), _stepper()
+        top, frozenset((shape.parts, c) for shape, c in coeffs.items() if c), *_stepper()
     )
 
 
-def dag_leaves(dag: dict[tuple, tuple]) -> list[tuple[str, int]]:
-    """(key, coefficient) for every leaf of a schur_sum_dag, zeros included,
-    in reverse-lexicographic order, each key the comma-joined text of its
-    partition's parts (lattice.ideal_leaves)."""
-    return ideal_leaves(dag, _coefficient)
-
-
 def coefficient_counts(dag: dict[tuple, tuple]) -> Counter:
-    """Counter{coefficient: number of leaves} of a schur_sum_dag, zeros
+    """Counter{coefficient: number of partitions} of a schur_sum_dag, zeros
     included, in one pass over its keys, root first: each key adds its
     number of paths from the root to its children's, and each leaf its own
     to the count of its coefficient, so the work is one int per key."""
@@ -300,7 +299,7 @@ def coefficient_counts(dag: dict[tuple, tuple]) -> Counter:
             for child in children:
                 paths[child] += count
         else:
-            counts[_coefficient(key[0])] += count
+            counts[key[0]] += count
     return counts
 
 

@@ -56,15 +56,9 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .charring import (
-    FormalCharacter,
-    _monomial_character,
-    coefficient_counts,
-    dag_leaves,
-    schur_sum_dag,
-)
+from .charring import FormalCharacter, _monomial_character, coefficient_counts, schur_sum_dag
 from .jantzen import _check_prime, is_prime, lambda_sequence
-from .lattice import Partition, check_ideal_size, text_partition, weight_to_partition
+from .lattice import Partition, check_ideal_size, ideal_leaves, text_partition, weight_to_partition
 
 FIRST = "first"
 SECOND = "second"
@@ -179,7 +173,7 @@ class SupportCheck:
     shape not below the target, and S_shape has m_mu only for mu <= shape,
     so no term falls outside the ideal.  The walk's leaves are listed once,
     in reverse-lexicographic order, as (text key, coefficient) pairs
-    (charring.dag_leaves), the first time the character or the leaves whose
+    (lattice.ideal_leaves), the first time the character or the leaves whose
     coefficient is not 1 are read; a check that passes finds none of the
     latter without listing.  `character`, `missing` and
     `wrong_multiplicity` build the Partitions of their keys when read.
@@ -194,7 +188,7 @@ class SupportCheck:
 
     @cached_property
     def leaves(self) -> list[tuple[str, int]]:
-        return dag_leaves(self.dag)
+        return ideal_leaves(self.dag)
 
     @cached_property
     def character(self) -> FormalCharacter:

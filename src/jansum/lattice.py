@@ -170,12 +170,18 @@ def partitions_below(b: Partition) -> list[Partition]:
     """All partitions of |b| that are <= b in dominance order.
 
     The leaves of the walk of ideal_dag (never a filter over all partitions
-    of |b|), in reverse-lexicographic order, so b itself comes first.
-    Raises ValueError, before walking, when check_ideal_size refuses b.
+    of |b|), in reverse-lexicographic order, so b itself comes first.  The
+    walk carries no state: one no-op is both its step and its finish, so
+    all its leaves share one key.  Raises ValueError, before walking, when
+    check_ideal_size refuses b.
     """
     check_ideal_size(b)
-    dag = ideal_dag(b, None, lambda state, k: None)
-    return [_walked(parts) for parts, _ in ideal_leaves(dag, lambda state: None, text=False)]
+
+    def nothing(state, k):
+        return None
+
+    dag = ideal_dag(b, None, nothing, nothing)
+    return [_walked(parts) for parts, _ in ideal_leaves(dag, text=False)]
 
 
 # Largest dominance ideal a walk accepts.  It bounds the listing of terms
@@ -222,21 +228,23 @@ def check_ideal_size(b: Partition) -> None:
         )
 
 
-def ideal_dag(b: Partition, state, step) -> dict[tuple, tuple]:
+def ideal_dag(b: Partition, state, step, finish) -> dict[tuple, tuple]:
     """The memoized walk of the partitions below b, carrying a state.
 
     Each partition is built one part at a time, largest first, and
-    `step(state, k)` gives the hashable state after a part of size k.
+    `step(state, k)` gives the hashable state after a part of size k > 1.
     What lies below a node depends only on its key:
     (state, size left, largest part allowed, depth while a prefix sum of b
     still binds), so each key is stepped once, however many partitions
     pass through it.  Returns each key's children: the key after taking the
     largest part allowed, then the same key with a largest part one less.
-    Once that part is 1, all parts left are 1 and no prefix sum binds, so
-    such a key has the last depth and one child, its leaf; a leaf has none.
-    Keys are stored children first, so the root is the last.  The ideal's
-    size is not checked here.  The walk keeps its own stack, so no
-    partition is too long for it.
+    A key whose largest part allowed is at most 1, so whose parts left are
+    all 1 or none, has one child, its leaf: the 1-tuple of the hashable
+    `finish(state, size left)`, which no other key can equal, so leaves of
+    one value share a key; a leaf has no children.  Keys are stored
+    children first, so the root is the last.  The ideal's size is not
+    checked here.  The walk keeps its own stack, so no partition is too
+    long for it.
 
     The key after the largest part allowed is walked before its sibling, so
     a state is more often stepped first for the largest part it is allowed
@@ -259,20 +267,10 @@ def ideal_dag(b: Partition, state, step) -> dict[tuple, tuple]:
         if key in dag:
             continue
         state, left, largest, depth = key
-        if not left:
-            dag[key] = ()
-        elif largest == 1:
-            # peel the run of ones once, storing each of its keys with the
-            # leaf as its one child
-            run = []
-            while left and key not in dag:
-                run.append(key)
-                state = step(state, 1)
-                left -= 1
-                key = (state, left, 1 if left else 0, free)
-            leaf = dag[key][0] if left else key
+        if largest <= 1:
+            leaf = (finish(state, left),)
             dag.setdefault(leaf, ())
-            dag.update(dict.fromkeys(reversed(run), (leaf,)))
+            dag[key] = (leaf,)
         else:
             # the child's largest part is at most this one and at most what
             # the next prefix bound leaves; written out, as min would cost a
@@ -288,19 +286,18 @@ def ideal_dag(b: Partition, state, step) -> dict[tuple, tuple]:
     return dag
 
 
-def ideal_leaves(dag: dict[tuple, tuple], read, text: bool = True) -> list[tuple[object, object]]:
-    """(key, read(state)) for every leaf of an ideal_dag, one per path from
-    the root, in reverse-lexicographic order of the partitions, each leaf
-    paired as it is listed.  The leaves share a few states, and read is
-    called once per distinct state.
+def ideal_leaves(dag: dict[tuple, tuple], text: bool = True) -> list[tuple[object, object]]:
+    """(key, value) for every leaf of an ideal_dag, one per path from the
+    root, in reverse-lexicographic order of the partitions: the value is
+    the leaf's one entry, its walk's finish of the key above it.
 
     A leaf's key is its partition's parts: the comma-joined text that the
     JSON and text forms write ("3,1,1", and "" for the empty partition) or,
     with text=False, their tuple, from which partitions_below builds its
     Partitions.  Each key on a path is its parent's key and one piece
     more, cached: a piece per part size, and one per run of ones, which a
-    key whose largest part allowed is 1 adds at once, as its one child is
-    the leaf.  No partition is built.
+    key whose largest part allowed is at most 1 adds at once, as its one
+    child is the leaf.  No partition is built.
     """
     if text:
         # pieces start with a comma, so a leaf's key drops its first character
@@ -310,24 +307,20 @@ def ideal_leaves(dag: dict[tuple, tuple], read, text: bool = True) -> list[tuple
     root = next(reversed(dag))
     pieces = [part(k) for k in range(root[2] + 1)]  # no part exceeds the root's
     runs: dict[int, object] = {}  # length of a run of ones -> its piece
-    values: dict = {}  # state -> read(state)
     out: list[tuple[object, object]] = []
     stack = [(root, empty)]  # (key, the parts above it)
     while stack:
         key, above = stack.pop()
         # down the first children, each sibling left on the stack
-        while (children := dag[key]) and key[2] > 1:
-            stack.append((children[1], above))
+        while key[2] > 1:
+            child, sibling = dag[key]
+            stack.append((sibling, above))
             above += pieces[key[2]]
-            key = children[0]
-        if children:
-            # the parts left are all ones, and the one child is the leaf
-            left = key[1]
-            above += runs.get(left) or runs.setdefault(left, ones(left))
-            key = children[0]
-        state = key[0]
-        value = values[state] if state in values else values.setdefault(state, read(state))
-        out.append((above[skip:], value))
+            key = child
+        # the parts left are all ones, or none are left
+        left = key[1]
+        above += runs.get(left) or runs.setdefault(left, ones(left))
+        out.append((above[skip:], dag[key][0][0]))
     return out
 
 

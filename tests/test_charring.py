@@ -236,18 +236,32 @@ class TestSchurToMonomial:
         expected = Counter(terms.get(Partition(t), 0) for t in below)
         assert coefficient_counts(schur_sum_dag(coeffs, Partition(top))) == expected
 
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize(
+        "seed", [*range(12), (1,) * 13, (2,) * 9, (3,) + (1,) * 12, (6, 6, 1)]
+    )
     def test_expansion_matches_the_kostka_numbers(self, seed):
-        # the tops and shapes drawn above, against one Kostka number per
-        # (shape, mu): an oracle that walks no ideal
-        rng = random.Random(seed)
-        top = Partition(rng.choice(list(brute_partitions(rng.randint(1, 10)))))
+        # the tops and shapes drawn above, and given tops whose ideals end in
+        # long runs of ones, against one Kostka number per (shape, mu): an
+        # oracle that walks no ideal and ends its ones by the hook length
+        # formula, not by the walk's finish
+        if isinstance(seed, tuple):
+            rng, top = random.Random(len(seed)), Partition(seed)
+        else:
+            rng = random.Random(seed)
+            top = Partition(rng.choice(list(brute_partitions(rng.randint(1, 10)))))
         below = [t for t in brute_partitions(top.size) if prefix_leq(t, top.parts)]
         coeffs = {Partition(t): rng.randint(-3, 3) for t in rng.sample(below, min(4, len(below)))}
         expected = schur_sum_by_kostka(coeffs, top)
         assert coefficient_counts(schur_sum_dag(coeffs, top)) == Counter(expected.values())
         terms = schur_sum_to_monomial(coeffs, top).terms
         assert list(terms.items()) == [(mu, c) for mu, c in expected.items() if c]
+
+    def test_partitions_of_one_coefficient_share_a_leaf(self):
+        # a run of ones ends at its coefficient's leaf: stored one key per
+        # cell, the runs made 3 780 keys below (2^60) and 7 650 below (12,8,4)
+        for top, keys in [((2,) * 60, 181), ((12, 8, 4), 3771)]:
+            b = Partition(top)
+            assert len(schur_sum_dag({b: 1}, b)) == keys, top
 
     def test_coefficient_counts_keep_cancelled_branches(self):
         # S(2,1) - 2 S(1,1,1) = m(2,1): below the part 1 the state cancels,

@@ -82,7 +82,7 @@ class TestVerdictsWithoutTheSides:
         def refuse(*args):
             raise RuntimeError("enumerated")
 
-        monkeypatch.setattr("jansum.identities.dag_leaves", refuse)
+        monkeypatch.setattr("jansum.identities.ideal_leaves", refuse)
 
     def test_text_identity_and_sweep(self, no_enumeration):
         code, out, _ = run_cli(["identity", "--n", "32", "--which", "second"])

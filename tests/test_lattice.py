@@ -3,8 +3,7 @@ import random
 import pytest
 
 from helpers import brute_partitions, prefix_leq, random_weight
-from jansum import lattice
-from jansum.charring import schur_sum_dag
+from jansum import charring, lattice
 from jansum.jantzen import lambda_sequence
 from jansum.lattice import (
     LiftError,
@@ -199,17 +198,17 @@ class TestLeafKeys:
         yield from rng.sample(every, 50)
 
     def test_text_keys_are_the_joined_parts(self):
-        def none(state):
+        def none(state, k):
             return None
 
         longest_run = 0
         for top in self.tops():
             b = Partition(top)
             below = partitions_below(b)
-            dag = lattice.ideal_dag(b, None, lambda state, k: None)
-            keys = [key for key, _ in lattice.ideal_leaves(dag, none)]
+            dag = lattice.ideal_dag(b, None, none, none)
+            keys = [key for key, _ in lattice.ideal_leaves(dag)]
             assert keys == [",".join(map(str, mu.parts)) for mu in below], top
-            assert [key for key, _ in lattice.ideal_leaves(dag, none, text=False)] == [
+            assert [key for key, _ in lattice.ideal_leaves(dag, text=False)] == [
                 mu.parts for mu in below
             ]
             assert [lattice.text_partition(key) for key in keys] == below
@@ -217,27 +216,50 @@ class TestLeafKeys:
         assert longest_run >= 13
 
     def test_each_key_comes_with_its_leaf_state(self):
-        # a state that records the parts taken, so every path has a state
-        # of its own, and each leaf's must be its key's parts
+        # a state that records the parts taken, and a finish that adds the
+        # ones left, so every path has a leaf of its own, and each leaf's
+        # value must be its key's parts
         for top in self.tops():
             b = Partition(top)
-            dag = lattice.ideal_dag(b, (), lambda state, k: state + (k,))
-            listings = lattice.ideal_leaves(dag, list), lattice.ideal_leaves(dag, list, text=False)
+            dag = lattice.ideal_dag(
+                b, (), lambda state, k: state + (k,), lambda state, left: state + (1,) * left
+            )
+            listings = lattice.ideal_leaves(dag), lattice.ideal_leaves(dag, text=False)
             for text, tuples in zip(*listings, strict=True):
-                assert text[1] == tuples[1] == list(tuples[0])
+                assert text[1] == tuples[1] == tuples[0]
                 assert text[0] == ",".join(map(str, tuples[0]))
 
-    def test_each_leaf_state_is_read_once(self):
-        # the leaves of a Schur walk share a few states: each is read once,
-        # as its first leaf is listed, and every leaf gets its state's value
+    def test_finish_is_called_once_per_key_with_no_part_above_one(self):
+        # the leaves of a Schur walk share a few values: finish gives each
+        # key whose parts left are all 1, or none, its leaf, once, as the
+        # key is stored
         for top in self.tops():
             b = Partition(top)
-            dag = schur_sum_dag({b: 1}, b)
-            read = []
-            leaves = lattice.ideal_leaves(dag, lambda state: read.append(state) or len(read))
-            states = [state for _, state in lattice.ideal_leaves(dag, lambda state: state)]
-            assert read == list(dict.fromkeys(states)), top
-            assert [value for _, value in leaves] == [read.index(s) + 1 for s in states]
+            step, finish = charring._stepper()
+            calls = []
+
+            def counted(state, left):
+                calls.append((state, left))
+                return finish(state, left)
+
+            dag = lattice.ideal_dag(b, frozenset({(b.parts, 1)}), step, counted)
+            ends = [key for key in dag if len(key) == 4 and key[2] <= 1]
+            assert calls == [key[:2] for key in ends], top
+            assert all(dag[key] == ((finish(*key[:2]),),) for key in ends)
+
+    def test_step_never_peels_a_part_of_one(self):
+        # the ones belong to finish: step is given only parts of 2 or more
+        for top in self.tops():
+            b = Partition(top)
+            step, finish = charring._stepper()
+            parts = []
+
+            def counted(state, k):
+                parts.append(k)
+                return step(state, k)
+
+            lattice.ideal_dag(b, frozenset({(b.parts, 1)}), counted, finish)
+            assert all(k >= 2 for k in parts), top
 
 
 class TestIdealGuard:
