@@ -45,6 +45,17 @@ def brute_strips(shape: tuple[int, ...], cap: int) -> list[list[tuple[int, ...]]
     return [sorted(found) for found in out]
 
 
+def run_parts(runs: tuple[int, ...]) -> tuple[int, ...]:
+    """The parts of a shape held by its runs (v1, m1, v2, m2, ...), which
+    must be canonical: values strictly decreasing and positive, and each
+    count at least 1."""
+    values, counts = runs[::2], runs[1::2]
+    assert len(values) == len(counts), runs
+    assert all(a > b for a, b in zip(values, values[1:])), runs
+    assert all(v >= 1 for v in values) and all(m >= 1 for m in counts), runs
+    return tuple(v for v, m in zip(values, counts) for _ in range(m))
+
+
 def partition_count(n: int, max_part: int) -> int:
     """Partitions of n with parts <= max_part, by the coin-change recurrence."""
     counts = [1] + [0] * n
@@ -75,7 +86,8 @@ def schur_sum_by_kostka(coeffs, top) -> dict:
     walk of the ideal is used.  K(shape, mu) is 0 unless mu <= shape, and
     each of the others is computed once per test session."""
     out = {}
-    for parts in brute_partitions(top.size):
+    # no partition below top has a part larger than top's first
+    for parts in brute_partitions(top.size, top.parts[0] if top.parts else None):
         if prefix_leq(parts, top.parts):
             mu = Partition(parts)
             out[mu] = sum(

@@ -9,6 +9,7 @@ from helpers import (
     brute_strips,
     hook_length_count,
     prefix_leq,
+    run_parts,
     schur_sum_by_kostka,
 )
 from jansum import charring
@@ -130,12 +131,14 @@ class TestKostka:
 
 class TestStrips:
     """The one strip enumerator, charring._strips, against brute_strips: it
-    adds each inner shape's coefficient into the caller's per-size sums."""
+    takes a shape by its runs (charring._runs) and adds each inner shape's
+    coefficient, keyed by the inner shape's runs, into the caller's
+    per-size sums."""
 
     @staticmethod
     def shapes():
-        # the empty shape, single rows and columns, staircases, and seeded
-        # random partitions of size at most 14
+        # the empty shape, single rows and columns, staircases, shapes of a
+        # few long runs, and seeded random partitions of size at most 14
         rng = random.Random(14)
         every = [t for n in range(1, 15) for t in brute_partitions(n)]
         yield ()
@@ -143,7 +146,21 @@ class TestStrips:
             yield (k,)
             yield (1,) * k
             yield tuple(range(k, 0, -1))
+        yield (2,) * 12
+        yield (5,) * 3 + (1,) * 9
+        yield (4,) * 4 + (2,) * 4 + (1,) * 4
+        yield (1,) * 14
         yield from rng.sample(every, 60)
+
+    @staticmethod
+    def strips(terms, cap, least):
+        """The per-size sums of charring._strips over (parts, coeff) terms,
+        each inner shape keyed by its parts; run_parts asserts that every
+        key written is in canonical run form."""
+        sums = [{} for _ in range(cap + 1 - least)]
+        for shape, coeff in terms:
+            charring._strips(charring._runs(shape), cap, least, coeff, sums)
+        return [{run_parts(inner): c for inner, c in found.items()} for found in sums]
 
     @staticmethod
     def brute_sums(terms, cap, least):
@@ -156,19 +173,23 @@ class TestStrips:
                     total[inner] = total.get(inner, 0) + coeff
         return sums
 
+    def test_runs_of_a_shape(self):
+        assert charring._runs(()) == ()
+        assert charring._runs((3, 3, 2, 1, 1, 1)) == (3, 2, 2, 1, 1, 3)
+        assert charring._runs((1,) * 14) == (1, 14)
+        for shape in self.shapes():
+            assert run_parts(charring._runs(shape)) == shape
+
     def test_every_cap_against_brute_force(self):
-        # every cap, with every size (least = 0), with the sizes the walk
-        # steps (least = 1) and with the one size a Kostka number peels
-        # (least = cap)
+        # every cap, and every least up to it: among them all sizes
+        # (least = 0), the sizes the walk steps (least = 1) and the one size
+        # a Kostka number peels (least = cap)
         cases = 0
         for shape in self.shapes():
             for cap in range(0, (shape[0] if shape else 0) + 2):
                 expected = brute_strips(shape, cap)
-                for least in (0, 1, cap):
-                    if least > cap:
-                        continue
-                    sums = [{} for _ in range(cap + 1 - least)]
-                    charring._strips(shape, cap, least, 1, sums)
+                for least in range(cap + 1):
+                    sums = self.strips([(shape, 1)], cap, least)
                     assert [sorted(found) for found in sums] == expected[least:], (shape, cap, least)
                     assert all(c == 1 for found in sums for c in found.values())
                 cases += 1
@@ -188,9 +209,7 @@ class TestStrips:
             terms = [(shape, rng.choice((-2, -1, 2, 3))) for shape in shapes]
             cap = rng.randint(1, n)
             least = rng.choice((0, 1, cap))
-            sums = [{} for _ in range(cap + 1 - least)]
-            for shape, coeff in terms:
-                charring._strips(shape, cap, least, coeff, sums)
+            sums = self.strips(terms, cap, least)
             assert sums == self.brute_sums(terms, cap, least), (terms, cap, least)
             alone = [self.brute_sums([term], cap, least) for term in terms]
             seen = Counter(inner for found in alone for total in found for inner in total)
@@ -237,19 +256,29 @@ class TestSchurToMonomial:
         assert coefficient_counts(schur_sum_dag(coeffs, Partition(top))) == expected
 
     @pytest.mark.parametrize(
-        "seed", [*range(12), (1,) * 13, (2,) * 9, (3,) + (1,) * 12, (6, 6, 1)]
+        "seed",
+        [
+            *range(12),
+            (1,) * 13,
+            (2,) * 9,
+            (3,) + (1,) * 12,
+            (6, 6, 1),
+            (2,) * 30,
+            (3,) * 8 + (1,) * 10,
+            (7, 7) + (1,) * 13,
+        ],
     )
     def test_expansion_matches_the_kostka_numbers(self, seed):
         # the tops and shapes drawn above, and given tops whose ideals end in
-        # long runs of ones, against one Kostka number per (shape, mu): an
-        # oracle that walks no ideal and ends its ones by the hook length
-        # formula, not by the walk's finish
+        # long runs of ones or whose shapes are a few long runs, against one
+        # Kostka number per (shape, mu): an oracle that walks no ideal and
+        # ends its ones by the hook length formula, not by the walk's finish
         if isinstance(seed, tuple):
             rng, top = random.Random(len(seed)), Partition(seed)
         else:
             rng = random.Random(seed)
             top = Partition(rng.choice(list(brute_partitions(rng.randint(1, 10)))))
-        below = [t for t in brute_partitions(top.size) if prefix_leq(t, top.parts)]
+        below = [t for t in brute_partitions(top.size, top.parts[0]) if prefix_leq(t, top.parts)]
         coeffs = {Partition(t): rng.randint(-3, 3) for t in rng.sample(below, min(4, len(below)))}
         expected = schur_sum_by_kostka(coeffs, top)
         assert coefficient_counts(schur_sum_dag(coeffs, top)) == Counter(expected.values())

@@ -242,7 +242,7 @@ class TestLeafKeys:
                 calls.append((state, left))
                 return finish(state, left)
 
-            dag = lattice.ideal_dag(b, frozenset({(b.parts, 1)}), step, counted)
+            dag = lattice.ideal_dag(b, frozenset({(charring._runs(b.parts), 1)}), step, counted)
             ends = [key for key in dag if len(key) == 4 and key[2] <= 1]
             assert calls == [key[:2] for key in ends], top
             assert all(dag[key] == ((finish(*key[:2]),),) for key in ends)
@@ -258,7 +258,7 @@ class TestLeafKeys:
                 parts.append(k)
                 return step(state, k)
 
-            lattice.ideal_dag(b, frozenset({(b.parts, 1)}), counted, finish)
+            lattice.ideal_dag(b, frozenset({(charring._runs(b.parts), 1)}), counted, finish)
             assert all(k >= 2 for k in parts), top
 
 
