@@ -11,7 +11,10 @@ the alternating sum of the Schur functions of the shapes
 paper's named weights only the lambda_i of the Jantzen-sum telescope are
 built (lambda_sequence); its lambda_f for f > 0 concern line-bundle
 cohomology, which this package does not compute.  The names imported below
-are the public API.
+are the public API.  Of the slow references that selftest checks the fast
+paths against, only dot_orbit_oracle is among them; the others, the
+Jantzen sum's (oracle.reference_jantzen) included, live in jansum.oracle,
+which only selftest, the tests and the benchmark's checks load.
 """
 
 from .charring import (
@@ -43,8 +46,6 @@ from .lattice import (
     Root,
     Weight,
     dominance_leq,
-    fundamental_weight,
-    pairing,
     partitions_below,
     rho,
     weight_to_partition,
@@ -52,7 +53,6 @@ from .lattice import (
 from .weyl import (
     LeviDatum,
     SignedDominant,
-    affine_dot_reflect,
     dot_normalize,
     dot_orbit_oracle,
     from_epsilon,

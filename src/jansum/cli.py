@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import chain
+from itertools import chain, product
 from types import SimpleNamespace
 
 from .charring import kostka, schur_sum_leaves, schur_to_monomial
@@ -137,7 +137,7 @@ def _selftest_checks():
     # the random points they are checked at
     import random
 
-    from .oracle import enumerate_ssyt, eval_monomial, eval_schur_bialternant
+    from .oracle import enumerate_ssyt, eval_monomial, eval_schur_bialternant, reference_jantzen
     from .weyl import dot_orbit_oracle
 
     rng = random.Random(271828)
@@ -197,11 +197,22 @@ def _selftest_checks():
                     )
                     yield None if lhs == rhs else f"{which} identity at n={n}, {point}"
 
+    def jantzen_vs_reference():
+        # random Levis, coordinates off their simple roots of either sign
+        for d, p, _ in product((2, 3, 4), (2, 3, 5), range(4)):
+            levi = LeviDatum(d, [s for s in range(1, d + 1) if rng.random() < 0.6])
+            lam = Weight(rng.randint(0 if s in levi.simples else -6, 6) for s in range(1, d + 1))
+            total = reference_jantzen(lam, p, levi)[1]
+            rows = sorted(((*mu.coords, c) for mu, c in total.items()), reverse=True)
+            yield None if jantzen_sum(lam, p, levi).rows == rows else (
+                f"Jantzen sum of {lam} at p={p}, {levi.describe()}")
+
     return [
         ("kostka-vs-ssyt", kostka_vs_ssyt),
         ("bialternant-vs-expansion", bialternant_vs_expansion),
         ("normalize-vs-orbit", normalize_vs_orbit),
         ("identities-by-evaluation", identities_by_evaluation),
+        ("jantzen-vs-reference", jantzen_vs_reference),
     ]
 
 

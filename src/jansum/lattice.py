@@ -1,9 +1,8 @@
 """Partitions, dominance order, and the SL(d+1) weight lattice.
 
-Weights are stored in fundamental-weight coordinates, where the pairing of a
-weight with the coroot of alpha_{j,k} = alpha_j + ... + alpha_k is the plain
-coordinate sum over positions j..k.  Dominant weights are identified with
-partitions (their minimal nonnegative GL(d+1) lift) via suffix sums.
+Weights are stored in fundamental-weight coordinates.  Dominant weights are
+identified with partitions (their minimal nonnegative GL(d+1) lift) via
+suffix sums.
 """
 
 from __future__ import annotations
@@ -88,16 +87,6 @@ class Weight:
         self._same_rank(other)
         return Weight(a - b for a, b in zip(self.coords, other.coords))
 
-    def __mul__(self, k: int) -> "Weight":
-        if not isinstance(k, int):
-            return NotImplemented
-        return Weight(k * c for c in self.coords)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Weight":
-        return Weight(-c for c in self.coords)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Weight) and self.coords == other.coords
 
@@ -124,18 +113,6 @@ class Root:
         self.lo = lo
         self.hi = hi
 
-    def to_weight(self, d: int) -> Weight:
-        """The root as a weight of SL(d+1), in fundamental coordinates.
-
-        In epsilon coordinates the root is +1 at position lo and -1 at
-        position hi+1; fundamental coordinates are successive differences.
-        Needs hi <= d, which pairing checks first in affine_dot_reflect.
-        """
-        delta = [0] * (d + 2)
-        delta[self.lo] = 1
-        delta[self.hi + 1] = -1
-        return Weight(delta[i] - delta[i + 1] for i in range(1, d + 1))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Root) and (self.lo, self.hi) == (other.lo, other.hi)
 
@@ -147,13 +124,6 @@ class Root:
 
     def __str__(self) -> str:
         return f"a[{self.lo},{self.hi}]"
-
-
-def pairing(w: Weight, r: Root) -> int:
-    """Pairing of w with the coroot of alpha_{lo,hi}: sum of coords lo..hi."""
-    if r.hi > w.rank:
-        raise ValueError(f"root {r} out of range for rank {w.rank}")
-    return sum(w.coords[r.lo - 1 : r.hi])
 
 
 def dominance_leq(a: Partition, b: Partition) -> bool:
@@ -353,13 +323,6 @@ def weight_to_partition(w: Weight) -> Partition:
     if not w.is_dominant():
         raise ValueError(f"{w} is not dominant")
     return Partition(suffix)
-
-
-def fundamental_weight(i: int, d: int) -> Weight:
-    """omega_i for SL(d+1), with the convention omega_{d+1} = 0."""
-    if not 1 <= i <= d + 1:
-        raise ValueError(f"omega_{i} undefined for rank {d}")
-    return Weight(1 if j == i else 0 for j in range(1, d + 1))
 
 
 def rho(d: int) -> Weight:

@@ -1,15 +1,27 @@
-"""Slow ground-truth implementations, used only by tests and selftest.
+"""Slow ground-truth implementations, used only by tests, selftest and the
+benchmark's checks.
 
 These are deliberately naive: explicit backtracking over tableau fillings,
-bialternant determinants with exact integer division, and orbit sums over
-distinct permutations.  They share no code with the fast paths they check.
+bialternant determinants with exact integer division, orbit sums over
+distinct permutations, and the Jantzen sum one (root, level) term at a
+time, each reflected and normalized in full.  The first three share no
+code with the fast paths they check.  reference_jantzen shares with
+jantzen_sum only the epsilon coordinates and the valuation
+(weyl.to_epsilon and jantzen.p_adic_valuation), and leans on
+weyl.from_epsilon and weyl.dot_normalize, which jantzen_sum does not call;
+selftest's normalize-vs-orbit check holds dot_normalize, to_epsilon and
+from_epsilon to weyl.dot_orbit_oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
+from itertools import combinations_with_replacement
 
-from .lattice import Partition
+from .jantzen import JantzenTerm, p_adic_valuation
+from .lattice import Partition, Root, Weight, rho
+from .weyl import LeviDatum, dot_normalize, from_epsilon, to_epsilon
 
 # a specialization point: one integer per variable
 IntegerPoint = Sequence[int]
@@ -147,3 +159,36 @@ def _distinct_permutations(values: tuple[int, ...]):
             counts[v] += 1
 
     yield from build()
+
+
+def reference_jantzen(lam: Weight, p: int, levi: LeviDatum) -> tuple[tuple[JantzenTerm, ...], dict]:
+    """The Jantzen sum the generic way: (trace, {dominant weight: coefficient}).
+
+    Every (root, level) term of the Levi's positive roots, in root then
+    level order, singular ones included, is dot-reflected (_dot_reflect)
+    and normalized in full by dot_normalize, with no closed form; the total
+    drops zero coefficients.  No input is checked: lam should be dominant
+    for the Levi and p prime.
+    """
+    d, x = lam.rank, to_epsilon(lam + rho(lam.rank))  # x[i - 1] is x_i
+    terms, total = [], Counter()
+    for lo, hi in combinations_with_replacement(range(1, d + 1), 2):  # lo <= hi
+        if all(s in levi.simples for s in range(lo, hi + 1)):  # alpha_{lo,hi} is the Levi's
+            c, root = x[lo - 1] - x[hi], Root(lo, hi)  # c = (lam + rho, root^vee)
+            for level in range(p, c, p):
+                image = _dot_reflect(lam, lo, hi, level)
+                outcome, v = dot_normalize(image, levi), p_adic_valuation(p, level)
+                terms.append(JantzenTerm(root, level // p, level, c - level, v, image, outcome))
+                if outcome.sign:
+                    total[outcome.dominant] += outcome.sign * v
+    return tuple(terms), {mu: k for mu, k in total.items() if k}
+
+
+def _dot_reflect(lam: Weight, lo: int, hi: int, level: int) -> Weight:
+    """The dot image of lam under the reflection in the root alpha_{lo,hi}
+    at the level: on the epsilon coordinates x of lam + rho, x_lo becomes
+    x_{hi+1} + level and x_{hi+1} becomes x_lo - level; rho is then taken
+    back off.  Level 0 is the plain reflection s_alpha."""
+    x = list(to_epsilon(lam + rho(lam.rank)))
+    x[lo - 1], x[hi] = x[hi] + level, x[lo - 1] - level
+    return from_epsilon(x) - rho(lam.rank)

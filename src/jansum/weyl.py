@@ -10,10 +10,10 @@ invariant under adding a constant to every epsilon entry.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import accumulate, permutations
 
-from .lattice import Root, Weight, pairing, rho
+from .lattice import Weight, rho
 
 
 class LeviDatum:
@@ -63,14 +63,6 @@ class LeviDatum:
     @property
     def is_full(self) -> bool:
         return len(self.simples) == self.rank
-
-    def positive_roots(self) -> Iterator[Root]:
-        """All alpha_{j,k} whose simple constituents j..k lie in the Levi."""
-        for block in self.blocks:
-            a, b = block[0], block[-1]
-            for j in range(a, b):
-                for k in range(j, b):
-                    yield Root(j, k)
 
     def is_dominant(self, w: Weight) -> bool:
         if w.rank != self.rank:
@@ -148,18 +140,6 @@ def from_epsilon(eps: Sequence[int]) -> Weight:
     return Weight(eps[i] - eps[i + 1] for i in range(len(eps) - 1))
 
 
-def affine_dot_reflect(lam: Weight, r: Root, level: int) -> Weight:
-    """Dot-action image of lam under the affine reflection (root, level).
-
-    Shift by rho, reflect across the hyperplane where the pairing with the
-    coroot equals level, unshift: the result is lam - t*alpha with
-    t = (lam + rho, alpha^vee) - level.
-    """
-    d = lam.rank
-    t = pairing(lam + rho(d), r) - level
-    return lam - t * r.to_weight(d)
-
-
 def dot_normalize(mu: Weight, levi: LeviDatum) -> SignedDominant:
     """Normalize mu to the dominant chamber of the Levi under the dot action.
 
@@ -201,7 +181,9 @@ def _cycle_count(perm: list[int]) -> int:
 
 
 def dot_orbit_oracle(mu: Weight) -> SignedDominant:
-    """Brute-force dot normalization over the full Weyl group; test-only.
+    """Brute-force dot normalization over the full Weyl group: the slow
+    reference that selftest, the tests and the benchmark's checks hold
+    dot_normalize to.
 
     Walks all (d+1)! permutations of the epsilon coordinates of mu + rho
     looking for a strictly decreasing arrangement.  None exists exactly when

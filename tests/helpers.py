@@ -14,9 +14,9 @@ from functools import lru_cache
 from math import factorial
 
 from jansum.charring import BASIS_MONOMIAL, BASIS_WEYL, kostka
-from jansum.jantzen import JantzenTerm, p_adic_valuation
-from jansum.lattice import Partition, Weight, pairing, rho
-from jansum.weyl import LeviDatum, affine_dot_reflect, dot_normalize
+from jansum.jantzen import JantzenTerm
+from jansum.lattice import Partition, Weight
+from jansum.weyl import LeviDatum
 
 
 def brute_partitions(n: int, max_part: int | None = None):
@@ -76,6 +76,32 @@ def prefix_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return True
 
 
+def coroot_sum(coords: tuple[int, ...], lo: int, hi: int) -> int:
+    """The pairing of a weight, by its raw coordinates, with the coroot of
+    alpha_{lo,hi}: the sum of coordinates lo..hi (1-based)."""
+    return sum(coords[lo - 1 : hi])
+
+
+def levi_roots(simples, d: int) -> list[tuple[int, int]]:
+    """(lo, hi) of every alpha_{lo,hi} of rank d whose simple roots lo..hi
+    all lie in simples, in root order: by lo, then by hi."""
+    return [
+        (lo, hi)
+        for lo in range(1, d + 1)
+        for hi in range(lo, d + 1)
+        if all(s in simples for s in range(lo, hi + 1))
+    ]
+
+
+def omega_sum(d: int, *terms: tuple[int, int]) -> tuple[int, ...]:
+    """The coordinates of the sum of k * omega_i over the (k, i) of terms,
+    at rank d, with omega_{d+1} = 0."""
+    coords = [0] * (d + 1)
+    for k, i in terms:
+        coords[i - 1] += k
+    return tuple(coords[:d])
+
+
 _kostka = lru_cache(maxsize=None)(kostka)
 
 
@@ -131,28 +157,6 @@ def random_levi_dominant(rng: random.Random, levi: LeviDatum, hi: int = 5) -> We
         rng.randint(0, hi) if s in levi.simples else rng.randint(-hi, hi)
         for s in range(1, levi.rank + 1)
     ])
-
-
-def reference_jantzen(lam: Weight, p: int, levi) -> tuple[tuple[JantzenTerm, ...], dict]:
-    """The Jantzen sum the generic way: (trace, {dominant weight: coefficient}).
-
-    Every (root, level) pair is dot-reflected and normalized in full, with
-    no closed form: the slow reference for jantzen_sum and its trace.
-    """
-    shifted = lam + rho(lam.rank)
-    terms = []
-    total: dict = {}
-    for root in levi.positive_roots():
-        c = pairing(shifted, root)
-        for level in range(p, c, p):
-            image = affine_dot_reflect(lam, root, level)
-            outcome = dot_normalize(image, levi)
-            valuation = p_adic_valuation(p, level)
-            terms.append(JantzenTerm(root, level // p, level, c - level, valuation, image, outcome))
-            if not outcome.is_singular:
-                key = outcome.dominant
-                total[key] = total.get(key, 0) + outcome.sign * valuation
-    return tuple(terms), {k: c for k, c in total.items() if c}
 
 
 def jantzen_term_text(term: JantzenTerm) -> str:

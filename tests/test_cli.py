@@ -19,9 +19,9 @@ from helpers import (
     jantzen_term_to_json,
     random_levi,
     random_levi_dominant,
-    reference_jantzen,
     run_cli,
 )
+from jansum.oracle import reference_jantzen
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -1097,20 +1097,24 @@ class TestExit:
 
     # exit 3: the second identity without its last hook (see
     # test_identities.py, TestNegativeControl); exit 4: Kostka numbers that
-    # disagree with the oracle
-    @pytest.mark.parametrize("code, patch, argv", [
+    # disagree with the oracle, or Jantzen sums that each lose their first row
+    @pytest.mark.parametrize("code, patch, argv, shown", [
         (3, ("jansum.identities", "second_identity_shapes", "lambda n: real(n)[:-1]"),
-         ["identity", "--n", "6", "--which", "second"]),
-        (4, ("jansum.cli", "kostka", "lambda lam, mu: 999"), ["selftest"]),
-    ], ids=["exit-3", "exit-4"])
-    def test_failing_verdicts(self, monkeypatch, code, patch, argv):
+         ["identity", "--n", "6", "--which", "second"], "DIFFER"),
+        (4, ("jansum.cli", "kostka", "lambda lam, mu: 999"), ["selftest"],
+         "MISMATCH kostka-vs-ssyt"),
+        (4, ("jansum.cli", "jantzen_sum",
+             "lambda *args: (lambda r: setattr(r, 'rows', r.rows[1:]) or r)(real(*args))"),
+         ["selftest"], "MISMATCH jantzen-vs-reference"),
+    ], ids=["exit-3", "exit-4", "exit-4-jantzen"])
+    def test_failing_verdicts(self, monkeypatch, code, patch, argv, shown):
         proc = subprocess.run([sys.executable, "-c", _PATCHED, *patch, *argv], capture_output=True,
                               text=True, env=_child_env(), timeout=60)
         module, name, source = patch
         m = importlib.import_module(module)
         monkeypatch.setattr(m, name, eval(source, {"real": getattr(m, name)}))
         expected = run_cli(argv)
-        assert expected[0] == code
+        assert expected[0] == code and shown in expected[1]
         assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
     @pytest.mark.parametrize("argv, code", [

@@ -2,18 +2,15 @@ import random
 
 import pytest
 
-from helpers import brute_partitions, prefix_leq, random_weight
+from helpers import brute_partitions, omega_sum, prefix_leq
 from jansum import charring, lattice
 from jansum.jantzen import lambda_sequence
 from jansum.lattice import (
     LiftError,
     Partition,
-    Root,
     Weight,
     check_ideal_size,
     dominance_leq,
-    fundamental_weight,
-    pairing,
     partitions_below,
     rho,
     weight_to_partition,
@@ -60,8 +57,6 @@ class TestWeight:
         assert w.rank == 2
         assert (w + v).coords == (1, 1)
         assert (w - v).coords == (1, 3)
-        assert (3 * v).coords == (0, -3)
-        assert (-w).coords == (-1, -2)
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
@@ -78,35 +73,6 @@ class TestWeight:
     def test_dominance_flag(self):
         assert Weight((0, 3)).is_dominant()
         assert not Weight((0, -1)).is_dominant()
-
-
-class TestPairing:
-    def test_lambda0_shifted_against_alpha22(self):
-        lam0 = lambda_sequence(3, 4)[0]
-        assert (lam0 + rho(4)).coords == (1, 2, 2, 1)
-        assert pairing(lam0 + rho(4), Root(2, 2)) == 2  # p - 1 at p = 3
-
-    def test_rho_against_long_root(self):
-        # (rho, alpha_{j,k}^vee) = k - j + 1
-        assert pairing(rho(4), Root(1, 4)) == 4
-
-    def test_plain_coordinate_sum(self):
-        lam0 = lambda_sequence(3, 4)[0]
-        assert pairing(lam0 + rho(4), Root(1, 3)) == 1 + 2 + 2
-
-    def test_root_out_of_range(self):
-        with pytest.raises(ValueError):
-            pairing(rho(3), Root(2, 4))
-
-    def test_linearity(self):
-        rng = random.Random(101)
-        for _ in range(200):
-            d = rng.randint(2, 6)
-            w = random_weight(rng, d)
-            v = random_weight(rng, d)
-            lo = rng.randint(1, d)
-            r = Root(lo, rng.randint(lo, d))
-            assert pairing(w + v, r) == pairing(w, r) + pairing(v, r)
 
 
 class TestDominance:
@@ -345,17 +311,10 @@ class TestNamedWeights:
                 seq = lambda_sequence(p, d)
                 assert len(seq) == min(d, p) - 1, (p, d)
                 for i, lam in enumerate(seq):
-                    expected = (
-                        i * fundamental_weight(1, d)
-                        + (p - 2 - i) * fundamental_weight(2, d)
-                        + fundamental_weight(3 + i, d)
-                    )
-                    assert lam.coords == expected.coords, (p, d, i)
+                    expected = omega_sum(d, (i, 1), (p - 2 - i, 2), (1, 3 + i))
+                    assert lam.coords == expected, (p, d, i)
                     edge = edge or 3 + i == d + 1
         assert edge
 
-    def test_fundamental_weight_convention(self):
-        assert fundamental_weight(3, 3).coords == (0, 0, 1)
-        assert fundamental_weight(4, 3).coords == (0, 0, 0)
-        with pytest.raises(ValueError):
-            fundamental_weight(5, 3)
+    def test_lambda0_shifted_by_rho(self):
+        assert (lambda_sequence(3, 4)[0] + rho(4)).coords == (1, 2, 2, 1)
