@@ -79,6 +79,8 @@ def prefix_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 def coroot_sum(coords: tuple[int, ...], lo: int, hi: int) -> int:
     """The pairing of a weight, by its raw coordinates, with the coroot of
     alpha_{lo,hi}: the sum of coordinates lo..hi (1-based)."""
+    if not 1 <= lo <= hi <= len(coords):
+        raise ValueError(f"root ({lo}, {hi}) out of range for rank {len(coords)}")
     return sum(coords[lo - 1 : hi])
 
 
@@ -98,6 +100,8 @@ def omega_sum(d: int, *terms: tuple[int, int]) -> tuple[int, ...]:
     at rank d, with omega_{d+1} = 0."""
     coords = [0] * (d + 1)
     for k, i in terms:
+        if not 1 <= i <= d + 1:
+            raise ValueError(f"omega_{i} out of range for rank {d}")
         coords[i - 1] += k
     return tuple(coords[:d])
 

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from helpers import brute_partitions, omega_sum, prefix_leq
+from helpers import brute_partitions, coroot_sum, omega_sum, prefix_leq, random_weight
 from jansum import charring, lattice
 from jansum.jantzen import lambda_sequence
 from jansum.lattice import (
     LiftError,
     Partition,
+    Root,
     Weight,
     check_ideal_size,
     dominance_leq,
@@ -15,6 +16,7 @@ from jansum.lattice import (
     rho,
     weight_to_partition,
 )
+from jansum.weyl import to_epsilon
 
 
 class TestPartition:
@@ -73,6 +75,50 @@ class TestWeight:
     def test_dominance_flag(self):
         assert Weight((0, 3)).is_dominant()
         assert not Weight((0, -1)).is_dominant()
+
+
+class TestPairing:
+    # the pairing with alpha_{lo,hi}^vee: the tests' coordinate sum, and the
+    # epsilon difference x_lo - x_{hi+1} that oracle.reference_jantzen reads
+    def test_lambda0_shifted_against_alpha22(self):
+        shifted = lambda_sequence(3, 4)[0] + rho(4)
+        assert shifted.coords == (1, 2, 2, 1)
+        assert coroot_sum(shifted.coords, 2, 2) == 2  # p - 1 at p = 3
+        x = to_epsilon(shifted)
+        assert x[1] - x[2] == 2
+
+    def test_rho_against_long_root(self):
+        # (rho, alpha_{j,k}^vee) = k - j + 1
+        assert coroot_sum(rho(4).coords, 1, 4) == 4
+        x = to_epsilon(rho(4))
+        assert x[0] - x[4] == 4
+
+    def test_plain_coordinate_sum(self):
+        shifted = lambda_sequence(3, 4)[0] + rho(4)
+        assert coroot_sum(shifted.coords, 1, 3) == 1 + 2 + 2
+        x = to_epsilon(shifted)
+        assert x[0] - x[3] == 1 + 2 + 2
+
+    def test_root_out_of_range(self):
+        with pytest.raises(ValueError):
+            coroot_sum(rho(3).coords, 2, 4)
+        with pytest.raises(ValueError):
+            Root(0, 1)
+        with pytest.raises(ValueError):
+            Root(3, 2)
+
+    def test_linearity(self):
+        rng = random.Random(101)
+        for _ in range(200):
+            d = rng.randint(2, 6)
+            w = random_weight(rng, d)
+            v = random_weight(rng, d)
+            lo = rng.randint(1, d)
+            hi = rng.randint(lo, d)
+            pair = coroot_sum((w + v).coords, lo, hi)
+            assert pair == coroot_sum(w.coords, lo, hi) + coroot_sum(v.coords, lo, hi)
+            x = to_epsilon(w + v)
+            assert x[lo - 1] - x[hi] == pair
 
 
 class TestDominance:
@@ -316,5 +362,10 @@ class TestNamedWeights:
                     edge = edge or 3 + i == d + 1
         assert edge
 
-    def test_lambda0_shifted_by_rho(self):
-        assert (lambda_sequence(3, 4)[0] + rho(4)).coords == (1, 2, 2, 1)
+    def test_fundamental_weight_convention(self):
+        assert omega_sum(3, (1, 3)) == (0, 0, 1)
+        assert omega_sum(3, (1, 4)) == (0, 0, 0)
+        with pytest.raises(ValueError):
+            omega_sum(3, (1, 5))
+        # the library's lambda_i at the edge 3 + i = d + 1: omega_4 = 0 in rank 3
+        assert lambda_sequence(5, 3)[1].coords == (1, 2, 0)

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from helpers import coroot_sum, inversions, omega_sum, random_dominant, random_weight
-from jansum.lattice import Weight, rho
-from jansum.oracle import _dot_reflect
+from helpers import coroot_sum, inversions, levi_roots, omega_sum, random_dominant, random_weight
+from jansum.lattice import Root, Weight, rho
+from jansum.oracle import _dot_reflect, reference_jantzen
 from jansum.weyl import (
     LeviDatum,
     SignedDominant,
@@ -18,6 +18,17 @@ from jansum.weyl import (
 def theta(k: int, n: int) -> Weight:
     """omega_1 - k*omega_k + (k-1)*omega_{k+1} in rank n (theta_1 = 0)."""
     return Weight(omega_sum(n, (1, 1), (-k, k), (k - 1, k + 1)))
+
+
+def traced_roots(lam: Weight, levi: LeviDatum) -> list[Root]:
+    """The distinct roots of oracle.reference_jantzen's trace at p = 2, in
+    trace order: every positive root of the Levi when lam + rho pairs with
+    each to more than 2."""
+    roots = []
+    for term in reference_jantzen(lam, 2, levi)[0]:
+        if term.root not in roots:
+            roots.append(term.root)
+    return roots
 
 
 class TestEpsilon:
@@ -60,6 +71,18 @@ class TestLeviDatum:
     def test_empty_levi(self):
         levi = LeviDatum(3, ())
         assert levi.blocks == ((1,), (2,), (3,), (4,))
+        assert levi_roots(levi.simples, 3) == []
+        assert traced_roots(Weight((5, 5, 5)), levi) == []
+
+    def test_positive_roots_of_parabolic(self):
+        levi = LeviDatum(3, (2, 3))
+        assert levi_roots(levi.simples, 3) == [(2, 2), (2, 3), (3, 3)]
+        assert traced_roots(Weight((0, 5, 5)), levi) == [Root(2, 2), Root(2, 3), Root(3, 3)]
+
+    def test_full_positive_roots_count(self):
+        levi = LeviDatum.full(4)
+        assert len(levi_roots(levi.simples, 4)) == 10
+        assert len(traced_roots(Weight((5, 5, 5, 5)), levi)) == 10
 
     def test_invalid_simples(self):
         with pytest.raises(ValueError):
