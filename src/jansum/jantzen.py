@@ -10,11 +10,17 @@ where v_p is the p-adic valuation and chi the Weyl character (zero on
 singular weights, otherwise a sign times a dominant symbol).  The same
 formula over a Levi's positive roots computes the Levi analogue.  The terms
 of one root are evaluated together, in closed form on the epsilon
-coordinates of lambda + rho, building only the coordinates a term changes,
-one run of levels at a time: between two levels where the order of the
-root's block changes, a term's sign stays and its dominant weight moves
-linearly with the level, by the step read off the run's first two levels
-(_terms_at).  The levels l and c - l of a root of pairing c give one
+coordinates of lambda + rho, one run of levels at a time: between two
+levels where the order of the root's block changes, a term's sign stays
+(_terms_at).  A term's dominant weight is read off lambda: sorting the
+block moves only the two reflected values, so it is lambda with two slices
+moved one place, D[lo-1 : i-2] = lambda[lo : i-1] and D[j+1 : hi] =
+lambda[j : hi-1] (0-based, at the root alpha_{lo,hi}), and new coordinates
+at most at lo-2, i-2, i-1, j-1, j and hi, given by where the two values
+land, place = (i, A, j, B) (_terms_at states the closed form); _placed
+puts them into lambda's coordinates, as ints or as texts.  Within a
+run i and j stay and A and B move by the level step, so only those six
+coordinates step.  The levels l and c - l of a root of pairing c give one
 weight with opposite signs, so the total visits only the levels that
 p^(v_p(c) + 1) divides, each weighted v_p(l) - v_p(c); it sums each run
 whole into rows of coordinates and coefficient, and sorts them once
@@ -25,16 +31,17 @@ built once for both Levis (_tails); a FormalCharacter is built from rows
 (charring._weyl_character) only when a library caller reads one.  The
 trace of every term, singular ones included, comes from _walk, one frame
 per root holding that root's levels, each run spread back into its
-levels: _trace writes it as text, one term at a time, for serialize's
-text and JSON traces, and SumReport.terms builds its JantzenTerm records
-when first read.
+levels, each regular term's dominant weight placed into lambda's
+coordinate texts or ints: _trace writes it as text, one term at a time,
+for serialize's text and JSON traces, and SumReport.terms builds its
+JantzenTerm records when first read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 from operator import sub
 
@@ -52,8 +59,9 @@ _PRIMALITY_BOUND = 318665857834031151167461
 # the count: `jantzen --p 2 --d 2 --lambda 100000,0`, the largest such call
 # admitted (100 000 terms, a total of 75 000 rows), peaks at 24 MB of RSS
 # (Python 3.11 on Linux) as text, --json, --trace and --trace --json alike,
-# and takes 0.07, 0.06, 0.21 and 0.21 s in those forms (best of 7 on a
-# 2-CPU host), of which the sum itself takes about 10 ms.
+# and takes 0.07, 0.07, 0.31 and 0.31 s in those forms (best of 7 on a
+# 2-CPU host), of which the sum itself takes about 14 ms; its runs are
+# long, and a traced level costs one placement of its dominant weight.
 # The largest benchmark call has 20 000 terms; at d = 30 with every
 # coordinate 15 there are about 40 000 at p = 2.  A sum that the Levi's
 # block sizes alone show to be too large is refused before lam + rho is put
@@ -69,7 +77,7 @@ TERM_LIMIT = 100_000
 # 3.11 on a 2-CPU host); unrefused, `prop-char --p 29983 --d 29983` died
 # of MemoryError under a 2 GB address-space cap after 25 s.  The bound
 # holds memory, not time: past d = p each sum has more terms, each within
-# TERM_LIMIT, and `prop-char --p 89 --d 321` takes 2.3 s at 37 MB (best
+# TERM_LIMIT, and `prop-char --p 89 --d 321` takes 1.6 s at 37 MB (best
 # of 3), most of it listing and counting the roots that have no two holes.
 COORD_LIMIT = 2_500_000
 
@@ -147,8 +155,9 @@ class SumReport:
         """Every (root, m) term, singular ones included, in root then m order.
 
         Built on first read by walking the sum again (_walk: for each root,
-        its levels, each term's dominant weight as lam with its changed
-        window put in), and kept.  The written traces stream from _trace
+        its levels, each regular term's dominant weight as lam's
+        coordinates with two slices moved one place and at most six new
+        ones put in, _placed), and kept.  The written traces stream from _trace
         instead; only perfbench/tracer.py (which counts terms) and the tests
         read it.
         """
@@ -156,19 +165,14 @@ class SumReport:
         coords, d = lam.coords, lam.rank
         singular = SignedDominant.singular()
         terms = []
-        for lo, hi, c, levels in _walk(lam, p, self.levi):
+        for lo, hi, c, levels in _walk(lam, p, self.levi, int):
             root, change = Root(lo, hi), _image_change(lo, hi, d)
-            changed = _changed(lo, hi, d)
-            head, tail = coords[: changed.start], coords[changed.stop :]
-            for level, valuation, sign, window in levels:
+            for level, valuation, sign, dominant in levels:
                 t = c - level
                 image = list(coords)
                 for i, k in change.items():
                     image[i] += k * t
-                if sign:
-                    outcome = SignedDominant(sign, Weight(head + window + tail))
-                else:
-                    outcome = singular
+                outcome = SignedDominant(sign, Weight(dominant)) if sign else singular
                 image = Weight(image)
                 terms.append(JantzenTerm(root, level // p, level, t, valuation, image, outcome))
         return tuple(terms)
@@ -186,11 +190,15 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
     The sum goes root by root through _terms_at, run by run, writes each
     nonzero coefficient once in a row (*coords, coeff), adding nothing up,
     and sorts the rows once, coordinates (distinct) in reverse-lexicographic
-    order.  A run of one level gives one row; a longer run's rows are zipped
-    from a column per coordinate, a range where its dominant weight moves,
-    stepping as from the run's first level to its second, and a repeat
-    elsewhere, and one of coefficients from the valuations of its levels
-    (_stepped, _valuations), so no row is worked out on its own.
+    order.  A row's coordinates are lam's with the run's place put in
+    (_placed: two slices of lam moved one place and at most six new
+    coordinates, see _terms_at), with no per-root head or tail.  A run of
+    one level gives one row; a longer run's rows are zipped from a column
+    per coordinate, a range where its dominant weight moves, stepping as
+    from the run's first level to its second (A and B of the place one
+    step on), and a repeat elsewhere, and one of coefficients from the
+    valuations of its levels (_stepped, _valuations), so no row is worked
+    out on its own.
 
     At a root of pairing c, let e = v_p(c) and q = p^(e + 1): the root's
     share of the sum is that of (v_p(l) - e) * chi(l) over the levels l in
@@ -217,24 +225,27 @@ def jantzen_sum(lam: Weight, p: int, levi: LeviDatum) -> SumReport:
     if not levi.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant for {levi.describe()}")
     x, z, roots = _roots(lam, p, levi)
-    coords, d = lam.coords, lam.rank
+    coords = list(lam.coords)
     rows: list[tuple[int, ...]] = []
     for lo, hi, c in roots:
         if c - (hi - lo + 1) < 2:  # fewer than two holes: every term singular
             continue
-        changed = _changed(lo, hi, d)
-        head, tail = coords[: changed.start], coords[changed.stop :]
         e = p_adic_valuation(p, c)
         q = p ** (e + 1)
         # every key is dominant for the Levi
-        for level, count, sign, window, following in _terms_at(x, z, lo, hi, range(q, c, q)):
-            if count == 1:
-                if sign:
-                    rows.append((*head, *window, *tail, sign * (_valuation(p, level) - e)))
+        for level, count, sign, place in _terms_at(x, lo, hi, range(q, c, q)):
+            if not sign:
                 continue
+            dominant = _placed(coords, z, lo, hi, int, *place)
+            if count == 1:
+                rows.append((*dominant, sign * (_valuation(p, level) - e)))
+                continue
+            i, a, j, b = place
+            step = q if 2 * level > c else -q
+            following = _placed(coords, z, lo, hi, int, i, a + step, j, b - step)
             coeffs = _valuations(p, level, count, q)
             coeffs = map(sub, coeffs, repeat(e)) if sign > 0 else map(sub, repeat(e), coeffs)
-            rows.extend(_stepped(head, window, tail, count, following, coeffs))
+            rows.extend(_stepped(dominant, following, count, coeffs))
     rows.sort(reverse=True)
     return SumReport(lam, p, levi, rows)
 
@@ -262,7 +273,7 @@ def _valuations(p: int, level: int, count: int, step: int) -> list[int]:
 def _roots(lam: Weight, p: int, levi: LeviDatum) -> tuple[tuple[int, ...], tuple, list]:
     """(x, z, [(lo, hi, c) of every root with a term, in root order]), x
     being epsilon(lam + rho), c = (lam + rho, root^vee) = x_lo - x_{hi+1},
-    and z the three shifts of x that _terms_at builds windows from.
+    and z the three shifts of x that _placed builds dominant weights from.
     Raises ValueError, before any level is met, when the sum has more than
     TERM_LIMIT terms, and before x is built if _check_blocks shows it."""
     _check_blocks([len(block) - 1 for block in levi.blocks], p, levi)
@@ -314,16 +325,15 @@ def _check_coords(what: str, count: int) -> None:
         raise ValueError(f"{what} has more than {COORD_LIMIT} coordinates; refused")
 
 
-def _terms_at(x: tuple[int, ...], z: tuple, lo: int, hi: int, levels: range):
-    """Yield (level, count, sign, window, following) for each run of the
-    rising progression of levels at the root e_lo - e_{hi+1}, x being
-    epsilon(lam + rho) and z its shifts from _roots: the count levels from
-    level on, step levels.step apart, share sign and the order of their
-    block.  sign is 0 for a singular term, always a run of one, whose window
-    is None; otherwise it is the sign of the dot normalization, and window
-    the coordinates at _changed(lo, hi, d) of the normalized image at the
-    run's first level, which elsewhere equals lam.  following is the window
-    at the run's second level, None for a run of one.
+def _terms_at(x: tuple[int, ...], lo: int, hi: int, levels: range):
+    """Yield (level, count, sign, place) for each run of the rising
+    progression of levels at the root e_lo - e_{hi+1}, x being
+    epsilon(lam + rho): the count levels from level on, step levels.step
+    apart, share sign and the order of their block.  sign is 0 for a
+    singular term, always a run of one, whose place is None; otherwise it is
+    the sign of the dot normalization, and place = (i, A, j, B) where the
+    two moved values land at the run's first level, from which _placed
+    builds the dominant weight.
 
     x is strictly decreasing within the block; let c = x_lo - x_{hi+1}.  The
     reflection at level l, 0 < l < c, changes x in two places only:
@@ -334,37 +344,40 @@ def _terms_at(x: tuple[int, ...], z: tuple, lo: int, hi: int, levels: range):
     other when u < v: the sign is -1 to the number of these transpositions.
     The levels l and c - l give the pair {u, v} swapped, one transposition
     apart: one dominant weight of opposite signs.  As l rises u rises and v
-    falls, so the insertion points iu and iv each move one way.  Sorting
-    changes epsilon only at lo..hi+1, so the weight only at lo-2..hi (0-based).
-    The weight's coordinates are the differences, less 1, of epsilon; with
-    z[k][j] = x[j] + j + k - 1, the value x[j] plus the (0-based) place it
-    takes when sorting moves it k - 1 places on, they are the differences of z,
-    so the window is the differences of z at lo-1..hi+2 (1-based) as far as
-    they exist, each value of mid read from the shift its place calls for.
+    falls, so the insertion points iu and iv each move one way.
+
+    Of u and v, the larger, a, put before x[i], takes the (0-based) place
+    i - 1 of the sorted block, and the smaller, b, put before x[j], place j,
+    with lo <= i <= j <= hi.  The weight's coordinates are the differences,
+    less 1, of epsilon; with z[k][m] = x[m] + m + k - 1 (z from _roots,
+    below, at and above for k = 0, 1, 2), the value x[m] plus the place it
+    takes when sorting moves it k - 1 places on, they are the differences of
+    the sorted block's z values.  The values of mid before place i - 1 move
+    one place back (below), those past place j one on (above), and the rest
+    stay (at); A = a + i - 1 and B = b + j are the z values of a and b.  So
+    the dominant weight D equals lam but for two slices moved one place,
+    D[lo-1 : i-2] = lam[lo : i-1] and D[j+1 : hi] = lam[j : hi-1], and at
+    most six new coordinates (0-based, d the rank):
+        D[lo-2] = at[lo-2] - (below[lo] if i > lo else A), when lo >= 2;
+        D[i-2]  = below[i-1] - A, when i > lo;
+        D[i-1]  = A - (at[i] if j > i else B);
+        D[j-1]  = at[j-1] - B, when j > i;
+        D[j]    = B - (above[j] if j < hi else at[hi+1]), when j < hi or hi < d;
+        D[hi]   = above[hi-1] - at[hi+1], when j < hi and hi < d.
 
     Between two levels where u or v meets a value of mid, or where u and v
-    pass each other, the order of the block stays, so every value of the
-    sorted block is one of z, fixed, or u or v plus a fixed place: the
-    window is affine in the level, and following less window is its step.
+    pass each other, the order of the block stays, so i and j stay, and A
+    and B move by the level step, A up and B down past c/2, where u is the
+    larger, and the other way before it: only the six new coordinates step.
     A run so ends before the first level where u reaches x[iu - 1], v
     reaches x[iv], or u, below v, meets or passes v, or where the
     progression ends.
     """
-    below, at, above = z
     xl, xh = x[lo - 1], x[hi]
-    left, right = at[max(lo - 2, 0) : lo - 1], at[hi + 1 : hi + 2]
     # x[lo:iu] are the values of mid above u, x[lo:iv] those above v; as
     # xl > u, v > xh, neither pointer runs past mid, and x[iu] = u or
     # x[iv] = v only at a value of mid
     iu, iv = hi, lo
-
-    def window_at(u, v):
-        # of u and v, the larger, put before x[i], takes place i - 1, and
-        # the smaller, put before x[j], place j (0-based)
-        a, i, b, j = (u, iu, v, iv) if u > v else (v, iv, u, iu)
-        eps = left + below[lo:i] + (a + i - 1,) + at[i:j] + (b + j,) + above[j:hi] + right
-        return tuple(map(sub, eps, eps[1:]))
-
     level, stop, step = levels.start, levels.stop, levels.step
     while level < stop:
         u, v = xh + level, xl - level
@@ -373,70 +386,106 @@ def _terms_at(x: tuple[int, ...], z: tuple, lo: int, hi: int, levels: range):
         while x[iv] > v:
             iv += 1
         if u == v or x[iu] == u or x[iv] == v:
-            yield level, 1, 0, None, None
+            yield level, 1, 0, None
             level += step
             continue
-        window = window_at(u, v)
+        place = (iu, u + iu - 1, iv, v + iv) if u > v else (iv, v + iv - 1, iu, u + iu)
         sign = -1 if (iu - lo + hi - iv + (u < v)) % 2 else 1
         # most often u or v meets mid at the next level: test that first
         if not (u + step < x[iu - 1] and v - step > x[iv]):
-            yield level, 1, sign, window, None
+            yield level, 1, sign, place
             level += step
             continue
         room = min(x[iu - 1] - u, v - x[iv], stop - level)
         if u < v:
             room = min(room, (v - u + 1) // 2)
         count = 1 + (room - 1) // step
-        yield level, count, sign, window, window_at(u + step, v - step)
+        yield level, count, sign, place
         level += count * step
 
 
-def _stepped(head: tuple, window: tuple, tail: tuple, count: int, following: tuple, *extra):
-    """The count tuples head + window + tail of a run of _terms_at, zipped
-    from one column per coordinate and then the extra columns: a coordinate
-    that differs between window and following, the window at the run's
-    second level, steps by that difference from each tuple to the next."""
+def _placed(base: list, z: tuple, lo: int, hi: int, form, i: int, a: int, j: int, b: int) -> list:
+    """base, lam's coordinates as ints or as their texts, with the dominant
+    weight of a regular term at the root alpha_{lo,hi} put in: the two
+    slices that move one place copied from base, and the at most six new
+    coordinates that _terms_at's place (i, a, j, b) = (i, A, j, B) gives
+    made by form (int or str)."""
+    below, at, above = z
+    out = base.copy()
+    if i > lo:
+        out[lo - 1 : i - 2] = base[lo : i - 1]
+        out[i - 2] = form(below[i - 1] - a)
+        first = below[lo]
+    else:
+        first = a
+    if lo > 1:
+        out[lo - 2] = form(at[lo - 2] - first)
+    if j > i:
+        out[i - 1] = form(a - at[i])
+        out[j - 1] = form(at[j - 1] - b)
+    else:
+        out[i - 1] = form(a - b)
+    if j < hi:
+        out[j + 1 : hi] = base[j : hi - 1]
+        out[j] = form(b - above[j])
+        if hi < len(base):
+            out[hi] = form(above[hi - 1] - at[hi + 1])
+    elif hi < len(base):
+        out[j] = form(b - at[hi + 1])
+    return out
+
+
+def _stepped(first: list, following: list, count: int, coeffs):
+    """The count rows of a run of _terms_at, zipped from one column per
+    coordinate and then the coefficients: a coordinate that differs
+    between first and following, the dominant weights at the run's first
+    and second levels, steps by that difference from each row to the next."""
     columns = [
         range(a, a + count * (b - a), b - a) if a != b else repeat(a, count)
-        for a, b in zip(head + window + tail, head + following + tail)
+        for a, b in zip(first, following)
     ]
-    return zip(*columns, *extra)
+    return zip(*columns, coeffs)
 
 
-def _walk(lam: Weight, p: int, levi: LeviDatum):
+def _walk(lam: Weight, p: int, levi: LeviDatum, form):
     """Yield (lo, hi, c, levels) once for each root alpha_{lo,hi} with a
     term, in root order: c is (lam + rho, root^vee), and levels yields
-    (level, valuation, sign, window) for every level of the root, rising,
-    singular ones included, with sign and window as _terms_at gives them,
-    each run spread back into its levels.  lam must be dominant for the
-    Levi.  Raises ValueError, before the first root, when the sum has more
-    than TERM_LIMIT terms."""
+    (level, valuation, sign, dominant) for every level of the root, rising,
+    singular ones included, with sign as _terms_at gives it and dominant
+    the term's dominant weight as a list of coordinates made by form (int
+    or str), None for a singular term, each run spread back into its
+    levels.  lam must be dominant for the Levi.  Raises ValueError, before
+    the first root, when the sum has more than TERM_LIMIT terms."""
     x, z, roots = _roots(lam, p, levi)
+    base = [form(a) for a in lam.coords]
     for lo, hi, c in roots:
-        yield lo, hi, c, _levels(p, _terms_at(x, z, lo, hi, range(p, c, p)))
+        runs = _terms_at(x, lo, hi, range(p, c, p))
+        yield lo, hi, c, _levels(p, c, runs, partial(_placed, base, z, lo, hi, form))
 
 
-def _levels(p: int, runs):
-    """(level, valuation, sign, window) for every level of the runs of one
-    root, at step p."""
-    for level, count, sign, window, following in runs:
+def _levels(p: int, c: int, runs, put):
+    """(level, valuation, sign, put(*place)) for every level of the runs of
+    one root of pairing c, at step p, with None for put(*place) at a
+    singular level: across a run, A of the place rises by p and B falls by
+    p past c/2, and the other way before it (see _terms_at)."""
+    for level, count, sign, place in runs:
         if count == 1:
-            yield level, _valuation(p, level), sign, window
+            yield level, _valuation(p, level), sign, put(*place) if sign else None
             continue
-        windows = _stepped((), window, (), count, following)
-        for level, window in zip(range(level, level + count * p, p), windows):
-            yield level, _valuation(p, level), sign, window
+        i, a, j, b = place
+        step = p if 2 * level > c else -p
+        for level, valuation, a, b in zip(
+            range(level, level + count * p, p),
+            _valuations(p, level, count, p),
+            range(a, a + count * step, step),
+            range(b, b - count * step, -step),
+        ):
+            yield level, valuation, sign, put(i, a, j, b)
 
 
 def _valuation(p: int, level: int) -> int:
     """v_p(level) of a level, a multiple of p: 1 unless p^2 divides it."""
     return p_adic_valuation(p, level) if level % (p * p) == 0 else 1
-
-
-def _changed(lo: int, hi: int, d: int) -> range:
-    """The 0-based coordinates at which the image and dominant weight of a
-    term at the root alpha_{lo,hi} may differ from lam's."""
-    return range(max(lo - 2, 0), min(hi + 1, d))
 
 
 def _image_change(lo: int, hi: int, d: int) -> dict[int, int]:
@@ -459,32 +508,32 @@ def _trace(report: SumReport, term: str, weight: str, regular: str, singular: st
     and singular is the singular outcome; term is filled once per root and
     valuation from the named fields lo, hi, valuation and image, and then
     takes m, level, t, the image coordinates _image_change names, and the
-    outcome.  Image and dominant weight differ from lam only at _changed,
-    so each root's frame writes the rest once, and each of its levels only
-    its window.
+    outcome.  Each root's frame writes the image but for those coordinates
+    once; each regular term's dominant weight is the texts of lam's
+    coordinates with two slices moved one place and at most six new
+    coordinates written (_placed), joined once.
     """
     lam, p = report.lam, report.p
     coords, d = lam.coords, lam.rank
     written = [str(c) for c in coords]
-    for lo, hi, c, levels in _walk(lam, p, report.levi):
+    forms = {1: regular % (1, weight), -1: regular % (-1, weight)}
+    for lo, hi, c, levels in _walk(lam, p, report.levi, str):
         change = _image_change(lo, hi, d)
         slots = [(coords[i], k) for i, k in change.items()]
-        changed = _changed(lo, hi, d)
-        head, tail = written[: changed.start], written[changed.stop :]
-        image = head + ["%d" if i in change else written[i] for i in changed] + tail
+        image = list(written)
+        for i in change:
+            image[i] = "%d"
         fields = {"lo": lo, "hi": hi, "image": weight % ",".join(image)}
         # by valuation (at most 1 + log_p(TERM_LIMIT)), which the template
         # holds so that a form may place it anywhere among m, level and t
         templates = [None] * 64
-        dominant = weight % ",".join(head + ["%d"] * len(changed) + tail)
-        forms = {1: regular % (1, dominant), -1: regular % (-1, dominant)}
-        for level, valuation, sign, window in levels:
+        for level, valuation, sign, dominant in levels:
             template = templates[valuation]
             if template is None:
                 fields["valuation"] = valuation
                 template = templates[valuation] = term % fields
             t = c - level
-            outcome = forms[sign] % window if sign else singular
+            outcome = forms[sign] % ",".join(dominant) if sign else singular
             yield template % (level // p, level, t, *[b + k * t for b, k in slots], outcome)
 
 

@@ -20,7 +20,7 @@ from jansum.jantzen import (
 )
 from jansum.lattice import Root, Weight, rho
 from jansum.oracle import _dot_reflect, reference_jantzen
-from jansum.weyl import LeviDatum, SignedDominant, dot_orbit_oracle
+from jansum.weyl import LeviDatum, SignedDominant, dot_orbit_oracle, to_epsilon
 
 TEST_MATRIX = [(2, 3), (3, 3), (3, 4), (5, 5), (5, 7), (7, 6)]
 
@@ -420,19 +420,19 @@ class TestLongRuns:
     # sums whole and _walk spreads back into levels; the slow reference
     # normalizes every term on its own
     @staticmethod
-    def _record_runs(monkeypatch, windows=None) -> list:
+    def _record_runs(monkeypatch, places=None) -> list:
         """[(lo, hi, step, level, count, sign)] of every run _terms_at yields;
-        windows, if given, gets each run's (window, following) in turn."""
+        places, if given, gets each run's place (i, A, j, B) in turn."""
         import jansum.jantzen as jantzen_mod
 
         seen = []
         terms_at = jantzen_mod._terms_at
 
-        def recorded(x, z, lo, hi, levels):
-            for run in terms_at(x, z, lo, hi, levels):
+        def recorded(x, lo, hi, levels):
+            for run in terms_at(x, lo, hi, levels):
                 seen.append((lo, hi, levels.step, *run[:3]))
-                if windows is not None:
-                    windows.append(run[3:5])
+                if places is not None:
+                    places.append(run[3])
                 yield run
 
         monkeypatch.setattr(jantzen_mod, "_terms_at", recorded)
@@ -444,23 +444,33 @@ class TestLongRuns:
         terms, total = reference_jantzen(lam, p, levi)
         assert report.total.terms == total, (lam, p, levi)
         assert report.terms == terms, (lam, p, levi)
+        return terms
 
     def test_matches_slow_reference(self, monkeypatch):
-        windows = []
-        seen = self._record_runs(monkeypatch, windows)
+        places = []
+        seen = self._record_runs(monkeypatch, places)
         cases = _long_run_cases()
+        runs, neighbours = [], 0
         for lam, p, levi in cases:
-            self._check(lam, p, levi)
-        assert sum(1 for run in seen if run[4] >= 10) >= 1000
-        assert max(run[4] for run in seen) >= 100
+            seen.clear()
+            places.clear()
+            dominant = {
+                (term.root.lo, term.root.hi, term.level): term.outcome.dominant.coords
+                for term in self._check(lam, p, levi)
+                if term.outcome.sign
+            }
+            runs += seen
+            # where u and v are neighbours in the sorted block (i = j), the
+            # coordinate between them, 0-based i - 1, moves by twice the
+            # level step
+            for (lo, hi, step, level, count, _), place in zip(seen, places):
+                if count > 1 and place[0] == place[2]:
+                    first, second = dominant[lo, hi, level], dominant[lo, hi, level + step]
+                    assert abs(second[place[0] - 1] - first[place[0] - 1]) == 2 * step
+                    neighbours += 1
+        assert sum(1 for run in runs if run[4] >= 10) >= 1000
+        assert max(run[4] for run in runs) >= 100
         assert sum(1 for lam, p, levi in cases if not levi.is_full) >= 100
-        # where u and v are neighbours in the sorted block, the coordinate
-        # between them moves by twice the level step
-        neighbours = sum(
-            1
-            for (_, _, step, _, count, _), (window, following) in zip(seen, windows)
-            if count > 1 and any(abs(b - a) == 2 * step for a, b in zip(window, following))
-        )
         assert neighbours >= 500
 
     def test_u_and_v_pass_between_two_levels(self, monkeypatch):
@@ -514,6 +524,68 @@ class TestLongRuns:
         assert heavy >= 20
 
 
+def _placement_cases():
+    """Seeded (lam, p, levi) at ranks 2..8, over the full group and random
+    Levis, coordinates up to 3 or 9 on the Levi's simple roots and of
+    either sign off them."""
+    rng = random.Random(37)
+    cases = []
+    for k in range(240):
+        d = rng.randint(2, 8)
+        p = (2, 3, 5, 7)[k % 4]
+        if k % 3 == 0:
+            simples = set(range(1, d + 1))
+        else:
+            simples = {s for s in range(1, d + 1) if rng.random() < 0.7}
+        top = rng.choice((3, 9))
+        lam = Weight([rng.randint(0 if s in simples else -top, top) for s in range(1, d + 1)])
+        cases.append((lam, p, LeviDatum(d, simples)))
+    return cases
+
+
+class TestPlacement:
+    # a regular term's dominant weight is lam with two slices moved one
+    # place and at most six new coordinates put in, read off the places i
+    # <= j where the larger and the smaller moved value land
+    # (jantzen._placed); the rows, the terms and the trace all take it
+    @staticmethod
+    def _edges(x, levi, term) -> list[str]:
+        """The edges of the closed form that a regular term meets, its
+        places worked out here from x = epsilon(lam + rho)."""
+        d, lo, hi = levi.rank, term.root.lo, term.root.hi
+        u, v = x[hi] + term.level, x[lo - 1] - term.level
+        mid = x[lo:hi]
+        i = lo + sum(m > max(u, v) for m in mid)
+        j = lo + sum(m > min(u, v) for m in mid)
+        block = next(block for block in levi.blocks if lo in block)
+        edges = {
+            "lo = 1": lo == 1,
+            "hi = d": hi == d,
+            "i = lo": i == lo,
+            "j = hi": j == hi,
+            "i = j": i == j,
+            "block inside the rank": block[0] > 1 and block[-1] <= d,
+            "all six coordinates new": 1 < lo < i < j < hi < d,
+        }
+        return [edge for edge, met in edges.items() if met]
+
+    def test_rows_and_terms_match_the_reference(self):
+        cases = _placement_cases()
+        edges = Counter()
+        for lam, p, levi in cases:
+            report = jantzen_sum(lam, p, levi)
+            terms, total = reference_jantzen(lam, p, levi)
+            assert report.terms == terms, (lam, p, levi)
+            rows = sorted(((*mu.coords, k) for mu, k in total.items()), reverse=True)
+            assert report.rows == rows, (lam, p, levi)
+            x = to_epsilon(lam + rho(lam.rank))
+            for term in terms:
+                if term.outcome.sign:
+                    edges.update(self._edges(x, levi, term))
+        assert sum(1 for lam, p, levi in cases if not levi.is_full) >= 100
+        assert len(edges) == 7 and min(edges.values()) >= 100, edges
+
+
 class TestRows:
     # jantzen_sum keeps its total as rows (*coords, coeff), sorted once; a
     # dict would overwrite a repeated weight where rows would write it twice
@@ -560,8 +632,8 @@ class TestWorkCount:
         runs: Counter = Counter()
         terms_at = jantzen_mod._terms_at
 
-        def counted(x, z, lo, hi, progression):
-            for run in terms_at(x, z, lo, hi, progression):
+        def counted(x, lo, hi, progression):
+            for run in terms_at(x, lo, hi, progression):
                 levels[lo, hi] += run[1]  # the run's level count
                 runs[lo, hi] += 1
                 yield run
@@ -676,9 +748,9 @@ class TestHoles:
         visited = []
         terms_at = jantzen_mod._terms_at
 
-        def recorded(x, z, lo, hi, levels):
+        def recorded(x, lo, hi, levels):
             visited.append(x[lo - 1] - x[hi] - (hi - lo + 1))  # the root's holes
-            return terms_at(x, z, lo, hi, levels)
+            return terms_at(x, lo, hi, levels)
 
         monkeypatch.setattr(jantzen_mod, "_terms_at", recorded)
         for lam, levi in self._cases():
@@ -691,7 +763,7 @@ class TestHoles:
         skipped = 0
         for lam, levi in self._cases():
             expected = self._pairings(lam, 13, levi)
-            assert [(lo, hi, c) for lo, hi, c, _ in _walk(lam, 13, levi)] == expected
+            assert [(lo, hi, c) for lo, hi, c, _ in _walk(lam, 13, levi, int)] == expected
             skipped += sum(c - (hi - lo + 1) < 2 for lo, hi, c in expected)
         assert skipped > 0
 
