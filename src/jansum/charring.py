@@ -59,14 +59,14 @@ BASIS_MONOMIAL = "monomial"
 
 
 class FormalCharacter:
-    """Sparse integer combination of basis symbols.
+    """A checked, read-only view of a sparse integer combination of basis
+    symbols, with value equality.
 
-    No method changes a character once built: arithmetic returns a new one.
-    It is not frozen, though: terms is a plain dict, and a caller that
-    changes it, or reassigns an attribute, bypasses the constructor's checks.
-    Zero coefficients are never stored.  Arithmetic and equality insist on a
-    matching basis and Levi context; equality is exact and independent of
-    term insertion order.
+    No method changes a character once built.  It is not frozen, though:
+    terms is a plain dict, and a caller that changes it, or reassigns an
+    attribute, bypasses the constructor's checks.  Zero coefficients are
+    never stored.  Equality insists on a matching basis and Levi context;
+    it is exact and independent of term insertion order.
     """
 
     __slots__ = ("basis", "levi", "terms")
@@ -96,34 +96,11 @@ class FormalCharacter:
         self.levi = levi
         self.terms = kept
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _same_context(self, other: "FormalCharacter") -> None:
         if self.basis != other.basis:
             raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
         if self.levi != other.levi:
             raise ValueError(f"Levi mismatch: {self.levi!r} vs {other.levi!r}")
-
-    def __add__(self, other: "FormalCharacter") -> "FormalCharacter":
-        if not isinstance(other, FormalCharacter):
-            return NotImplemented
-        self._same_context(other)
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, 0) + coeff
-        return FormalCharacter(self.basis, self.levi, merged)
-
-    def __neg__(self) -> "FormalCharacter":
-        return FormalCharacter(
-            self.basis, self.levi, {k: -c for k, c in self.terms.items()}
-        )
-
-    def __sub__(self, other: "FormalCharacter") -> "FormalCharacter":
-        if not isinstance(other, FormalCharacter):
-            return NotImplemented
-        return self + (-other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalCharacter):
@@ -313,13 +290,6 @@ def _strips(shape: tuple[int, ...], cap: int, least: int, coeff: int, sums: list
                 found[above] = found.get(above, 0) + coeff
 
 
-def schur_sum_to_monomial(coeffs: Mapping[Partition, int], top: Partition) -> FormalCharacter:
-    """Expand sum of coeff * S_shape in the monomial basis: each mu below top
-    with sum of coeff * K(shape, mu), from the leaves of schur_sum_leaves.
-    Raises ValueError, before walking, if check_ideal_size refuses."""
-    return _monomial_character(schur_sum_leaves(coeffs, top))
-
-
 def schur_sum_leaves(coeffs: Mapping[Partition, int], top: Partition) -> list[tuple[str, int]]:
     """(key, coefficient) for each mu below top whose coefficient in sum of
     coeff * S_shape is not zero, in reverse-lexicographic order: the leaves
@@ -365,5 +335,7 @@ def coefficient_counts(dag: dict[tuple, tuple]) -> Counter:
 
 
 def schur_to_monomial(lam: Partition) -> FormalCharacter:
-    """Expand the Schur function of lam in the monomial basis via Kostka numbers."""
-    return schur_sum_to_monomial({lam: 1}, lam)
+    """The Schur function of lam in the monomial basis, each mu below lam with
+    the Kostka number K(lam, mu), from the leaves of schur_sum_leaves.
+    Raises ValueError, before walking, if check_ideal_size refuses."""
+    return _monomial_character(schur_sum_leaves({lam: 1}, lam))

@@ -155,7 +155,7 @@ def partitions_below(b: Partition) -> list[Partition]:
 
 
 # Largest dominance ideal a walk accepts.  It bounds the listing of terms
-# (partitions_below, schur_sum_to_monomial, the sides of an identity report
+# (partitions_below, schur_to_monomial, the sides of an identity report
 # that --json prints and the lists of a failing multiplicity family), which
 # grows with the ideal: with one listing of the walk, keyed by text, serving
 # both sides and each side written in pieces, identity --json peaks at

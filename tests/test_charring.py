@@ -17,11 +17,11 @@ from jansum.charring import (
     BASIS_MONOMIAL,
     BASIS_WEYL,
     FormalCharacter,
+    _monomial_character,
     coefficient_counts,
     kostka,
     schur_sum_dag,
     schur_sum_leaves,
-    schur_sum_to_monomial,
     schur_to_monomial,
 )
 from jansum.lattice import Partition, Weight, dominance_leq
@@ -36,35 +36,21 @@ def mono(parts_to_coeffs):
     )
 
 
-def scaled(ch, k):
-    return FormalCharacter(ch.basis, ch.levi, {key: k * c for key, c in ch.terms.items()})
-
-
 class TestFormalCharacter:
-    def test_add_inverse_is_zero(self):
-        x = mono({(2, 1): 1, (1, 1, 1): -3})
-        assert (x + (-x)).is_zero
-
-    def test_coefficients_accumulate(self):
-        s = mono({(2, 1): 1})
-        assert (s + s).terms[Partition((2, 1))] == 2
-
     def test_equality_ignores_insertion_order(self):
         a = mono({(3,): 1, (2, 1): 2})
         b = mono({(2, 1): 2, (3,): 1})
         assert a == b
 
     def test_zero_coefficients_dropped(self):
-        x = mono({(2,): 1}) - mono({(2,): 1})
-        assert x.terms == {}
-        assert x.is_zero
+        x = mono({(2,): 0, (1, 1): 1})
+        assert x.terms == {Partition((1, 1)): 1}
+        assert not mono({(2,): 0}).terms
 
     def test_basis_mismatch_raises(self):
         levi = LeviDatum.full(2)
         w = FormalCharacter(BASIS_WEYL, levi, {Weight((1, 0)): 1})
         m = mono({(2,): 1})
-        with pytest.raises(ValueError):
-            _ = w + m
         with pytest.raises(ValueError):
             _ = w == m
 
@@ -72,7 +58,7 @@ class TestFormalCharacter:
         a = FormalCharacter(BASIS_WEYL, LeviDatum.full(3), {Weight((1, 0, 0)): 1})
         b = FormalCharacter(BASIS_WEYL, LeviDatum(3, (2, 3)), {Weight((1, 0, 0)): 1})
         with pytest.raises(ValueError):
-            _ = a + b
+            _ = a == b
 
     def test_weyl_keys_must_be_levi_dominant(self):
         with pytest.raises(ValueError):
@@ -235,14 +221,16 @@ class TestSchurToMonomial:
     def test_signed_sum_is_linear(self):
         shapes = [Partition((3, 1, 1)), Partition((2, 2, 1)), Partition((2, 1, 1, 1))]
         coeffs = {shapes[0]: 2, shapes[1]: -1, shapes[2]: 3}
-        expected = mono({})
+        expected = {}
         for shape, c in coeffs.items():
-            expected = expected + scaled(schur_to_monomial(shape), c)
-        assert schur_sum_to_monomial(coeffs, Partition((3, 2))) == expected
+            for mu, k in schur_to_monomial(shape).terms.items():
+                expected[mu] = expected.get(mu, 0) + c * k
+        got = _monomial_character(schur_sum_leaves(coeffs, Partition((3, 2))))
+        assert got == FormalCharacter(BASIS_MONOMIAL, None, expected)
 
     def test_signed_sum_needs_a_dominating_top(self):
         with pytest.raises(ValueError):
-            schur_sum_to_monomial({Partition((3, 1)): 1}, Partition((2, 2)))
+            _monomial_character(schur_sum_leaves({Partition((3, 1)): 1}, Partition((2, 2))))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_coefficient_counts_match_the_expansion(self, seed):
@@ -251,7 +239,7 @@ class TestSchurToMonomial:
         top = rng.choice(list(brute_partitions(rng.randint(1, 10))))
         below = [t for t in brute_partitions(sum(top)) if prefix_leq(t, top)]
         coeffs = {Partition(t): rng.randint(-3, 3) for t in rng.sample(below, min(4, len(below)))}
-        terms = schur_sum_to_monomial(coeffs, Partition(top)).terms
+        terms = _monomial_character(schur_sum_leaves(coeffs, Partition(top))).terms
         expected = Counter(terms.get(Partition(t), 0) for t in below)
         assert coefficient_counts(schur_sum_dag(coeffs, Partition(top))) == expected
 
@@ -282,7 +270,7 @@ class TestSchurToMonomial:
         coeffs = {Partition(t): rng.randint(-3, 3) for t in rng.sample(below, min(4, len(below)))}
         expected = schur_sum_by_kostka(coeffs, top)
         assert coefficient_counts(schur_sum_dag(coeffs, top)) == Counter(expected.values())
-        terms = schur_sum_to_monomial(coeffs, top).terms
+        terms = _monomial_character(schur_sum_leaves(coeffs, top)).terms
         assert list(terms.items()) == [(mu, c) for mu, c in expected.items() if c]
 
     def test_partitions_of_one_coefficient_share_a_leaf(self):

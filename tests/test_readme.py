@@ -1,8 +1,8 @@
 """Every command line of the README runs, and prints what its comment shows;
 so does every commented print of its library example.  The README's export
 list names exactly the package's public names, and each exported function,
-and each public function and method of lattice and weyl, has a caller in
-the package outside the oracles."""
+and each public function, method and property of lattice, weyl and
+charring, has a caller in the package outside the oracles."""
 
 import ast
 import contextlib
@@ -107,11 +107,12 @@ def referenced_names() -> set[str]:
 
 def callables() -> dict[str, str]:
     """{shown name: name a caller reads} of every exported function, and of
-    every public function and non-dunder method defined in lattice or weyl."""
-    from jansum import lattice, weyl
+    every public function, non-dunder method and property defined in
+    lattice, weyl or charring."""
+    from jansum import charring, lattice, weyl
 
     out = {name: name for name, value in exports().items() if inspect.isfunction(value)}
-    for module in (lattice, weyl):
+    for module in (lattice, weyl, charring):
         for name, value in vars(module).items():
             if getattr(value, "__module__", None) != module.__name__:
                 continue
@@ -121,6 +122,8 @@ def callables() -> dict[str, str]:
                 for attr, member in vars(value).items():
                     if isinstance(member, (classmethod, staticmethod)):
                         member = member.__func__
+                    elif isinstance(member, property):
+                        member = member.fget
                     if inspect.isfunction(member) and not attr.startswith("__"):
                         out[f"{name}.{attr}"] = attr
     return out
