@@ -47,6 +47,30 @@ class TestFormalCharacter:
         assert x.terms == {Partition((1, 1)): 1}
         assert not mono({(2,): 0}).terms
 
+    def test_non_integer_coefficient_raises(self):
+        with pytest.raises(TypeError):
+            mono({(2,): 1.0})
+        with pytest.raises(TypeError):
+            mono({(2,): "1"})
+
+    def test_equality_is_by_value(self):
+        a = mono({(3,): 1, (2, 1): 2})
+        assert a != mono({(3,): 1, (2, 1): 3})
+        assert a != mono({(3,): 1})
+        assert a != {Partition((3,)): 1, Partition((2, 1)): 2}
+        assert repr(a) == "FormalCharacter(monomial, 2 terms)"
+
+    def test_is_a_read_only_view(self):
+        # a character is read, never combined: sums are folded from leaves
+        x = mono({(2, 1): 1})
+        with pytest.raises(TypeError):
+            _ = x + x
+        with pytest.raises(TypeError):
+            _ = x - x
+        with pytest.raises(TypeError):
+            _ = -x
+        assert not hasattr(x, "is_zero")
+
     def test_basis_mismatch_raises(self):
         levi = LeviDatum.full(2)
         w = FormalCharacter(BASIS_WEYL, levi, {Weight((1, 0)): 1})
