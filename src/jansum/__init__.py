@@ -9,12 +9,16 @@ m_mu over the partitions below (n-1, n-1, 1), or below (n-1, 1), against
 the alternating sum of the Schur functions of the shapes
 (n-1, n-1-i, 1^(i+1)), or of the hooks (n-1-i, 1^(i+1)).  Of the
 paper's named weights only the lambda_i of the Jantzen-sum telescope are
-built (lambda_sequence); its lambda_f for f > 0 concern line-bundle
-cohomology, which this package does not compute.  The names imported below
-are the public API.  Of the slow references that selftest checks the fast
-paths against, only dot_orbit_oracle is among them; the others, the
-Jantzen sum's (oracle.reference_jantzen) included, live in jansum.oracle,
-which only selftest, the tests and the benchmark's checks load.
+built (lambda_sequence); lifted to partitions by their suffix sums
+(to_epsilon), they are the first family's shapes at n = p, so the paper's
+f = 0 by-product is checked as both families at n = p
+(multiplicity_one_report).  The paper's lambda_f for f > 0 concern
+line-bundle cohomology, which this package does not compute.  The names
+imported below are the public API.  Of the slow references that selftest
+checks the fast paths against, only dot_orbit_oracle is among them; the
+others, the Jantzen sum's (oracle.reference_jantzen) included, live in
+jansum.oracle, which only selftest, the tests and the benchmark's checks
+load.
 """
 
 from .charring import (
@@ -41,14 +45,12 @@ from .jantzen import (
     verify_prop_char,
 )
 from .lattice import (
-    LiftError,
     Partition,
     Root,
     Weight,
     dominance_leq,
     partitions_below,
     rho,
-    weight_to_partition,
 )
 from .weyl import (
     LeviDatum,

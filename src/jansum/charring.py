@@ -27,9 +27,7 @@ walk's leaves, one per partition, each with its coefficient and keyed by
 the text of its partition's parts (lattice.ideal_leaves), which the
 writers write as it is.  The coefficient counts that decide an identity
 or a multiplicity-one family are one fold over its keys, of the number of
-paths from the root to each leaf.  A Weyl-basis character of the full
-group enters such a walk through the partitions of its keys
-(lattice.weight_to_partition).
+paths from the root to each leaf.
 
 A character that a library caller reads is built by FormalCharacter's
 constructor, which checks every key, from the form its computation made:

@@ -27,7 +27,7 @@ shapes (p-1, p-1-i, 1^(i+1)), so the alternating sum of their Schur
 functions, the head of the Jantzen-sum telescope, is multiplicity-free in
 monomials on the ideal below (p-1, p-1, 1); the second identity gives the
 same below (p-1, 1).  multiplicity_one_report checks each as one
-SupportCheck, the first built from the lifted sequence.
+SupportCheck of those shapes, built as an identity's is (_support).
 
 A verdict, on an identity or on such a family, expands neither side: it
 builds the memoized walk of the Schur sum over the ideal
@@ -39,9 +39,10 @@ the sum is the sum of m_mu over the ideal when every coefficient is 1
 first time they are read, with no strip peeled again, each keyed by the
 comma-joined text of its parts, which the walk grows from its parent's
 key (lattice.ideal_leaves); an IdentityReport carries its check, and both
-sides, and their difference, come from that one listing.  Its JSON writes
-both sides and the difference, and its text the difference, straight from
-the text keys, one % per term (serialize.monomial_json, monomial_text).
+sides, and the leaves of their difference, come from that one listing.
+Its JSON writes both sides and the difference, and its text the
+difference, straight from the text keys, one % per term
+(serialize.monomial_json, monomial_text).
 A Partition is built from a key only when a library caller reads a side,
 a character or a list of the check, and a side or a character from the
 leaves by charring._monomial_character, whose constructor checks each key.
@@ -57,8 +58,8 @@ from collections import namedtuple
 from functools import cached_property
 
 from .charring import FormalCharacter, _monomial_character, coefficient_counts, schur_sum_dag
-from .jantzen import _check_prime, is_prime, lambda_sequence
-from .lattice import Partition, check_ideal_size, ideal_leaves, text_partition, weight_to_partition
+from .jantzen import _check_prime, is_prime
+from .lattice import Partition, check_ideal_size, ideal_leaves, text_partition
 
 FIRST = "first"
 SECOND = "second"
@@ -67,9 +68,10 @@ SECOND = "second"
 class IdentityReport:
     """The verdict on one identity at n, read from the SupportCheck that
     gave it.  The right side is the check's character, the left side its
-    leaves each with coefficient 1, and the difference sum of (1 - c) * m_mu
-    over the leaves whose coefficient c is not 1: one listing serves all
-    three, and an EQUAL report's difference lists nothing."""
+    leaves each with coefficient 1, and the difference, sum of (1 - c) * m_mu
+    over the leaves whose coefficient c is not 1, is kept as those leaves
+    (diff_leaves): one listing serves all three, and an EQUAL report's
+    difference lists nothing."""
 
     def __init__(self, n: int, which: str, check: SupportCheck, prime: bool):
         self.n = n
@@ -95,10 +97,6 @@ class IdentityReport:
         """(text key, 1 - c) for each leaf whose coefficient c is not 1, in
         order: the difference as the writers write it."""
         return [(key, 1 - c) for key, c in self.check._broken]
-
-    @cached_property
-    def diff(self) -> FormalCharacter:
-        return _monomial_character(self.diff_leaves)
 
 
 def _alternating(shapes: list[Partition]) -> dict[Partition, int]:
@@ -221,25 +219,22 @@ def multiplicity_one_report(p: int, d: int) -> MultiplicityOneReport:
     """Check the f = 0 by-product: both alternating Schur sums are
     multiplicity-free dominance ideals in the monomial basis.
 
-    The alternating sum of the Schur functions of the lambda sequence's
-    weights, lifted to partitions, must expand to exactly the partitions
-    below (p-1, p-1, 1), all with coefficient 1; the alternating hook sum
-    must do the same below (p-1, 1).  Each family is one SupportCheck, as
-    an identity is.  Needs d >= 2p-2 so that the longest partition in the
-    first ideal still fits in d+1 rows; past that the answer does not
-    depend on d, so the sequence is built at the least rank admitted, and
-    only the report keeps d.  A huge ideal is refused before the lambda
-    sequence is built.
+    The alternating sum of the Schur functions of the shapes
+    (p-1, p-1-i, 1^(i+1)), the lambda sequence's weights lifted to
+    partitions, must expand to exactly the partitions below (p-1, p-1, 1),
+    all with coefficient 1; the alternating hook sum must do the same below
+    (p-1, 1).  Each family is the SupportCheck of the identity at n = p.
+    Needs d >= 3, the least rank of the lambda sequence, and d >= 2p-2 so that
+    the longest partition in the first ideal still fits in d+1 rows; past
+    that the answer does not depend on d, and only the report keeps it.
+    A huge ideal is refused before any shape is built.
     """
     _check_prime(p)
-    # d >= 2p-2 >= 4 for odd p; for p = 2, lambda_sequence refuses d < 3
-    if d < 2 * p - 2:
+    if d < max(2 * p - 2, 3):
         raise ValueError(
-            f"need d >= 2p-2 = {2 * p - 2}: partitions of {2 * p - 1} below "
-            f"{_first_top(p)} can have up to {2 * p - 1} parts"
+            f"need d >= 3 and d >= 2p-2 = {2 * p - 2}, got {d}: the lambda sequence "
+            f"starts at omega_3, and partitions of {2 * p - 1} below {_first_top(p)} "
+            f"can have up to {2 * p - 1} parts"
         )
     check_ideal_size(_first_top(p))
-    seq = lambda_sequence(p, min(d, max(2 * p - 2, 3)))
-    first = SupportCheck(_first_top(p), _alternating([weight_to_partition(w) for w in seq]))
-    second = _support(p, SECOND)
-    return MultiplicityOneReport(p=p, d=d, families=[first, second])
+    return MultiplicityOneReport(p=p, d=d, families=[_support(p, FIRST), _support(p, SECOND)])

@@ -158,8 +158,9 @@ class SumReport:
         its levels, each regular term's dominant weight as lam's
         coordinates with two slices moved one place and at most six new
         ones put in, _placed), and kept.  The written traces stream from _trace
-        instead; only perfbench/tracer.py (which counts terms) and the tests
-        read it.
+        instead; selftest's jantzen-vs-reference check reads it, to compare
+        it with the reference trace (oracle.reference_jantzen), and so do
+        perfbench/tracer.py (which counts terms) and the tests.
         """
         lam, p = self.lam, self.p
         coords, d = lam.coords, lam.rank
@@ -573,11 +574,6 @@ class PropCharCheck(namedtuple("PropCharCheck", "i levi passed tail report")):
     alternating tail, which it keeps as rows (*coords, coeff)."""
 
     __slots__ = ()
-
-    @property
-    def expected(self) -> FormalCharacter:
-        """The tail as a character, built from its rows on each read."""
-        return _weyl_character(self.levi, self.tail)
 
 
 class PropCharReport(namedtuple("PropCharReport", "p d checks")):

@@ -1,8 +1,8 @@
 """Partitions, dominance order, and the SL(d+1) weight lattice.
 
-Weights are stored in fundamental-weight coordinates.  Dominant weights are
-identified with partitions (their minimal nonnegative GL(d+1) lift) via
-suffix sums.
+Weights are stored in fundamental-weight coordinates.  A dominant weight is
+identified with a partition, its minimal nonnegative GL(d+1) lift, by the
+suffix sums of its coordinates (weyl.to_epsilon).
 """
 
 from __future__ import annotations
@@ -10,10 +10,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import accumulate
 from operator import le
-
-
-class LiftError(ValueError):
-    """A weight whose suffix sums go negative has no nonnegative GL lift."""
 
 
 class Partition:
@@ -71,9 +67,6 @@ class Weight:
     @property
     def rank(self) -> int:
         return len(self.coords)
-
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coords)
 
     def _same_rank(self, other: "Weight") -> None:
         if self.rank != other.rank:
@@ -165,8 +158,8 @@ def partitions_below(b: Partition) -> list[Partition]:
 # identities.conjecture_sweep, the one path to a verdict, checks it once,
 # at the largest n of its range, so a verdict is given exactly where its
 # terms can be listed; so does identities.multiplicity_one_report, before
-# it builds the lambda sequence: multiplicity is admitted up to
-# p = 23, where each of its two ideals is walked once, by a SupportCheck.
+# it builds any shape: multiplicity is admitted up to p = 23, where each
+# of its two ideals is walked once, by a SupportCheck.
 # n=150, about 4e10 partitions, is refused at once, and so is multiplicity
 # at p = 1009.
 IDEAL_LIMIT = 100_000
@@ -309,20 +302,6 @@ def _walked(parts: tuple[int, ...]) -> Partition:
 def text_partition(key: str) -> Partition:
     """The Partition of a text key of ideal_leaves."""
     return _walked(tuple(map(int, key.split(","))) if key else ())
-
-
-def weight_to_partition(w: Weight) -> Partition:
-    """Minimal nonnegative GL(d+1) lift of a dominant weight, as a partition.
-
-    The i-th entry is the suffix sum coords[i] + ... + coords[d]; the implied
-    (d+1)-th entry is 0 and trailing zeros are stripped.
-    """
-    suffix = list(accumulate(reversed(w.coords)))[::-1]
-    if any(s < 0 for s in suffix):
-        raise LiftError(f"{w} has no nonnegative lift (suffix sums {suffix})")
-    if not w.is_dominant():
-        raise ValueError(f"{w} is not dominant")
-    return Partition(suffix)
 
 
 def rho(d: int) -> Weight:

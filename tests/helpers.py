@@ -13,7 +13,13 @@ import random
 from functools import lru_cache
 from math import factorial
 
-from jansum.charring import BASIS_MONOMIAL, BASIS_WEYL, kostka
+from jansum.charring import (
+    BASIS_MONOMIAL,
+    BASIS_WEYL,
+    _monomial_character,
+    _weyl_character,
+    kostka,
+)
 from jansum.jantzen import JantzenTerm
 from jansum.lattice import Partition, Weight
 from jansum.weyl import LeviDatum
@@ -273,7 +279,7 @@ def identity_report_to_json(report) -> dict:
         "equal": report.equal,
         "lhs": character_to_json(report.lhs),
         "rhs": character_to_json(report.rhs),
-        "diff": character_to_json(report.diff),
+        "diff": character_to_json(_monomial_character(report.diff_leaves)),
     }
 
 
@@ -285,7 +291,7 @@ def prop_char_report_to_json(report) -> dict:
             "levi": check.levi.describe(),
             "passed": check.passed,
             "total": character_to_json(check.report.total),
-            "expected": character_to_json(check.expected),
+            "expected": character_to_json(_weyl_character(check.levi, check.tail)),
         }
         if not check.passed:
             entry["terms"] = [jantzen_term_to_json(t) for t in check.report.terms]

@@ -27,8 +27,9 @@ from jansum.identities import (
     verify_second_identity,
 )
 from jansum.jantzen import lambda_sequence
-from jansum.lattice import Partition, check_ideal_size, partitions_below, weight_to_partition
+from jansum.lattice import Partition, check_ideal_size, partitions_below
 from jansum.serialize import identity_report_json
+from jansum.weyl import to_epsilon
 
 FAMILIES = {
     "first": (lambda n: Partition((n - 1, n - 1, 1)), first_identity_shapes),
@@ -181,7 +182,7 @@ class TestOneVerdictPath:
 class TestNegativeControl:
     def test_dropping_one_term_breaks_equality(self):
         report = verify_first_identity(5)
-        assert report.equal and not report.diff.terms
+        assert report.equal and not _monomial_character(report.diff_leaves).terms
         shapes = first_identity_shapes(5)
         truncated = {}
         for i, shape in enumerate(shapes[:-1]):  # drop the last alternating term
@@ -202,14 +203,15 @@ class TestNegativeControl:
         )
         report = verify_second_identity(n)
         assert not report.equal
-        assert report.diff.terms == {Partition((1,) * n): coeff}
+        assert _monomial_character(report.diff_leaves).terms == {Partition((1,) * n): coeff}
         # each side against its own oracle: the ideal that partitions_below
         # lists, and Kostka numbers of the shapes left
         lhs = dict.fromkeys(partitions_below(report.check.target), 1)
         rhs = schur_sum_by_kostka(alternating(second_identity_shapes(n)[:-1]), report.check.target)
         assert report.lhs.terms == lhs
         assert report.rhs.terms == {mu: c for mu, c in rhs.items() if c}
-        assert report.diff.terms == {mu: lhs[mu] - rhs[mu] for mu in lhs if lhs[mu] != rhs[mu]}
+        diff = {mu: lhs[mu] - rhs[mu] for mu in lhs if lhs[mu] != rhs[mu]}
+        assert _monomial_character(report.diff_leaves).terms == diff
         code, out, _ = run_cli(["identity", "--n", str(n), "--which", "second"])
         assert code == 3
         assert out.splitlines()[1] == f"diff: {'-' if coeff < 0 else ''}m[{','.join('1' * n)}]"
@@ -394,7 +396,7 @@ class TestLazySides:
         real = identities.ideal_leaves
         monkeypatch.setattr(identities, "ideal_leaves", lambda *args: listed.append(1) or real(*args))
         assert len(report.lhs.terms) == len(report.rhs.terms) == partition_count(23, 11)
-        assert not report.diff.terms
+        assert not _monomial_character(report.diff_leaves).terms
         json.loads("".join(identity_report_json(report)))
         assert len(listed) == 1
 
@@ -405,7 +407,7 @@ class TestLazySides:
         leaves = schur_sum_leaves(alternating(second_identity_shapes(9)), report.check.target)
         assert rhs == _monomial_character(leaves)
         assert report.lhs.terms == dict.fromkeys(partitions_below(report.check.target), 1)
-        assert not report.diff.terms
+        assert not _monomial_character(report.diff_leaves).terms
 
 
 class TestMultiplicityOne:
@@ -452,6 +454,15 @@ class TestMultiplicityOne:
             assert verify_first_identity(p).equal
             assert multiplicity_one_report(p, d).passed
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+    def test_lifted_lambda_sequence_is_the_first_shapes(self, p):
+        # the paper's link that lets the by-product be checked on the first
+        # identity's shapes: the lambda_i, lifted by their suffix sums, are
+        # (p-1, p-1-i, 1^(i+1)), at the least rank admitted and past it
+        for d in (max(2 * p - 2, 3), 2 * p + 1):
+            lifted = [Partition(to_epsilon(w)) for w in lambda_sequence(p, d)]
+            assert lifted == first_identity_shapes(p), (p, d)
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_computed_at_the_least_rank_as_at_the_given_one(self, p):
         # past d = 2p-2 the answer does not depend on d, so it is computed at
@@ -463,7 +474,7 @@ class TestMultiplicityOne:
         for d in sorted({least, least + 1, 2 * p + 3, 13, 40}):
             report = multiplicity_one_report(p, d)
             assert report.d == d
-            lifted = alternating([weight_to_partition(w) for w in lambda_sequence(p, d)])
+            lifted = alternating([Partition(to_epsilon(w)) for w in lambda_sequence(p, d)])
             oracle = schur_sum_by_kostka(lifted, Partition((p - 1, p - 1, 1)))
             assert report.families[0].character.terms == {mu: c for mu, c in oracle.items() if c}
             text = run_cli(["multiplicity", "--p", str(p), "--d", str(d)])
@@ -473,7 +484,7 @@ class TestMultiplicityOne:
 
     def test_by_product_at_every_admitted_prime(self):
         # the f = 0 by-product at each prime whose ideal the guard admits, with
-        # d = 2p-2 (d = 3 at p = 2, the least that lambda_sequence takes)
+        # d = 2p-2 (d = 3 at p = 2, where the lambda sequence starts)
         started = time.perf_counter()
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
             code, out, _ = run_cli(["multiplicity", "--p", str(p), "--d", str(max(2 * p - 2, 3))])
@@ -506,7 +517,7 @@ class TestMultiplicityOne:
             return coeffs
 
         monkeypatch.setattr(identities, "_alternating", damaged)
-        lifted = damaged([weight_to_partition(w) for w in lambda_sequence(p, d)])
+        lifted = damaged([Partition(to_epsilon(w)) for w in lambda_sequence(p, d)])
         oracle = schur_sum_by_kostka(lifted, top)
         missing = [mu for mu, c in oracle.items() if not c]
         wrong = [(mu, c) for mu, c in oracle.items() if c not in (0, 1)]
@@ -540,7 +551,7 @@ class TestMultiplicityOne:
         assert (code, out) == (0, "below [2,2,1]: 3 terms PASS\nbelow [2,1]: 2 terms PASS\n")
 
     def test_huge_ideal_refused_at_once(self):
-        # refused before the lambda sequence at rank 2016 is built
+        # refused before any shape of either family is built
         started = time.perf_counter()
         code, out, err = run_cli(["multiplicity", "--p", "1009", "--d", "2016"])
         assert time.perf_counter() - started < 2

@@ -6,7 +6,6 @@ from helpers import brute_partitions, coroot_sum, omega_sum, prefix_leq, random_
 from jansum import charring, lattice
 from jansum.jantzen import lambda_sequence
 from jansum.lattice import (
-    LiftError,
     Partition,
     Root,
     Weight,
@@ -14,7 +13,6 @@ from jansum.lattice import (
     dominance_leq,
     partitions_below,
     rho,
-    weight_to_partition,
 )
 from jansum.weyl import to_epsilon
 
@@ -71,10 +69,6 @@ class TestWeight:
     def test_rejects_non_integers(self):
         with pytest.raises(TypeError):
             Weight((1.0, 2))
-
-    def test_dominance_flag(self):
-        assert Weight((0, 3)).is_dominant()
-        assert not Weight((0, -1)).is_dominant()
 
 
 class TestPairing:
@@ -306,24 +300,23 @@ class TestIdealGuard:
 
 
 class TestWeightPartitionConversion:
+    # the minimal nonnegative lift of a dominant weight is the partition of
+    # its epsilon coordinates, the suffix sums of its own
     def test_lambda0_lift(self):
-        assert weight_to_partition(lambda_sequence(3, 4)[0]) == Partition((2, 2, 1))
+        assert Partition(to_epsilon(lambda_sequence(3, 4)[0])) == Partition((2, 2, 1))
 
     def test_lambda2_lift(self):
-        assert weight_to_partition(lambda_sequence(5, 5)[2]) == Partition((4, 2, 1, 1, 1))
+        assert Partition(to_epsilon(lambda_sequence(5, 5)[2])) == Partition((4, 2, 1, 1, 1))
 
     def test_rho_lift(self):
-        assert weight_to_partition(rho(2)) == Partition((2, 1))
+        assert Partition(to_epsilon(rho(2))) == Partition((2, 1))
 
     def test_not_dominant_rejected(self):
-        # suffix sums are all nonnegative here, so this probes the
-        # dominance check rather than the lift check
-        with pytest.raises(ValueError):
-            weight_to_partition(Weight((0, 2, -1, 1)))
-
-    def test_negative_suffix_is_lift_error(self):
-        with pytest.raises(LiftError):
-            weight_to_partition(Weight((0, -1)))
+        # the suffix sums of the first are all nonnegative but not weakly
+        # decreasing, those of the second negative: neither is a partition
+        for coords in [(0, 2, -1, 1), (0, -1)]:
+            with pytest.raises(ValueError):
+                Partition(to_epsilon(Weight(coords)))
 
     def test_lambda_i_identification(self):
         # minimal lift of lambda_i is (p-1, p-1-i, 1^(i+1))
@@ -331,7 +324,7 @@ class TestWeightPartitionConversion:
             d = max(3, 2 * p - 2)
             for i in range(min(d, p) - 1):
                 expected = Partition([p - 1, p - 1 - i] + [1] * (i + 1))
-                assert weight_to_partition(lambda_sequence(p, d)[i]) == expected
+                assert Partition(to_epsilon(lambda_sequence(p, d)[i])) == expected
 
     def test_round_trip(self):
         rng = random.Random(7)
@@ -340,7 +333,7 @@ class TestWeightPartitionConversion:
             parts = sorted((rng.randint(1, 6) for _ in range(rng.randint(0, d))), reverse=True)
             padded = parts + [0] * (d + 1 - len(parts))
             w = Weight(padded[i] - padded[i + 1] for i in range(d))
-            assert weight_to_partition(w) == Partition(parts)
+            assert Partition(to_epsilon(w)) == Partition(parts)
 
 
 class TestNamedWeights:

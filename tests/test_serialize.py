@@ -27,6 +27,7 @@ from jansum.charring import (
     BASIS_MONOMIAL,
     BASIS_WEYL,
     FormalCharacter,
+    _monomial_character,
     schur_sum_leaves,
     schur_to_monomial,
 )
@@ -515,7 +516,7 @@ class TestPieces:
         assert "".join(pieces) == oracle_text(identity_report_to_json(report))
         assert max(terms_per_piece(pieces)) <= K
         line = "n=10 first DIFFER (composite, conjecture instance)"
-        diff = character_to_text(report.diff)
+        diff = character_to_text(_monomial_character(report.diff_leaves))
         assert run_cli(["identity", "--n", "10", "--which", "first"]) == (3, f"{line}\ndiff: {diff}\n", "")
 
     def test_failing_prop_char_check(self):
