@@ -46,7 +46,6 @@ from .jantzen import (
 )
 from .lattice import (
     Partition,
-    Root,
     Weight,
     dominance_leq,
     partitions_below,

@@ -119,12 +119,10 @@ def _prop_char_text(report, args):
 
 def _multiplicity_text(report, args):
     for family in report.families:
-        status = "PASS" if family.passed else "FAIL"
+        status = "PASS" if family.equal else "FAIL"
         yield f"below {family.target}: {family.term_count} terms {status}\n"
-        for mu in family.missing:
-            yield f"  missing {mu}\n"
-        for mu, coeff in family.wrong_multiplicity:
-            yield f"  coefficient {coeff} at {mu}\n"
+        yield from (f"  missing [{key}]\n" for key, c in family.broken if not c)
+        yield from (f"  coefficient {c} at [{key}]\n" for key, c in family.broken if c)
 
 
 # ---------------------------------------------------------------------------

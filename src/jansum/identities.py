@@ -26,26 +26,26 @@ the lambda sequence: its weights lambda_i, lifted to partitions, are the
 shapes (p-1, p-1-i, 1^(i+1)), so the alternating sum of their Schur
 functions, the head of the Jantzen-sum telescope, is multiplicity-free in
 monomials on the ideal below (p-1, p-1, 1); the second identity gives the
-same below (p-1, 1).  multiplicity_one_report checks each as one
-SupportCheck of those shapes, built as an identity's is (_support).
+same below (p-1, 1).  multiplicity_one_report's two families are the
+IdentityReports of both identities at n = p.
 
-A verdict, on an identity or on such a family, expands neither side: it
-builds the memoized walk of the Schur sum over the ideal
+A verdict, on an identity or on such a family, expands neither side: an
+IdentityReport builds the memoized walk of the Schur sum over the ideal
 (charring.schur_sum_dag), each state stepped once for all its part sizes,
 and counts how often each coefficient occurs at its leaves by folding the
 number of paths from the root to each (charring.coefficient_counts), and
-the sum is the sum of m_mu over the ideal when every coefficient is 1
-(SupportCheck).  The check keeps that walk and lists its leaves once, the
-first time they are read, with no strip peeled again, each keyed by the
-comma-joined text of its parts, which the walk grows from its parent's
-key (lattice.ideal_leaves); an IdentityReport carries its check, and both
-sides, and the leaves of their difference, come from that one listing.
+the sum is the sum of m_mu over the ideal when every coefficient is 1.
+The report keeps that walk and lists its leaves once, the first time they
+are read, with no strip peeled again, each keyed by the comma-joined text
+of its parts, which the walk grows from its parent's key
+(lattice.ideal_leaves); both sides, the leaves whose coefficient is not 1
+(broken) and the leaves of the difference come from that one listing.
 Its JSON writes both sides and the difference, and its text the
 difference, straight from the text keys, one % per term
-(serialize.monomial_json, monomial_text).
-A Partition is built from a key only when a library caller reads a side,
-a character or a list of the check, and a side or a character from the
-leaves by charring._monomial_character, whose constructor checks each key.
+(serialize.monomial_json, monomial_text), and the multiplicity writers
+write each broken leaf's key in brackets.  A Partition is built from a key
+only when a library caller reads a side, by
+charring._monomial_character, whose constructor checks each key.
 
 Every identity verdict comes from conjecture_sweep, which checks its range
 and its largest ideal once; verify_first_identity and verify_second_identity
@@ -59,44 +59,66 @@ from functools import cached_property
 
 from .charring import FormalCharacter, _monomial_character, coefficient_counts, schur_sum_dag
 from .jantzen import _check_prime, is_prime
-from .lattice import Partition, check_ideal_size, ideal_leaves, text_partition
+from .lattice import Partition, check_ideal_size, ideal_leaves
 
 FIRST = "first"
 SECOND = "second"
 
 
 class IdentityReport:
-    """The verdict on one identity at n, read from the SupportCheck that
-    gave it.  The right side is the check's character, the left side its
-    leaves each with coefficient 1, and the difference, sum of (1 - c) * m_mu
-    over the leaves whose coefficient c is not 1, is kept as those leaves
-    (diff_leaves): one listing serves all three, and an EQUAL report's
-    difference lists nothing."""
+    """The verdict on one identity at n: whether the alternating sum of the
+    Schur functions of its shapes is the sum of m_mu over the dominance
+    ideal below target.  One walk (charring.schur_sum_dag) decides it, and
+    it holds exactly when every leaf coefficient is 1
+    (charring.coefficient_counts), whose fold also gives `term_count`, the
+    nonzero ones.  The walk refuses a shape not below the target, and
+    S_shape has m_mu only for mu <= shape, so no term falls outside the
+    ideal.  The walk's leaves are listed once, in reverse-lexicographic
+    order, as (text key, coefficient) pairs (lattice.ideal_leaves), the
+    first time a side or a failure view is read: the right side is their
+    character, the left side the same leaves each with coefficient 1,
+    `broken` the (key, c) leaves with c != 1, and the difference, sum of
+    (1 - c) * m_mu over those, is kept as `diff_leaves`.  An EQUAL report
+    finds no broken leaf without listing.  The arguments are not checked
+    here: conjecture_sweep and multiplicity_one_report check them."""
 
-    def __init__(self, n: int, which: str, check: SupportCheck, prime: bool):
+    def __init__(self, n: int, which: str):
+        top, shapes = _family(which)
         self.n = n
         self.which = which
-        self.check = check
-        self.equal = check.passed
-        self.prime = prime
+        self.prime = is_prime(n)
+        self.target = top(n)
+        self.dag = schur_sum_dag(_alternating(shapes(n)), self.target)
+        counts = coefficient_counts(self.dag)
+        self.equal = counts.keys() == {1}
+        self.term_count = sum(k for c, k in counts.items() if c)
 
     @property
     def label(self) -> str:
         return "theorem" if self.prime else "conjecture instance"
 
     @cached_property
+    def leaves(self) -> list[tuple[str, int]]:
+        return ideal_leaves(self.dag)
+
+    @cached_property
     def lhs(self) -> FormalCharacter:
-        return _monomial_character((key, 1) for key, _ in self.check.leaves)
+        return _monomial_character((key, 1) for key, _ in self.leaves)
 
     @cached_property
     def rhs(self) -> FormalCharacter:
-        return self.check.character
+        return _monomial_character(self.leaves)
+
+    @cached_property
+    def broken(self) -> list[tuple[str, int]]:
+        """(text key, c) for each leaf whose coefficient c is not 1, in order."""
+        return [] if self.equal else [(key, c) for key, c in self.leaves if c != 1]
 
     @cached_property
     def diff_leaves(self) -> list[tuple[str, int]]:
-        """(text key, 1 - c) for each leaf whose coefficient c is not 1, in
-        order: the difference as the writers write it."""
-        return [(key, 1 - c) for key, c in self.check._broken]
+        """(text key, 1 - c) for each broken leaf: the difference as the
+        writers write it."""
+        return [(key, 1 - c) for key, c in self.broken]
 
 
 def _alternating(shapes: list[Partition]) -> dict[Partition, int]:
@@ -130,12 +152,6 @@ def _family(which: str) -> tuple:
     raise ValueError(f"which must be {FIRST!r} or {SECOND!r}, got {which!r}")
 
 
-def _support(n: int, which: str) -> SupportCheck:
-    """The SupportCheck of one family's right side at n, unchecked."""
-    top, shapes = _family(which)
-    return SupportCheck(top(n), _alternating(shapes(n)))
-
-
 def conjecture_sweep(n_min: int, n_max: int, which: str):
     """Run one identity over a range of n; reports only, never asserts.
 
@@ -149,8 +165,7 @@ def conjecture_sweep(n_min: int, n_max: int, which: str):
     if not 2 <= n_min <= n_max:
         raise ValueError(f"need 2 <= n_min <= n_max, got ({n_min}, {n_max})")
     check_ideal_size(top(n_max))
-    return (IdentityReport(n, which, _support(n, which), is_prime(n))
-            for n in range(n_min, n_max + 1))
+    return (IdentityReport(n, which) for n in range(n_min, n_max + 1))
 
 
 def verify_first_identity(n: int) -> IdentityReport:
@@ -163,56 +178,15 @@ def verify_second_identity(n: int) -> IdentityReport:
     return next(conjecture_sweep(n, n, SECOND))
 
 
-class SupportCheck:
-    """Whether sum of coeff * S_shape is the sum of m_mu over the dominance
-    ideal below target: one walk (charring.schur_sum_dag), and it is exactly
-    when every leaf coefficient is 1 (charring.coefficient_counts), whose
-    fold also gives `term_count`, the nonzero ones.  The walk refuses a
-    shape not below the target, and S_shape has m_mu only for mu <= shape,
-    so no term falls outside the ideal.  The walk's leaves are listed once,
-    in reverse-lexicographic order, as (text key, coefficient) pairs
-    (lattice.ideal_leaves), the first time the character or the leaves whose
-    coefficient is not 1 are read; a check that passes finds none of the
-    latter without listing.  `character`, `missing` and
-    `wrong_multiplicity` build the Partitions of their keys when read.
-    """
-
-    def __init__(self, target: Partition, coeffs: dict[Partition, int]):
-        self.target = target
-        self.dag = schur_sum_dag(coeffs, target)
-        counts = coefficient_counts(self.dag)
-        self.passed = counts.keys() == {1}
-        self.term_count = sum(k for c, k in counts.items() if c)
-
-    @cached_property
-    def leaves(self) -> list[tuple[str, int]]:
-        return ideal_leaves(self.dag)
-
-    @cached_property
-    def character(self) -> FormalCharacter:
-        return _monomial_character(self.leaves)
-
-    @cached_property
-    def _broken(self) -> list[tuple[str, int]]:
-        return [] if self.passed else [(key, c) for key, c in self.leaves if c != 1]
-
-    @cached_property
-    def missing(self) -> list[Partition]:
-        return [text_partition(key) for key, c in self._broken if not c]
-
-    @cached_property
-    def wrong_multiplicity(self) -> list[tuple[Partition, int]]:
-        return [(text_partition(key), c) for key, c in self._broken if c]
-
-
 class MultiplicityOneReport(namedtuple("MultiplicityOneReport", "p d families")):
-    """The two SupportChecks of the f = 0 by-product at p and d."""
+    """The f = 0 by-product at p and d: its families are the
+    IdentityReports of the first and second identities at n = p."""
 
     __slots__ = ()
 
     @property
     def passed(self) -> bool:
-        return all(f.passed for f in self.families)
+        return all(f.equal for f in self.families)
 
 
 def multiplicity_one_report(p: int, d: int) -> MultiplicityOneReport:
@@ -223,7 +197,7 @@ def multiplicity_one_report(p: int, d: int) -> MultiplicityOneReport:
     (p-1, p-1-i, 1^(i+1)), the lambda sequence's weights lifted to
     partitions, must expand to exactly the partitions below (p-1, p-1, 1),
     all with coefficient 1; the alternating hook sum must do the same below
-    (p-1, 1).  Each family is the SupportCheck of the identity at n = p.
+    (p-1, 1).  Each family is the IdentityReport of the identity at n = p.
     Needs d >= 3, the least rank of the lambda sequence, and d >= 2p-2 so that
     the longest partition in the first ideal still fits in d+1 rows; past
     that the answer does not depend on d, and only the report keeps it.
@@ -237,4 +211,4 @@ def multiplicity_one_report(p: int, d: int) -> MultiplicityOneReport:
             f"can have up to {2 * p - 1} parts"
         )
     check_ideal_size(_first_top(p))
-    return MultiplicityOneReport(p=p, d=d, families=[_support(p, FIRST), _support(p, SECOND)])
+    return MultiplicityOneReport(p, d, [IdentityReport(p, which) for which in (FIRST, SECOND)])

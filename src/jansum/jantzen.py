@@ -46,7 +46,7 @@ from itertools import repeat
 from operator import sub
 
 from .charring import FormalCharacter, _weyl_character
-from .lattice import Root, Weight, rho
+from .lattice import Weight, rho
 from .weyl import LeviDatum, SignedDominant, to_epsilon
 
 
@@ -128,10 +128,11 @@ def p_adic_valuation(p: int, x: int) -> int:
 
 class JantzenTerm(namedtuple("JantzenTerm", "root m level t valuation image outcome")):
     """One (root, m) contribution, kept even when singular for traceability:
-    level is m * p, the reflection level; t is (lam+rho, root^vee) - level,
-    as the reflection drops t copies of the root; valuation is v_p(level),
-    at least 1; image is the reflected weight, before normalization, and
-    outcome its SignedDominant."""
+    root is the pair (lo, hi) of alpha_{lo,hi}; level is m * p, the
+    reflection level; t is (lam+rho, root^vee) - level, as the reflection
+    drops t copies of the root; valuation is v_p(level), at least 1; image
+    is the reflected weight, before normalization, and outcome its
+    SignedDominant."""
 
     __slots__ = ()
 
@@ -167,7 +168,7 @@ class SumReport:
         singular = SignedDominant.singular()
         terms = []
         for lo, hi, c, levels in _walk(lam, p, self.levi, int):
-            root, change = Root(lo, hi), _image_change(lo, hi, d)
+            root, change = (lo, hi), _image_change(lo, hi, d)
             for level, valuation, sign, dominant in levels:
                 t = c - level
                 image = list(coords)

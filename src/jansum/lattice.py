@@ -93,32 +93,6 @@ class Weight:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-class Root:
-    """The positive root alpha_{lo,hi} = alpha_lo + ... + alpha_hi of type A."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: int, hi: int):
-        if not (isinstance(lo, int) and isinstance(hi, int)):
-            raise TypeError(f"root indices must be integers: ({lo}, {hi})")
-        if not 1 <= lo <= hi:
-            raise ValueError(f"need 1 <= lo <= hi, got ({lo}, {hi})")
-        self.lo = lo
-        self.hi = hi
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Root) and (self.lo, self.hi) == (other.lo, other.hi)
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
-
-    def __repr__(self) -> str:
-        return f"Root({self.lo},{self.hi})"
-
-    def __str__(self) -> str:
-        return f"a[{self.lo},{self.hi}]"
-
-
 def dominance_leq(a: Partition, b: Partition) -> bool:
     """True iff a <= b in the dominance order (prefix sums; equal sizes only).
 
@@ -159,7 +133,7 @@ def partitions_below(b: Partition) -> list[Partition]:
 # at the largest n of its range, so a verdict is given exactly where its
 # terms can be listed; so does identities.multiplicity_one_report, before
 # it builds any shape: multiplicity is admitted up to p = 23, where each
-# of its two ideals is walked once, by a SupportCheck.
+# of its two ideals is walked once, by the IdentityReport of its family.
 # n=150, about 4e10 partitions, is refused at once, and so is multiplicity
 # at p = 1009.
 IDEAL_LIMIT = 100_000

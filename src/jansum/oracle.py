@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from itertools import combinations_with_replacement
 
 from .jantzen import JantzenTerm, p_adic_valuation
-from .lattice import Partition, Root, Weight, rho
+from .lattice import Partition, Weight, rho
 from .weyl import LeviDatum, dot_normalize, from_epsilon, to_epsilon
 
 # a specialization point: one integer per variable
@@ -174,7 +174,7 @@ def reference_jantzen(lam: Weight, p: int, levi: LeviDatum) -> tuple[tuple[Jantz
     terms, total = [], Counter()
     for lo, hi in combinations_with_replacement(range(1, d + 1), 2):  # lo <= hi
         if all(s in levi.simples for s in range(lo, hi + 1)):  # alpha_{lo,hi} is the Levi's
-            c, root = x[lo - 1] - x[hi], Root(lo, hi)  # c = (lam + rho, root^vee)
+            c, root = x[lo - 1] - x[hi], (lo, hi)  # c = (lam + rho, root^vee)
             for level in range(p, c, p):
                 image = _dot_reflect(lam, lo, hi, level)
                 outcome, v = dot_normalize(image, levi), p_adic_valuation(p, level)

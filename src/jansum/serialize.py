@@ -162,22 +162,21 @@ def sum_report_json(report, trace: bool = False):
 
 
 def identity_report_json(report):
-    """Both sides and the difference from the leaves of the report's check,
-    which come in reverse-lexicographic order keyed by the text of their
-    parts, through monomial_json: the left side has every leaf with
+    """Both sides and the difference from the report's leaves, which come
+    in reverse-lexicographic order keyed by the text of their parts,
+    through monomial_json: the left side has every leaf with
     coefficient 1, written into pieces that are kept until the right side
     is written, and the right side the nonzero leaves with theirs, so an
     EQUAL report's right side is those pieces, and any other's is written
     from the leaves."""
-    check = report.check
-    lhs = list(monomial_json((key, 1) for key, _ in check.leaves))
+    lhs = list(monomial_json((key, 1) for key, _ in report.leaves))
     yield (
         f'{{"n":{report.n},"which":"{report.which}","prime":{_bool(report.prime)},'
         f'"label":"{report.label}","equal":{_bool(report.equal)},"lhs":'
     )
     yield from lhs
     yield ',"rhs":'
-    yield from lhs if report.equal else monomial_json(filter(itemgetter(1), check.leaves))
+    yield from lhs if report.equal else monomial_json(filter(itemgetter(1), report.leaves))
     yield ',"diff":'
     yield from monomial_json(report.diff_leaves)
     yield "}"
@@ -208,12 +207,11 @@ def prop_char_report_json(report):
 def multiplicity_report_json(report):
     families = []
     for fam in report.families:
-        wrong = ",".join(f"[{partition_json(m)},{c}]" for m, c in fam.wrong_multiplicity)
+        missing = ",".join(f"[{key}]" for key, c in fam.broken if not c)
+        wrong = ",".join(f"[[{key}],{c}]" for key, c in fam.broken if c)
         families.append(
-            f'{{"target":{partition_json(fam.target)},"passed":{_bool(fam.passed)},'
-            f'"missing":[{",".join(map(partition_json, fam.missing))}],'
-            '"unexpected":[],'
-            f'"wrong_multiplicity":[{wrong}]}}'
+            f'{{"target":{partition_json(fam.target)},"passed":{_bool(fam.equal)},'
+            f'"missing":[{missing}],"unexpected":[],"wrong_multiplicity":[{wrong}]}}'
         )
     yield (
         f'{{"p":{report.p},"d":{report.d},"passed":{_bool(report.passed)},'

@@ -21,7 +21,7 @@ from jansum.charring import (
     kostka,
 )
 from jansum.jantzen import JantzenTerm
-from jansum.lattice import Partition, Weight
+from jansum.lattice import Partition, Weight, text_partition
 from jansum.weyl import LeviDatum
 
 
@@ -177,8 +177,9 @@ def jantzen_term_text(term: JantzenTerm) -> str:
         result = "singular"
     else:
         result = f"{term.outcome.sign:+d}·{term.outcome.dominant}"
+    lo, hi = term.root
     return (
-        f"{term.root} m={term.m} level={term.level} v={term.valuation} "
+        f"a[{lo},{hi}] m={term.m} level={term.level} v={term.valuation} "
         f"t={term.t} image={term.image} -> {result}"
     )
 
@@ -248,7 +249,7 @@ def character_to_json(ch) -> dict:
 
 def jantzen_term_to_json(term: JantzenTerm) -> dict:
     return {
-        "root": [term.root.lo, term.root.hi],
+        "root": list(term.root),
         "m": term.m,
         "level": term.level,
         "t": term.t,
@@ -305,11 +306,11 @@ def multiplicity_report_to_json(report) -> dict:
         families.append(
             {
                 "target": partition_to_json(fam.target),
-                "passed": fam.passed,
-                "missing": [partition_to_json(m) for m in fam.missing],
+                "passed": fam.equal,
+                "missing": [partition_to_json(text_partition(k)) for k, c in fam.broken if not c],
                 "unexpected": [],
                 "wrong_multiplicity": [
-                    [partition_to_json(m), c] for m, c in fam.wrong_multiplicity
+                    [partition_to_json(text_partition(k)), c] for k, c in fam.broken if c
                 ],
             }
         )

@@ -63,7 +63,7 @@ def test_criterion_4_case_analysis_shadow():
                     if term.outcome.is_singular:
                         continue
                     sign = 1 if (term.t - 1) % 2 == 0 else -1
-                    ok = ok and term.root.lo == 2 and term.m == 1
+                    ok = ok and term.root[0] == 2 and term.m == 1
                     ok = ok and i + term.t < len(seq)
                     ok = ok and term.outcome == SignedDominant(sign, seq[i + term.t])
                     if not ok:

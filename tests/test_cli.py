@@ -61,8 +61,8 @@ class TestIdentityCommand:
 
         real = identities.IdentityReport
 
-        def broken(n, which, check, prime):
-            report = real(n, which, check, prime)
+        def broken(n, which):
+            report = real(n, which)
             report.equal = False
             report.diff_leaves = [(str(n), 1)]
             return report
@@ -169,7 +169,7 @@ class TestSweepCommand:
         # every earlier report must be in stdout when the last n starts
         from jansum import identities
 
-        real = identities._support
+        real = identities.IdentityReport
         printed_before_last = []
 
         def spy(n, which):
@@ -177,7 +177,7 @@ class TestSweepCommand:
                 printed_before_last.append(sys.stdout.getvalue())
             return real(n, which)
 
-        monkeypatch.setattr("jansum.identities._support", spy)
+        monkeypatch.setattr("jansum.identities.IdentityReport", spy)
         argv = ["sweep", "2", "6", "--which", "second", "--jobs", "1"]
         code, out, _ = run_cli(argv + ["--jsonl"] if jsonl else argv)
         assert code == 0

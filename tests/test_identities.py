@@ -41,6 +41,26 @@ def alternating(shapes):
     return {shape: (-1) ** i for i, shape in enumerate(shapes)}
 
 
+def damage_first_family(monkeypatch, p, damage):
+    """Patch identities._alternating so that the first family at p, the
+    one whose first shape is the ideal's top, drops its last shape or
+    doubles its middle one; returns the patched function."""
+    top, real = Partition((p - 1, p - 1, 1)), identities._alternating
+
+    def damaged(shapes):
+        coeffs = real(shapes)
+        if shapes[0] == top:
+            keys = list(coeffs)
+            if damage == "drop the last":
+                del coeffs[keys[-1]]
+            else:
+                coeffs[keys[len(keys) // 2]] *= 2
+        return coeffs
+
+    monkeypatch.setattr(identities, "_alternating", damaged)
+    return damaged
+
+
 class TestShapes:
     def test_first_family(self):
         assert [s.parts for s in first_identity_shapes(3)] == [(2, 2, 1), (2, 1, 1, 1)]
@@ -206,8 +226,8 @@ class TestNegativeControl:
         assert _monomial_character(report.diff_leaves).terms == {Partition((1,) * n): coeff}
         # each side against its own oracle: the ideal that partitions_below
         # lists, and Kostka numbers of the shapes left
-        lhs = dict.fromkeys(partitions_below(report.check.target), 1)
-        rhs = schur_sum_by_kostka(alternating(second_identity_shapes(n)[:-1]), report.check.target)
+        lhs = dict.fromkeys(partitions_below(report.target), 1)
+        rhs = schur_sum_by_kostka(alternating(second_identity_shapes(n)[:-1]), report.target)
         assert report.lhs.terms == lhs
         assert report.rhs.terms == {mu: c for mu, c in rhs.items() if c}
         diff = {mu: lhs[mu] - rhs[mu] for mu in lhs if lhs[mu] != rhs[mu]}
@@ -349,7 +369,7 @@ class TestWorkCounts:
         runs = []
         real = charring._strips
         monkeypatch.setattr(charring, "_strips", lambda *args: runs.append(args) or real(*args))
-        dags = [report.check.dag for report in reports()]
+        dags = [report.dag for report in reports()]
         return len(runs), sum(map(len, dags)), dags
 
     def test_second_sweep_to_30(self, monkeypatch):
@@ -404,9 +424,9 @@ class TestLazySides:
         report = verify_second_identity(9)
         rhs = report.rhs
         assert report.rhs is rhs
-        leaves = schur_sum_leaves(alternating(second_identity_shapes(9)), report.check.target)
+        leaves = schur_sum_leaves(alternating(second_identity_shapes(9)), report.target)
         assert rhs == _monomial_character(leaves)
-        assert report.lhs.terms == dict.fromkeys(partitions_below(report.check.target), 1)
+        assert report.lhs.terms == dict.fromkeys(partitions_below(report.target), 1)
         assert not _monomial_character(report.diff_leaves).terms
 
 
@@ -416,26 +436,26 @@ class TestMultiplicityOne:
         assert report.passed
         first, second = report.families
         assert first.target == Partition((2, 2, 1))
-        assert set(first.character.terms) == set(partitions_below(Partition((2, 2, 1))))
-        assert all(c == 1 for c in first.character.terms.values())
+        assert set(first.rhs.terms) == set(partitions_below(Partition((2, 2, 1))))
+        assert all(c == 1 for c in first.rhs.terms.values())
         assert second.target == Partition((2, 1))
 
     def test_p2_d3(self):
         report = multiplicity_one_report(2, 3)
         assert report.passed
         first, second = report.families
-        assert first.character.terms == {Partition((1, 1, 1)): 1}
-        assert second.character.terms == {Partition((1, 1)): 1}
+        assert first.rhs.terms == {Partition((1, 1, 1)): 1}
+        assert second.rhs.terms == {Partition((1, 1)): 1}
 
     def test_p5_d8(self):
         report = multiplicity_one_report(5, 8)
         assert report.passed
         first, _ = report.families
-        assert set(first.character.terms) == set(partitions_below(Partition((4, 4, 1))))
+        assert set(first.rhs.terms) == set(partitions_below(Partition((4, 4, 1))))
 
     def test_builds_no_character_and_no_tail(self, monkeypatch):
         # the first family's coefficients are the lifted lambda sequence's
-        # signs, read straight into its SupportCheck
+        # signs, read straight into its IdentityReport
         import jansum.jantzen as jantzen_mod
 
         def refuse(*args, **kwargs):
@@ -446,7 +466,7 @@ class TestMultiplicityOne:
         for p in (2, 3, 5, 7, 11):
             report = multiplicity_one_report(p, 2 * p + 1)
             assert report.passed
-            assert [(f.missing, f.wrong_multiplicity) for f in report.families] == [([], [])] * 2
+            assert [f.broken for f in report.families] == [[], []]
 
     def test_equivalence_with_first_identity(self):
         # same computation read two ways, for prime n
@@ -476,7 +496,7 @@ class TestMultiplicityOne:
             assert report.d == d
             lifted = alternating([Partition(to_epsilon(w)) for w in lambda_sequence(p, d)])
             oracle = schur_sum_by_kostka(lifted, Partition((p - 1, p - 1, 1)))
-            assert report.families[0].character.terms == {mu: c for mu, c in oracle.items() if c}
+            assert report.families[0].rhs.terms == {mu: c for mu, c in oracle.items() if c}
             text = run_cli(["multiplicity", "--p", str(p), "--d", str(d)])
             code, out, _ = run_cli(["multiplicity", "--p", str(p), "--d", str(d), "--json"])
             outputs.add((text, code, out.replace(f'"d":{d},', '"d":D,')))
@@ -504,19 +524,7 @@ class TestMultiplicityOne:
         # in reverse-lex order.  Only the first family's coefficients, whose
         # first shape is the ideal's top, are damaged
         d, top = 2 * p - 2, Partition((p - 1, p - 1, 1))
-        real = identities._alternating
-
-        def damaged(shapes):
-            coeffs = real(shapes)
-            if shapes[0] == top:
-                keys = list(coeffs)
-                if damage == "drop the last":
-                    del coeffs[keys[-1]]
-                else:
-                    coeffs[keys[len(keys) // 2]] *= 2
-            return coeffs
-
-        monkeypatch.setattr(identities, "_alternating", damaged)
+        damaged = damage_first_family(monkeypatch, p, damage)
         lifted = damaged([Partition(to_epsilon(w)) for w in lambda_sequence(p, d)])
         oracle = schur_sum_by_kostka(lifted, top)
         missing = [mu for mu, c in oracle.items() if not c]
@@ -524,8 +532,9 @@ class TestMultiplicityOne:
         assert missing or wrong
 
         family = multiplicity_one_report(p, d).families[0]
-        assert not family.passed
-        assert (family.missing, family.wrong_multiplicity) == (missing, wrong)
+        assert not family.equal
+        keys = {mu: ",".join(map(str, mu.parts)) for mu in oracle}
+        assert family.broken == [(keys[mu], c) for mu, c in oracle.items() if c != 1]
         code, out, _ = run_cli(["multiplicity", "--p", str(p), "--d", str(d)])
         assert code == 3
         assert out.splitlines() == [
@@ -543,6 +552,26 @@ class TestMultiplicityOne:
             "unexpected": [],
             "wrong_multiplicity": [[list(mu.parts), c] for mu, c in wrong],
         }
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("damage", ["drop the last", "double one"])
+    def test_one_failure_view_feeds_both_commands(self, monkeypatch, p, damage):
+        # the first family at p is the first identity at n = p, so with its
+        # coefficients damaged the identity command's difference and the
+        # multiplicity command's lists must name the same leaves: each key
+        # of the difference is a missing key (c = 0) or a wrong one, with
+        # difference 1 - c, and no other key is listed
+        damage_first_family(monkeypatch, p, damage)
+        code, out, _ = run_cli(["identity", "--n", str(p), "--which", "first", "--json"])
+        assert code == 3
+        diff = {tuple(t["key"]): int(t["coeff"]) for t in json.loads(out)["diff"]["terms"]}
+        code, out, _ = run_cli(["multiplicity", "--p", str(p), "--d", str(2 * p - 2), "--json"])
+        assert code == 3
+        family = json.loads(out)["families"][0]
+        coeffs = dict.fromkeys(map(tuple, family["missing"]), 0)
+        coeffs.update((tuple(mu), c) for mu, c in family["wrong_multiplicity"])
+        assert len(coeffs) == len(family["missing"]) + len(family["wrong_multiplicity"])
+        assert diff and diff == {mu: 1 - c for mu, c in coeffs.items()}
 
     def test_huge_d_at_once(self):
         started = time.perf_counter()

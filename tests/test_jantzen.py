@@ -18,7 +18,7 @@ from jansum.jantzen import (
     p_adic_valuation,
     verify_prop_char,
 )
-from jansum.lattice import Root, Weight, rho
+from jansum.lattice import Weight, rho
 from jansum.oracle import _dot_reflect, reference_jantzen
 from jansum.weyl import LeviDatum, SignedDominant, dot_orbit_oracle, to_epsilon
 
@@ -70,7 +70,7 @@ class TestJantzenSum:
         assert report.total == FormalCharacter(BASIS_WEYL, LeviDatum.full(2), {Weight((0, 1)): 1})
         nonsingular = [t for t in report.terms if not t.outcome.is_singular]
         assert len(nonsingular) == 1
-        assert nonsingular[0].root == Root(1, 1)
+        assert nonsingular[0].root == (1, 1)
         assert nonsingular[0].level == 2
 
     def test_small_weight_gives_empty_sum(self):
@@ -102,7 +102,7 @@ class TestJantzenSum:
         assert report.terms
         shifted = report.lam + rho(3)
         for term in report.terms:
-            c = coroot_sum(shifted.coords, term.root.lo, term.root.hi)
+            c = coroot_sum(shifted.coords, *term.root)
             assert 0 < term.level < c
             assert term.level == term.m * report.p
             assert term.t == c - term.level >= 1
@@ -117,7 +117,7 @@ class TestJantzenSum:
             report = jantzen_sum(lam, rng.choice([2, 3, 5]), LeviDatum.full(d))
             shifted = (lam + rho(d)).coords
             for term in report.terms:
-                lo, hi = term.root.lo, term.root.hi
+                lo, hi = term.root
                 assert coroot_sum((term.image + rho(d)).coords, lo, hi) == (
                     2 * term.level - coroot_sum(shifted, lo, hi)
                 )
@@ -188,7 +188,7 @@ class TestJantzenSum:
                 (t.root, t.m): (t.valuation, t.image) for t in full_report.terms
             }
             for term in sub_report.terms:
-                assert all(j in sub.simples for j in range(term.root.lo, term.root.hi + 1))
+                assert all(j in sub.simples for j in range(term.root[0], term.root[1] + 1))
                 assert full_index[(term.root, term.m)] == (term.valuation, term.image)
 
 
@@ -455,7 +455,7 @@ class TestLongRuns:
             seen.clear()
             places.clear()
             dominant = {
-                (term.root.lo, term.root.hi, term.level): term.outcome.dominant.coords
+                (*term.root, term.level): term.outcome.dominant.coords
                 for term in self._check(lam, p, levi)
                 if term.outcome.sign
             }
@@ -552,7 +552,7 @@ class TestPlacement:
     def _edges(x, levi, term) -> list[str]:
         """The edges of the closed form that a regular term meets, its
         places worked out here from x = epsilon(lam + rho)."""
-        d, lo, hi = levi.rank, term.root.lo, term.root.hi
+        d, (lo, hi) = levi.rank, term.root
         u, v = x[hi] + term.level, x[lo - 1] - term.level
         mid = x[lo:hi]
         i = lo + sum(m > max(u, v) for m in mid)
@@ -1050,7 +1050,7 @@ class TestVerifyPropChar:
                 for term in jantzen_sum(lam, p, levi).terms:
                     if term.outcome.is_singular:
                         continue
-                    assert term.root.lo == 2
+                    assert term.root[0] == 2
                     assert term.m == 1
                     assert i + term.t < len(seq)
                     expected = SignedDominant(

@@ -7,7 +7,6 @@ from jansum import charring, lattice
 from jansum.jantzen import lambda_sequence
 from jansum.lattice import (
     Partition,
-    Root,
     Weight,
     check_ideal_size,
     dominance_leq,
@@ -96,10 +95,6 @@ class TestPairing:
     def test_root_out_of_range(self):
         with pytest.raises(ValueError):
             coroot_sum(rho(3).coords, 2, 4)
-        with pytest.raises(ValueError):
-            Root(0, 1)
-        with pytest.raises(ValueError):
-            Root(3, 2)
 
     def test_linearity(self):
         rng = random.Random(101)

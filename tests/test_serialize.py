@@ -31,8 +31,8 @@ from jansum.charring import (
     schur_sum_leaves,
     schur_to_monomial,
 )
+from jansum import identities
 from jansum.identities import (
-    SupportCheck,
     first_identity_shapes,
     multiplicity_one_report,
     second_identity_shapes,
@@ -325,8 +325,8 @@ class TestWritersMatchTheOracle:
         text = "".join(identity_report_json(report))
         assert text == oracle_text(identity_report_to_json(report))
         parsed = json.loads(text)
-        assert len(parsed["lhs"]["terms"]) == len(report.check.leaves)
-        assert len(parsed["rhs"]["terms"]) == len(report.check.leaves) - zeros
+        assert len(parsed["lhs"]["terms"]) == len(report.leaves)
+        assert len(parsed["rhs"]["terms"]) == len(report.leaves) - zeros
 
     def test_prop_char_reports_passing_and_failing(self):
         for p, d in ((2, 3), (3, 4), (5, 5)):
@@ -338,14 +338,16 @@ class TestWritersMatchTheOracle:
             for r in (report, failing):
                 assert "".join(prop_char_report_json(r)) == oracle_text(prop_char_report_to_json(r))
 
-    def test_multiplicity_reports(self):
+    def test_multiplicity_reports(self, monkeypatch):
         report = multiplicity_one_report(3, 4)
-        # S_221 - 2 S_2111 = m_221 + 0 m_2111 - 3 m_11111
-        family = SupportCheck(Partition((2, 2, 1)), {Partition((2, 2, 1)): 1, Partition((2, 1, 1, 1)): -2})
-        assert (family.missing, family.wrong_multiplicity) == (
-            [Partition((2, 1, 1, 1))], [(Partition((1, 1, 1, 1, 1)), -3)]
-        )
-        failing = report._replace(families=[family, report.families[1]])
+        # the first family as S_221 - 2 S_2111 = m_221 + 0 m_2111 - 3 m_11111
+        real = identities._alternating
+        monkeypatch.setattr(identities, "_alternating", lambda shapes: (
+            dict(zip(shapes, (1, -2))) if shapes[0] == Partition((2, 2, 1)) else real(shapes)
+        ))
+        failing = multiplicity_one_report(3, 4)
+        assert failing.families[0].broken == [("2,1,1,1", 0), ("1,1,1,1,1", -3)]
+        assert failing.families[1].equal
         for r in (report, failing):
             assert "".join(multiplicity_report_json(r)) == oracle_text(multiplicity_report_to_json(r))
 
@@ -384,7 +386,7 @@ class TestWritersOfLeavesAndRows:
         for n in range(2, n_max + 1):
             report = verify(n)
             coeffs = {shape: (-1) ** i for i, shape in enumerate(real(n)[:-1])}
-            sums = schur_sum_by_kostka(coeffs, report.check.target)
+            sums = schur_sum_by_kostka(coeffs, report.target)
             diff = FormalCharacter(BASIS_MONOMIAL, None, {mu: 1 - c for mu, c in sums.items()})
             assert diff.terms
             text = "".join(monomial_text(report.diff_leaves))
@@ -509,7 +511,7 @@ class TestPieces:
         real = first_identity_shapes
         monkeypatch.setattr("jansum.identities.first_identity_shapes", lambda n: real(n)[:-1])
         report = verify_first_identity(10)
-        leaves = report.check.leaves
+        leaves = report.leaves
         assert not report.equal and len(leaves) > 2 * K
         assert len(report.rhs.terms) == len(leaves) - 22 > 2 * K
         pieces = list(identity_report_json(report))
@@ -557,7 +559,7 @@ class TestWriterMemory:
         # the right side of `identity --n 40 --which second`, 1.7 MB as
         # JSON and 1.1 MB as text: each monomial writer holds a piece at a
         # time (about 40 KB traced)
-        leaves = verify_second_identity(40).check.leaves
+        leaves = verify_second_identity(40).leaves
         assert len(leaves) == 37337  # listed before tracing
         for writer in (monomial_json, monomial_text):
             assert traced_peak(writer(leaves)) < 500_000
@@ -577,5 +579,5 @@ class TestWriterMemory:
         # leaves (1.9 MB peak); with a key list and two joined sides the
         # writer peaked at 9.3 MB
         report = verify_second_identity(40)
-        assert len(report.check.leaves) == 37337  # listed before tracing
+        assert len(report.leaves) == 37337  # listed before tracing
         assert traced_peak(identity_report_json(report)) < 2_500_000
