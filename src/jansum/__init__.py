@@ -13,21 +13,17 @@ built (lambda_sequence); lifted to partitions by their suffix sums
 (to_epsilon), they are the first family's shapes at n = p, so the paper's
 f = 0 by-product is checked as both families at n = p
 (multiplicity_one_report).  The paper's lambda_f for f > 0 concern
-line-bundle cohomology, which this package does not compute.  The names
-imported below are the public API.  Of the slow references that selftest
-checks the fast paths against, only dot_orbit_oracle is among them; the
-others, the Jantzen sum's (oracle.reference_jantzen) included, live in
-jansum.oracle, which only selftest, the tests and the benchmark's checks
-load.
+line-bundle cohomology, which this package does not compute.  A Weyl
+character, a Jantzen total (SumReport.rows) or a prop-char tail, is
+sorted rows (*coords, coeff); FormalCharacter is the checked view of a
+monomial character, keyed by partition.  The names imported below are
+the public API.  Of the slow references that selftest checks the fast
+paths against, only dot_orbit_oracle is among them; the others, the
+Jantzen sum's (oracle.reference_jantzen) included, live in jansum.oracle,
+which only selftest, the tests and the benchmark's checks load.
 """
 
-from .charring import (
-    BASIS_MONOMIAL,
-    BASIS_WEYL,
-    FormalCharacter,
-    kostka,
-    schur_to_monomial,
-)
+from .charring import FormalCharacter, kostka, schur_to_monomial
 from .identities import (
     IdentityReport,
     MultiplicityOneReport,

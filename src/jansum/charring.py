@@ -1,16 +1,16 @@
-"""The formal character ring: sparse integer sums of basis symbols.
+"""Symmetric functions in the monomial basis: Kostka numbers and Schur sums.
 
-Two bases are supported.  The Weyl basis is keyed by Levi-dominant weights
-(one symbol per Weyl module of the Levi); the monomial basis is keyed by
-partitions (one symbol per orbit sum of monomial symmetric functions, i.e.
-the GL picture with unboundedly many variables).  A signed sum of Schur
-functions, S_lambda = sum over mu of K(lambda, mu) * m_mu, is expanded by
-one memoized walk of the dominance ideal below a top shape (schur_sum_dag),
-which peels a horizontal strip for each part.  Inside a walk's state,
-and inside kostka's, a shape is held by its runs (_runs): the flat tuple
-(v1, m1, v2, m2, ...) of its distinct parts, largest first, each with how
-often it occurs, so the shapes (p-1, p-1-i, 1^(i+1)) and the hooks of the
-identities are short tuples however many rows they have; shapes are
+A character here is a sparse integer sum of monomial symmetric functions
+m_mu, keyed by partitions (the GL picture with unboundedly many variables);
+a character in the Weyl basis, a Jantzen total or tail, is sorted rows
+(*coords, coeff) in jansum.jantzen and is never built here.  A signed sum
+of Schur functions, S_lambda = sum over mu of K(lambda, mu) * m_mu, is
+expanded by one memoized walk of the dominance ideal below a top shape
+(schur_sum_dag), which peels a horizontal strip for each part.  Inside a
+walk's state, and inside kostka's, a shape is held by its runs (_runs): the
+flat tuple (v1, m1, v2, m2, ...) of its distinct parts, largest first, each
+with how often it occurs, so the shapes (p-1, p-1-i, 1^(i+1)) and the hooks
+of the identities are short tuples however many rows they have; shapes are
 converted only where they enter (schur_sum_dag's root state, kostka's
 start) and where kostka reads hook lengths (_standard_count).  One
 enumerator (_strips) finds the strips of a shape for every size up to a
@@ -30,9 +30,8 @@ or a multiplicity-one family are one fold over its keys, of the number of
 paths from the root to each leaf.
 
 A character that a library caller reads is built by FormalCharacter's
-constructor, which checks every key, from the form its computation made:
-a walk's text leaves (_monomial_character) or a Jantzen sum's sorted rows
-(_weyl_character).
+constructor, which checks every key, from a walk's text leaves
+(_monomial_character).
 """
 
 from __future__ import annotations
@@ -43,81 +42,51 @@ from operator import itemgetter
 
 from .lattice import (
     Partition,
-    Weight,
     check_ideal_size,
     dominance_leq,
     ideal_dag,
     ideal_leaves,
     text_partition,
 )
-from .weyl import LeviDatum
-
-BASIS_WEYL = "weyl"
-BASIS_MONOMIAL = "monomial"
 
 
 class FormalCharacter:
-    """A checked, read-only view of a sparse integer combination of basis
-    symbols, with value equality.
+    """A checked, read-only view of a sparse integer combination of
+    monomial symmetric functions m_mu, keyed by partition, with value
+    equality.
 
     No method changes a character once built.  It is not frozen, though:
-    terms is a plain dict, and a caller that changes it, or reassigns an
-    attribute, bypasses the constructor's checks.  Zero coefficients are
-    never stored.  Equality insists on a matching basis and Levi context;
-    it is exact and independent of term insertion order.
+    terms is a plain dict, and a caller that changes it, or reassigns it,
+    bypasses the constructor's checks.  Zero coefficients are never
+    stored.  Equality is exact and independent of term insertion order.
     """
 
-    __slots__ = ("basis", "levi", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, basis: str, levi: LeviDatum | None, terms: Mapping):
-        if basis == BASIS_WEYL:
-            if levi is None:
-                raise ValueError("Weyl-basis characters need a Levi context")
-        elif basis == BASIS_MONOMIAL:
-            if levi is not None:
-                raise ValueError("monomial-basis characters carry no Levi context")
-        else:
-            raise ValueError(f"unknown basis {basis!r}")
+    def __init__(self, terms: Mapping):
         kept = {}
         for key, coeff in terms.items():
             if not isinstance(coeff, int):
                 raise TypeError(f"coefficient for {key} is not an integer: {coeff!r}")
             if coeff == 0:
                 continue
-            if basis == BASIS_WEYL:
-                if not isinstance(key, Weight) or not levi.is_dominant(key):
-                    raise ValueError(f"{key!r} is not a dominant weight for {levi!r}")
-            elif not isinstance(key, Partition):
+            if not isinstance(key, Partition):
                 raise ValueError(f"{key!r} is not a partition")
             kept[key] = coeff
-        self.basis = basis
-        self.levi = levi
         self.terms = kept
-
-    def _same_context(self, other: "FormalCharacter") -> None:
-        if self.basis != other.basis:
-            raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
-        if self.levi != other.levi:
-            raise ValueError(f"Levi mismatch: {self.levi!r} vs {other.levi!r}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalCharacter):
             return NotImplemented
-        self._same_context(other)
         return self.terms == other.terms
 
     def __repr__(self) -> str:
-        return f"FormalCharacter({self.basis}, {len(self.terms)} terms)"
+        return f"FormalCharacter({len(self.terms)} terms)"
 
 
 def _monomial_character(leaves) -> FormalCharacter:
     """The monomial character of a walk's (text key, coeff) leaves."""
-    return FormalCharacter(BASIS_MONOMIAL, None, {text_partition(k): c for k, c in leaves})
-
-
-def _weyl_character(levi: LeviDatum, rows) -> FormalCharacter:
-    """The character in the Weyl basis of the Levi of rows (*coords, coeff)."""
-    return FormalCharacter(BASIS_WEYL, levi, {Weight(r[:-1]): r[-1] for r in rows})
+    return FormalCharacter({text_partition(k): c for k, c in leaves})
 
 
 def kostka(shape: Partition, content: Partition) -> int:

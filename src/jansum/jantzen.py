@@ -27,10 +27,9 @@ whole into rows of coordinates and coefficient, and sorts them once
 (jantzen_sum), skipping every root whose block has fewer than two holes
 for the two moved values to land on.  The telescope's tails, each the one
 that a sum along the lambda sequence must equal, are sorted rows too,
-built once for both Levis (_tails); a FormalCharacter is built from rows
-(charring._weyl_character) only when a library caller reads one.  The
-trace of every term, singular ones included, comes from _walk, one frame
-per root holding that root's levels, each run spread back into its
+built once for both Levis (_tails): a Weyl character has no other form.
+The trace of every term, singular ones included, comes from _walk, one
+frame per root holding that root's levels, each run spread back into its
 levels, each regular term's dominant weight placed into lambda's
 coordinate texts or ints: _trace writes it as text, one term at a time,
 for serialize's text and JSON traces, and SumReport.terms builds its
@@ -45,7 +44,6 @@ from functools import cached_property, partial
 from itertools import repeat
 from operator import sub
 
-from .charring import FormalCharacter, _weyl_character
 from .lattice import Weight, rho
 from .weyl import LeviDatum, SignedDominant, to_epsilon
 
@@ -138,18 +136,14 @@ class JantzenTerm(namedtuple("JantzenTerm", "root m level t valuation image outc
 
 
 class SumReport:
-    """Evaluation record of one Jantzen sum: the total, as the rows of
-    jantzen_sum and as a FormalCharacter on demand, and the trace on demand."""
+    """Evaluation record of one Jantzen sum: the total, as the sorted rows
+    (*coords, coeff) of jantzen_sum, and the trace on demand."""
 
     def __init__(self, lam: Weight, p: int, levi: LeviDatum, rows: list[tuple[int, ...]]):
         self.lam = lam
         self.p = p
         self.levi = levi
         self.rows = rows
-
-    @cached_property
-    def total(self) -> FormalCharacter:
-        return _weyl_character(self.levi, self.rows)
 
     @cached_property
     def terms(self) -> tuple[JantzenTerm, ...]:

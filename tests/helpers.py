@@ -13,13 +13,7 @@ import random
 from functools import lru_cache
 from math import factorial
 
-from jansum.charring import (
-    BASIS_MONOMIAL,
-    BASIS_WEYL,
-    _monomial_character,
-    _weyl_character,
-    kostka,
-)
+from jansum.charring import FormalCharacter, _monomial_character, kostka
 from jansum.jantzen import JantzenTerm
 from jansum.lattice import Partition, Weight, text_partition
 from jansum.weyl import LeviDatum
@@ -205,25 +199,34 @@ def signed_dominant_to_json(sd) -> dict:
     return {"sign": sd.sign, "dominant": weight_to_json(sd.dominant)}
 
 
-def sorted_terms(ch) -> list:
-    """A character's (key, coeff) pairs in reverse-lexicographic key order,
-    sorted here by a key function, apart from the writers' own listing."""
-    if ch.basis == BASIS_MONOMIAL:
-        return sorted(ch.terms.items(), key=lambda item: list(item[0].parts), reverse=True)
-    return sorted(ch.terms.items(), key=lambda item: list(item[0].coords), reverse=True)
+def row_terms(rows) -> dict:
+    """{Weight: coeff} of a Weyl character's rows (*coords, coeff)."""
+    return {Weight(row[:-1]): row[-1] for row in rows}
 
 
-def character_to_text(ch) -> str:
-    """The text form of a character, term by term from its rules: "0" for
-    zero; each key through its own str after "m" or "χ", with "|c|·" in
-    front when |c| >= 2; the first monomial term signed "" or "-" and the
-    others "+ " or "- "; every Weyl term "+" or "-"."""
+def sorted_terms(character) -> list:
+    """(key, coeff) pairs in reverse-lexicographic key order, sorted here by
+    a key function, apart from the writers' own listing: of a monomial
+    FormalCharacter, keyed by Partition, or of a Weyl character given as
+    (levi, rows), keyed by Weight."""
+    if isinstance(character, FormalCharacter):
+        return sorted(character.terms.items(), key=lambda item: list(item[0].parts), reverse=True)
+    return sorted(row_terms(character[1]).items(), key=lambda item: list(item[0].coords), reverse=True)
+
+
+def character_to_text(character) -> str:
+    """The text form of a monomial FormalCharacter or a Weyl (levi, rows),
+    term by term from its rules: "0" for zero; each key through its own str
+    after "m" or "χ", with "|c|·" in front when |c| >= 2; the first
+    monomial term signed "" or "-" and the others "+ " or "- "; every Weyl
+    term "+" or "-"."""
+    monomial = isinstance(character, FormalCharacter)
     pieces = []
-    for key, coeff in sorted_terms(ch):
-        body = ("m" if ch.basis == BASIS_MONOMIAL else "χ") + str(key)
+    for key, coeff in sorted_terms(character):
+        body = ("m" if monomial else "χ") + str(key)
         if abs(coeff) != 1:
             body = f"{abs(coeff)}·{body}"
-        if ch.basis == BASIS_WEYL:
+        if not monomial:
             sign = "+" if coeff > 0 else "-"
         elif not pieces:
             sign = "" if coeff > 0 else "-"
@@ -233,18 +236,19 @@ def character_to_text(ch) -> str:
     return " ".join(pieces) if pieces else "0"
 
 
-def character_to_json(ch) -> dict:
-    if ch.basis == BASIS_MONOMIAL:
+def character_to_json(character) -> dict:
+    """The JSON form of a monomial FormalCharacter or a Weyl (levi, rows)."""
+    if isinstance(character, FormalCharacter):
         terms = [
             {"key": partition_to_json(key), "coeff": str(coeff)}
-            for key, coeff in sorted_terms(ch)
+            for key, coeff in sorted_terms(character)
         ]
-        return {"basis": BASIS_MONOMIAL, "terms": terms}
+        return {"basis": "monomial", "terms": terms}
     terms = [
         {"key": weight_to_json(key), "coeff": str(coeff)}
-        for key, coeff in sorted_terms(ch)
+        for key, coeff in sorted_terms(character)
     ]
-    return {"basis": BASIS_WEYL, "levi": levi_to_json(ch.levi), "terms": terms}
+    return {"basis": "weyl", "levi": levi_to_json(character[0]), "terms": terms}
 
 
 def jantzen_term_to_json(term: JantzenTerm) -> dict:
@@ -264,7 +268,7 @@ def sum_report_to_json(report, include_terms: bool = False) -> dict:
         "lambda": weight_to_json(report.lam),
         "p": report.p,
         "levi": levi_to_json(report.levi),
-        "total": character_to_json(report.total),
+        "total": character_to_json((report.levi, report.rows)),
     }
     if include_terms:
         out["terms"] = [jantzen_term_to_json(t) for t in report.terms]
@@ -291,8 +295,8 @@ def prop_char_report_to_json(report) -> dict:
             "i": check.i,
             "levi": check.levi.describe(),
             "passed": check.passed,
-            "total": character_to_json(check.report.total),
-            "expected": character_to_json(_weyl_character(check.levi, check.tail)),
+            "total": character_to_json((check.levi, check.report.rows)),
+            "expected": character_to_json((check.levi, check.tail)),
         }
         if not check.passed:
             entry["terms"] = [jantzen_term_to_json(t) for t in check.report.terms]

@@ -14,8 +14,6 @@ from helpers import (
 )
 from jansum import charring
 from jansum.charring import (
-    BASIS_MONOMIAL,
-    BASIS_WEYL,
     FormalCharacter,
     _monomial_character,
     coefficient_counts,
@@ -27,13 +25,10 @@ from jansum.charring import (
 from jansum.lattice import Partition, Weight, dominance_leq
 from jansum.oracle import enumerate_ssyt
 from jansum.serialize import monomial_json, monomial_text
-from jansum.weyl import LeviDatum
 
 
 def mono(parts_to_coeffs):
-    return FormalCharacter(
-        BASIS_MONOMIAL, None, {Partition(p): c for p, c in parts_to_coeffs.items()}
-    )
+    return FormalCharacter({Partition(p): c for p, c in parts_to_coeffs.items()})
 
 
 class TestFormalCharacter:
@@ -58,7 +53,7 @@ class TestFormalCharacter:
         assert a != mono({(3,): 1, (2, 1): 3})
         assert a != mono({(3,): 1})
         assert a != {Partition((3,)): 1, Partition((2, 1)): 2}
-        assert repr(a) == "FormalCharacter(monomial, 2 terms)"
+        assert repr(a) == "FormalCharacter(2 terms)"
 
     def test_is_a_read_only_view(self):
         # a character is read, never combined: sums are folded from leaves
@@ -71,30 +66,14 @@ class TestFormalCharacter:
             _ = -x
         assert not hasattr(x, "is_zero")
 
-    def test_basis_mismatch_raises(self):
-        levi = LeviDatum.full(2)
-        w = FormalCharacter(BASIS_WEYL, levi, {Weight((1, 0)): 1})
-        m = mono({(2,): 1})
-        with pytest.raises(ValueError):
-            _ = w == m
-
-    def test_levi_mismatch_raises(self):
-        a = FormalCharacter(BASIS_WEYL, LeviDatum.full(3), {Weight((1, 0, 0)): 1})
-        b = FormalCharacter(BASIS_WEYL, LeviDatum(3, (2, 3)), {Weight((1, 0, 0)): 1})
-        with pytest.raises(ValueError):
-            _ = a == b
-
-    def test_weyl_keys_must_be_levi_dominant(self):
-        with pytest.raises(ValueError):
-            FormalCharacter(BASIS_WEYL, LeviDatum.full(2), {Weight((-1, 0)): 1})
-        # fine for a Levi that does not see the negative coordinate
-        FormalCharacter(BASIS_WEYL, LeviDatum(3, (2, 3)), {Weight((-1, 0, 1)): 1})
-
-    def test_monomial_carries_no_levi(self):
-        with pytest.raises(ValueError):
-            FormalCharacter(BASIS_MONOMIAL, LeviDatum.full(2), {})
-        with pytest.raises(ValueError):
-            FormalCharacter(BASIS_WEYL, None, {})
+    def test_keys_must_be_partitions(self):
+        # the monomial basis only: a weight is no key, and no Levi is taken
+        with pytest.raises(ValueError, match="not a partition"):
+            FormalCharacter({Weight((1, 0)): 1})
+        with pytest.raises(ValueError, match="not a partition"):
+            FormalCharacter({(2, 1): 1})
+        with pytest.raises(TypeError):
+            FormalCharacter("monomial", None, {})
 
     def test_writers_list_terms_reverse_lex(self):
         # S_3 + S_21 + 2 S_111 = m_3 + 2 m_21 + 5 m_111: the walk lists its
@@ -250,7 +229,7 @@ class TestSchurToMonomial:
             for mu, k in schur_to_monomial(shape).terms.items():
                 expected[mu] = expected.get(mu, 0) + c * k
         got = _monomial_character(schur_sum_leaves(coeffs, Partition((3, 2))))
-        assert got == FormalCharacter(BASIS_MONOMIAL, None, expected)
+        assert got == FormalCharacter(expected)
 
     def test_signed_sum_needs_a_dominating_top(self):
         with pytest.raises(ValueError):

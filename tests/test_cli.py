@@ -364,26 +364,30 @@ class TestTraceOnlyWhenRead:
 
 class TestTotalFromTheRows:
     # the jantzen command writes its total, as text and as JSON, straight
-    # from the sum's rows: it never builds SumReport.total
+    # from the sum's rows: it builds no object per row, so the Weights that
+    # a command builds do not depend on how many rows its sum has
     def test_no_form_builds_the_total(self, monkeypatch):
-        import jansum.jantzen as jantzen_mod
+        from jansum.lattice import Weight
 
-        rng = random.Random(91)
-        cases = [["--p", "2", "--d", "2", "--lambda", "300,0"], ["--p", "3", "--d", "3", "--lambda", "0,0,0"]]
-        for _ in range(12):
-            d = rng.randint(2, 6)
-            levi = random_levi(rng, d)
-            lam = random_levi_dominant(rng, levi)
-            cases.append(["--p", str(rng.choice((2, 3, 5, 7))), "--d", str(d),
-                          "--lambda", ",".join(map(str, lam.coords)),
-                          "--levi", ",".join(map(str, sorted(levi.simples)))])
-        forms = ([], ["--json"], ["--trace"], ["--trace", "--json"])
-        expected = [run_cli(["jantzen", *case, *extra]) for case in cases for extra in forms]
-        assert all(code == 0 for code, _, _ in expected)
-        assert any("total: 0\n" in out for _, out, _ in expected)
-        monkeypatch.setattr(jantzen_mod.SumReport, "total", property(_refuse))
-        got = [run_cli(["jantzen", *case, *extra]) for case in cases for extra in forms]
-        assert got == expected
+        built = 0
+        init = Weight.__init__
+
+        def counted(self, coords):
+            nonlocal built
+            built += 1
+            init(self, coords)
+
+        monkeypatch.setattr(Weight, "__init__", counted)
+        counts: dict = {}
+        for lam, rows in (("0,0", 0), ("300,0", 225), ("3000,0", 2250)):
+            for extra in ([], ["--json"], ["--trace"], ["--trace", "--json"]):
+                built = 0
+                code, out, _ = run_cli(["jantzen", "--p", "2", "--d", "2", "--lambda", lam, *extra])
+                assert code == 0
+                if not extra:
+                    assert out.count("χ(") == rows, lam
+                counts.setdefault(" ".join(extra), set()).add(built)
+        assert all(len(seen) == 1 for seen in counts.values()), counts
 
 
 class TestTextTrace:

@@ -8,8 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import coroot_sum, levi_roots, random_dominant, run_cli
-from jansum.charring import BASIS_WEYL, FormalCharacter, _weyl_character
+from helpers import coroot_sum, levi_roots, random_dominant, row_terms, run_cli
 from jansum.jantzen import (
     TERM_LIMIT,
     is_prime,
@@ -67,7 +66,7 @@ class TestHelpers:
 class TestJantzenSum:
     def test_sl3_hand_derived_instance(self):
         report = jantzen_sum(Weight((2, 0)), 2, LeviDatum.full(2))
-        assert report.total == FormalCharacter(BASIS_WEYL, LeviDatum.full(2), {Weight((0, 1)): 1})
+        assert report.rows == [(0, 1, 1)]
         nonsingular = [t for t in report.terms if not t.outcome.is_singular]
         assert len(nonsingular) == 1
         assert nonsingular[0].root == (1, 1)
@@ -77,15 +76,13 @@ class TestJantzenSum:
         # all pairings <= p means no admissible level at all
         report = jantzen_sum(Weight((0, 1)), 5, LeviDatum.full(2))
         assert report.terms == ()
-        assert not report.total.terms
+        assert not report.rows
 
     def test_matches_alternating_tail_at_p5_d5(self):
         seq = lambda_sequence(5, 5)
         full = LeviDatum.full(5)
         report = jantzen_sum(seq[1], 5, full)
-        assert report.total == FormalCharacter(
-            BASIS_WEYL, full, {seq[2]: 1, seq[3]: -1}
-        )
+        assert row_terms(report.rows) == {seq[2]: 1, seq[3]: -1}
 
     def test_composite_p_rejected(self):
         with pytest.raises(ValueError):
@@ -135,7 +132,7 @@ class TestJantzenSum:
                 if not outcome.is_singular:
                     key = outcome.dominant
                     rebuilt[key] = rebuilt.get(key, 0) + outcome.sign * term.valuation
-            assert report.total == FormalCharacter(BASIS_WEYL, levi, rebuilt)
+            assert row_terms(report.rows) == {k: v for k, v in rebuilt.items() if v}
 
     def test_vanishing_on_small_weights(self):
         rng = random.Random(53)
@@ -148,7 +145,7 @@ class TestJantzenSum:
             if coroot_sum(shifted, 1, d) > p:
                 continue
             assert all(coroot_sum(shifted, lo, hi) <= p for lo, hi in levi_roots(range(1, d + 1), d))
-            assert not jantzen_sum(lam, p, LeviDatum.full(d)).total.terms
+            assert not jantzen_sum(lam, p, LeviDatum.full(d)).rows
             checked += 1
 
     def test_total_matches_orbit_oracle_re_derivation(self):
@@ -170,7 +167,7 @@ class TestJantzenSum:
                         rebuilt[key] = rebuilt.get(key, 0) + out.sign * p_adic_valuation(
                             p, level
                         )
-            assert report.total.terms == {k: v for k, v in rebuilt.items() if v}
+            assert row_terms(report.rows) == {k: v for k, v in rebuilt.items() if v}
 
     def test_levi_naturality(self):
         # the full sum contains each sub-Levi term with the same valuation
@@ -226,7 +223,7 @@ class TestFastPath:
             assert len(report.terms) == len(terms)
             for fast, slow in zip(report.terms, terms):
                 assert fast == slow, (lam, p, levi)
-            assert report.total.terms == total, (lam, p, levi)
+            assert row_terms(report.rows) == total, (lam, p, levi)
             negative_off_levi += min(lam.coords) < 0
         assert negative_off_levi >= 40
 
@@ -442,7 +439,7 @@ class TestLongRuns:
     def _check(lam, p, levi):
         report = jantzen_sum(lam, p, levi)
         terms, total = reference_jantzen(lam, p, levi)
-        assert report.total.terms == total, (lam, p, levi)
+        assert row_terms(report.rows) == total, (lam, p, levi)
         assert report.terms == terms, (lam, p, levi)
         return terms
 
@@ -606,17 +603,11 @@ class TestRows:
             _, total = reference_jantzen(lam, p, levi)
             assert all(len(row) == lam.rank + 1 and row[-1] for row in rows), (lam, p, levi)
             assert all(a[:-1] > b[:-1] for a, b in zip(rows, rows[1:])), (lam, p, levi)
-            assert {Weight(row[:-1]): row[-1] for row in rows} == total, (lam, p, levi)
+            assert row_terms(rows) == total, (lam, p, levi)
             mirrored += any(count > 1 and step > p for _, _, step, _, count, _ in seen)
         assert sum(1 for lam, p, levi in cases if lam.rank == 2) >= 100
         assert sum(1 for lam, p, levi in cases if not levi.is_full) >= 100
         assert mirrored >= 50
-
-    def test_total_is_built_from_rows_once(self):
-        report = jantzen_sum(Weight((40, 7)), 3, LeviDatum.full(2))
-        assert "total" not in vars(report)
-        assert report.total is report.total
-        assert list(report.total.terms.items()) == [(Weight(r[:-1]), r[-1]) for r in report.rows]
 
 
 class TestWorkCount:
@@ -653,7 +644,7 @@ class TestWorkCount:
         # 5 000 multiples of 4, each for its mirror too, which is no
         # multiple of 4; a[2,2] pairs to 1 and has none
         assert visits == {(1, 1): 10000, (1, 2): 5000}
-        assert len(report.total.terms) == 15000
+        assert len(report.rows) == 15000
 
     def test_sum_skips_cancelled_mirror_levels(self, monkeypatch):
         visits = self._count_levels(monkeypatch)
@@ -671,7 +662,7 @@ class TestWorkCount:
             if (lo, hi) == (1, 2)
             for level in range(first, first + count * step, step)
         ] == [25, 50, 75, 100, 125]
-        assert report.total.terms == reference_jantzen(lam, 5, full)[1]
+        assert row_terms(report.rows) == reference_jantzen(lam, 5, full)[1]
 
     def test_traced_json_visits_the_sum_and_every_term(self, monkeypatch):
         visits = self._count_levels(monkeypatch)
@@ -689,7 +680,7 @@ class TestWorkCount:
         # 10004 on: one run each side of c/2
         assert levels == {(1, 1): 10000, (1, 2): 5000}
         assert runs == {(1, 1): 2, (1, 2): 2}
-        assert len(report.total.terms) == 15000
+        assert len(report.rows) == 15000
 
     def test_every_run_is_one_level_at_d30(self, monkeypatch):
         # a weight of the benchmark's d = 30 workload: with coordinates at
@@ -704,7 +695,7 @@ class TestWorkCount:
         assert runs == levels
         # one root of this weight has fewer than two holes and is skipped
         assert sum(runs.values()) == 2881
-        assert len(report.total.terms) == 1193  # the regular levels, one key each
+        assert len(report.rows) == 1193  # the regular levels, one row each
 
     def test_sum_never_walks_the_trace(self, monkeypatch):
         import jansum.jantzen as jantzen_mod
@@ -716,8 +707,8 @@ class TestWorkCount:
         expected = [reference_jantzen(lam, p, levi)[1] for lam, p, levi in cases]
         monkeypatch.setattr(jantzen_mod, "_walk", refuse)
         for (lam, p, levi), total in zip(cases, expected):
-            assert jantzen_sum(lam, p, levi).total.terms == total, (lam, p, levi)
-        assert len(jantzen_sum(Weight((20000, 0)), 2, LeviDatum.full(2)).total.terms) == 15000
+            assert row_terms(jantzen_sum(lam, p, levi).rows) == total, (lam, p, levi)
+        assert len(jantzen_sum(Weight((20000, 0)), 2, LeviDatum.full(2)).rows) == 15000
 
 
 class TestHoles:
@@ -838,24 +829,20 @@ class TestExpectedSum:
     @staticmethod
     def expected(p, d, i, levi):
         (check,) = [c for c in verify_prop_char(p, d).checks if (c.i, c.levi) == (i, levi)]
-        return _weyl_character(check.levi, check.tail)
+        return row_terms(check.tail)
 
     def test_empty_at_top(self):
-        assert not self.expected(5, 5, 3, LeviDatum.full(5)).terms
+        assert not self.expected(5, 5, 3, LeviDatum.full(5))
 
     def test_alternating_tail(self):
         seq = lambda_sequence(5, 5)
         full = LeviDatum.full(5)
-        assert self.expected(5, 5, 1, full) == FormalCharacter(
-            BASIS_WEYL, full, {seq[2]: 1, seq[3]: -1}
-        )
+        assert self.expected(5, 5, 1, full) == {seq[2]: 1, seq[3]: -1}
 
     def test_levi_single_term(self):
         levi = LeviDatum(4, (2, 3, 4))
         seq = lambda_sequence(3, 4)
-        assert self.expected(3, 4, 0, levi) == FormalCharacter(
-            BASIS_WEYL, levi, {seq[1]: 1}
-        )
+        assert self.expected(3, 4, 0, levi) == {seq[1]: 1}
 
 
 class TestVerifyPropChar:
@@ -876,19 +863,17 @@ class TestVerifyPropChar:
         report = verify_prop_char(2, 3)
         assert report.passed
         for check in report.checks:
-            assert not check.report.total.terms
-            assert not _weyl_character(check.levi, check.tail).terms
+            assert not check.report.rows
+            assert not check.tail
 
     def test_checks_build_no_total(self):
-        # each check compares its sum's rows with the tail's; the sum's
-        # character is built only when read (prop-char --p 101 --d 202
-        # peaked at 48 MB of RSS building all of them, 31 MB without)
+        # each check compares its sum's rows with the tail's, and a sum
+        # keeps its total as rows only
         report = verify_prop_char(7, 12)
         assert report.passed and len(report.checks) == 12
-        assert not any("total" in vars(check.report) for check in report.checks)
+        assert not any(hasattr(check.report, "total") for check in report.checks)
         assert all(
-            check.report.total == _weyl_character(check.levi, check.tail)
-            for check in report.checks
+            row_terms(check.report.rows) == row_terms(check.tail) for check in report.checks
         )
 
     def test_a_changed_tail_fails_its_check(self, monkeypatch):
@@ -914,8 +899,7 @@ class TestVerifyPropChar:
         for p, d in TEST_MATRIX:
             report = verify_prop_char(p, d)
             assert [check.passed for check in report.checks] == [
-                check.report.total == _weyl_character(check.levi, check.tail)
-                for check in report.checks
+                row_terms(check.report.rows) == row_terms(check.tail) for check in report.checks
             ]
             assert not report.passed or (p, d) == (2, 3)
 
@@ -1060,18 +1044,22 @@ class TestVerifyPropChar:
 
 
 def _tail_reference(seq, k, levi):
-    """[seq_k] - [seq_{k+1}] + ..., built by the validating constructor."""
-    return FormalCharacter(BASIS_WEYL, levi, {seq[j]: (-1) ** (j - k) for j in range(k, len(seq))})
+    """[seq_k] - [seq_{k+1}] + ..., as {Weight: coeff}, each weight
+    dominant for the Levi."""
+    assert all(levi.is_dominant(w) for w in seq[k:])
+    return {seq[j]: (-1) ** (j - k) for j in range(k, len(seq))}
 
 
-def _tail_characters(seq, levi):
-    """The characters of jantzen._tails(seq), built the same way from their
-    rows (*coords, coeff), which must be sorted as jantzen_sum sorts its own."""
+def _tail_characters(seq):
+    """The tails of jantzen._tails(seq) as {Weight: coeff}, from their rows
+    (*coords, coeff), which must be distinct, nonzero and sorted as
+    jantzen_sum sorts its own."""
     import jansum.jantzen as jantzen_mod
 
     tails = jantzen_mod._tails(seq)
-    assert all(rows == sorted(rows, reverse=True) for rows in tails)
-    return [FormalCharacter(BASIS_WEYL, levi, {Weight(r[:-1]): r[-1] for r in rows}) for rows in tails]
+    assert all(all(a[:-1] > b[:-1] for a, b in zip(rows, rows[1:])) for rows in tails)
+    assert all(row[-1] for rows in tails for row in rows)
+    return [row_terms(rows) for rows in tails]
 
 
 class TestTails:
@@ -1080,29 +1068,24 @@ class TestTails:
     def test_top_of_sequence_is_simple(self):
         for p, d in [(3, 4), (5, 5), (7, 6)]:
             seq = lambda_sequence(p, d)
-            full = LeviDatum.full(d)
-            tails = _tail_characters(seq, full)
-            assert not tails[-1].terms
-            assert tails[-2] == FormalCharacter(BASIS_WEYL, full, {seq[-1]: 1})
+            tails = _tail_characters(seq)
+            assert not tails[-1]
+            assert tails[-2] == {seq[-1]: 1}
 
     def test_first_tail_at_p5_d5(self):
         seq = lambda_sequence(5, 5)
-        full = LeviDatum.full(5)
-        assert _tail_characters(seq, full)[0] == FormalCharacter(
-            BASIS_WEYL, full, {seq[1]: 1, seq[2]: -1, seq[3]: 1}
-        )
+        assert _tail_characters(seq)[0] == {seq[1]: 1, seq[2]: -1, seq[3]: 1}
 
     def test_telescoping(self):
         # the tail from seq_k plus the tail from seq_{k+1} is [seq_k]
         for p, d in [(3, 4), (5, 5), (5, 7)]:
             seq = lambda_sequence(p, d)
-            full = LeviDatum.full(d)
-            tails = _tail_characters(seq, full)
+            tails = _tail_characters(seq)
             assert len(tails) == len(seq)
             for k in range(1, len(seq)):
-                summed = Counter(tails[k - 1].terms)
-                summed.update(tails[k].terms)
-                assert FormalCharacter(BASIS_WEYL, full, summed).terms == {seq[k]: 1}
+                summed = Counter(tails[k - 1])
+                summed.update(tails[k])
+                assert {w: c for w, c in summed.items() if c} == {seq[k]: 1}
 
 
 class TestTailsAgainstTheDefinition:
@@ -1112,11 +1095,10 @@ class TestTailsAgainstTheDefinition:
     @pytest.mark.parametrize("p,d", CASES)
     def test_tails(self, p, d):
         seq = lambda_sequence(p, d)
-        full = LeviDatum.full(d)
-        tails = _tail_characters(seq, full)
+        tails = _tail_characters(seq)
         assert len(tails) == len(seq)
         for k, ch in enumerate(tails, 1):
-            assert ch == _tail_reference(seq, k, full), (p, d, k)
+            assert ch == _tail_reference(seq, k, LeviDatum.full(d)), (p, d, k)
 
     @pytest.mark.parametrize("p,d", CASES)
     def test_prop_char_expected(self, p, d):
@@ -1126,4 +1108,4 @@ class TestTailsAgainstTheDefinition:
         assert [(c.i, c.levi) for c in checks] == [(i, levi) for i in range(len(seq)) for levi in levis]
         for check in checks:
             expected = _tail_reference(seq, check.i + 1, check.levi)
-            assert _weyl_character(check.levi, check.tail) == expected, (p, d, check.i)
+            assert row_terms(check.tail) == expected, (p, d, check.i)

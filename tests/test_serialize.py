@@ -16,6 +16,7 @@ from helpers import (
     random_levi,
     random_levi_dominant,
     random_weight,
+    row_terms,
     run_cli,
     schur_sum_by_kostka,
     signed_dominant_to_json,
@@ -24,8 +25,6 @@ from helpers import (
     weight_to_json,
 )
 from jansum.charring import (
-    BASIS_MONOMIAL,
-    BASIS_WEYL,
     FormalCharacter,
     _monomial_character,
     schur_sum_leaves,
@@ -77,26 +76,36 @@ def oracle_text(form) -> str:
     return json.dumps(form, separators=(",", ":"))
 
 
+def weyl(levi, terms: dict) -> tuple:
+    """A Weyl character as the writers and the helpers take it, (levi,
+    rows): the rows (*coords, coeff) of terms, zeros dropped, sorted here
+    in reverse-lexicographic order of their coordinates, as jantzen_sum and
+    the prop-char tails sort them."""
+    rows = [(*w.coords, c) for w, c in terms.items() if c]
+    return levi, sorted(rows, key=lambda row: list(row[:-1]), reverse=True)
+
+
+def is_monomial(ch) -> bool:
+    return isinstance(ch, FormalCharacter)
+
+
+def coefficients(ch) -> list[int]:
+    return list(ch.terms.values()) if is_monomial(ch) else [row[-1] for row in ch[1]]
+
+
 def listing(ch) -> list:
-    """The form a writer takes of a character, in the helpers' own sorted
-    order: (text key, coeff) leaves of a monomial one, as the identity and
-    Schur walks list them, and (*coords, coeff) rows of a Weyl one, as
-    jantzen_sum and the prop-char tails sort them."""
-    if ch.basis == BASIS_MONOMIAL:
-        return [(",".join(map(str, mu.parts)), c) for mu, c in sorted_terms(ch)]
-    return [(*w.coords, c) for w, c in sorted_terms(ch)]
+    """The (text key, coeff) leaves that a writer takes of a monomial
+    character, in the helpers' own sorted order, as the identity and Schur
+    walks list them."""
+    return [(",".join(map(str, mu.parts)), c) for mu, c in sorted_terms(ch)]
 
 
 def json_pieces(ch) -> list[str]:
-    if ch.basis == BASIS_MONOMIAL:
-        return list(monomial_json(listing(ch)))
-    return list(weyl_json(ch.levi, listing(ch)))
+    return list(monomial_json(listing(ch)) if is_monomial(ch) else weyl_json(*ch))
 
 
 def text_pieces(ch) -> list[str]:
-    if ch.basis == BASIS_MONOMIAL:
-        return list(monomial_text(listing(ch)))
-    return list(weyl_text(ch.levi, listing(ch)))
+    return list(monomial_text(listing(ch)) if is_monomial(ch) else weyl_text(*ch))
 
 
 def json_of(ch) -> str:
@@ -140,8 +149,7 @@ class TestCharacterForm:
         }
 
     def test_weyl_schema(self):
-        levi = LeviDatum.full(2)
-        ch = FormalCharacter(BASIS_WEYL, levi, {Weight((0, 1)): -1})
+        ch = (LeviDatum.full(2), [(0, 1, -1)])
         assert character_to_json(ch) == {
             "basis": "weyl",
             "levi": {"d": 2, "simples": [1, 2]},
@@ -149,23 +157,26 @@ class TestCharacterForm:
         }
 
     def test_round_trip_values(self):
-        for ch in (
-            schur_to_monomial(Partition((3, 2))),
-            jantzen_sum(Weight((4, 3, 2)), 2, LeviDatum.full(3)).total,
+        monomial = schur_to_monomial(Partition((3, 2)))
+        report = jantzen_sum(Weight((4, 3, 2)), 2, LeviDatum.full(3))
+        assert report.rows
+        for ch, terms, levi in (
+            (monomial, monomial.terms, None),
+            ((report.levi, report.rows), row_terms(report.rows), levi_to_json(report.levi)),
         ):
             blob = json.loads(json_of(ch))
             assert blob == character_to_json(ch)
-            assert parsed_terms(blob) == ch.terms
-            assert blob.get("levi") == (ch.levi and levi_to_json(ch.levi))
+            assert parsed_terms(blob) == terms
+            assert blob.get("levi") == levi
 
     def test_text_forms(self):
         levi = LeviDatum.full(2)
-        assert text_of(FormalCharacter(BASIS_MONOMIAL, None, {})) == "0"
-        assert text_of(FormalCharacter(BASIS_WEYL, levi, {})) == "0"
+        assert text_of(FormalCharacter({})) == "0"
+        assert text_of((levi, [])) == "0"
         assert text_of(schur_to_monomial(Partition((2, 1)))) == "m[2,1] + 2·m[1,1,1]"
-        ch = FormalCharacter(BASIS_MONOMIAL, None, {Partition((2,)): -2, Partition(()): -1})
+        ch = FormalCharacter({Partition((2,)): -2, Partition(()): -1})
         assert text_of(ch) == "-2·m[2] - m[]"
-        ch = FormalCharacter(BASIS_WEYL, levi, {Weight((0, 1)): -2, Weight((1, 0)): 1})
+        ch = weyl(levi, {Weight((0, 1)): -2, Weight((1, 0)): 1})
         assert text_of(ch) == "+χ(1,0) -2·χ(0,1)"
 
     def test_coefficients_are_decimal_strings(self):
@@ -221,22 +232,19 @@ class TestWritersMatchTheOracle:
 
     def test_characters_in_both_bases(self):
         rng = random.Random(2718)
-        samples = [
-            FormalCharacter(BASIS_MONOMIAL, None, {}),
-            FormalCharacter(BASIS_WEYL, LeviDatum(4, (2, 3)), {}),
-        ]
+        samples = [FormalCharacter({}), (LeviDatum(4, (2, 3)), [])]
         for _ in range(30):
             d = rng.randint(2, 7)
             levi = random_levi(rng, d)
-            samples.append(FormalCharacter(BASIS_WEYL, levi, {
+            samples.append(weyl(levi, {
                 random_levi_dominant(rng, levi): rng.randint(-20, 20) for _ in range(rng.randint(1, 8))
             }))
-            samples.append(FormalCharacter(BASIS_MONOMIAL, None, {
+            samples.append(FormalCharacter({
                 Partition(sorted((rng.randint(1, 6) for _ in range(rng.randint(0, 5))), reverse=True)):
                     rng.randint(-20, 20)
                 for _ in range(rng.randint(1, 8))
             }))
-        assert any(c < 0 for ch in samples for c in ch.terms.values())
+        assert any(c < 0 for ch in samples for c in coefficients(ch))
         for ch in samples:
             assert json_of(ch) == oracle_text(character_to_json(ch))
 
@@ -246,10 +254,10 @@ class TestWritersMatchTheOracle:
         # Levi weights with negative coordinates off the Levi
         rng = random.Random(1618)
         samples = [
-            FormalCharacter(BASIS_MONOMIAL, None, {}),
-            FormalCharacter(BASIS_WEYL, LeviDatum(4, (2, 3)), {}),
-            FormalCharacter(BASIS_MONOMIAL, None, {Partition(()): 1}),
-            FormalCharacter(BASIS_MONOMIAL, None, {Partition(()): -(2**64 + 1), Partition((1,)): -1}),
+            FormalCharacter({}),
+            (LeviDatum(4, (2, 3)), []),
+            FormalCharacter({Partition(()): 1}),
+            FormalCharacter({Partition(()): -(2**64 + 1), Partition((1,)): -1}),
         ]
 
         def coeff():
@@ -259,18 +267,18 @@ class TestWritersMatchTheOracle:
         for d in range(2, 9):
             for _ in range(6):
                 levi = random_levi(rng, d)
-                samples.append(FormalCharacter(BASIS_WEYL, levi, {
+                samples.append(weyl(levi, {
                     random_levi_dominant(rng, levi): coeff() for _ in range(rng.randint(1, 8))
                 }))
-                samples.append(FormalCharacter(BASIS_MONOMIAL, None, {
+                samples.append(FormalCharacter({
                     Partition(sorted((rng.randint(1, 6) for _ in range(rng.randint(0, d))), reverse=True)):
                         coeff()
                     for _ in range(rng.randint(1, 8))
                 }))
-        coeffs = {abs(c) for ch in samples for c in ch.terms.values()}
+        coeffs = {abs(c) for ch in samples for c in coefficients(ch)}
         assert 1 in coeffs and min(coeffs - {1}) < 2**64 < max(coeffs)
-        assert any(c < 0 for ch in samples if ch.levi for w in ch.terms for c in w.coords)
-        firsts = {text_of(ch).split(" ")[0][:2] for ch in samples if ch.basis == BASIS_MONOMIAL and ch.terms}
+        assert any(c < 0 for ch in samples if not is_monomial(ch) for row in ch[1] for c in row[:-1])
+        firsts = {text_of(ch).split(" ")[0][:2] for ch in samples if is_monomial(ch) and ch.terms}
         assert {"m[", "-m"} <= firsts and any(f[0].isdigit() for f in firsts)
         assert any(f[0] == "-" and f[1].isdigit() for f in firsts)
         for ch in samples:
@@ -288,7 +296,7 @@ class TestWritersMatchTheOracle:
                         sum_report_to_json(report, include_terms=trace)
                     )
                 # the text total of the jantzen command, written from the rows
-                assert "".join(weyl_text(levi, report.rows)) == character_to_text(report.total)
+                assert "".join(weyl_text(levi, report.rows)) == character_to_text((levi, report.rows))
                 singular += sum(t.outcome.is_singular for t in report.terms)
         assert singular > 0
 
@@ -364,7 +372,7 @@ class TestWritersOfLeavesAndRows:
         rng = random.Random(4242)
         every = [Partition(t) for n in range(1, 13) for t in brute_partitions(n)]
         for lam in rng.sample(every, 50):
-            expected = FormalCharacter(BASIS_MONOMIAL, None, schur_sum_by_kostka({lam: 1}, lam))
+            expected = FormalCharacter(schur_sum_by_kostka({lam: 1}, lam))
             leaves = schur_sum_leaves({lam: 1}, lam)
             assert "".join(monomial_json(leaves)) == oracle_text(character_to_json(expected))
             text = "".join(monomial_text(leaves))
@@ -387,7 +395,7 @@ class TestWritersOfLeavesAndRows:
             report = verify(n)
             coeffs = {shape: (-1) ** i for i, shape in enumerate(real(n)[:-1])}
             sums = schur_sum_by_kostka(coeffs, report.target)
-            diff = FormalCharacter(BASIS_MONOMIAL, None, {mu: 1 - c for mu, c in sums.items()})
+            diff = FormalCharacter({mu: 1 - c for mu, c in sums.items()})
             assert diff.terms
             text = "".join(monomial_text(report.diff_leaves))
             assert text == character_to_text(diff)
@@ -416,16 +424,14 @@ class TestWritersOfLeavesAndRows:
 
         monkeypatch.setattr(
             jantzen_mod, "_tails",
-            lambda seq: [listing(FormalCharacter(BASIS_WEYL, LeviDatum.full(seq[0].rank), t))
-                         for t in seeded_terms(seq)],
+            lambda seq: [weyl(LeviDatum.full(seq[0].rank), t)[1] for t in seeded_terms(seq)],
         )
         sizes = set()
         for p, d in ((3, 4), (5, 5), (5, 7), (7, 6)):
             report = verify_prop_char(p, d)
             tails = seeded_terms(lambda_sequence(p, d))
-            expected = [FormalCharacter(BASIS_WEYL, check.levi, tails[check.i])
-                        for check in report.checks]
-            sizes.update(len(ch.terms) for ch in expected)
+            expected = [weyl(check.levi, tails[check.i]) for check in report.checks]
+            sizes.update(len(ch[1]) for ch in expected)
             assert not report.passed
             for check, ch in zip(report.checks, expected, strict=True):
                 assert "".join(weyl_json(check.levi, check.tail)) == oracle_text(character_to_json(ch))
@@ -447,8 +453,8 @@ class TestWritersOfLeavesAndRows:
     def test_the_empty_character(self):
         levi = LeviDatum(4, (2, 3))
         for writer, ch in (
-            (lambda: monomial_json([]), FormalCharacter(BASIS_MONOMIAL, None, {})),
-            (lambda: weyl_json(levi, []), FormalCharacter(BASIS_WEYL, levi, {})),
+            (lambda: monomial_json([]), FormalCharacter({})),
+            (lambda: weyl_json(levi, []), (levi, [])),
         ):
             assert "".join(writer()) == oracle_text(character_to_json(ch))
             assert character_to_text(ch) == "0"
@@ -457,10 +463,11 @@ class TestWritersOfLeavesAndRows:
         assert (code, out.splitlines()[-1]) == (0, "total: 0")
 
 
-def seeded_character(rng: random.Random, basis: str, size: int) -> FormalCharacter:
+def seeded_character(rng: random.Random, basis: str, size: int):
     """A character of exactly `size` distinct keys, with coefficients of
-    both signs, 1 and past 1."""
-    if basis == BASIS_MONOMIAL:
+    both signs, 1 and past 1: a monomial FormalCharacter, or a Weyl
+    (levi, rows)."""
+    if basis == "monomial":
         levi = None
 
         def key():
@@ -473,7 +480,7 @@ def seeded_character(rng: random.Random, basis: str, size: int) -> FormalCharact
     terms: dict = {}
     while len(terms) < size:
         terms[key()] = rng.choice((1, -1, rng.randint(2, 99), -rng.randint(2, 99)))
-    return FormalCharacter(basis, levi, terms)
+    return FormalCharacter(terms) if levi is None else weyl(levi, terms)
 
 
 def terms_per_piece(pieces) -> list[int]:
@@ -491,9 +498,9 @@ class TestPieces:
     to its whole form, at every size about a piece boundary."""
 
     @pytest.mark.parametrize("size", BOUNDARY_SIZES)
-    @pytest.mark.parametrize("basis", [BASIS_MONOMIAL, BASIS_WEYL])
+    @pytest.mark.parametrize("basis", ["monomial", "weyl"])
     def test_character_pieces(self, basis, size):
-        rng = random.Random(size * 7 + (basis == BASIS_WEYL))
+        rng = random.Random(size * 7 + (basis == "weyl"))
         for _ in range(3):
             ch = seeded_character(rng, basis, size)
             as_json, as_text = json_pieces(ch), text_pieces(ch)
@@ -528,14 +535,13 @@ class TestPieces:
         check = passing.checks[0]
         levi = check.levi
         total, expected = (
-            FormalCharacter(BASIS_WEYL, levi, {
+            weyl(levi, {
                 random_levi_dominant(rng, levi, hi=40): rng.randint(-9, 9) or 1 for _ in range(3 * K)
-            }) for _ in range(2)
+            })[1] for _ in range(2)
         )
-        assert min(len(total.terms), len(expected.terms)) > 2 * K
-        report = SumReport(check.report.lam, 3, levi, listing(total))
-        failing = PropCharReport(3, 4, [check._replace(passed=False, tail=listing(expected), report=report)])
-        assert failing.checks[0].report.total == total
+        assert min(len(total), len(expected)) > 2 * K
+        report = SumReport(check.report.lam, 3, levi, total)
+        failing = PropCharReport(3, 4, [check._replace(passed=False, tail=expected, report=report)])
         pieces = list(prop_char_report_json(failing))
         assert "".join(pieces) == oracle_text(prop_char_report_to_json(failing))
         assert max(terms_per_piece(pieces)) <= K

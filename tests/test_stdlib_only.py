@@ -13,6 +13,10 @@ Every object is built by its class's constructor, so through its checks:
 the one call of X.__new__(X) in the package is lattice._walked, which
 builds the Partitions of a walk's leaves (so a character is built only by
 FormalCharacter's constructor).
+
+A Weyl character is rows, never a FormalCharacter: jantzen imports nothing
+from charring, and charring, the monomial basis, nothing from weyl.  The
+package __init__ loads every module, so this is read off the source.
 """
 
 import ast
@@ -37,6 +41,19 @@ def absolute_imports(path: Path) -> set[str]:
             names.update(alias.name.partition(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level:
             names.add(node.module.partition(".")[0])
+    return names
+
+
+def relative_imports(path: Path) -> set[str]:
+    """The package modules that a source file imports by relative imports:
+    x for `from .x import y`, `from .x.z import y` and `from . import x`."""
+    names = set()
+    for node in ast.walk(parsed(path)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.add(node.module.partition(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
     return names
 
 
@@ -99,3 +116,16 @@ def test_the_bypass_scan_sees_a_new_call(tmp_path):
     path.write_text("class A:\n    pass\ndef make():\n    return A.__new__(A)\n"
                     "def outer():\n    def inner():\n        return object.__new__(A)\n")
     assert sorted(new_calls(path)) == ["inner", "make", "outer"]
+
+
+def test_jantzen_imports_no_charring_and_charring_no_weyl():
+    assert {"charring", "jantzen", "weyl"} <= {p.stem for p in SRC.glob("*.py")}
+    assert "charring" not in relative_imports(SRC / "jantzen.py")
+    assert "weyl" not in relative_imports(SRC / "charring.py")
+
+
+def test_the_import_scan_sees_relative_imports(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("import os\nfrom json import dumps\nfrom .charring import kostka\n"
+                    "from . import weyl, lattice\ndef f():\n    from .jantzen.x import y\n")
+    assert relative_imports(path) == {"charring", "weyl", "lattice", "jantzen"}
