@@ -67,13 +67,22 @@ class TestFormalCharacter:
         assert not hasattr(x, "is_zero")
 
     def test_keys_must_be_partitions(self):
-        # the monomial basis only: a weight is no key, and no Levi is taken
+        # the monomial basis only: a weight is no key
         with pytest.raises(ValueError, match="not a partition"):
             FormalCharacter({Weight((1, 0)): 1})
         with pytest.raises(ValueError, match="not a partition"):
             FormalCharacter({(2, 1): 1})
+
+    def test_monomial_carries_no_levi(self):
+        # a character is monomial by construction: the constructor takes its
+        # terms alone, and the character names no basis and no Levi
         with pytest.raises(TypeError):
             FormalCharacter("monomial", None, {})
+        x = mono({(2,): 1})
+        assert not hasattr(x, "levi")
+        assert not hasattr(x, "basis")
+        assert not hasattr(charring, "BASIS_MONOMIAL")
+        assert not hasattr(charring, "BASIS_WEYL")
 
     def test_writers_list_terms_reverse_lex(self):
         # S_3 + S_21 + 2 S_111 = m_3 + 2 m_21 + 5 m_111: the walk lists its

@@ -609,6 +609,27 @@ class TestRows:
         assert sum(1 for lam, p, levi in cases if not levi.is_full) >= 100
         assert mirrored >= 50
 
+    def test_rows_are_levi_dominant(self):
+        # each row is a Weyl character's key: dominant for the sum's Levi,
+        # while a coordinate off the Levi's simple roots may be negative
+        negative_off_levi = 0
+        for lam, p, levi in _fast_path_cases():
+            for row in jantzen_sum(lam, p, levi).rows:
+                key = Weight(row[:-1])
+                assert levi.is_dominant(key), (lam, p, levi, row)
+                negative_off_levi += min(key.coords) < 0
+        assert negative_off_levi >= 100
+
+    def test_rows_are_the_only_total(self):
+        # no second, checked copy of the rows: a report has no total, and
+        # charring builds no Weyl-basis character
+        from jansum import charring
+
+        report = jantzen_sum(Weight((2, 0)), 2, LeviDatum.full(2))
+        assert report.rows == [(0, 1, 1)]
+        assert not hasattr(report, "total")
+        assert not hasattr(charring, "_weyl_character")
+
 
 class TestWorkCount:
     # How much the sum does, counted without a clock: every level of every
