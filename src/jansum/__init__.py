@@ -15,22 +15,20 @@ f = 0 by-product is checked as both families at n = p
 (multiplicity_one_report).  The paper's lambda_f for f > 0 concern
 line-bundle cohomology, which this package does not compute.  A Weyl
 character, a Jantzen total (SumReport.rows) or a prop-char tail, is
-sorted rows (*coords, coeff); FormalCharacter is the checked view of a
-monomial character, keyed by partition.  The names imported below are
+sorted rows (*coords, coeff), and a monomial one (schur_to_monomial) a
+plain dict {Partition: coefficient}.  The names imported below are
 the public API.  Of the slow references that selftest checks the fast
 paths against, only dot_orbit_oracle is among them; the others, the
 Jantzen sum's (oracle.reference_jantzen) included, live in jansum.oracle,
 which only selftest, the tests and the benchmark's checks load.
 """
 
-from .charring import FormalCharacter, kostka, schur_to_monomial
+from .charring import kostka, schur_to_monomial
 from .identities import (
     IdentityReport,
     MultiplicityOneReport,
     conjecture_sweep,
     multiplicity_one_report,
-    verify_first_identity,
-    verify_second_identity,
 )
 from .jantzen import (
     JantzenTerm,

@@ -27,14 +27,11 @@ walk's leaves, one per partition, each with its coefficient and keyed by
 the text of its partition's parts (lattice.ideal_leaves), which the
 writers write as it is.  The coefficient counts that decide an identity
 or a multiplicity-one family are one fold over its keys, of the number of
-paths from the root to each leaf.
-
-A character that a library caller reads is built by FormalCharacter's
-constructor, which checks every key, from a walk's text leaves
-(_monomial_character).
+paths from the root to each leaf.  A library caller that reads a
+monomial character gets a plain dict {Partition: coefficient}
+(schur_to_monomial), each key read from a leaf's text by
+lattice.text_partition.
 """
-
-from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
@@ -48,45 +45,6 @@ from .lattice import (
     ideal_leaves,
     text_partition,
 )
-
-
-class FormalCharacter:
-    """A checked, read-only view of a sparse integer combination of
-    monomial symmetric functions m_mu, keyed by partition, with value
-    equality.
-
-    No method changes a character once built.  It is not frozen, though:
-    terms is a plain dict, and a caller that changes it, or reassigns it,
-    bypasses the constructor's checks.  Zero coefficients are never
-    stored.  Equality is exact and independent of term insertion order.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping):
-        kept = {}
-        for key, coeff in terms.items():
-            if not isinstance(coeff, int):
-                raise TypeError(f"coefficient for {key} is not an integer: {coeff!r}")
-            if coeff == 0:
-                continue
-            if not isinstance(key, Partition):
-                raise ValueError(f"{key!r} is not a partition")
-            kept[key] = coeff
-        self.terms = kept
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FormalCharacter):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"FormalCharacter({len(self.terms)} terms)"
-
-
-def _monomial_character(leaves) -> FormalCharacter:
-    """The monomial character of a walk's (text key, coeff) leaves."""
-    return FormalCharacter({text_partition(k): c for k, c in leaves})
 
 
 def kostka(shape: Partition, content: Partition) -> int:
@@ -301,8 +259,9 @@ def coefficient_counts(dag: dict[tuple, tuple]) -> Counter:
     return counts
 
 
-def schur_to_monomial(lam: Partition) -> FormalCharacter:
-    """The Schur function of lam in the monomial basis, each mu below lam with
-    the Kostka number K(lam, mu), from the leaves of schur_sum_leaves.
-    Raises ValueError, before walking, if check_ideal_size refuses."""
-    return _monomial_character(schur_sum_leaves({lam: 1}, lam))
+def schur_to_monomial(lam: Partition) -> dict[Partition, int]:
+    """The Schur function of lam in the monomial basis: {mu: K(lam, mu)} for
+    each mu below lam whose Kostka number is not zero, in reverse-
+    lexicographic order, from the leaves of schur_sum_leaves.  Raises
+    ValueError, before walking, if check_ideal_size refuses."""
+    return {text_partition(key): c for key, c in schur_sum_leaves({lam: 1}, lam)}

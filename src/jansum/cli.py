@@ -12,8 +12,9 @@ command reads or writes a file.  Each subcommand is one entry of
 is built (so `sweep` streams), in text or JSON; serialize writes every
 character and trace line in either form, and this module only the lines
 around them, handing it each character as the rows or the walk's leaves
-that its computation made, never as a FormalCharacter.  Only `selftest`
-loads the oracles and `random`.
+that its computation made.  Only `selftest` loads the oracles and
+`random`, and only it reads a leaf's key as a Partition (text_partition),
+to evaluate the leaves that `schur` and `identity` write.
 
 `_parse` reads a command line straight from `_COMMANDS` and gives the
 attributes argparse would.  Any command line it cannot map exactly (help,
@@ -28,14 +29,12 @@ process has no file, handler or thread to release, and it does so with
 141 when stdout is closed.  `main` only returns its code.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from itertools import chain, product
 from types import SimpleNamespace
 
-from .charring import kostka, schur_sum_leaves, schur_to_monomial
+from .charring import kostka, schur_sum_leaves
 from .identities import (
     FIRST,
     SECOND,
@@ -44,11 +43,9 @@ from .identities import (
     first_identity_shapes,
     multiplicity_one_report,
     second_identity_shapes,
-    verify_first_identity,
-    verify_second_identity,
 )
 from .jantzen import jantzen_sum, lambda_sequence, verify_prop_char
-from .lattice import Partition, Weight, dominance_leq, partitions_below
+from .lattice import Partition, Weight, dominance_leq, partitions_below, text_partition
 from .serialize import (
     identity_report_json,
     jantzen_terms_text,
@@ -161,8 +158,8 @@ def _selftest_checks():
                     point = rng.sample(range(1, 20), nvars)
                     direct = eval_schur_bialternant(lam, point)
                     expanded = sum(
-                        k * eval_monomial(mu, point)
-                        for mu, k in schur_to_monomial(lam).terms.items()
+                        k * eval_monomial(text_partition(key), point)
+                        for key, k in schur_sum_leaves({lam: 1}, lam)
                     )
                     yield None if direct == expanded else (
                         f"S{lam} at {point}: {direct} != {expanded}")
@@ -177,23 +174,23 @@ def _selftest_checks():
 
     def identities_by_evaluation():
         for n in (2, 3, 4):
-            for which, shapes, report in (
-                (FIRST, first_identity_shapes(n), verify_first_identity(n)),
-                (SECOND, second_identity_shapes(n), verify_second_identity(n)),
-            ):
+            for which, shapes in ((FIRST, first_identity_shapes), (SECOND, second_identity_shapes)):
+                # every verdict's path: the walk's leaves, each with its
+                # coefficient, and the fold that decides `equal`
+                report = next(conjecture_sweep(n, n, which))
                 for _ in range(3):
                     nvars = rng.randint(2, 5)
                     point = rng.sample(range(1, 15), nvars)
-                    lhs = sum(
-                        c * eval_monomial(mu, point)
-                        for mu, c in report.lhs.terms.items()
+                    walked = sum(
+                        c * eval_monomial(text_partition(key), point) for key, c in report.leaves
                     )
-                    rhs = sum(
+                    direct = sum(
                         (1 if i % 2 == 0 else -1) * eval_schur_bialternant(s, point)
-                        for i, s in enumerate(shapes)
+                        for i, s in enumerate(shapes(n))
                         if s.length <= nvars
                     )
-                    yield None if lhs == rhs else f"{which} identity at n={n}, {point}"
+                    yield None if report.equal and walked == direct else (
+                        f"{which} identity at n={n}, {point}")
 
     def jantzen_vs_reference():
         # random Levis, coordinates off their simple roots of either sign

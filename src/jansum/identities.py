@@ -38,26 +38,22 @@ the sum is the sum of m_mu over the ideal when every coefficient is 1.
 The report keeps that walk and lists its leaves once, the first time they
 are read, with no strip peeled again, each keyed by the comma-joined text
 of its parts, which the walk grows from its parent's key
-(lattice.ideal_leaves); both sides, the leaves whose coefficient is not 1
-(broken) and the leaves of the difference come from that one listing.
-Its JSON writes both sides and the difference, and its text the
-difference, straight from the text keys, one % per term
-(serialize.monomial_json, monomial_text), and the multiplicity writers
-write each broken leaf's key in brackets.  A Partition is built from a key
-only when a library caller reads a side, by
-charring._monomial_character, whose constructor checks each key.
+(lattice.ideal_leaves); the leaves whose coefficient is not 1 (broken) and
+the leaves of the difference come from that one listing.  Its JSON writes
+both sides and the difference, and its text the difference, straight from
+the text keys, one % per term (serialize.monomial_json, monomial_text),
+and the multiplicity writers write each broken leaf's key in brackets; no
+Partition is built from a key.
 
 Every identity verdict comes from conjecture_sweep, which checks its range
-and its largest ideal once; verify_first_identity and verify_second_identity
-are the sweep over one n, and the CLI's identity and sweep commands call it.
+and its largest ideal once; the CLI's identity and sweep commands and
+selftest call it.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
 
-from .charring import FormalCharacter, _monomial_character, coefficient_counts, schur_sum_dag
+from .charring import coefficient_counts, schur_sum_dag
 from .jantzen import _check_prime, is_prime
 from .lattice import Partition, check_ideal_size, ideal_leaves
 
@@ -75,9 +71,9 @@ class IdentityReport:
     S_shape has m_mu only for mu <= shape, so no term falls outside the
     ideal.  The walk's leaves are listed once, in reverse-lexicographic
     order, as (text key, coefficient) pairs (lattice.ideal_leaves), the
-    first time a side or a failure view is read: the right side is their
-    character, the left side the same leaves each with coefficient 1,
-    `broken` the (key, c) leaves with c != 1, and the difference, sum of
+    first time they or a failure view is read: they are the right side,
+    and the left side is the same keys each with coefficient 1; `broken`
+    is the (key, c) leaves with c != 1, and the difference, sum of
     (1 - c) * m_mu over those, is kept as `diff_leaves`.  An EQUAL report
     finds no broken leaf without listing.  The arguments are not checked
     here: conjecture_sweep and multiplicity_one_report check them."""
@@ -100,14 +96,6 @@ class IdentityReport:
     @cached_property
     def leaves(self) -> list[tuple[str, int]]:
         return ideal_leaves(self.dag)
-
-    @cached_property
-    def lhs(self) -> FormalCharacter:
-        return _monomial_character((key, 1) for key, _ in self.leaves)
-
-    @cached_property
-    def rhs(self) -> FormalCharacter:
-        return _monomial_character(self.leaves)
 
     @cached_property
     def broken(self) -> list[tuple[str, int]]:
@@ -166,16 +154,6 @@ def conjecture_sweep(n_min: int, n_max: int, which: str):
         raise ValueError(f"need 2 <= n_min <= n_max, got ({n_min}, {n_max})")
     check_ideal_size(top(n_max))
     return (IdentityReport(n, which) for n in range(n_min, n_max + 1))
-
-
-def verify_first_identity(n: int) -> IdentityReport:
-    """Compare both sides of the degree-(2n-1) identity below (n-1, n-1, 1)."""
-    return next(conjecture_sweep(n, n, FIRST))
-
-
-def verify_second_identity(n: int) -> IdentityReport:
-    """Compare both sides of the degree-n identity below (n-1, 1)."""
-    return next(conjecture_sweep(n, n, SECOND))
 
 
 class MultiplicityOneReport(namedtuple("MultiplicityOneReport", "p d families")):

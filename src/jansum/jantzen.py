@@ -36,8 +36,6 @@ for serialize's text and JSON traces, and SumReport.terms builds its
 JantzenTerm records when first read.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property, partial

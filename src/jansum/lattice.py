@@ -5,8 +5,6 @@ identified with a partition, its minimal nonnegative GL(d+1) lift, by the
 suffix sums of its coordinates (weyl.to_epsilon).
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable
 from itertools import accumulate
 from operator import le

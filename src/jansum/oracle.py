@@ -13,8 +13,6 @@ selftest's normalize-vs-orbit check holds dot_normalize, to_epsilon and
 from_epsilon to weyl.dot_orbit_oracle.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from collections.abc import Sequence
 from itertools import combinations_with_replacement

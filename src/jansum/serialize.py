@@ -5,15 +5,16 @@ made it, in reverse-lexicographic order of its keys, by one writer per
 form and basis: a Weyl character from its (*coords, coeff) rows, which
 jantzen_sum and jantzen._tails sort (weyl_json, weyl_text), and a
 monomial one from the (text key, coeff) leaves that its walk lists in
-order (monomial_json, monomial_text).  No writer sorts or reads a
-FormalCharacter.  Each JSON writer gives the text that json.dumps(form,
-separators=(",", ":")) gives for the value's JSON form, without building
-that form or loading json: integers, booleans and the fixed keys are
-formatted here, and the only strings (an identity's `which` and `label`,
-a Levi's description) come from a fixed ASCII vocabulary with nothing to
-escape, so they are written between quotes as they are.  Coefficients
-are decimal strings, so equal values always give identical bytes, and
-parsing then re-serializing is the identity on the text.
+order (monomial_json, monomial_text).  No writer sorts a character or
+reads a key as a Partition.  Each JSON writer gives the text that
+json.dumps(form, separators=(",", ":")) gives for the value's JSON form,
+without building that form or loading json: integers, booleans and the
+fixed keys are formatted here, and the only strings (an identity's
+`which` and `label`, a Levi's description) come from a fixed ASCII
+vocabulary with nothing to escape, so they are written between quotes as
+they are.  Coefficients are decimal strings, so equal values always give
+identical bytes, and parsing then re-serializing is the identity on the
+text.
 
 A scalar is written as one string.  A character is written as an iterator
 of pieces, each of at most _PIECE terms, and a report as an iterator of
@@ -23,8 +24,6 @@ trace comes one term per piece from jantzen._trace, given this module's
 text or JSON forms of a term, a weight and an outcome; it is never held
 whole.
 """
-
-from __future__ import annotations
 
 from itertools import chain, islice
 from operator import itemgetter

@@ -8,8 +8,6 @@ and unshifting; only coordinate differences matter, so all operations are
 invariant under adding a constant to every epsilon entry.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Sequence
 from itertools import accumulate, permutations
 

@@ -13,7 +13,7 @@ import random
 from functools import lru_cache
 from math import factorial
 
-from jansum.charring import FormalCharacter, _monomial_character, kostka
+from jansum.charring import kostka
 from jansum.jantzen import JantzenTerm
 from jansum.lattice import Partition, Weight, text_partition
 from jansum.weyl import LeviDatum
@@ -204,23 +204,41 @@ def row_terms(rows) -> dict:
     return {Weight(row[:-1]): row[-1] for row in rows}
 
 
+def leaf_terms(leaves) -> dict:
+    """{Partition: coeff} of a walk's (text key, coeff) leaves, each key
+    read by its own split, apart from lattice.text_partition."""
+    return {Partition(int(part) for part in key.split(",") if part): c for key, c in leaves}
+
+
+def left_side(report) -> dict:
+    """An IdentityReport's left side: {Partition: 1} for every leaf."""
+    return dict.fromkeys(leaf_terms(report.leaves), 1)
+
+
+def right_side(report) -> dict:
+    """An IdentityReport's right side: {Partition: c} for each leaf whose
+    coefficient c is not zero."""
+    return {mu: c for mu, c in leaf_terms(report.leaves).items() if c}
+
+
 def sorted_terms(character) -> list:
-    """(key, coeff) pairs in reverse-lexicographic key order, sorted here by
-    a key function, apart from the writers' own listing: of a monomial
-    FormalCharacter, keyed by Partition, or of a Weyl character given as
-    (levi, rows), keyed by Weight."""
-    if isinstance(character, FormalCharacter):
-        return sorted(character.terms.items(), key=lambda item: list(item[0].parts), reverse=True)
+    """The nonzero (key, coeff) pairs in reverse-lexicographic key order,
+    sorted here by a key function, apart from the writers' own listing: of
+    a monomial character, a {Partition: coeff} dict, or of a Weyl character
+    given as (levi, rows), keyed by Weight."""
+    if isinstance(character, dict):
+        terms = [(mu, c) for mu, c in character.items() if c]
+        return sorted(terms, key=lambda item: list(item[0].parts), reverse=True)
     return sorted(row_terms(character[1]).items(), key=lambda item: list(item[0].coords), reverse=True)
 
 
 def character_to_text(character) -> str:
-    """The text form of a monomial FormalCharacter or a Weyl (levi, rows),
+    """The text form of a monomial {Partition: coeff} or a Weyl (levi, rows),
     term by term from its rules: "0" for zero; each key through its own str
     after "m" or "χ", with "|c|·" in front when |c| >= 2; the first
     monomial term signed "" or "-" and the others "+ " or "- "; every Weyl
     term "+" or "-"."""
-    monomial = isinstance(character, FormalCharacter)
+    monomial = isinstance(character, dict)
     pieces = []
     for key, coeff in sorted_terms(character):
         body = ("m" if monomial else "χ") + str(key)
@@ -237,8 +255,8 @@ def character_to_text(character) -> str:
 
 
 def character_to_json(character) -> dict:
-    """The JSON form of a monomial FormalCharacter or a Weyl (levi, rows)."""
-    if isinstance(character, FormalCharacter):
+    """The JSON form of a monomial {Partition: coeff} or a Weyl (levi, rows)."""
+    if isinstance(character, dict):
         terms = [
             {"key": partition_to_json(key), "coeff": str(coeff)}
             for key, coeff in sorted_terms(character)
@@ -282,9 +300,9 @@ def identity_report_to_json(report) -> dict:
         "prime": report.prime,
         "label": report.label,
         "equal": report.equal,
-        "lhs": character_to_json(report.lhs),
-        "rhs": character_to_json(report.rhs),
-        "diff": character_to_json(_monomial_character(report.diff_leaves)),
+        "lhs": character_to_json(left_side(report)),
+        "rhs": character_to_json(right_side(report)),
+        "diff": character_to_json(leaf_terms(report.diff_leaves)),
     }
 
 

@@ -957,7 +957,8 @@ class TestStartUp:
         loaded = set(ast.literal_eval(lines[0]))
         assert "jansum.cli" in loaded
         assert not loaded & {
-            "dataclasses", "inspect", "json", "jansum.oracle", "random", "re", "typing"
+            "__future__", "dataclasses", "inspect", "json", "jansum.oracle", "random", "re",
+            "typing",
         }
         # neither the text report nor the JSON ones, traced or not, load
         # json; they print the same bytes as in-process

@@ -34,6 +34,7 @@ A change meant to alter an output replaces that entry's digest.
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,29 +55,52 @@ def test_each_command_line_once():
     assert len(set(lines)) == len(lines)
 
 
-# every command but selftest, which checks the library's characters against
-# the oracles: each writes a character from the rows or the leaves that its
-# computation made, and decides a verdict on them, so none builds a
-# FormalCharacter
+# every command but selftest, which evaluates the walk's leaves against the
+# oracles: each writes a character from the rows or the leaves that its
+# computation made, and decides a verdict on them, so none reads a leaf's
+# text key as a Partition
 WRITERS = [entry for entry in CORPUS if entry[0][0] != "selftest"]
+(SELFTEST,) = [entry for entry in CORPUS if entry[0] == ["selftest"]]
 
 
 class _Built(Exception):
     pass
 
 
-@pytest.fixture
-def no_character(monkeypatch):
-    """FormalCharacter's constructor, the one way to build a character, raises."""
-    from jansum import charring
+def refuse_at_every_binding(monkeypatch, name):
+    """Make `name` raise _Built in every loaded jansum module that binds it;
+    returns those modules' names."""
+    import jansum.cli  # noqa: F401  (binds what the commands call)
 
     def refuse(*args, **kwargs):
         raise _Built
 
-    monkeypatch.setattr(charring.FormalCharacter, "__init__", refuse)
+    bound = []
+    for key, module in list(sys.modules.items()):
+        if key.partition(".")[0] == "jansum" and hasattr(module, name):
+            monkeypatch.setattr(module, name, refuse)
+            bound.append(key)
+    return bound
+
+
+@pytest.fixture
+def no_character(monkeypatch):
+    """text_partition, the one way a leaf's key becomes a Partition, raises."""
+    bound = refuse_at_every_binding(monkeypatch, "text_partition")
+    assert {"jansum.lattice", "jansum.charring", "jansum.cli"} <= set(bound)
 
 
 @pytest.mark.parametrize("argv, code, digest", WRITERS, ids=[" ".join(e[0]) for e in WRITERS])
 def test_no_command_builds_a_character(no_character, argv, code, digest):
+    got_code, out, _ = run_cli(argv)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def test_selftest_checks_the_paths_the_commands_run(monkeypatch):
+    # selftest evaluates the leaves that schur and identity write, not
+    # charring.schur_to_monomial's dict, and gives its pinned output
+    # without it
+    assert "jansum.charring" in refuse_at_every_binding(monkeypatch, "schur_to_monomial")
+    argv, code, digest = SELFTEST
     got_code, out, _ = run_cli(argv)
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

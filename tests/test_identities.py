@@ -6,11 +6,16 @@ from collections import Counter
 
 import pytest
 
-from helpers import partition_count, run_cli, schur_sum_by_kostka
-from jansum import charring, identities
+from helpers import (
+    leaf_terms,
+    left_side,
+    partition_count,
+    right_side,
+    run_cli,
+    schur_sum_by_kostka,
+)
+from jansum import charring, cli, identities, lattice
 from jansum.charring import (
-    FormalCharacter,
-    _monomial_character,
     coefficient_counts,
     kostka,
     schur_sum_dag,
@@ -22,8 +27,6 @@ from jansum.identities import (
     first_identity_shapes,
     multiplicity_one_report,
     second_identity_shapes,
-    verify_first_identity,
-    verify_second_identity,
 )
 from jansum.jantzen import lambda_sequence
 from jansum.lattice import Partition, check_ideal_size, partitions_below
@@ -34,6 +37,11 @@ FAMILIES = {
     "first": (lambda n: Partition((n - 1, n - 1, 1)), first_identity_shapes),
     "second": (lambda n: Partition((n - 1, 1)), second_identity_shapes),
 }
+
+
+def verdict(n, which):
+    """The one report of conjecture_sweep over n alone."""
+    return next(conjecture_sweep(n, n, which))
 
 
 def alternating(shapes):
@@ -75,45 +83,45 @@ class TestShapes:
 
 class TestFirstIdentity:
     def test_n2_single_column(self):
-        report = verify_first_identity(2)
+        report = verdict(2, "first")
         assert report.equal
         assert report.prime
-        assert report.lhs.terms == {Partition((1, 1, 1)): 1}
-        assert report.rhs.terms == {Partition((1, 1, 1)): 1}
+        assert left_side(report) == {Partition((1, 1, 1)): 1}
+        assert right_side(report) == {Partition((1, 1, 1)): 1}
 
     def test_n3_frozen_expansion(self):
         # S(2,2,1) - S(2,1,1,1) with Kostka rows (1,2,5) and (1,4)
-        report = verify_first_identity(3)
+        report = verdict(3, "first")
         assert report.equal
-        assert report.rhs.terms == {
+        assert right_side(report) == {
             Partition((2, 2, 1)): 1,
             Partition((2, 1, 1, 1)): 1,
             Partition((1, 1, 1, 1, 1)): 1,
         }
 
     def test_n5_prime(self):
-        report = verify_first_identity(5)
+        report = verdict(5, "first")
         assert report.equal
         assert report.prime
         assert report.label == "theorem"
 
     def test_rejects_n_below_2(self):
         with pytest.raises(ValueError):
-            verify_first_identity(1)
+            verdict(1, "first")
 
 
 class TestSecondIdentity:
     def test_n2(self):
-        report = verify_second_identity(2)
+        report = verdict(2, "second")
         assert report.equal
-        assert report.lhs.terms == {Partition((1, 1)): 1}
+        assert left_side(report) == {Partition((1, 1)): 1}
 
     def test_n4_composite(self):
-        report = verify_second_identity(4)
+        report = verdict(4, "second")
         assert report.equal
         assert not report.prime
         assert report.label == "conjecture instance"
-        assert report.lhs.terms == {
+        assert left_side(report) == {
             Partition((3, 1)): 1,
             Partition((2, 2)): 1,
             Partition((2, 1, 1)): 1,
@@ -121,7 +129,7 @@ class TestSecondIdentity:
         }
 
     def test_n7_prime(self):
-        report = verify_second_identity(7)
+        report = verdict(7, "second")
         assert report.equal
         assert report.prime
 
@@ -129,12 +137,12 @@ class TestSecondIdentity:
 class TestHomogeneity:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_degrees(self, n):
-        first = verify_first_identity(n)
-        for char, degree in ((first.lhs, 2 * n - 1), (first.rhs, 2 * n - 1)):
-            assert all(key.size == degree for key in char.terms)
-        second = verify_second_identity(n)
-        for char, degree in ((second.lhs, n), (second.rhs, n)):
-            assert all(key.size == degree for key in char.terms)
+        first = verdict(n, "first")
+        for char, degree in ((left_side(first), 2 * n - 1), (right_side(first), 2 * n - 1)):
+            assert all(key.size == degree for key in char)
+        second = verdict(n, "second")
+        for char, degree in ((left_side(second), n), (right_side(second), n)):
+            assert all(key.size == degree for key in char)
 
 
 class TestSweep:
@@ -167,25 +175,24 @@ class TestSweep:
         with pytest.raises(ValueError):
             conjecture_sweep(2, 3, "third")
 
-    @pytest.mark.parametrize("check", [verify_first_identity, verify_second_identity])
-    def test_huge_ideal_refused_before_the_shapes(self, check):
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_huge_ideal_refused_before_the_shapes(self, which):
         # the n - 1 shapes of n = 4000 hold about 8e6 parts
         started = time.perf_counter()
         with pytest.raises(ValueError, match="refused"):
-            check(4000)
+            verdict(4000, which)
         assert time.perf_counter() - started < 0.1
 
 
 class TestOneVerdictPath:
     """Every verdict takes conjecture_sweep's path, which counts the ideal
-    of the largest n once; verify_* and the identity command are that sweep
-    over one n."""
+    of the largest n once; the identity command is that sweep over one n."""
 
     @pytest.mark.parametrize("run, top", [
         (lambda: list(conjecture_sweep(2, 30, "second")), (29, 1)),
-        (lambda: verify_first_identity(12), (11, 11, 1)),
+        (lambda: verdict(12, "first"), (11, 11, 1)),
         (lambda: run_cli(["identity", "--n", "30", "--which", "second"]), (29, 1)),
-    ], ids=["sweep", "verify", "cli"])
+    ], ids=["sweep", "one", "cli"])
     def test_ideal_counted_once(self, monkeypatch, run, top):
         real, tops = identities.check_ideal_size, []
 
@@ -200,14 +207,14 @@ class TestOneVerdictPath:
 
 class TestNegativeControl:
     def test_dropping_one_term_breaks_equality(self):
-        report = verify_first_identity(5)
-        assert report.equal and not _monomial_character(report.diff_leaves).terms
+        report = verdict(5, "first")
+        assert report.equal and not report.diff_leaves
         shapes = first_identity_shapes(5)
         truncated = {}
         for i, shape in enumerate(shapes[:-1]):  # drop the last alternating term
-            for mu, k in schur_to_monomial(shape).terms.items():
+            for mu, k in schur_to_monomial(shape).items():
                 truncated[mu] = truncated.get(mu, 0) + (-1) ** i * k
-        assert report.lhs != FormalCharacter(truncated)
+        assert left_side(report) != {mu: c for mu, c in truncated.items() if c}
 
     @pytest.mark.parametrize("n, coeff", [(6, 1), (7, -1)])
     def test_a_broken_right_side_is_reported(self, monkeypatch, n, coeff):
@@ -220,17 +227,17 @@ class TestNegativeControl:
         monkeypatch.setattr(
             "jansum.identities.second_identity_shapes", lambda n: second_identity_shapes(n)[:-1]
         )
-        report = verify_second_identity(n)
+        report = verdict(n, "second")
         assert not report.equal
-        assert _monomial_character(report.diff_leaves).terms == {Partition((1,) * n): coeff}
+        assert leaf_terms(report.diff_leaves) == {Partition((1,) * n): coeff}
         # each side against its own oracle: the ideal that partitions_below
         # lists, and Kostka numbers of the shapes left
         lhs = dict.fromkeys(partitions_below(report.target), 1)
         rhs = schur_sum_by_kostka(alternating(second_identity_shapes(n)[:-1]), report.target)
-        assert report.lhs.terms == lhs
-        assert report.rhs.terms == {mu: c for mu, c in rhs.items() if c}
+        assert left_side(report) == lhs
+        assert right_side(report) == {mu: c for mu, c in rhs.items() if c}
         diff = {mu: lhs[mu] - rhs[mu] for mu in lhs if lhs[mu] != rhs[mu]}
-        assert _monomial_character(report.diff_leaves).terms == diff
+        assert leaf_terms(report.diff_leaves) == diff
         code, out, _ = run_cli(["identity", "--n", str(n), "--which", "second"])
         assert code == 3
         assert out.splitlines()[1] == f"diff: {'-' if coeff < 0 else ''}m[{','.join('1' * n)}]"
@@ -260,7 +267,7 @@ class TestCoefficientCounts:
         true, dropped, flipped = self.variants(which, n)
         for coeffs in (true, dropped, flipped):
             counts = coefficient_counts(schur_sum_dag(coeffs, top))
-            rhs = _monomial_character(schur_sum_leaves(coeffs, top)).terms
+            rhs = leaf_terms(schur_sum_leaves(coeffs, top))
             assert counts == Counter(rhs.get(mu, 0) for mu in ideal)
             # a broken right side is told apart from the true one
             assert (counts.keys() == {1}) == (coeffs is true)
@@ -275,7 +282,7 @@ class TestCoefficientCounts:
         for coeffs in self.variants(which, n):
             expected = schur_sum_by_kostka(coeffs, top)
             assert coefficient_counts(schur_sum_dag(coeffs, top)) == Counter(expected.values())
-            terms = _monomial_character(schur_sum_leaves(coeffs, top)).terms
+            terms = leaf_terms(schur_sum_leaves(coeffs, top))
             assert list(terms.items()) == [(mu, c) for mu, c in expected.items() if c]
 
     @pytest.mark.parametrize(
@@ -387,46 +394,45 @@ class TestWorkCounts:
 
     def test_second_identity_at_5(self, monkeypatch):
         # an ideal of 6 partitions
-        runs, keys, _ = self.counted(monkeypatch, lambda: [verify_second_identity(5)])
+        runs, keys, _ = self.counted(monkeypatch, lambda: [verdict(5, "second")])
         assert (runs, keys) == (8, 11)
 
 
 class TestLazySides:
     def test_verdict_builds_no_side(self):
-        report = verify_first_identity(9)
+        report = verdict(9, "first")
         assert report.equal
-        assert not {"lhs", "rhs", "diff"} & set(vars(report))
+        assert not {"leaves", "broken", "diff_leaves"} & set(vars(report))
 
     def test_sides_read_the_walk_of_the_verdict(self, monkeypatch):
         # the report keeps the walk its verdict built, so no strip is peeled
         # again: every step enumerates its strips through charring._strips
-        report = verify_first_identity(12)
+        report = verdict(12, "first")
         peeled = []
         real = charring._strips
         monkeypatch.setattr(charring, "_strips", lambda *args: peeled.append(args) or real(*args))
-        assert report.rhs.terms == report.lhs.terms
-        assert len(report.lhs.terms) == partition_count(23, 11)
+        assert right_side(report) == left_side(report)
+        assert len(left_side(report)) == partition_count(23, 11)
         assert peeled == []
 
     def test_one_listing_per_report(self, monkeypatch):
         # both sides, the difference and the JSON all read one listing of the walk
-        report = verify_first_identity(12)
+        report = verdict(12, "first")
         listed = []
         real = identities.ideal_leaves
         monkeypatch.setattr(identities, "ideal_leaves", lambda *args: listed.append(1) or real(*args))
-        assert len(report.lhs.terms) == len(report.rhs.terms) == partition_count(23, 11)
-        assert not _monomial_character(report.diff_leaves).terms
+        assert len(left_side(report)) == len(right_side(report)) == partition_count(23, 11)
+        assert not report.diff_leaves
         json.loads("".join(identity_report_json(report)))
         assert len(listed) == 1
 
     def test_sides_built_on_first_read_and_kept(self):
-        report = verify_second_identity(9)
-        rhs = report.rhs
-        assert report.rhs is rhs
-        leaves = schur_sum_leaves(alternating(second_identity_shapes(9)), report.target)
-        assert rhs == _monomial_character(leaves)
-        assert report.lhs.terms == dict.fromkeys(partitions_below(report.target), 1)
-        assert not _monomial_character(report.diff_leaves).terms
+        report = verdict(9, "second")
+        leaves = report.leaves
+        assert report.leaves is leaves
+        assert leaves == schur_sum_leaves(alternating(second_identity_shapes(9)), report.target)
+        assert left_side(report) == dict.fromkeys(partitions_below(report.target), 1)
+        assert not report.diff_leaves
 
 
 class TestMultiplicityOne:
@@ -435,33 +441,35 @@ class TestMultiplicityOne:
         assert report.passed
         first, second = report.families
         assert first.target == Partition((2, 2, 1))
-        assert set(first.rhs.terms) == set(partitions_below(Partition((2, 2, 1))))
-        assert all(c == 1 for c in first.rhs.terms.values())
+        assert set(right_side(first)) == set(partitions_below(Partition((2, 2, 1))))
+        assert all(c == 1 for c in right_side(first).values())
         assert second.target == Partition((2, 1))
 
     def test_p2_d3(self):
         report = multiplicity_one_report(2, 3)
         assert report.passed
         first, second = report.families
-        assert first.rhs.terms == {Partition((1, 1, 1)): 1}
-        assert second.rhs.terms == {Partition((1, 1)): 1}
+        assert right_side(first) == {Partition((1, 1, 1)): 1}
+        assert right_side(second) == {Partition((1, 1)): 1}
 
     def test_p5_d8(self):
         report = multiplicity_one_report(5, 8)
         assert report.passed
         first, _ = report.families
-        assert set(first.rhs.terms) == set(partitions_below(Partition((4, 4, 1))))
+        assert set(right_side(first)) == set(partitions_below(Partition((4, 4, 1))))
 
     def test_builds_no_character_and_no_tail(self, monkeypatch):
         # the first family's coefficients are the lifted lambda sequence's
-        # signs, read straight into its IdentityReport
+        # signs, read straight into its IdentityReport, and no leaf's key is
+        # read as a Partition
         import jansum.jantzen as jantzen_mod
 
         def refuse(*args, **kwargs):
             raise AssertionError("built")
 
         monkeypatch.setattr(jantzen_mod, "_tails", refuse)
-        monkeypatch.setattr(FormalCharacter, "__init__", refuse)
+        for module in (lattice, charring, cli):
+            monkeypatch.setattr(module, "text_partition", refuse)
         for p in (2, 3, 5, 7, 11):
             report = multiplicity_one_report(p, 2 * p + 1)
             assert report.passed
@@ -470,7 +478,7 @@ class TestMultiplicityOne:
     def test_equivalence_with_first_identity(self):
         # same computation read two ways, for prime n
         for p, d in [(3, 4), (5, 8)]:
-            assert verify_first_identity(p).equal
+            assert verdict(p, "first").equal
             assert multiplicity_one_report(p, d).passed
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
@@ -495,7 +503,7 @@ class TestMultiplicityOne:
             assert report.d == d
             lifted = alternating([Partition(to_epsilon(w)) for w in lambda_sequence(p, d)])
             oracle = schur_sum_by_kostka(lifted, Partition((p - 1, p - 1, 1)))
-            assert report.families[0].rhs.terms == {mu: c for mu, c in oracle.items() if c}
+            assert right_side(report.families[0]) == {mu: c for mu, c in oracle.items() if c}
             text = run_cli(["multiplicity", "--p", str(p), "--d", str(d)])
             code, out, _ = run_cli(["multiplicity", "--p", str(p), "--d", str(d), "--json"])
             outputs.add((text, code, out.replace(f'"d":{d},', '"d":D,')))

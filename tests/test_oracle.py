@@ -3,14 +3,9 @@ from itertools import combinations, permutations
 
 import pytest
 
-from helpers import brute_partitions
+from helpers import brute_partitions, left_side
 from jansum.charring import schur_to_monomial
-from jansum.identities import (
-    first_identity_shapes,
-    second_identity_shapes,
-    verify_first_identity,
-    verify_second_identity,
-)
+from jansum.identities import conjecture_sweep, first_identity_shapes, second_identity_shapes
 from jansum.lattice import Partition
 from jansum.oracle import _det, enumerate_ssyt, eval_monomial, eval_schur_bialternant
 
@@ -115,7 +110,7 @@ class TestCrossChecks:
         for n in range(1, 8):
             for parts in brute_partitions(n):
                 lam = Partition(parts)
-                expansion = schur_to_monomial(lam).terms
+                expansion = schur_to_monomial(lam)
                 for _ in range(3):
                     nvars = rng.randint(lam.length, n)
                     point = rng.sample(range(1, 25), nvars)
@@ -129,15 +124,15 @@ class TestCrossChecks:
     def test_identities_spot_checked_by_evaluation(self, n):
         rng = random.Random(100 + n)
         cases = (
-            (first_identity_shapes(n), verify_first_identity(n)),
-            (second_identity_shapes(n), verify_second_identity(n)),
+            (first_identity_shapes(n), next(conjecture_sweep(n, n, "first"))),
+            (second_identity_shapes(n), next(conjecture_sweep(n, n, "second"))),
         )
         for shapes, report in cases:
             for _ in range(10):
                 nvars = rng.randint(2, 6)
                 point = rng.sample(range(1, 30), nvars)
                 lhs = sum(
-                    c * eval_monomial(mu, point) for mu, c in report.lhs.terms.items()
+                    c * eval_monomial(mu, point) for mu, c in left_side(report).items()
                 )
                 rhs = sum(
                     (1 if i % 2 == 0 else -1) * eval_schur_bialternant(shape, point)

@@ -9,6 +9,8 @@ from helpers import (
     character_to_json,
     character_to_text,
     identity_report_to_json,
+    leaf_terms,
+    left_side,
     levi_to_json,
     multiplicity_report_to_json,
     partition_to_json,
@@ -16,6 +18,7 @@ from helpers import (
     random_levi,
     random_levi_dominant,
     random_weight,
+    right_side,
     row_terms,
     run_cli,
     schur_sum_by_kostka,
@@ -24,19 +27,13 @@ from helpers import (
     sum_report_to_json,
     weight_to_json,
 )
-from jansum.charring import (
-    FormalCharacter,
-    _monomial_character,
-    schur_sum_leaves,
-    schur_to_monomial,
-)
+from jansum.charring import schur_sum_leaves, schur_to_monomial
 from jansum import identities
 from jansum.identities import (
+    conjecture_sweep,
     first_identity_shapes,
     multiplicity_one_report,
     second_identity_shapes,
-    verify_first_identity,
-    verify_second_identity,
 )
 from jansum.jantzen import (
     PropCharReport,
@@ -86,11 +83,11 @@ def weyl(levi, terms: dict) -> tuple:
 
 
 def is_monomial(ch) -> bool:
-    return isinstance(ch, FormalCharacter)
+    return isinstance(ch, dict)
 
 
 def coefficients(ch) -> list[int]:
-    return list(ch.terms.values()) if is_monomial(ch) else [row[-1] for row in ch[1]]
+    return [c for c in ch.values() if c] if is_monomial(ch) else [row[-1] for row in ch[1]]
 
 
 def listing(ch) -> list:
@@ -161,7 +158,7 @@ class TestCharacterForm:
         report = jantzen_sum(Weight((4, 3, 2)), 2, LeviDatum.full(3))
         assert report.rows
         for ch, terms, levi in (
-            (monomial, monomial.terms, None),
+            (monomial, monomial, None),
             ((report.levi, report.rows), row_terms(report.rows), levi_to_json(report.levi)),
         ):
             blob = json.loads(json_of(ch))
@@ -171,10 +168,10 @@ class TestCharacterForm:
 
     def test_text_forms(self):
         levi = LeviDatum.full(2)
-        assert text_of(FormalCharacter({})) == "0"
+        assert text_of({}) == "0"
         assert text_of((levi, [])) == "0"
         assert text_of(schur_to_monomial(Partition((2, 1)))) == "m[2,1] + 2·m[1,1,1]"
-        ch = FormalCharacter({Partition((2,)): -2, Partition(()): -1})
+        ch = {Partition((2,)): -2, Partition(()): -1}
         assert text_of(ch) == "-2·m[2] - m[]"
         ch = weyl(levi, {Weight((0, 1)): -2, Weight((1, 0)): 1})
         assert text_of(ch) == "+χ(1,0) -2·χ(0,1)"
@@ -195,14 +192,15 @@ class TestReportForms:
         assert traced == sum_report_to_json(report, include_terms=True)
 
     def test_identity_report_parses_back(self):
-        parsed = json.loads("".join(identity_report_json(verify_second_identity(4))))
+        report = next(conjecture_sweep(4, 4, "second"))
+        parsed = json.loads("".join(identity_report_json(report)))
         assert parsed["equal"] is True
         assert parsed["n"] == 4
-        assert parsed_terms(parsed["lhs"]) == verify_second_identity(4).lhs.terms
+        assert parsed_terms(parsed["lhs"]) == left_side(report)
 
     def test_canonical_dumps_round_trips_byte_identical(self):
         samples = [
-            "".join(identity_report_json(verify_second_identity(5))),
+            "".join(identity_report_json(next(conjecture_sweep(5, 5, "second")))),
             json_of(schur_to_monomial(Partition((3, 1, 1)))),
             "".join(sum_report_json(
                 jantzen_sum(Weight((3, 1, 2)), 3, LeviDatum.full(3)), trace=True
@@ -232,18 +230,18 @@ class TestWritersMatchTheOracle:
 
     def test_characters_in_both_bases(self):
         rng = random.Random(2718)
-        samples = [FormalCharacter({}), (LeviDatum(4, (2, 3)), [])]
+        samples = [{}, (LeviDatum(4, (2, 3)), [])]
         for _ in range(30):
             d = rng.randint(2, 7)
             levi = random_levi(rng, d)
             samples.append(weyl(levi, {
                 random_levi_dominant(rng, levi): rng.randint(-20, 20) for _ in range(rng.randint(1, 8))
             }))
-            samples.append(FormalCharacter({
+            samples.append({
                 Partition(sorted((rng.randint(1, 6) for _ in range(rng.randint(0, 5))), reverse=True)):
                     rng.randint(-20, 20)
                 for _ in range(rng.randint(1, 8))
-            }))
+            })
         assert any(c < 0 for ch in samples for c in coefficients(ch))
         for ch in samples:
             assert json_of(ch) == oracle_text(character_to_json(ch))
@@ -254,10 +252,10 @@ class TestWritersMatchTheOracle:
         # Levi weights with negative coordinates off the Levi
         rng = random.Random(1618)
         samples = [
-            FormalCharacter({}),
+            {},
             (LeviDatum(4, (2, 3)), []),
-            FormalCharacter({Partition(()): 1}),
-            FormalCharacter({Partition(()): -(2**64 + 1), Partition((1,)): -1}),
+            {Partition(()): 1},
+            {Partition(()): -(2**64 + 1), Partition((1,)): -1},
         ]
 
         def coeff():
@@ -270,15 +268,15 @@ class TestWritersMatchTheOracle:
                 samples.append(weyl(levi, {
                     random_levi_dominant(rng, levi): coeff() for _ in range(rng.randint(1, 8))
                 }))
-                samples.append(FormalCharacter({
+                samples.append({
                     Partition(sorted((rng.randint(1, 6) for _ in range(rng.randint(0, d))), reverse=True)):
                         coeff()
                     for _ in range(rng.randint(1, 8))
-                }))
+                })
         coeffs = {abs(c) for ch in samples for c in coefficients(ch)}
         assert 1 in coeffs and min(coeffs - {1}) < 2**64 < max(coeffs)
         assert any(c < 0 for ch in samples if not is_monomial(ch) for row in ch[1] for c in row[:-1])
-        firsts = {text_of(ch).split(" ")[0][:2] for ch in samples if is_monomial(ch) and ch.terms}
+        firsts = {text_of(ch).split(" ")[0][:2] for ch in samples if is_monomial(ch) and ch}
         assert {"m[", "-m"} <= firsts and any(f[0].isdigit() for f in firsts)
         assert any(f[0] == "-" and f[1].isdigit() for f in firsts)
         for ch in samples:
@@ -315,7 +313,8 @@ class TestWritersMatchTheOracle:
 
     def test_identity_reports(self):
         for n in range(2, 8):
-            for report in (verify_first_identity(n), verify_second_identity(n)):
+            for which in ("first", "second"):
+                report = next(conjecture_sweep(n, n, which))
                 assert "".join(identity_report_json(report)) == oracle_text(
                     identity_report_to_json(report)
                 )
@@ -328,7 +327,7 @@ class TestWritersMatchTheOracle:
         # its right side lists only the leaves whose coefficient is not 0
         real = first_identity_shapes if which == "first" else second_identity_shapes
         monkeypatch.setattr(f"jansum.identities.{which}_identity_shapes", lambda n: real(n)[:-1])
-        report = (verify_first_identity if which == "first" else verify_second_identity)(n)
+        report = next(conjecture_sweep(n, n, which))
         assert not report.equal
         text = "".join(identity_report_json(report))
         assert text == oracle_text(identity_report_to_json(report))
@@ -362,7 +361,7 @@ class TestWritersMatchTheOracle:
 
 class TestWritersOfLeavesAndRows:
     """Each character a command writes comes from the form that its
-    computation made, never from a FormalCharacter: a Schur expansion and
+    computation made, never from a {Partition: coeff} dict: a Schur expansion and
     an identity's difference from the walk's (text key, coeff) leaves
     (monomial_json, monomial_text), a prop-char check's expected side from
     its tail's rows (weyl_json, weyl_text).  Each is checked against the
@@ -372,7 +371,7 @@ class TestWritersOfLeavesAndRows:
         rng = random.Random(4242)
         every = [Partition(t) for n in range(1, 13) for t in brute_partitions(n)]
         for lam in rng.sample(every, 50):
-            expected = FormalCharacter(schur_sum_by_kostka({lam: 1}, lam))
+            expected = schur_sum_by_kostka({lam: 1}, lam)
             leaves = schur_sum_leaves({lam: 1}, lam)
             assert "".join(monomial_json(leaves)) == oracle_text(character_to_json(expected))
             text = "".join(monomial_text(leaves))
@@ -390,13 +389,12 @@ class TestWritersOfLeavesAndRows:
 
         real = first_identity_shapes if which == "first" else second_identity_shapes
         monkeypatch.setattr(f"jansum.identities.{which}_identity_shapes", lambda n: real(n)[:-1])
-        verify = verify_first_identity if which == "first" else verify_second_identity
         for n in range(2, n_max + 1):
-            report = verify(n)
+            report = next(conjecture_sweep(n, n, which))
             coeffs = {shape: (-1) ** i for i, shape in enumerate(real(n)[:-1])}
             sums = schur_sum_by_kostka(coeffs, report.target)
-            diff = FormalCharacter({mu: 1 - c for mu, c in sums.items()})
-            assert diff.terms
+            diff = {mu: 1 - c for mu, c in sums.items() if c != 1}
+            assert diff
             text = "".join(monomial_text(report.diff_leaves))
             assert text == character_to_text(diff)
             assert "".join(monomial_json(report.diff_leaves)) == oracle_text(character_to_json(diff))
@@ -453,7 +451,7 @@ class TestWritersOfLeavesAndRows:
     def test_the_empty_character(self):
         levi = LeviDatum(4, (2, 3))
         for writer, ch in (
-            (lambda: monomial_json([]), FormalCharacter({})),
+            (lambda: monomial_json([]), {}),
             (lambda: weyl_json(levi, []), (levi, [])),
         ):
             assert "".join(writer()) == oracle_text(character_to_json(ch))
@@ -465,7 +463,7 @@ class TestWritersOfLeavesAndRows:
 
 def seeded_character(rng: random.Random, basis: str, size: int):
     """A character of exactly `size` distinct keys, with coefficients of
-    both signs, 1 and past 1: a monomial FormalCharacter, or a Weyl
+    both signs, 1 and past 1: a monomial {Partition: coeff}, or a Weyl
     (levi, rows)."""
     if basis == "monomial":
         levi = None
@@ -480,7 +478,7 @@ def seeded_character(rng: random.Random, basis: str, size: int):
     terms: dict = {}
     while len(terms) < size:
         terms[key()] = rng.choice((1, -1, rng.randint(2, 99), -rng.randint(2, 99)))
-    return FormalCharacter(terms) if levi is None else weyl(levi, terms)
+    return terms if levi is None else weyl(levi, terms)
 
 
 def terms_per_piece(pieces) -> list[int]:
@@ -517,15 +515,15 @@ class TestPieces:
         # 22 of them 0, so the right side skips terms within its pieces
         real = first_identity_shapes
         monkeypatch.setattr("jansum.identities.first_identity_shapes", lambda n: real(n)[:-1])
-        report = verify_first_identity(10)
+        report = next(conjecture_sweep(10, 10, "first"))
         leaves = report.leaves
         assert not report.equal and len(leaves) > 2 * K
-        assert len(report.rhs.terms) == len(leaves) - 22 > 2 * K
+        assert len(right_side(report)) == len(leaves) - 22 > 2 * K
         pieces = list(identity_report_json(report))
         assert "".join(pieces) == oracle_text(identity_report_to_json(report))
         assert max(terms_per_piece(pieces)) <= K
         line = "n=10 first DIFFER (composite, conjecture instance)"
-        diff = character_to_text(_monomial_character(report.diff_leaves))
+        diff = character_to_text(leaf_terms(report.diff_leaves))
         assert run_cli(["identity", "--n", "10", "--which", "first"]) == (3, f"{line}\ndiff: {diff}\n", "")
 
     def test_failing_prop_char_check(self):
@@ -565,14 +563,14 @@ class TestWriterMemory:
         # the right side of `identity --n 40 --which second`, 1.7 MB as
         # JSON and 1.1 MB as text: each monomial writer holds a piece at a
         # time (about 40 KB traced)
-        leaves = verify_second_identity(40).leaves
+        leaves = next(conjecture_sweep(40, 40, "second")).leaves
         assert len(leaves) == 37337  # listed before tracing
         for writer in (monomial_json, monomial_text):
             assert traced_peak(writer(leaves)) < 500_000
 
     def test_report_of_75000_rows(self):
         # the jantzen command writes the same total from the report's rows,
-        # built before tracing, and never builds the FormalCharacter
+        # built before tracing, and keeps no total besides its rows
         report = jantzen_sum(Weight((100000, 0)), 2, LeviDatum.full(2))
         assert len(report.rows) == 75000
         assert traced_peak(sum_report_json(report)) < 2_000_000
@@ -584,6 +582,6 @@ class TestWriterMemory:
         # side's pieces, kept for the right side, hold 1.7 MB of its 37 337
         # leaves (1.9 MB peak); with a key list and two joined sides the
         # writer peaked at 9.3 MB
-        report = verify_second_identity(40)
+        report = next(conjecture_sweep(40, 40, "second"))
         assert len(report.leaves) == 37337  # listed before tracing
         assert traced_peak(identity_report_json(report)) < 2_500_000

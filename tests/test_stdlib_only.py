@@ -11,12 +11,13 @@ calls open, and no class defines __del__.
 
 Every object is built by its class's constructor, so through its checks:
 the one call of X.__new__(X) in the package is lattice._walked, which
-builds the Partitions of a walk's leaves (so a character is built only by
-FormalCharacter's constructor).
+builds the Partitions of a walk's leaves (so a leaf's text key becomes a
+Partition only through lattice.text_partition).
 
-A Weyl character is rows, never a FormalCharacter: jantzen imports nothing
-from charring, and charring, the monomial basis, nothing from weyl.  The
-package __init__ loads every module, so this is read off the source.
+A Weyl character is rows, never a monomial {Partition: coeff} dict:
+jantzen imports nothing from charring, and charring, the monomial basis,
+nothing from weyl.  The package __init__ loads every module, so this is
+read off the source.
 """
 
 import ast
