@@ -37,6 +37,76 @@ class TestMonomialWriters:
         assert keys == [[3], [2, 1], [1, 1, 1]]
 
 
+class TestMonomialDict:
+    # a monomial character is a plain {Partition: int} dict, each key read
+    # from a walk's text leaf by text_partition
+
+    def test_cancelled_terms_are_dropped(self):
+        # S_21 - 2 S_111 = m_21 + 0·m_111: a leaf whose coefficient cancels is not listed
+        leaves = schur_sum_leaves({Partition((2, 1)): 1, Partition((1, 1, 1)): -2}, Partition((2, 1)))
+        assert leaves == [("2,1", 1)]
+        assert {text_partition(k): c for k, c in leaves} == {Partition((2, 1)): 1}
+        assert schur_sum_leaves({Partition((2,)): 0}, Partition((2,))) == []
+
+    def test_coefficients_are_ints(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            top = Partition(rng.choice(list(brute_partitions(rng.randint(1, 8)))))
+            coeffs = {Partition(t): rng.randint(-3, 3) for t in brute_partitions(top.size) if prefix_leq(t, top.parts)}
+            for key, c in schur_sum_leaves(coeffs, top):
+                assert type(key) is str
+                assert type(c) is int and c != 0
+
+    def test_keys_are_partitions(self):
+        # the monomial basis only: every key is a Partition of the shape's size
+        lam = Partition((3, 1, 1))
+        ch = schur_to_monomial(lam)
+        assert type(ch) is dict
+        assert all(type(mu) is Partition and mu.size == lam.size for mu in ch)
+        assert not any(hasattr(mu, "levi") for mu in ch)
+        assert schur_to_monomial(Partition(())) == {Partition(()): 1}
+
+    def test_text_partition_round_trips_the_leaf_keys(self):
+        leaves = schur_sum_leaves({Partition((4, 2)): 1, Partition((3, 3)): -1}, Partition((4, 2)))
+        assert leaves
+        for key, _ in leaves:
+            mu = text_partition(key)
+            assert mu == Partition(tuple(map(int, key.split(","))))
+            assert ",".join(map(str, mu.parts)) == key
+        assert text_partition("") == Partition(())
+
+    def test_keys_listed_in_reverse_lex_order(self):
+        parts = [mu.parts for mu in schur_to_monomial(Partition((3, 2, 1)))]
+        assert parts == sorted(parts, reverse=True)
+
+    def test_a_fresh_dict_per_call(self):
+        # the caller owns the dict: changing it changes no later answer
+        lam = Partition((2, 1))
+        ch = schur_to_monomial(lam)
+        ch[Partition((2, 1))] = 7
+        ch.clear()
+        assert schur_to_monomial(lam) == {Partition((2, 1)): 1, Partition((1, 1, 1)): 2}
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_kostka_numbers(self, n):
+        for lam in brute_partitions(n):
+            below = [mu for mu in brute_partitions(n) if prefix_leq(mu, lam)]
+            expected = {Partition(mu): kostka(Partition(lam), Partition(mu)) for mu in below}
+            assert schur_to_monomial(Partition(lam)) == expected
+
+    def test_one_form_per_character(self):
+        import jansum
+        from jansum import identities
+
+        for name in ("FormalCharacter", "_monomial_character", "BASIS_MONOMIAL", "BASIS_WEYL"):
+            assert not hasattr(charring, name)
+        for name in ("verify_first_identity", "verify_second_identity"):
+            assert not hasattr(identities, name)
+            assert not hasattr(jansum, name)
+        assert not hasattr(jansum, "FormalCharacter")
+        assert not {"lhs", "rhs"} & set(dir(identities.IdentityReport))
+
+
 class TestKostka:
     def test_standard_examples(self):
         assert kostka(Partition((2, 1)), Partition((1, 1, 1))) == 2
